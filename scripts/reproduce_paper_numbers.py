@@ -13,12 +13,14 @@ import numpy as np
 from qpjumps import io
 from qpjumps.core import (
     MeasurementParams,
+    ScenarioConfig,
     ThermalParams,
     junction_power,
     polarization_to_temperature,
 )
 from qpjumps.jumpsim import (
     qp_generation_rate,
+    simulate_joint,
     snr_separation,
     thermal_decay_constant,
     thermal_transient,
@@ -27,7 +29,6 @@ from qpjumps.kinetics import (
     QpKineticsParams,
     evolve_ode,
     relaxation_time,
-    sample_birth_death,
     steady_state,
 )
 
@@ -62,8 +63,9 @@ def main():
         grid = np.linspace(0.0, 10 * tau_ss, 200)
         io.write_ode_csv(out / "recovery_ode.csv", grid,
                          evolve_ode(10 * x_bar, kin, grid))
-        trace = sample_birth_death(15, kin, 5e-3, np.random.default_rng(7))
-        io.write_qp_trace_csv(out / "qp_events.csv", trace)
+        config = ScenarioConfig(duration=5e-3, rng_seed=7, kinetics=kin, n_initial=15)
+        truth = simulate_joint(config, np.random.default_rng(config.rng_seed))
+        io.write_qp_trace_csv(out / "qp_events.csv", truth)
         print(f"wrote {out / 'recovery_ode.csv'} and {out / 'qp_events.csv'}")
 
 

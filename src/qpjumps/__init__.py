@@ -18,13 +18,10 @@ from .core import (
     validate_config,
 )
 from .kinetics import (
-    QpEventTrace,
     QpKineticsParams,
     evolve_ode,
     exponential_relaxation,
     relaxation_time,
-    sample_birth_death,
-    stationary_distribution,
     steady_state,
 )
 from .jumpsim import (

@@ -389,56 +389,3 @@ def fit_thermal(times, temperatures, n_boot: int = N_BOOTSTRAP, seed: int = 0) -
         t_base_err=base_err, delta_t_err=amp_err, tau_err=tau_err,
         residual_norm=rnorm, status=status,
     )
-
-
-# ---------------------------------------------------------------------------
-# synthetic series for validation
-# ---------------------------------------------------------------------------
-
-def power_law_series(
-    n: int,
-    dt: float,
-    alpha: float,
-    amplitude: float,
-    corner: float = 0.0,
-    floor: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Gaussian series whose expected periodogram is
-    amplitude / (corner + (2 pi f)^alpha) + floor."""
-    if rng is None:
-        rng = np.random.default_rng()
-    freqs = np.fft.rfftfreq(n, dt)
-    w = 2.0 * math.pi * freqs
-    target = np.zeros_like(freqs)
-    target[1:] = amplitude / (corner + w[1:] ** alpha) + floor
-    spec = np.zeros(len(freqs), dtype=complex)
-    inner = slice(1, -1) if n % 2 == 0 else slice(1, None)
-    k = len(freqs[inner])
-    scale = np.sqrt(target[inner] * n / (4.0 * dt))
-    spec[inner] = scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
-    if n % 2 == 0:
-        spec[-1] = math.sqrt(target[-1] * n / dt) * rng.standard_normal()
-    return np.fft.irfft(spec, n=n)
-
-
-def telegraph_series(
-    n: int,
-    dt: float,
-    mean_dwell: float,
-    rng: np.random.Generator | None = None,
-    values: tuple[float, float] = (-1.0, 1.0),
-) -> np.ndarray:
-    """Symmetric random telegraph signal sampled every dt seconds."""
-    if rng is None:
-        rng = np.random.default_rng()
-    total = n * dt
-    est = int(total / mean_dwell * 2 + 10 * math.sqrt(total / mean_dwell + 1)) + 4
-    switch_times = np.cumsum(rng.exponential(mean_dwell, size=est))
-    while switch_times[-1] < total:
-        more = np.cumsum(rng.exponential(mean_dwell, size=est)) + switch_times[-1]
-        switch_times = np.concatenate((switch_times, more))
-    t = np.arange(n) * dt
-    parity = np.searchsorted(switch_times, t, side="right") % 2
-    start = int(rng.integers(0, 2))
-    return np.asarray(values)[(parity + start) % 2]

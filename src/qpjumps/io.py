@@ -21,7 +21,6 @@ import numpy as np
 from .analysis import DwellHistogram, StateEstimate, WindowedReport
 from .core import ScenarioConfig, serialize_config
 from .jumpsim import IQRecord, STATE_EXCITED, TruthTrace
-from .kinetics import QpEventTrace
 
 try:
     TOOL_VERSION = importlib.metadata.version("qpjumps")
@@ -109,12 +108,12 @@ def write_truth_csv(path, truth: TruthTrace) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_qp_trace_csv(path, trace: QpEventTrace) -> None:
-    lines = ["time_s,event,N"]
-    lines += [
-        f"{_fmt(t)},{kind},{n}"
-        for t, kind, n in zip(trace.times, trace.kinds, trace.counts)
-    ]
+def write_qp_trace_csv(path, truth: TruthTrace) -> None:
+    """QP-count marginal: the initial count at t=0, then a row per change of N."""
+    t, _, n = truth.knots()
+    changed = np.concatenate(([True], np.diff(n) != 0))
+    lines = ["time_s,N"]
+    lines += [f"{_fmt(ti)},{ni}" for ti, ni in zip(t[changed], n[changed])]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

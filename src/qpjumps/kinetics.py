@@ -5,10 +5,11 @@ pairs) follows
 
     dx/dt = generation - trapping * x - recombination * x**2
 
-with all three coefficients in 1/s and x dimensionless.  The same dynamics
-is realized discretely as a birth-death chain on the QP number N: QPs are
-created and recombine in pairs (broken/reformed Cooper pairs), while
-trapping removes them one at a time.
+with all three coefficients in 1/s and x dimensionless.  The discrete
+counterpart, a birth-death chain on the QP number N in which QPs are created
+and recombine in pairs (broken/reformed Cooper pairs) while trapping removes
+them one at a time, is sampled jointly with the qubit by
+jumpsim.simulate_joint.
 """
 
 from __future__ import annotations
@@ -17,11 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-EVENT_PAIR_GENERATION = "pair-generation"
-EVENT_SINGLE_LOSS = "single-loss"
-EVENT_RECOMBINATION = "recombination"
-EVENT_INJECTION = "injection"
 
 
 @dataclass(frozen=True)
@@ -47,29 +43,6 @@ class QpKineticsParams:
             )
         if self.n_pairs < 1:
             raise ValueError("n_pairs must be at least 1")
-
-
-@dataclass(frozen=True)
-class QpEventTrace:
-    """Record of one sampled realization of the discrete QP population.
-
-    times are strictly increasing event times in seconds, kinds are event
-    labels (EVENT_* constants), counts[i] is N immediately after event i.
-    """
-
-    initial_count: int
-    duration: float
-    times: np.ndarray
-    kinds: tuple[str, ...]
-    counts: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def count_at(self, t: float) -> int:
-        """QP number at time t (initial count before the first event)."""
-        i = int(np.searchsorted(self.times, t, side="right"))
-        return self.initial_count if i == 0 else int(self.counts[i - 1])
 
 
 def steady_state(params: QpKineticsParams) -> float:
@@ -150,109 +123,3 @@ def evolve_ode(x0: float, params: QpKineticsParams, t_grid) -> np.ndarray:
         t = float(t_grid[i])
         out[i] = x
     return out
-
-
-def sample_birth_death(
-    n0: int,
-    params: QpKineticsParams,
-    duration: float,
-    rng: np.random.Generator,
-    injections=(),
-) -> QpEventTrace:
-    """Exact-jump sampling of the discrete QP number over [0, duration].
-
-    Propensities: pair generation at generation*n_pairs/2 (N += 2), single
-    loss at trapping*N (N -= 1), recombination at
-    recombination*N*(N-1)/(2*n_pairs) (N -= 2).  The ensemble mean of
-    N/n_pairs obeys the continuous rate equation in the large-N limit.
-    injections is an optional sequence of (time, count) pairs applied
-    instantaneously, recorded as their own events.
-    """
-    if n0 < 0:
-        raise ValueError("initial count must be non-negative")
-    if duration <= 0.0:
-        raise ValueError("duration must be positive")
-    g, s, r = params.generation, params.trapping, params.recombination
-    ncp = params.n_pairs
-    gen_prop = 0.5 * g * ncp
-
-    inj = sorted((float(t), int(c)) for t, c in injections)
-    for t_inj, _ in inj:
-        if not 0.0 <= t_inj <= duration:
-            raise ValueError("injection outside simulated interval")
-
-    times: list[float] = []
-    kinds: list[str] = []
-    counts: list[int] = []
-    n = int(n0)
-    t = 0.0
-    i_inj = 0
-    while True:
-        loss_prop = s * n
-        rec_prop = r * n * (n - 1) / (2.0 * ncp)
-        total = gen_prop + loss_prop + rec_prop
-        if total > 0.0:
-            dt = rng.exponential(1.0 / total)
-        else:
-            dt = math.inf
-        if i_inj < len(inj) and t + dt >= inj[i_inj][0]:
-            t = inj[i_inj][0]
-            n += inj[i_inj][1]
-            times.append(t)
-            kinds.append(EVENT_INJECTION)
-            counts.append(n)
-            i_inj += 1
-            continue
-        if t + dt >= duration:
-            break
-        t += dt
-        u = rng.random() * total
-        if u < gen_prop:
-            n += 2
-            kinds.append(EVENT_PAIR_GENERATION)
-        elif u < gen_prop + loss_prop:
-            n -= 1
-            kinds.append(EVENT_SINGLE_LOSS)
-        else:
-            n -= 2
-            kinds.append(EVENT_RECOMBINATION)
-        times.append(t)
-        counts.append(n)
-
-    return QpEventTrace(
-        initial_count=int(n0),
-        duration=float(duration),
-        times=np.asarray(times, dtype=float),
-        kinds=tuple(kinds),
-        counts=np.asarray(counts, dtype=np.int64),
-    )
-
-
-def stationary_distribution(params: QpKineticsParams, n_max: int = 50) -> np.ndarray:
-    """Stationary law of the birth-death chain truncated to N <= n_max.
-
-    Solves pi Q = 0 for the generator of the chain used by
-    sample_birth_death (pair births, single losses, pair recombinations),
-    with births suppressed where they would overflow the truncation.
-    Intended as a small-matrix oracle for tests at desk scale.
-    """
-    g, s, r = params.generation, params.trapping, params.recombination
-    ncp = params.n_pairs
-    size = n_max + 1
-    q = np.zeros((size, size))
-    for n in range(size):
-        if n + 2 <= n_max:
-            q[n, n + 2] += 0.5 * g * ncp
-        if n >= 1:
-            q[n, n - 1] += s * n
-        if n >= 2:
-            q[n, n - 2] += r * n * (n - 1) / (2.0 * ncp)
-        q[n, n] = -q[n].sum()
-    # replace last balance equation with normalization
-    a = q.T.copy()
-    a[-1, :] = 1.0
-    b = np.zeros(size)
-    b[-1] = 1.0
-    pi = np.linalg.solve(a, b)
-    pi[pi < 0] = 0.0
-    return pi / pi.sum()

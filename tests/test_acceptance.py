@@ -6,12 +6,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see every line.
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from qpjumps import io
 from qpjumps.analysis import extract_dwells, two_point_filter
 from qpjumps.cli import main
 from qpjumps.core import (
+    ScenarioConfig,
     ThermalParams,
     junction_power,
     polarization_to_temperature,
@@ -24,15 +24,11 @@ from qpjumps.experiments import (
     run_stats,
     tau_fidelity_correlation,
 )
-from qpjumps.fitting import (
-    fit_power_law,
-    periodogram,
-    power_law_series,
-    telegraph_series,
-)
+from qpjumps.fitting import fit_power_law, periodogram
 from qpjumps.jumpsim import (
     MeasurementParams,
     qp_generation_rate,
+    simulate_joint,
     snr_separation,
     synthesize_iq,
     thermal_decay_constant,
@@ -43,9 +39,14 @@ from qpjumps.kinetics import (
     evolve_ode,
     exponential_relaxation,
     relaxation_time,
-    sample_birth_death,
-    stationary_distribution,
     steady_state,
+)
+
+from support import (
+    occupancy_chi2,
+    power_law_series,
+    stationary_qn,
+    telegraph_series,
 )
 
 
@@ -199,19 +200,12 @@ def test_09_oracle_suites():
     analytic = exponential_relaxation(10 * x_bar, x_bar, tau, grid)
     ode_dev = float(np.max(np.abs(numeric - analytic) / analytic))
 
-    # birth-death stationary law against the truncated-generator oracle
-    pi = stationary_distribution(kin, n_max=40)
-    rng = np.random.default_rng(1)
-    finals = np.empty(10_000, dtype=int)
-    for i in range(len(finals)):
-        trace = sample_birth_death(0, kin, duration=1.5e-3, rng=rng)
-        finals[i] = trace.counts[-1] if len(trace) else 0
-    observed = np.bincount(finals, minlength=len(pi)).astype(float)
-    expected = pi * len(finals)
-    cut = len(expected) - np.searchsorted(np.cumsum(expected[::-1]), 5.0) - 1
-    obs = np.concatenate((observed[:cut], [observed[cut:].sum()]))
-    exp = np.concatenate((expected[:cut], [expected[cut:].sum()]))
-    p_value = float(stats.chisquare(obs, exp * obs.sum() / exp.sum()).pvalue)
+    # joint (qubit, N) occupancy of the production sampler against the
+    # truncated joint-generator stationary law: 10^4 snapshots 2 ms apart;
+    # p > 0.01 fails by chance for about 1% of seeds
+    config = ScenarioConfig(duration=20.0, rng_seed=1)
+    truth = simulate_joint(config, np.random.default_rng(config.rng_seed))
+    p_value, _ = occupancy_chi2(truth, stationary_qn(config, n_max=40))
 
     # noise-free synthesis + filter reproduces bin-aligned truth exactly
     meas = MeasurementParams()

@@ -7,7 +7,8 @@ from qpjumps import io
 from qpjumps.cli import main
 from qpjumps.core import serialize_config, validate_config
 from qpjumps.experiments import preset_config
-from qpjumps.fitting import power_law_series
+
+from support import power_law_series
 
 
 @pytest.fixture()

@@ -13,10 +13,10 @@ from qpjumps.fitting import (
     fit_thermal,
     invert_relaxation,
     periodogram,
-    power_law_series,
-    telegraph_series,
 )
 from qpjumps.jumpsim import qp_rate_coefficient
+
+from support import power_law_series, telegraph_series
 
 
 class TestPeriodogram:

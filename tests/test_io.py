@@ -8,7 +8,6 @@ from qpjumps import io
 from qpjumps.analysis import StateEstimate, log_histogram, poisson_prediction
 from qpjumps.core import validate_config
 from qpjumps.jumpsim import IQRecord, TruthTrace
-from qpjumps.kinetics import QpKineticsParams, sample_birth_death
 
 
 def make_record(n=100, seed=0, t_meas=5e-6):
@@ -94,13 +93,16 @@ class TestCsvWriters:
         assert lines[3] == "0.5,e,3"
 
     def test_qp_trace_csv(self, tmp_path):
-        p = QpKineticsParams(generation=0.0, trapping=900.0)
-        trace = sample_birth_death(3, p, 1.0, np.random.default_rng(0))
+        # qubit flips (0.1, 0.3) leave N alone and are dropped
+        truth = TruthTrace(
+            initial_state=0, initial_count=3, duration=1.0,
+            times=np.array([0.1, 0.2, 0.3, 0.4]),
+            states=np.array([1, 1, 0, 0], dtype=np.uint8),
+            counts=np.array([3, 5, 5, 4], dtype=np.int64),
+        )
         path = tmp_path / "qp.csv"
-        io.write_qp_trace_csv(path, trace)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "time_s,event,N"
-        assert all(line.split(",")[1] == "single-loss" for line in lines[1:])
+        io.write_qp_trace_csv(path, truth)
+        assert path.read_text().splitlines() == ["time_s,N", "0,3", "0.2,5", "0.4,4"]
 
     def test_ode_csv(self, tmp_path):
         path = tmp_path / "ode.csv"

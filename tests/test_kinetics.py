@@ -2,21 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
-from scipy import stats
 
 from qpjumps.kinetics import (
-    EVENT_INJECTION,
-    EVENT_PAIR_GENERATION,
-    EVENT_RECOMBINATION,
-    EVENT_SINGLE_LOSS,
     QpKineticsParams,
     evolve_ode,
     exponential_relaxation,
     relaxation_time,
-    sample_birth_death,
-    stationary_distribution,
     steady_state,
 )
 
@@ -124,110 +117,3 @@ class TestEvolveOde:
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError):
             evolve_ode(-1e-9, TRAP_LIMITED, np.array([0.0, 1.0]))
-
-
-class TestSampleBirthDeath:
-    def test_pure_decay_mean_dwell(self):
-        p = QpKineticsParams(generation=0.0, trapping=2000.0, recombination=0.0)
-        rng = np.random.default_rng(11)
-        deaths = []
-        for _ in range(3000):
-            trace = sample_birth_death(1, p, duration=0.1, rng=rng)
-            assert len(trace) == 1
-            assert trace.kinds[0] == EVENT_SINGLE_LOSS
-            deaths.append(trace.times[0])
-        mean = np.mean(deaths)
-        err = np.std(deaths) / math.sqrt(len(deaths))
-        assert abs(mean - 1.0 / 2000.0) < 3 * err
-
-    def test_default_regime_population_one_to_two(self):
-        rng = np.random.default_rng(5)
-        trace = sample_birth_death(2, TRAP_LIMITED, duration=2.0, rng=rng)
-        t, n = trace.times, trace.counts
-        knots = np.concatenate(([0.0], t, [trace.duration]))
-        values = np.concatenate(([trace.initial_count], n))
-        time_avg = np.sum(values * np.diff(knots)) / trace.duration
-        assert 1.0 < time_avg < 2.0
-
-    def test_stationary_matches_matrix_oracle(self):
-        # chi-square of 1e4 independently equilibrated chains against the
-        # truncated-generator stationary law
-        pi = stationary_distribution(TRAP_LIMITED, n_max=40)
-        rng = np.random.default_rng(1)
-        n_samples = 10_000
-        finals = np.empty(n_samples, dtype=int)
-        for i in range(n_samples):
-            trace = sample_birth_death(0, TRAP_LIMITED, duration=1.5e-3, rng=rng)
-            finals[i] = trace.counts[-1] if len(trace) else trace.initial_count
-        observed = np.bincount(finals, minlength=len(pi)).astype(float)
-        expected = pi * n_samples
-        # merge the tail so every expected bin holds at least 5 counts
-        cut = np.searchsorted(np.cumsum(expected[::-1]), 5.0)
-        cut = len(expected) - cut - 1
-        obs = np.concatenate((observed[:cut], [observed[cut:].sum()]))
-        exp = np.concatenate((expected[:cut], [expected[cut:].sum()]))
-        chi2, p_value = stats.chisquare(obs, exp * obs.sum() / exp.sum())
-        assert p_value > 0.01
-
-    def test_mean_field_matches_ode(self):
-        # paired births / single deaths: the ensemble mean of N/n_pairs must
-        # track the continuous rate equation
-        rng = np.random.default_rng(99)
-        n_runs = 10_000
-        n0 = 8
-        checkpoints = np.array([0.5, 1.0, 2.0, 4.0, 8.0]) * 125e-6
-        samples = np.empty((n_runs, len(checkpoints)))
-        for i in range(n_runs):
-            trace = sample_birth_death(n0, TRAP_LIMITED, duration=1.1e-3, rng=rng)
-            samples[i] = [trace.count_at(t) for t in checkpoints]
-        mean = samples.mean(axis=0) / TRAP_LIMITED.n_pairs
-        sem = samples.std(axis=0) / math.sqrt(n_runs) / TRAP_LIMITED.n_pairs
-        expected = evolve_ode(
-            n0 / TRAP_LIMITED.n_pairs, TRAP_LIMITED, np.concatenate(([0.0], checkpoints))
-        )[1:]
-        assert np.all(np.abs(mean - expected) < 3 * sem)
-
-    def test_injections_recorded(self):
-        p = QpKineticsParams(generation=0.0, trapping=500.0, recombination=0.0)
-        rng = np.random.default_rng(3)
-        trace = sample_birth_death(0, p, 1.0, rng, injections=[(0.25, 4), (0.5, 2)])
-        kinds = list(trace.kinds)
-        assert kinds.count(EVENT_INJECTION) == 2
-        first = kinds.index(EVENT_INJECTION)
-        assert trace.times[first] == 0.25
-        prev = trace.counts[first - 1] if first else trace.initial_count
-        assert trace.counts[first] == prev + 4
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        g=st.floats(min_value=0.0, max_value=2e-3),
-        s=st.floats(min_value=100.0, max_value=2e4),
-        r=st.floats(min_value=0.0, max_value=1e10),
-        n0=st.integers(min_value=0, max_value=20),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_trace_invariants(self, g, s, r, n0, seed):
-        p = QpKineticsParams(generation=g, trapping=s, recombination=r, n_pairs=3.75e7)
-        rng = np.random.default_rng(seed)
-        trace = sample_birth_death(n0, p, duration=5e-3, rng=rng, injections=[(1e-3, 3)])
-        assert np.all(np.diff(np.concatenate(([0.0], trace.times))) > 0)
-        assert np.all(trace.counts >= 0)
-        steps = {
-            EVENT_PAIR_GENERATION: 2,
-            EVENT_SINGLE_LOSS: -1,
-            EVENT_RECOMBINATION: -2,
-            EVENT_INJECTION: 3,
-        }
-        prev = trace.initial_count
-        for kind, count in zip(trace.kinds, trace.counts):
-            assert count - prev == steps[kind]
-            prev = count
-
-
-def test_stationary_distribution_mean_is_flux_balance():
-    # mean of the truncated law reproduces generation*n_pairs/trapping
-    pi = stationary_distribution(TRAP_LIMITED, n_max=40)
-    mean = float(np.arange(len(pi)) @ pi)
-    assert mean == pytest.approx(
-        TRAP_LIMITED.generation * TRAP_LIMITED.n_pairs / TRAP_LIMITED.trapping, rel=1e-6
-    )
