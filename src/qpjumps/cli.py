@@ -278,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="two-column CSV series (t_s,value)")
     p.add_argument("--segments", type=int, default=1,
                    help="averaged spectrum segments (1 = plain periodogram)")
-    p.add_argument("--bootstrap", type=int, default=200,
-                   help="residual-bootstrap resamples for standard errors")
+    p.add_argument("--bootstrap", type=int, default=0,
+                   help="multiplicative residual-bootstrap resamples for standard "
+                        "errors (0 = errors from the observed information)")
     p.set_defaults(func=cmd_fit_psd)
 
     p = sub.add_parser("fit-recovery", help="exponential recovery fit of dwell times")

@@ -3,11 +3,10 @@
 Three models are fitted here: a power-law-plus-floor spectrum
 A / (B + (2 pi f)^alpha) + C for the slow lifetime fluctuations, an
 exponential recovery of the QP density after an injection pulse, and an
-exponential temperature decay.  The spectrum is fitted in log-power space
-(it spans several decades) by a Nelder-Mead simplex seeded from a coarse
-grid over alpha; the exponential models use bounded least squares with a
-small grid of time-constant seeds.  Standard errors come from a seeded
-residual bootstrap.
+exponential temperature decay.  The spectrum is fitted by Whittle
+likelihood, the periodogram's own noise model, with errors from the
+observed information; the exponential models use least squares from a
+small grid of time-constant seeds, with seeded residual-bootstrap errors.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from .jumpsim import qp_rate_coefficient
 
 ALPHA_MIN, ALPHA_MAX = 0.5, 3.0
 N_BOOTSTRAP = 200
+CHI2_3_Q99 = 11.3449  # 0.99 quantile of chi-square with 3 degrees of freedom
 
 
 class FitInputError(ValueError):
@@ -85,7 +85,7 @@ def periodogram(series, dt: float, n_segments: int = 1) -> tuple[np.ndarray, np.
 
 @dataclass(frozen=True)
 class PsdFit:
-    """Parameters of A / (B + (2 pi f)^alpha) + C with bootstrap errors."""
+    """Parameters of A / (B + (2 pi f)^alpha) + C with standard errors."""
 
     a: float
     b: float
@@ -103,95 +103,44 @@ class PsdFit:
         return self.a / (self.b + w ** self.alpha) + self.c
 
 
-def _psd_log_model(theta: np.ndarray, log_w: np.ndarray) -> np.ndarray:
-    ln_a, ln_b, alpha, ln_c = theta
-    return np.log(np.exp(ln_a) / (np.exp(ln_b) + np.exp(alpha * log_w)) + np.exp(ln_c))
+def _whittle_terms(theta, log_w, power):
+    """log S, the rows of d(log S)/d(theta) and the ratio P/S at theta."""
+    a, b, alpha, c = math.exp(theta[0]), math.exp(theta[1]), theta[2], math.exp(theta[3])
+    w_alpha = np.exp(alpha * log_w)
+    d = b + w_alpha
+    s = a / d + c
+    colored = a / (d * s)  # share of S in the colored term
+    jac = np.array((colored, -colored * b / d, -colored * w_alpha / d * log_w, c / s))
+    return np.log(s), jac, power / s
 
 
-def _psd_cost(theta, log_w, log_p):
-    if not ALPHA_MIN <= theta[2] <= ALPHA_MAX:
-        return np.inf
-    if abs(theta[0]) > 700 or abs(theta[1]) > 700 or abs(theta[3]) > 700:
-        return np.inf
-    r = _psd_log_model(theta, log_w) - log_p
-    return float(r @ r)
-
-def _nelder_mead(cost, theta0, args, maxfev=6000):
-    return optimize.minimize(
-        cost, theta0, args=args, method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-14, "maxfev": maxfev, "maxiter": maxfev},
-    )
+def _whittle_cost(theta, log_w, power):
+    log_s, jac, ratio = _whittle_terms(theta, log_w, power)
+    return float(np.sum(log_s + ratio)), jac @ (1.0 - ratio)
 
 
-def _psd_solve(log_w, log_p, theta0=None):
-    """Best (a, b, alpha, c, scale-corrected) parameters for one data vector.
-
-    Shape is fitted by least squares in log power (grid-seeded simplex, or a
-    local refinement when theta0 is given).  A log fit of exponentially
-    scattered periodogram bins underestimates the absolute scale by a
-    constant factor, so a and c are rescaled afterwards by the mean
-    data/model ratio, which is exactly 1 for noiseless model input and
-    unbiased for periodogram scatter.  Spectra that a bare floor explains
-    within 1% keep only the floor term (a = 0).
-    """
-    ln_c_floor = float(np.mean(log_p))
-    sse_floor = float(np.sum((log_p - ln_c_floor) ** 2))
-
-    if theta0 is not None:
-        starts = [theta0]
-    else:
-        power = np.exp(log_p)
-        order = np.argsort(log_w)
-        low = float(np.median(power[order[:5]]))
-        high = float(np.median(power[order[-5:]]))
-        mid = float(np.median(power))
-        w_min = float(np.exp(log_w.min()))
-        w_mid = float(np.exp(np.median(log_w)))
-        starts = []
-        for alpha0 in np.arange(ALPHA_MIN, ALPHA_MAX + 1e-9, 0.25):
-            c0 = max(min(high, low) * 0.5, 1e-300)
-            for b0 in (w_min ** alpha0, (0.03 * w_min) ** alpha0):
-                a0 = max(low - c0, low * 0.1) * (b0 + w_min ** alpha0)
-                starts.append([math.log(a0), math.log(b0), alpha0, math.log(c0)])
-            a_mid = max(mid - c0, mid * 0.1) * w_mid ** alpha0
-            starts.append([math.log(a_mid), math.log((0.03 * w_min) ** alpha0),
-                           alpha0, math.log(c0)])
-
-    best = None
-    any_converged = False
-    for start in starts:
-        res = _nelder_mead(_psd_cost, np.asarray(start, dtype=float), (log_w, log_p))
-        any_converged = any_converged or res.success
-        if best is None or res.fun < best.fun:
-            best = res
-    res = _nelder_mead(_psd_cost, best.x, (log_w, log_p))
-    if res.fun <= best.fun:
-        best = res
-        any_converged = any_converged or res.success
-
-    theta = best.x
-    if sse_floor - best.fun < 0.01 * sse_floor:
-        # the colored term buys essentially nothing: report a pure floor
-        a, b, alpha = 0.0, math.exp(theta[1]), float(theta[2])
-        model_log = np.full_like(log_p, ln_c_floor)
-        c = math.exp(ln_c_floor)
-    else:
-        a, b, alpha, c = (math.exp(theta[0]), math.exp(theta[1]),
-                          float(theta[2]), math.exp(theta[3]))
-        model_log = _psd_log_model(theta, log_w)
-    resid = log_p - model_log
-    scale = float(np.mean(np.exp(resid)))
-    return (a * scale, b, alpha, c * scale), theta, resid, any_converged
+def _whittle_fit(theta0, log_w, power, bounds):
+    return optimize.minimize(_whittle_cost, theta0, args=(log_w, power), jac=True,
+                             method="L-BFGS-B", bounds=bounds,
+                             options={"ftol": 1e-15, "gtol": 1e-10})
 
 
-def fit_power_law(freqs, power, n_boot: int = N_BOOTSTRAP, seed: int = 0) -> PsdFit:
-    """Fit the power-law-plus-floor spectrum in log-power space.
+def fit_power_law(freqs, power, n_boot: int = 0, seed: int = 0) -> PsdFit:
+    """Fit the power-law-plus-floor spectrum by Whittle likelihood.
+
+    Minimises sum(log S + P/S) over (ln a, ln b, alpha, ln c), power
+    divided by its median, by bounded L-BFGS-B from a grid of starts over
+    alpha (0.5 to 3.0 in steps of 0.25).  Errors come from the observed
+    information, phi * (J^T J)^-1 with J = d(log S)/d(theta) and dispersion
+    phi = mean((P/S - 1)^2), about 1/K for K averaged segments.  n_boot > 0
+    takes them instead from local refits to multiplicative residual-
+    bootstrap spectra.  If a dispersion-scaled likelihood ratio against a
+    bare floor (c = mean power) is below the 1% point of chi-square(3),
+    the floor alone is reported (a = 0; a, b, alpha errors NaN).
 
     Requires at least 8 positive-power points spanning 1.5 decades of
-    frequency.  A coarse grid over alpha (0.5 to 3.0 in steps of 0.25)
-    seeds a Nelder-Mead refinement; the global best over all seeds is kept
-    and polished.  Raises FitConvergenceError (best attached) if no start
-    converges within the evaluation cap.
+    frequency.  Raises FitConvergenceError (best attached) if no start
+    converges within L-BFGS-B's iteration cap.
     """
     freqs = np.asarray(freqs, dtype=float)
     power = np.asarray(power, dtype=float)
@@ -202,27 +151,72 @@ def fit_power_law(freqs, power, n_boot: int = N_BOOTSTRAP, seed: int = 0) -> Psd
     if math.log10(freqs.max() / freqs.min()) < 1.5:
         raise FitInputError("frequency axis must span at least 1.5 decades")
 
+    scale = float(np.median(power))
+    p = power / scale
+    n = len(p)
     log_w = np.log(2.0 * math.pi * freqs)
-    log_p = np.log(power)
-    params, theta, resid, any_converged = _psd_solve(log_w, log_p)
-    rnorm = float(np.sqrt(resid @ resid))
+    order = np.argsort(log_w)
+    low = float(np.median(p[order[:5]]))
+    high = float(np.median(p[order[-5:]]))
+    mid = float(np.median(p))
+    w_min = float(np.exp(log_w.min()))
+    w_mid = float(np.exp(np.median(log_w)))
+    c0 = min(high, low) * 0.5
+    starts = []
+    for alpha0 in np.arange(ALPHA_MIN, ALPHA_MAX + 1e-9, 0.25):
+        for b0 in (w_min ** alpha0, (0.03 * w_min) ** alpha0):
+            a0 = max(low - c0, low * 0.1) * (b0 + w_min ** alpha0)
+            starts.append([math.log(a0), math.log(b0), alpha0, math.log(c0)])
+        a_mid = max(mid - c0, mid * 0.1) * w_mid ** alpha0
+        starts.append([math.log(a_mid), alpha0 * math.log(0.03 * w_min),
+                       alpha0, math.log(c0)])
 
-    rng = np.random.default_rng(seed)
-    model_log = log_p - resid
-    boot = np.empty((max(n_boot, 2), 4))
-    for i in range(len(boot)):
-        sample = model_log + rng.choice(resid, size=len(resid), replace=True)
-        boot[i] = _psd_solve(log_w, sample, theta0=theta)[0]
-    errs = boot.std(axis=0)
+    # box bounds 20 e-folds past where a term stops mattering in band
+    lo = min(ALPHA_MIN * log_w.min(), ALPHA_MAX * log_w.min()) - 20.0
+    hi = max(ALPHA_MIN * log_w.max(), ALPHA_MAX * log_w.max()) + 20.0
+    lp_lo, lp_hi = math.log(p.min()), math.log(p.max())
+    bounds = [(lo + lp_lo, hi + lp_hi + 20.0), (lo, hi), (ALPHA_MIN, ALPHA_MAX),
+              (lp_lo - 20.0, lp_hi + 20.0)]
 
+    fits = [_whittle_fit(start, log_w, p, bounds) for start in starts]
+    best = min(fits, key=lambda res: res.fun)
+    theta = best.x
+    log_s, jac, ratio = _whittle_terms(theta, log_w, p)
+    phi = float(np.mean((ratio - 1.0) ** 2))
+    floor = float(np.mean(p))
+    if 2.0 * (n * (math.log(floor) + 1.0) - best.fun) / phi < CHI2_3_Q99:
+        a, b, alpha, c = 0.0, math.exp(theta[1]), float(theta[2]), floor * scale
+        resid = np.log(p / floor)
+        errs = [math.nan] * 3 + [c * math.sqrt(np.mean((p / floor - 1.0) ** 2) / n)]
+    else:
+        a, b, alpha, c = (math.exp(theta[0]) * scale, math.exp(theta[1]),
+                          float(theta[2]), math.exp(theta[3]) * scale)
+        resid = np.log(p) - log_s
+        if n_boot > 0:
+            rng = np.random.default_rng(seed)
+            boot = np.array([
+                _whittle_fit(theta, log_w, np.exp(log_s) * rng.choice(ratio, n), bounds).x
+                for _ in range(n_boot)
+            ])
+            boot[:, [0, 1, 3]] = np.exp(boot[:, [0, 1, 3]])
+            errs = boot.std(axis=0) * [scale, 1.0, 1.0, scale]
+        else:
+            # a floor or corner driven to its bound leaves a near-zero column:
+            # the correlation form and pseudo-inverse keep the errors finite
+            info = jac @ jac.T
+            d = np.sqrt(np.diag(info))
+            cov = np.linalg.pinv(info / np.outer(d, d), hermitian=True) / np.outer(d, d)
+            errs = np.sqrt(phi * np.diag(cov)) * [a, b, 1.0, c]
+
+    converged = any(res.success for res in fits)
     fit = PsdFit(
-        a=params[0], b=params[1], alpha=params[2], c=params[3],
+        a=a, b=b, alpha=alpha, c=c,
         a_err=float(errs[0]), b_err=float(errs[1]), alpha_err=float(errs[2]),
-        c_err=float(errs[3]), residual_norm=rnorm,
-        status="converged" if any_converged else "failed",
+        c_err=float(errs[3]), residual_norm=float(np.sqrt(resid @ resid)),
+        status="converged" if converged else "failed",
     )
-    if not any_converged:
-        raise FitConvergenceError("power-law fit hit the evaluation cap", best=fit)
+    if not converged:
+        raise FitConvergenceError("power-law fit hit the iteration cap", best=fit)
     return fit
 
 

@@ -378,7 +378,8 @@ class IQRecord:
 
 def sample_count(duration: float, t_meas: float) -> int:
     """Number of complete integration bins in the record."""
-    return int(duration / t_meas + 1e-9)
+    # relative slack: an absolute one falls below one ULP of large ratios
+    return int(duration / t_meas * (1.0 + 1e-12))
 
 
 def synthesize_iq(

@@ -10,6 +10,7 @@ the two agree only if the sampler realizes the model.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import stats
@@ -69,6 +70,17 @@ def telegraph_series(
     parity = np.searchsorted(switch_times, t, side="right") % 2
     start = int(rng.integers(0, 2))
     return np.asarray(values)[(parity + start) % 2]
+
+
+def iteration_capped(optimize_module, maxiter: int):
+    """Stand-in for a fitter's `optimize` module whose minimize() stops
+    after maxiter iterations."""
+
+    def minimize(*args, **kwargs):
+        kwargs["options"] = {**kwargs.get("options", {}), "maxiter": maxiter}
+        return optimize_module.minimize(*args, **kwargs)
+
+    return SimpleNamespace(minimize=minimize)
 
 
 # ---------------------------------------------------------------------------

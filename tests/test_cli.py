@@ -2,13 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from scipy import optimize
 
-from qpjumps import io
+from qpjumps import fitting, io
 from qpjumps.cli import main
 from qpjumps.core import serialize_config, validate_config
 from qpjumps.experiments import preset_config
 
-from support import power_law_series
+from support import iteration_capped, power_law_series
 
 
 @pytest.fixture()
@@ -156,6 +157,15 @@ class TestFitCommands:
         assert abs(float(report["alpha"]) - 1.4) < 0.3
         assert (out / "psd.csv").exists()
         assert (out / "residuals.csv").exists()
+
+    def test_fit_psd_nonconvergence_exit(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = power_law_series(1024, 1.0, 1.4, amplitude=1.0, floor=2e-2, rng=rng)
+        series = tmp_path / "series.csv"
+        io.write_series_csv(series, np.arange(1024.0), x, "tau_g_s")
+        monkeypatch.setattr(fitting, "optimize", iteration_capped(optimize, 1))
+        assert main(["fit-psd", "--input", str(series), "--out",
+                     str(tmp_path / "psd")]) == 4
 
 
 class TestExperiment:

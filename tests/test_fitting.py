@@ -1,12 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize, stats
 
+from qpjumps import fitting
 from qpjumps.core import QubitParams
 from qpjumps.fitting import (
+    CHI2_3_Q99,
+    FitConvergenceError,
     FitInputError,
     fit_power_law,
     fit_recovery,
@@ -16,7 +21,7 @@ from qpjumps.fitting import (
 )
 from qpjumps.jumpsim import qp_rate_coefficient
 
-from support import power_law_series, telegraph_series
+from support import iteration_capped, power_law_series, telegraph_series
 
 
 class TestPeriodogram:
@@ -144,6 +149,62 @@ class TestFitPowerLaw:
     def test_needs_enough_points(self):
         with pytest.raises(FitInputError):
             fit_power_law([1e-3, 1e-1], [1.0, 1.0], n_boot=2)
+
+    def test_floor_only_quantile(self):
+        assert CHI2_3_Q99 == pytest.approx(stats.chi2.ppf(0.99, 3), abs=5e-5)
+
+    def test_no_numpy_warnings(self):
+        series = [
+            power_law_series(4096, 1.0, 1.4, amplitude=1.0, floor=2e-2,
+                             rng=np.random.default_rng(2024)),
+            telegraph_series(4096, 1.0, mean_dwell=64.0, rng=np.random.default_rng(302)),
+            np.random.default_rng(31).standard_normal(2048) * 1.5,
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for x in series:
+                fit_power_law(*periodogram(x, 1.0))
+
+    def test_iteration_cap_raises_with_best(self, monkeypatch):
+        f, spec, _ = self._clean_spectrum()
+        monkeypatch.setattr(fitting, "optimize", iteration_capped(optimize, 1))
+        with pytest.raises(FitConvergenceError) as caught:
+            fit_power_law(f, spec)
+        assert caught.value.best.status == "failed"
+        assert math.isfinite(caught.value.best.alpha)
+
+
+@pytest.fixture(scope="module")
+def alpha_sweep():
+    """Fits of 40 alpha = 1.4 series without a corner, 4 averaged segments,
+    with each spectrum's median power."""
+    fits = []
+    for seed in range(5000, 5040):
+        x = power_law_series(4096, 1.0, 1.4, amplitude=1.0, floor=2e-2,
+                             rng=np.random.default_rng(seed))
+        freqs, power = periodogram(x, 1.0, n_segments=4)
+        fits.append((fit_power_law(freqs, power), float(np.median(power))))
+    return fits
+
+
+class TestPowerLawErrors:
+    def test_bounded_parameters_give_finite_errors(self, alpha_sweep):
+        # these seeds drive the floor to its lower bound in some fits
+        assert any(fit.c < 1e-6 * median for fit, median in alpha_sweep)
+        for fit, _ in alpha_sweep:
+            errs = (fit.a_err, fit.b_err, fit.alpha_err, fit.c_err)
+            assert all(math.isfinite(e) and e >= 0 for e in errs)
+            assert fit.alpha_err > 0
+
+    def test_alpha_err_calibrated(self, alpha_sweep):
+        # Over 25 disjoint sets of 40 seeds (6000-6999) the sd of these
+        # pulls was 0.96 +/- 0.13 (range 0.65-1.19), so the band fails by
+        # chance about 0.5% of the time.  Here it is 0.93, so alpha errors
+        # scaled by more than 1.55 either way leave the band.
+        alpha = np.array([fit.alpha for fit, _ in alpha_sweep])
+        err = np.array([fit.alpha_err for fit, _ in alpha_sweep])
+        pulls = (alpha - alpha.mean()) / err
+        assert 0.6 < pulls.std(ddof=1) < 1.4
 
 
 QUBIT = QubitParams()

@@ -469,6 +469,8 @@ class TestSynthesizeIq:
     def test_sample_counts(self):
         assert sample_count(1.0, 5e-6) == 200_000
         assert sample_count(0.001, 5e-6) == 200
+        assert sample_count(160.0, 5e-6) == 32_000_000
+        assert sample_count(256.0, 5e-6) == 51_200_000
 
     def test_histogram_separation_recovers_snr(self):
         config = validate_config("rng_seed = 42\nduration = 1\n")
