@@ -155,7 +155,7 @@ def cmd_fit_psd(args) -> int:
     times, values = io.read_series_csv(args.input)
     dt = float(np.median(np.diff(times)))
     freqs, power = periodogram(values, dt, n_segments=args.segments)
-    fit = fit_power_law(freqs, power, n_boot=args.bootstrap, seed=args.seed or 0)
+    fit = fit_power_law(freqs, power)
     os.makedirs(args.out, exist_ok=True)
     psd_path = os.path.join(args.out, "psd.csv")
     io.write_series_csv(psd_path, freqs, power, "power")
@@ -279,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", type=int, default=1,
                    help="averaged spectrum segments (1 = plain periodogram)")
     p.add_argument("--bootstrap", type=int, default=0,
-                   help="multiplicative residual-bootstrap resamples for standard "
-                        "errors (0 = errors from the observed information)")
+                   help="ignored, kept for compatibility: standard errors come "
+                        "from the observed information")
     p.set_defaults(func=cmd_fit_psd)
 
     p = sub.add_parser("fit-recovery", help="exponential recovery fit of dwell times")

@@ -132,15 +132,15 @@ def fit_power_law(freqs, power, n_boot: int = 0, seed: int = 0) -> PsdFit:
     divided by its median, by bounded L-BFGS-B from a grid of starts over
     alpha (0.5 to 3.0 in steps of 0.25).  Errors come from the observed
     information, phi * (J^T J)^-1 with J = d(log S)/d(theta) and dispersion
-    phi = mean((P/S - 1)^2), about 1/K for K averaged segments.  n_boot > 0
-    takes them instead from local refits to multiplicative residual-
-    bootstrap spectra.  If a dispersion-scaled likelihood ratio against a
-    bare floor (c = mean power) is below the 1% point of chi-square(3),
-    the floor alone is reported (a = 0; a, b, alpha errors NaN).
+    phi = mean((P/S - 1)^2), about 1/K for K averaged segments.  If a
+    dispersion-scaled likelihood ratio against a bare floor (c = mean
+    power) is below the 1% point of chi-square(3), the floor alone is
+    reported (a = 0; a, b, alpha errors NaN).  n_boot and seed are accepted
+    for compatibility with the earlier bootstrap fit and ignored.
 
     Requires at least 8 positive-power points spanning 1.5 decades of
-    frequency.  Raises FitConvergenceError (best attached) if no start
-    converges within L-BFGS-B's iteration cap.
+    frequency.  Raises FitConvergenceError (best attached) if every start
+    stops at L-BFGS-B's iteration cap.
     """
     freqs = np.asarray(freqs, dtype=float)
     power = np.asarray(power, dtype=float)
@@ -192,23 +192,17 @@ def fit_power_law(freqs, power, n_boot: int = 0, seed: int = 0) -> PsdFit:
         a, b, alpha, c = (math.exp(theta[0]) * scale, math.exp(theta[1]),
                           float(theta[2]), math.exp(theta[3]) * scale)
         resid = np.log(p) - log_s
-        if n_boot > 0:
-            rng = np.random.default_rng(seed)
-            boot = np.array([
-                _whittle_fit(theta, log_w, np.exp(log_s) * rng.choice(ratio, n), bounds).x
-                for _ in range(n_boot)
-            ])
-            boot[:, [0, 1, 3]] = np.exp(boot[:, [0, 1, 3]])
-            errs = boot.std(axis=0) * [scale, 1.0, 1.0, scale]
-        else:
-            # a floor or corner driven to its bound leaves a near-zero column:
-            # the correlation form and pseudo-inverse keep the errors finite
-            info = jac @ jac.T
-            d = np.sqrt(np.diag(info))
-            cov = np.linalg.pinv(info / np.outer(d, d), hermitian=True) / np.outer(d, d)
-            errs = np.sqrt(phi * np.diag(cov)) * [a, b, 1.0, c]
+        # correlation form: the columns of J differ by many orders of
+        # magnitude, and scaling them to unit norm makes the matrix well
+        # conditioned before it is inverted
+        info = jac @ jac.T
+        d = np.sqrt(np.diag(info))
+        cov = np.linalg.inv(info / np.outer(d, d)) / np.outer(d, d)
+        errs = np.sqrt(phi * np.diag(cov)) * [a, b, 1.0, c]
 
-    converged = any(res.success for res in fits)
+    # L-BFGS-B status 1 is the iteration cap; a line search that cannot
+    # improve further (status 2) ends at an optimum as far as it can tell
+    converged = any(res.status != 1 for res in fits)
     fit = PsdFit(
         a=a, b=b, alpha=alpha, c=c,
         a_err=float(errs[0]), b_err=float(errs[1]), alpha_err=float(errs[2]),
@@ -216,7 +210,9 @@ def fit_power_law(freqs, power, n_boot: int = 0, seed: int = 0) -> PsdFit:
         status="converged" if converged else "failed",
     )
     if not converged:
-        raise FitConvergenceError("power-law fit hit the iteration cap", best=fit)
+        raise FitConvergenceError(
+            f"power-law fit: every start stopped at the iteration cap ({best.message})",
+            best=fit)
     return fit
 
 

@@ -176,12 +176,12 @@ def test_08_psd_alpha_recovery():
     rng = np.random.default_rng(2024)
     series = power_law_series(4096, 1.0, 1.4, amplitude=1.0, floor=2e-2, rng=rng)
     freqs, power = periodogram(series, 1.0)
-    fit_colored = fit_power_law(freqs, power, n_boot=20)
+    fit_colored = fit_power_law(freqs, power)
 
     rng = np.random.default_rng(302)
     telegraph = telegraph_series(4096, 1.0, mean_dwell=64.0, rng=rng)
     freqs, power = periodogram(telegraph, 1.0)
-    fit_lorentz = fit_power_law(freqs, power, n_boot=20)
+    fit_lorentz = fit_power_law(freqs, power)
 
     ok = (abs(fit_colored.alpha - 1.4) <= 0.15
           and abs(fit_lorentz.alpha - 2.0) <= 0.15)

@@ -149,8 +149,7 @@ class TestFitCommands:
         series = tmp_path / "series.csv"
         io.write_series_csv(series, np.arange(1024.0), x, "tau_g_s")
         out = tmp_path / "psd"
-        assert main(["fit-psd", "--input", str(series), "--out", str(out),
-                     "--bootstrap", "8"]) == 0
+        assert main(["fit-psd", "--input", str(series), "--out", str(out)]) == 0
         report = dict(
             line.split(",") for line in (out / "fit.csv").read_text().splitlines()[1:]
         )

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -93,15 +94,15 @@ class TestFitPowerLaw:
 
     def test_clean_round_trip(self):
         f, spec, (a, b, alpha, c) = self._clean_spectrum()
-        fit = fit_power_law(f, spec, n_boot=10)
+        fit = fit_power_law(f, spec)
         assert fit.alpha == pytest.approx(alpha, abs=1e-3)
         assert fit.a == pytest.approx(a, rel=1e-3)
         assert fit.c == pytest.approx(c, rel=1e-3)
 
     def test_projection(self):
         f, spec, _ = self._clean_spectrum(alpha=1.7)
-        first = fit_power_law(f, spec, n_boot=2)
-        second = fit_power_law(f, first.model(f), n_boot=2)
+        first = fit_power_law(f, spec)
+        second = fit_power_law(f, first.model(f))
         assert second.alpha == pytest.approx(first.alpha, rel=1e-6)
         assert second.a == pytest.approx(first.a, rel=1e-6)
         assert second.b == pytest.approx(first.b, rel=1e-6)
@@ -109,9 +110,9 @@ class TestFitPowerLaw:
 
     def test_scale_invariance_of_alpha(self):
         f, spec, _ = self._clean_spectrum()
-        base = fit_power_law(f, spec, n_boot=2)
+        base = fit_power_law(f, spec)
         for scale in (1e-3, 7.3, 1e4):
-            scaled = fit_power_law(f, scale * spec, n_boot=2)
+            scaled = fit_power_law(f, scale * spec)
             assert scaled.alpha == pytest.approx(base.alpha, abs=1e-4)
             assert scaled.a == pytest.approx(scale * base.a, rel=1e-3)
             assert scaled.c == pytest.approx(scale * base.c, rel=1e-3)
@@ -120,14 +121,14 @@ class TestFitPowerLaw:
         rng = np.random.default_rng(2024)
         x = power_law_series(4096, 1.0, 1.4, amplitude=1.0, floor=2e-2, rng=rng)
         freqs, power = periodogram(x, 1.0)
-        fit = fit_power_law(freqs, power, n_boot=10)
+        fit = fit_power_law(freqs, power)
         assert fit.alpha == pytest.approx(1.4, abs=0.15)
 
     def test_pure_white_noise_is_floor_only(self):
         rng = np.random.default_rng(31)
         x = rng.standard_normal(2048) * 1.5
         freqs, power = periodogram(x, 1.0)
-        fit = fit_power_law(freqs, power, n_boot=5)
+        fit = fit_power_law(freqs, power)
         level = power.mean()
         assert fit.c == pytest.approx(level, rel=0.1)
         # power-law part negligible against the floor everywhere in band
@@ -138,17 +139,17 @@ class TestFitPowerLaw:
         rng = np.random.default_rng(302)
         y = telegraph_series(4096, 1.0, mean_dwell=64.0, rng=rng)
         freqs, power = periodogram(y, 1.0)
-        fit = fit_power_law(freqs, power, n_boot=5)
+        fit = fit_power_law(freqs, power)
         assert fit.alpha == pytest.approx(2.0, abs=0.15)
 
     def test_needs_enough_span(self):
         f = np.geomspace(0.1, 0.5, 40)
         with pytest.raises(FitInputError):
-            fit_power_law(f, np.ones_like(f), n_boot=2)
+            fit_power_law(f, np.ones_like(f))
 
     def test_needs_enough_points(self):
         with pytest.raises(FitInputError):
-            fit_power_law([1e-3, 1e-1], [1.0, 1.0], n_boot=2)
+            fit_power_law([1e-3, 1e-1], [1.0, 1.0])
 
     def test_floor_only_quantile(self):
         assert CHI2_3_Q99 == pytest.approx(stats.chi2.ppf(0.99, 3), abs=5e-5)
@@ -172,6 +173,20 @@ class TestFitPowerLaw:
             fit_power_law(f, spec)
         assert caught.value.best.status == "failed"
         assert math.isfinite(caught.value.best.alpha)
+
+    def test_line_search_stop_is_not_a_failure(self, monkeypatch):
+        def minimize(*args, **kwargs):
+            res = optimize.minimize(*args, **kwargs)
+            res.status, res.success = 2, False  # L-BFGS-B line-search stop
+            return res
+
+        f, spec, _ = self._clean_spectrum()
+        monkeypatch.setattr(fitting, "optimize", SimpleNamespace(minimize=minimize))
+        assert fit_power_law(f, spec).status == "converged"
+
+    def test_bootstrap_arguments_ignored(self):
+        f, spec, _ = self._clean_spectrum()
+        assert fit_power_law(f, spec, n_boot=1, seed=3) == fit_power_law(f, spec)
 
 
 @pytest.fixture(scope="module")
