@@ -18,6 +18,9 @@ import numpy as np
 from .jumpsim import IQRecord, STATE_EXCITED, STATE_GROUND
 
 LN10 = math.log(10.0)
+# ground dwells a window needs for its fidelity: the overlap of a
+# near-empty histogram is noise
+MIN_DWELLS = 20
 
 
 @dataclass(frozen=True)
@@ -39,9 +42,6 @@ class DwellSet:
 
     ground: np.ndarray
     excited: np.ndarray
-
-    def for_state(self, state: int) -> np.ndarray:
-        return self.ground if state == STATE_GROUND else self.excited
 
 
 @dataclass(frozen=True)
@@ -262,13 +262,11 @@ def windowed_report(
     est: StateEstimate,
     window: float,
     bins_per_decade: int = 10,
-    min_dwells: int = 20,
 ) -> WindowedReport:
     """Dwell means, ground-state Poisson fidelity and polarization per window.
 
     Windows shorter than 100 samples are refused; windows with fewer than
-    min_dwells interior ground dwells get a NaN fidelity (the overlap of a
-    near-empty histogram is noise).
+    MIN_DWELLS interior ground dwells get a NaN fidelity.
     """
     if window < 100 * est.t_meas:
         raise ValueError("window must cover at least 100 samples")
@@ -297,7 +295,7 @@ def windowed_report(
             tau_g[w] = dwells.ground.mean()
         if len(dwells.excited) > 0:
             tau_e[w] = dwells.excited.mean()
-        if len(dwells.ground) >= min_dwells:
+        if len(dwells.ground) >= MIN_DWELLS:
             hist = log_histogram(dwells.ground, est.t_meas, bins_per_decade)
             fid[w] = fidelity(hist.counts, poisson_prediction(hist)).fidelity
     return WindowedReport(

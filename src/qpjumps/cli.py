@@ -8,7 +8,6 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -25,28 +24,30 @@ from .fitting import (
     fit_power_law,
     fit_recovery,
     fit_thermal,
-    invert_relaxation,
     periodogram,
 )
 from .jumpsim import STATE_EXCITED, STATE_GROUND, snr_separation
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_config(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="scenario configuration file")
+
+
+def _add_seed_and_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="override the configured rng_seed")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--workers", type=int, default=1, help="worker processes for batch stages")
-    p.add_argument("--emit-truth", action="store_true",
-                   help="write the ground-truth trajectory sidecar")
+
+
+def _load(path, require_file: bool) -> ScenarioConfig:
+    if path:
+        return load_config(path)
+    if require_file:
+        raise ConfigError("this command needs --config")
+    return validate_config("rng_seed = 0\nduration = 1")
 
 
 def _scenario(args, require_file: bool = True) -> ScenarioConfig:
-    if args.config:
-        config = load_config(args.config)
-    elif require_file:
-        raise ConfigError("this command needs --config")
-    else:
-        config = validate_config("rng_seed = 0\nduration = 1")
+    config = _load(args.config, require_file)
     if args.seed is not None:
         config = replace(config, rng_seed=args.seed)
     return config
@@ -65,8 +66,7 @@ def _finish_manifest(args, config, outputs, counts, t0, inputs=()):
 
 
 def cmd_snr(args) -> int:
-    config = _scenario(args, require_file=False)
-    sep = snr_separation(config.meas)
+    sep = snr_separation(_load(args.config, require_file=False).meas)
     print(f"i_over_sigma = {sep:.9g}")
     print(f"peak_separation_2i = {2 * sep:.9g}")
     return 0
@@ -152,6 +152,7 @@ def _fit_exit(status: str) -> int:
 
 def cmd_fit_psd(args) -> int:
     t0 = time.monotonic()
+    config = _scenario(args, require_file=False)
     times, values = io.read_series_csv(args.input)
     dt = float(np.median(np.diff(times)))
     freqs, power = periodogram(values, dt, n_segments=args.segments)
@@ -160,16 +161,8 @@ def cmd_fit_psd(args) -> int:
     psd_path = os.path.join(args.out, "psd.csv")
     io.write_series_csv(psd_path, freqs, power, "power")
     fit_path = os.path.join(args.out, "fit.csv")
-    io.write_fit_report_csv(fit_path, {
-        "a": fit.a, "a_err": fit.a_err, "b": fit.b, "b_err": fit.b_err,
-        "alpha": fit.alpha, "alpha_err": fit.alpha_err,
-        "c": fit.c, "c_err": fit.c_err, "residual_norm": fit.residual_norm,
-        "status": fit.status,
-    })
-    model = fit.model(freqs)
     resid_path = os.path.join(args.out, "residuals.csv")
-    io.write_residuals_csv(resid_path, power, model, power - model)
-    config = _scenario(args, require_file=False)
+    experiments.write_psd_fit(fit_path, resid_path, fit, freqs, power)
     _finish_manifest(args, config, [psd_path, fit_path, resid_path],
                      {"frequencies": len(freqs)}, t0, inputs=[args.input])
     return _fit_exit(fit.status)
@@ -183,18 +176,9 @@ def cmd_fit_recovery(args) -> int:
                        seed=args.seed or 0)
     os.makedirs(args.out, exist_ok=True)
     fit_path = os.path.join(args.out, "fit.csv")
-    g_eff = fit.x_steady / fit.tau if not math.isnan(fit.tau) else math.nan
-    io.write_fit_report_csv(fit_path, {
-        "tau_ss_s": fit.tau, "tau_ss_err_s": fit.tau_err,
-        "x_steady": fit.x_steady, "x_steady_err": fit.x_steady_err,
-        "x_initial": fit.x_initial, "x_initial_err": fit.x_initial_err,
-        "g_eff_per_s": g_eff, "residual_norm": fit.residual_norm,
-        "status": fit.status,
-    })
-    x = invert_relaxation(tau_e, config.qubit)
-    model = fit.model(times)
     resid_path = os.path.join(args.out, "residuals.csv")
-    io.write_residuals_csv(resid_path, x, model, x - model)
+    experiments.write_recovery_fit(fit_path, resid_path, fit, times, tau_e,
+                                   config.qubit)
     _finish_manifest(args, config, [fit_path, resid_path],
                      {"bins": len(times)}, t0, inputs=[args.input])
     return _fit_exit(fit.status)
@@ -202,6 +186,7 @@ def cmd_fit_recovery(args) -> int:
 
 def cmd_fit_thermal(args) -> int:
     t0 = time.monotonic()
+    config = _scenario(args, require_file=False)
     times, temps = io.read_series_csv(args.input)
     fit = fit_thermal(times, temps, n_boot=args.bootstrap, seed=args.seed or 0)
     os.makedirs(args.out, exist_ok=True)
@@ -215,7 +200,6 @@ def cmd_fit_thermal(args) -> int:
     model = fit.model(times)
     resid_path = os.path.join(args.out, "residuals.csv")
     io.write_residuals_csv(resid_path, temps, model, np.asarray(temps) - model)
-    config = _scenario(args, require_file=False)
     _finish_manifest(args, config, [fit_path, resid_path],
                      {"points": len(times)}, t0, inputs=[args.input])
     return _fit_exit(fit.status)
@@ -250,21 +234,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("snr", help="readout separation for the configured parameters")
-    _add_common(p)
+    _add_config(p)
     p.set_defaults(func=cmd_snr)
 
     p = sub.add_parser("simulate", help="run one scenario and write the record")
-    _add_common(p)
+    _add_config(p)
+    _add_seed_and_out(p)
+    p.add_argument("--emit-truth", action="store_true",
+                   help="write the ground-truth trajectory sidecar")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("filter", help="state estimate from a record")
-    _add_common(p)
+    _add_config(p)
+    _add_seed_and_out(p)
     p.add_argument("--record", required=True, help="binary .iq record file")
     p.add_argument("--separation", type=float, help="override the configured I/sigma")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("stats", help="windowed dwell statistics from a record")
-    _add_common(p)
+    _add_config(p)
+    _add_seed_and_out(p)
     p.add_argument("--record", required=True, help="binary .iq record file")
     p.add_argument("--separation", type=float, help="override the configured I/sigma")
     p.add_argument("--window", type=float, default=experiments.DEFAULT_WINDOW,
@@ -274,34 +263,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("fit-psd", help="power-law fit of a series' spectrum")
-    _add_common(p)
+    _add_config(p)
+    _add_seed_and_out(p)
     p.add_argument("--input", required=True, help="two-column CSV series (t_s,value)")
     p.add_argument("--segments", type=int, default=1,
                    help="averaged spectrum segments (1 = plain periodogram)")
-    p.add_argument("--bootstrap", type=int, default=0,
-                   help="ignored, kept for compatibility: standard errors come "
-                        "from the observed information")
     p.set_defaults(func=cmd_fit_psd)
 
     p = sub.add_parser("fit-recovery", help="exponential recovery fit of dwell times")
-    _add_common(p)
+    _add_config(p)
+    _add_seed_and_out(p)
     p.add_argument("--input", required=True, help="CSV of t_s,tau_e_s")
     p.add_argument("--bootstrap", type=int, default=200,
                    help="residual-bootstrap resamples for standard errors")
     p.set_defaults(func=cmd_fit_recovery)
 
     p = sub.add_parser("fit-thermal", help="exponential temperature decay fit")
-    _add_common(p)
+    _add_config(p)
+    _add_seed_and_out(p)
     p.add_argument("--input", required=True, help="CSV of t_s,temperature_K")
     p.add_argument("--bootstrap", type=int, default=200,
                    help="residual-bootstrap resamples for standard errors")
     p.set_defaults(func=cmd_fit_thermal)
 
     p = sub.add_parser("experiment", help="run a named experiment preset")
-    _add_common(p)
+    _add_seed_and_out(p)
     p.add_argument("name", help="one of: " + ", ".join(experiments.experiment_names()))
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a configuration key (repeatable)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes for the recovery preset's pulse chunks")
     p.set_defaults(func=cmd_experiment)
 
     return parser

@@ -95,18 +95,14 @@ class ThermalParams:
 
     power: dissipated power during a pulse (W); specific_heat (J/g/K) and
     mass (g) set the temperature rise per unit energy; tau_thermal (s) is
-    the observed equilibration constant.  conductivity (W/m/K), area (m2)
-    and length (m) feed the decay-constant helper and may be omitted.
-    i_critical (A) and v_gap (V) record the junction values behind power.
+    the observed equilibration constant.  i_critical (A) and v_gap (V)
+    record the junction values behind power.
     """
 
     power: float = 1.12e-10
     specific_heat: float = 1e-11
     mass: float = 0.1
     tau_thermal: float = 2e-3
-    conductivity: float | None = 6e-5
-    area: float | None = 2.5e-6
-    length: float | None = 3e-3
     i_critical: float = 280e-9
     v_gap: float = 0.4e-3
 
@@ -115,10 +111,6 @@ class ThermalParams:
                      "i_critical", "v_gap"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("conductivity", "area", "length"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -344,11 +336,6 @@ CONFIG_SCHEMA: dict[str, _Key] = {
     "thermal_specific_heat": _Key("plain", 1e-11, "substrate specific heat (J/g/K)"),
     "thermal_mass": _Key("mass", 0.1, "substrate mass (g)"),
     "thermal_tau": _Key("time", 2e-3, "observed temperature equilibration time (s)"),
-    "thermal_conductivity": _Key("plain", 6e-5,
-                                 "substrate heat conductivity (W/m/K); derived default, "
-                                 "back-computed from a ~20 us intrinsic decay constant"),
-    "thermal_area": _Key("plain", 2.5e-6, "contact cross-section to the sink (m2)"),
-    "thermal_length": _Key("plain", 3e-3, "distance to the thermal sink (m)"),
     "thermal_i_critical": _Key("current", 280e-9, "junction critical current (A)"),
     "thermal_v_gap": _Key("voltage", 0.4e-3, "junction gap voltage (V)"),
 }
@@ -468,9 +455,7 @@ def validate_config(text: str) -> ScenarioConfig:
             power = junction_power(get("thermal_i_critical"), get("thermal_v_gap"))
         thermal = build(ThermalParams, {
             "specific_heat": "thermal_specific_heat", "mass": "thermal_mass",
-            "tau_thermal": "thermal_tau", "conductivity": "thermal_conductivity",
-            "area": "thermal_area", "length": "thermal_length",
-            "i_critical": "thermal_i_critical", "v_gap": "thermal_v_gap",
+            "tau_thermal": "thermal_tau", "i_critical": "thermal_i_critical", "v_gap": "thermal_v_gap",
         }, power=power)
 
     modulation = None
@@ -574,12 +559,6 @@ def serialize_config(config: ScenarioConfig) -> str:
             f"thermal_i_critical = {t.i_critical!r}",
             f"thermal_v_gap = {t.v_gap!r}",
         ]
-        if t.conductivity is not None:
-            lines.append(f"thermal_conductivity = {t.conductivity!r}")
-        if t.area is not None:
-            lines.append(f"thermal_area = {t.area!r}")
-        if t.length is not None:
-            lines.append(f"thermal_length = {t.length!r}")
     return "\n".join(lines) + "\n"
 
 

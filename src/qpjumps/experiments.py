@@ -28,7 +28,14 @@ from .analysis import (
     windowed_report,
 )
 from .core import ScenarioConfig, validate_config
-from .fitting import fit_power_law, fit_recovery, invert_relaxation, periodogram
+from .fitting import (
+    PsdFit,
+    RecoveryFit,
+    fit_power_law,
+    fit_recovery,
+    invert_relaxation,
+    periodogram,
+)
 from .jumpsim import (
     IQRecord,
     STATE_EXCITED,
@@ -44,6 +51,9 @@ from .jumpsim import (
 DEFAULT_WINDOW = 1.0
 DEFAULT_BINS_PER_DECADE = 10
 RECOVERY_CHUNK_CYCLES = 500
+RECOVERY_BINS_PER_DECADE = 8
+# post-injection bins with fewer relaxation jumps are left out of the fit
+MIN_JUMPS = 25
 
 # preset scenario overrides; everything else takes the documented defaults.
 #
@@ -162,7 +172,7 @@ def tau_fidelity_correlation(report: WindowedReport) -> float:
     return cross_correlation(tau[good], -np.log10(1.0 - f[good]))
 
 
-def _write_window_histograms(out_dir, est, report, idx, tag, bins_per_decade):
+def _write_window_histograms(out_dir, est, report, idx, tag):
     samples = int(round(report.window / est.t_meas))
     chunk = StateEstimate(
         t_meas=est.t_meas,
@@ -175,14 +185,14 @@ def _write_window_histograms(out_dir, est, report, idx, tag, bins_per_decade):
     for state, durations in ((STATE_GROUND, dwells.ground), (STATE_EXCITED, dwells.excited)):
         if len(durations) == 0:
             continue
-        hist = log_histogram(durations, est.t_meas, bins_per_decade, state=state)
+        hist = log_histogram(durations, est.t_meas, DEFAULT_BINS_PER_DECADE, state=state)
         path = os.path.join(out_dir, f"example_{tag}_{io.STATE_CHARS[state]}.csv")
         io.write_histogram_csv(path, hist, poisson_prediction(hist))
         written.append(path)
     return written
 
 
-def _alternation_driver(config, out_dir, workers, extra_summary=None):
+def _alternation_driver(config, out_dir, workers):
     truth, iq = run_simulation(config)
     est, report = run_stats(iq, snr_separation(config.meas))
 
@@ -204,16 +214,14 @@ def _alternation_driver(config, out_dir, workers, extra_summary=None):
         summary["tau_fidelity_correlation"] = tau_fidelity_correlation(report)
     except ValueError:
         summary["tau_fidelity_correlation"] = math.nan
-    if extra_summary:
-        summary.update(extra_summary(config, report))
 
     # most/least Poissonian windows as example histogram pairs
     f = report.fidelity_ground
     if np.isfinite(f).any():
         outputs += _write_window_histograms(
-            out_dir, est, report, int(np.nanargmax(f)), "quiet", DEFAULT_BINS_PER_DECADE)
+            out_dir, est, report, int(np.nanargmax(f)), "quiet")
         outputs += _write_window_histograms(
-            out_dir, est, report, int(np.nanargmin(f)), "noisy", DEFAULT_BINS_PER_DECADE)
+            out_dir, est, report, int(np.nanargmin(f)), "noisy")
 
     summary_path = os.path.join(out_dir, "summary.csv")
     io.write_fit_report_csv(summary_path, summary)
@@ -223,17 +231,49 @@ def _alternation_driver(config, out_dir, workers, extra_summary=None):
 
 
 # ---------------------------------------------------------------------------
+# fit reports, shared by the presets and the fit commands
+# ---------------------------------------------------------------------------
+
+def write_psd_fit(fit_path, resid_path, fit: PsdFit, freqs, power) -> None:
+    """Key/value report and residuals of a power-law spectrum fit."""
+    io.write_fit_report_csv(fit_path, {
+        "a": fit.a, "a_err": fit.a_err, "b": fit.b, "b_err": fit.b_err,
+        "alpha": fit.alpha, "alpha_err": fit.alpha_err,
+        "c": fit.c, "c_err": fit.c_err,
+        "residual_norm": fit.residual_norm, "status": fit.status,
+    })
+    model = fit.model(freqs)
+    io.write_residuals_csv(resid_path, power, model, power - model)
+
+
+def write_recovery_fit(fit_path, resid_path, fit: RecoveryFit, times, tau_e,
+                       qubit) -> None:
+    """Key/value report and QP-density residuals of a recovery fit."""
+    g_eff = fit.x_steady / fit.tau if fit.tau > 0 else math.nan  # False for NaN
+    io.write_fit_report_csv(fit_path, {
+        "tau_ss_s": fit.tau, "tau_ss_err_s": fit.tau_err,
+        "x_steady": fit.x_steady, "x_steady_err": fit.x_steady_err,
+        "x_initial": fit.x_initial, "x_initial_err": fit.x_initial_err,
+        "g_eff_per_s": g_eff, "residual_norm": fit.residual_norm,
+        "status": fit.status,
+    })
+    x = invert_relaxation(tau_e, qubit)
+    model = fit.model(times)
+    io.write_residuals_csv(resid_path, x, model, x - model)
+
+
+# ---------------------------------------------------------------------------
 # recovery experiment
 # ---------------------------------------------------------------------------
 
-def recovery_bin_edges(config: ScenarioConfig, bins_per_decade: int = 8) -> np.ndarray:
+def recovery_bin_edges(config: ScenarioConfig) -> np.ndarray:
     """Log-spaced time bins after each injection, inside the readout window."""
     period = config.pulse_periodic.period
     length = config.pulse_periodic.length
     lo = max(config.pulse_wait, 1e-7)
     hi = period - length
-    n = int(math.ceil(math.log10(hi / lo) * bins_per_decade))
-    return lo * 10.0 ** (np.arange(n + 1) / bins_per_decade)
+    n = int(math.ceil(math.log10(hi / lo) * RECOVERY_BINS_PER_DECADE))
+    return lo * 10.0 ** (np.arange(n + 1) / RECOVERY_BINS_PER_DECADE)
 
 
 def recovery_chunk_stats(
@@ -268,14 +308,14 @@ def _recovery_chunk(args):
     )
 
 
-def run_recovery(config: ScenarioConfig, workers: int = 1, min_jumps: int = 25):
+def run_recovery(config: ScenarioConfig, workers: int = 1):
     """Post-injection lifetime profile and its exponential-recovery fit.
 
     The pulse train is split into fixed-size chunks simulated with spawned
     seeds (results are identical for any worker count), the mean excited
-    dwell per log-spaced time bin is estimated as exposure / jump count,
-    and the density recovery is fitted through the relaxation-rate
-    inversion.
+    dwell per log-spaced time bin is estimated as exposure / jump count
+    (bins with fewer than MIN_JUMPS jumps are dropped), and the density
+    recovery is fitted through the relaxation-rate inversion.
     """
     if config.pulse_periodic is None:
         raise ValueError("recovery needs a periodic pulse train")
@@ -310,7 +350,7 @@ def run_recovery(config: ScenarioConfig, workers: int = 1, min_jumps: int = 25):
     t_sum = np.sum([r[2] for r in results], axis=0)
     events = int(np.sum([r[3] for r in results]))
 
-    good = counts >= min_jumps
+    good = counts >= MIN_JUMPS
     times = t_sum[good] / counts[good]
     tau_e = exposure[good] / counts[good]
     fit = fit_recovery(times, tau_e, config.qubit)
@@ -327,20 +367,9 @@ def _recovery_driver(config, out_dir, workers):
     ]
     io.atomic_write_text(tau_path, "\n".join(lines) + "\n")
 
-    x = invert_relaxation(tau_e, config.qubit)
-    model = fit.model(times)
     resid_path = os.path.join(out_dir, "residuals.csv")
-    io.write_residuals_csv(resid_path, x, model, x - model)
-
-    g_eff = fit.x_steady / fit.tau if fit.tau and not math.isnan(fit.tau) else math.nan
     fit_path = os.path.join(out_dir, "recovery_fit.csv")
-    io.write_fit_report_csv(fit_path, {
-        "tau_ss_s": fit.tau, "tau_ss_err_s": fit.tau_err,
-        "x_steady": fit.x_steady, "x_steady_err": fit.x_steady_err,
-        "x_initial": fit.x_initial, "x_initial_err": fit.x_initial_err,
-        "g_eff_per_s": g_eff, "residual_norm": fit.residual_norm,
-        "status": fit.status,
-    })
+    write_recovery_fit(fit_path, resid_path, fit, times, tau_e, config.qubit)
     counts = {"events": events, "bins": len(times)}
     return [tau_path, resid_path, fit_path], counts
 
@@ -362,17 +391,9 @@ def _psd_driver(config, out_dir, workers):
 
     fit = fit_power_law(freqs, power)
     fit_path = os.path.join(out_dir, "psd_fit.csv")
-    io.write_fit_report_csv(fit_path, {
-        "a": fit.a, "a_err": fit.a_err, "b": fit.b, "b_err": fit.b_err,
-        "alpha": fit.alpha, "alpha_err": fit.alpha_err,
-        "c": fit.c, "c_err": fit.c_err,
-        "residual_norm": fit.residual_norm, "status": fit.status,
-    })
-    outputs.append(fit_path)
-    model = fit.model(freqs)
     resid_path = os.path.join(out_dir, "residuals.csv")
-    io.write_residuals_csv(resid_path, power, model, power - model)
-    outputs.append(resid_path)
+    write_psd_fit(fit_path, resid_path, fit, freqs, power)
+    outputs += [fit_path, resid_path]
 
     counts = {"events": len(truth), "samples": len(iq), "windows": len(report),
               "frequencies": len(freqs)}

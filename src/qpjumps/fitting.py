@@ -125,7 +125,7 @@ def _whittle_fit(theta0, log_w, power, bounds):
                              options={"ftol": 1e-15, "gtol": 1e-10})
 
 
-def fit_power_law(freqs, power, n_boot: int = 0, seed: int = 0) -> PsdFit:
+def fit_power_law(freqs, power) -> PsdFit:
     """Fit the power-law-plus-floor spectrum by Whittle likelihood.
 
     Minimises sum(log S + P/S) over (ln a, ln b, alpha, ln c), power
@@ -135,8 +135,7 @@ def fit_power_law(freqs, power, n_boot: int = 0, seed: int = 0) -> PsdFit:
     phi = mean((P/S - 1)^2), about 1/K for K averaged segments.  If a
     dispersion-scaled likelihood ratio against a bare floor (c = mean
     power) is below the 1% point of chi-square(3), the floor alone is
-    reported (a = 0; a, b, alpha errors NaN).  n_boot and seed are accepted
-    for compatibility with the earlier bootstrap fit and ignored.
+    reported (a = 0; a, b, alpha errors NaN).
 
     Requires at least 8 positive-power points spanning 1.5 decades of
     frequency.  Raises FitConvergenceError (best attached) if every start

@@ -141,7 +141,6 @@ class TruthTrace:
     times: np.ndarray
     states: np.ndarray  # uint8, STATE_GROUND / STATE_EXCITED
     counts: np.ndarray  # int64
-    config: ScenarioConfig | None = None
 
     def __len__(self) -> int:
         return len(self.times)
@@ -345,7 +344,6 @@ def simulate_joint(config: ScenarioConfig, rng: np.random.Generator) -> TruthTra
         times=np.frombuffer(times, dtype=float).copy(),
         states=np.frombuffer(states, dtype=np.int8).astype(np.uint8),
         counts=np.frombuffer(counts, dtype=np.int64).copy(),
-        config=config,
     )
 
 
@@ -355,22 +353,15 @@ def simulate_joint(config: ScenarioConfig, rng: np.random.Generator) -> TruthTra
 
 @dataclass(frozen=True)
 class IQRecord:
-    """Quadrature samples in sigma units (unit-variance noise per sample).
-
-    truth_states optionally carries the majority true state of each bin for
-    filter benchmarking.
-    """
+    """Quadrature samples in sigma units (unit-variance noise per sample)."""
 
     t_meas: float
     i: np.ndarray
     q: np.ndarray
-    truth_states: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.i) != len(self.q):
             raise ValueError("I and Q must have equal length")
-        if self.truth_states is not None and len(self.truth_states) != len(self.i):
-            raise ValueError("truth_states must parallel the samples")
 
     def __len__(self) -> int:
         return len(self.i)
@@ -386,28 +377,21 @@ def synthesize_iq(
     truth: TruthTrace,
     meas: MeasurementParams,
     rng: np.random.Generator,
-    noise: bool = True,
 ) -> IQRecord:
     """Dispersive readout record for a trajectory.
 
     Each bin of length t_meas gets I = (f_g - f_e) * separation + noise and
     Q = noise, with f_g/f_e the exact fractions of the bin spent in each
-    state (ground maps to +I).  noise=False gives the noiseless mean record
-    used by filter benchmarks.
+    state (ground maps to +I).
     """
     n = sample_count(truth.duration, meas.t_meas)
     sep = snr_separation(meas)
     i = np.empty(n)
-    q = np.empty(n)
-    majority = np.empty(n, dtype=np.uint8)
     block = 1 << 22  # bound the per-call scratch for long records
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         edges = np.arange(lo, hi + 1, dtype=float) * meas.t_meas
         f_e = excited_occupancy(truth, edges)
-        i[lo:hi] = (1.0 - 2.0 * f_e) * sep
-        majority[lo:hi] = f_e > 0.5
-        if noise:
-            i[lo:hi] += rng.standard_normal(hi - lo)
-    q[:] = rng.standard_normal(n) if noise else 0.0
-    return IQRecord(t_meas=meas.t_meas, i=i, q=q, truth_states=majority)
+        i[lo:hi] = (1.0 - 2.0 * f_e) * sep + rng.standard_normal(hi - lo)
+    q = rng.standard_normal(n)
+    return IQRecord(t_meas=meas.t_meas, i=i, q=q)

@@ -1,6 +1,6 @@
-"""Test-only helpers: synthetic spectral series and an exact oracle for the
-joint (modulator, qubit, QP number) Markov chain sampled by
-jumpsim.simulate_joint.
+"""Test-only helpers: synthetic spectral series, the noiseless readout
+record, and an exact oracle for the joint (modulator, qubit, QP number)
+Markov chain sampled by jumpsim.simulate_joint.
 
 The oracle is built from the model's rate definitions (the public rate
 functions and the kinetics coefficients), not from the sampler's loop, so
@@ -15,8 +15,16 @@ from types import SimpleNamespace
 import numpy as np
 from scipy import stats
 
-from qpjumps.core import ScenarioConfig
-from qpjumps.jumpsim import qp_relaxation_rate, thermal_excitation_rate
+from qpjumps.core import MeasurementParams, ScenarioConfig
+from qpjumps.jumpsim import (
+    IQRecord,
+    TruthTrace,
+    excited_occupancy,
+    qp_relaxation_rate,
+    sample_count,
+    snr_separation,
+    thermal_excitation_rate,
+)
 
 # ---------------------------------------------------------------------------
 # synthetic series for spectral-fit validation
@@ -70,6 +78,15 @@ def telegraph_series(
     parity = np.searchsorted(switch_times, t, side="right") % 2
     start = int(rng.integers(0, 2))
     return np.asarray(values)[(parity + start) % 2]
+
+
+def noiseless_iq(truth: TruthTrace, meas: MeasurementParams) -> IQRecord:
+    """The mean of jumpsim.synthesize_iq's record: I = (f_g - f_e) *
+    separation per bin and Q = 0, with no noise drawn."""
+    n = sample_count(truth.duration, meas.t_meas)
+    f_e = excited_occupancy(truth, np.arange(n + 1, dtype=float) * meas.t_meas)
+    return IQRecord(t_meas=meas.t_meas, i=(1.0 - 2.0 * f_e) * snr_separation(meas),
+                    q=np.zeros(n))
 
 
 def iteration_capped(optimize_module, maxiter: int):

@@ -30,7 +30,6 @@ from qpjumps.jumpsim import (
     qp_generation_rate,
     simulate_joint,
     snr_separation,
-    synthesize_iq,
     thermal_decay_constant,
     thermal_transient,
 )
@@ -43,6 +42,7 @@ from qpjumps.kinetics import (
 )
 
 from support import (
+    noiseless_iq,
     occupancy_chi2,
     power_law_series,
     stationary_qn,
@@ -220,7 +220,7 @@ def test_09_oracle_suites():
         times=times[:-1], states=states[:-1],
         counts=np.zeros(len(runs) - 1, dtype=np.int64),
     )
-    iq = synthesize_iq(truth, meas, rng, noise=False)
+    iq = noiseless_iq(truth, meas)
     est = two_point_filter(iq, snr_separation(meas))
     dwells = extract_dwells(est)
     got = np.sort(np.concatenate((dwells.ground, dwells.excited)))

@@ -24,8 +24,9 @@ from qpjumps.jumpsim import (
     STATE_GROUND,
     TruthTrace,
     snr_separation,
-    synthesize_iq,
 )
+
+from support import noiseless_iq
 
 TM = 5e-6
 
@@ -331,7 +332,7 @@ class TestNoiseFreePipeline:
         runs = rng.integers(2, 40, size=101)
         truth = self._truth_from_runs(runs)
         meas = MeasurementParams()
-        iq = synthesize_iq(truth, meas, rng, noise=False)
+        iq = noiseless_iq(truth, meas)
         est = two_point_filter(iq, separation=snr_separation(meas))
         d = extract_dwells(est)
         interior = runs[1:-1]
@@ -353,7 +354,7 @@ class TestNoiseFreePipeline:
             times=times, states=states, counts=np.zeros(n, dtype=np.int64),
         )
         meas = MeasurementParams()
-        iq = synthesize_iq(truth, meas, np.random.default_rng(0), noise=False)
+        iq = noiseless_iq(truth, meas)
         est = two_point_filter(iq, separation=snr_separation(meas))
         d = extract_dwells(est)
         _, true_durations, true_states = truth.qubit_intervals()

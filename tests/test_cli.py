@@ -1,15 +1,21 @@
+import argparse
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
 from scipy import optimize
 
 from qpjumps import fitting, io
-from qpjumps.cli import main
+from qpjumps.cli import build_parser, main
 from qpjumps.core import serialize_config, validate_config
-from qpjumps.experiments import preset_config
+from qpjumps.experiments import preset_config, run_stats
+from qpjumps.jumpsim import snr_separation
 
 from support import iteration_capped, power_law_series
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture()
@@ -21,6 +27,46 @@ def config_file(tmp_path):
 
 def read_manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
+
+
+def readme_flags() -> dict[str, set[str]]:
+    """Flags per command in the README's usage block; a line that starts
+    with blanks continues the command above it."""
+    block = README.read_text().split("```\nqpjumps ", 1)[1].split("```", 1)[0]
+    flags: dict[str, set[str]] = {}
+    for line in ("qpjumps " + block).splitlines():
+        line = line.split("#", 1)[0]
+        if line.startswith("qpjumps "):
+            command = line.split()[1]
+            flags[command] = set()
+        flags[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    return flags
+
+
+class TestParser:
+    def test_flags_match_readme(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parsed = {
+            name: {opt for action in p._actions for opt in action.option_strings
+                   if opt not in ("-h", "--help")}
+            for name, p in sub.choices.items()
+        }
+        assert parsed == readme_flags()
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "quiet-noisy", "--config", "x.cfg"],
+        ["simulate", "--config", "x.cfg", "--workers", "2"],
+        ["fit-psd", "--input", "s.csv", "--bootstrap", "8"],
+        ["filter", "--record", "r.iq", "--emit-truth"],
+        ["snr", "--out", "o"],
+        ["snr", "--seed", "3"],
+    ])
+    def test_flag_outside_its_command_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSnr:
@@ -157,6 +203,18 @@ class TestFitCommands:
         assert (out / "psd.csv").exists()
         assert (out / "residuals.csv").exists()
 
+    @pytest.mark.parametrize("command", ["fit-psd", "fit-thermal", "fit-recovery"])
+    def test_bad_config_writes_no_data_file(self, tmp_path, command):
+        t = np.arange(64.0) * 1e-3
+        series = tmp_path / "series.csv"
+        io.write_series_csv(series, t, 1e-4 * (1.0 + np.exp(-t / 8e-3)), "value")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("rng_seed = 1\nduration = 1\nefficiency = 2\n")
+        out = tmp_path / "fit"
+        assert main([command, "--input", str(series), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+
     def test_fit_psd_nonconvergence_exit(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(5)
         x = power_law_series(1024, 1.0, 1.4, amplitude=1.0, floor=2e-2, rng=rng)
@@ -202,6 +260,17 @@ class TestExperiment:
                      "--config", str(cfg_path), "--out", str(sim_out),
                      "--window", "1.0"]) == 0
         assert (sim_out / "report.csv").read_bytes() == (exp_out / "report.csv").read_bytes()
+
+        # the preset's example histograms are stats' histograms of the
+        # windows with the largest and the smallest fidelity
+        _, report = run_stats(io.read_iq(sim_out / "record.iq"),
+                              snr_separation(config.meas))
+        f = report.fidelity_ground
+        for tag, w in (("quiet", np.nanargmax(f)), ("noisy", np.nanargmin(f))):
+            for state in ("g", "e"):
+                example = exp_out / f"example_{tag}_{state}.csv"
+                assert example.read_bytes() == (
+                    sim_out / f"hist_{w:04d}_{state}.csv").read_bytes()
 
     def test_experiment_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from qpjumps.core import (
     MeasurementParams,
     QubitParams,
     ScenarioConfig,
+    config_reference,
     gap_frequency,
     junction_power,
     polarization_to_temperature,
@@ -207,3 +209,9 @@ def test_direct_construction_validates():
         MeasurementParams(efficiency=0.0)
     with pytest.raises(ValueError):
         ScenarioConfig(duration=1.0, rng_seed=-1)
+
+
+def test_config_reference_doc_is_current():
+    # regenerate with scripts/generate_config_reference.py
+    doc = pathlib.Path(__file__).resolve().parent.parent / "docs" / "config_keys.md"
+    assert doc.read_text() == config_reference()

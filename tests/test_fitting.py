@@ -184,10 +184,6 @@ class TestFitPowerLaw:
         monkeypatch.setattr(fitting, "optimize", SimpleNamespace(minimize=minimize))
         assert fit_power_law(f, spec).status == "converged"
 
-    def test_bootstrap_arguments_ignored(self):
-        f, spec, _ = self._clean_spectrum()
-        assert fit_power_law(f, spec, n_boot=1, seed=3) == fit_power_law(f, spec)
-
 
 @pytest.fixture(scope="module")
 def alpha_sweep():

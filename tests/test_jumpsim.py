@@ -38,7 +38,7 @@ from qpjumps.jumpsim import (
     thermal_transient,
 )
 
-from support import occupancy_chi2, stationary_qn, transition_rate_chi2
+from support import noiseless_iq, occupancy_chi2, stationary_qn, transition_rate_chi2
 
 KIN = QpKineticsParams()
 QUBIT = QubitParams()
@@ -451,7 +451,7 @@ class TestSynthesizeIq:
     def test_pure_ground_noiseless(self):
         meas = MeasurementParams()
         truth = self._flat_truth(STATE_GROUND, 10 * meas.t_meas)
-        iq = synthesize_iq(truth, meas, np.random.default_rng(0), noise=False)
+        iq = noiseless_iq(truth, meas)
         assert np.all(iq.i == pytest.approx(snr_separation(meas)))
         assert np.all(iq.q == 0.0)
 
@@ -463,7 +463,7 @@ class TestSynthesizeIq:
             states=np.array([STATE_EXCITED], dtype=np.uint8),
             counts=np.array([0], dtype=np.int64),
         )
-        iq = synthesize_iq(truth, meas, np.random.default_rng(0), noise=False)
+        iq = noiseless_iq(truth, meas)
         assert iq.i[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_sample_counts(self):
@@ -490,6 +490,18 @@ class TestSynthesizeIq:
         sep = snr_separation(config.meas)
         popt, _ = curve_fit(mixture, centers, hist, p0=[0.6, sep, -sep, 1.0, 1.0])
         assert abs(popt[1] - popt[2]) == pytest.approx(5.2, abs=0.1)
+
+    def test_noise_is_unit_normal_about_the_mean_record(self):
+        # 2e5 samples: the bounds are over 6 standard errors, so a chance
+        # failure is below 1e-8
+        config = validate_config("rng_seed = 42\nduration = 1\n")
+        rng = np.random.default_rng(config.rng_seed)
+        truth = simulate_joint(config, rng)
+        iq = synthesize_iq(truth, config.meas, rng)
+        mean = noiseless_iq(truth, config.meas)
+        for noise in (iq.i - mean.i, iq.q - mean.q):
+            assert abs(noise.mean()) < 0.015
+            assert abs(noise.std() - 1.0) < 0.01
 
     def test_duration_preserved(self):
         config = validate_config("rng_seed = 9\nduration = 0.0123\n")
