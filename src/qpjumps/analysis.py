@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jumpsim import IQRecord, STATE_EXCITED, STATE_GROUND
+from .jumpsim import _BLOCK, IQRecord, STATE_EXCITED, STATE_GROUND
 
 LN10 = math.log(10.0)
 # ground dwells a window needs for its fidelity: the overlap of a
@@ -93,17 +93,28 @@ def two_point_filter(iq: IQRecord, separation: float) -> StateEstimate:
     if len(i) == 0:
         raise ValueError("empty record")
 
-    decided_e = i < to_excited
-    decided_g = i > to_ground
-    decided = decided_e | decided_g
-    idx = np.where(decided, np.arange(len(i)), -1)
-    last = np.maximum.accumulate(idx)
-    initial = STATE_GROUND if i[0] >= 0 else STATE_EXCITED
-    states = np.where(
-        last < 0,
-        initial,
-        np.where(decided_e[np.clip(last, 0, None)], STATE_EXCITED, STATE_GROUND),
-    ).astype(np.uint8)
+    # forward fill of the last decided sample, one block at a time, with the
+    # state carried in from the previous block standing at position 0
+    states = np.empty(len(i), dtype=np.uint8)
+    carry = STATE_GROUND if i[0] >= 0 else STATE_EXCITED
+    position = np.arange(1, _BLOCK + 1)
+    excited = np.empty(_BLOCK + 1, dtype=bool)  # [carry, decided excited...]
+    decided = np.empty(_BLOCK, dtype=bool)
+    last = np.empty(_BLOCK, dtype=np.int64)
+    for lo in range(0, len(i), _BLOCK):
+        x = i[lo:lo + _BLOCK]
+        m = len(x)
+        e, d, k = excited[1:m + 1], decided[:m], last[:m]
+        excited[0] = carry == STATE_EXCITED
+        np.less(x, to_excited, out=e)
+        np.greater(x, to_ground, out=d)
+        d |= e
+        np.multiply(d, position[:m], out=k)
+        np.maximum.accumulate(k, out=k)
+        # STATE_GROUND / STATE_EXCITED are 0 / 1, so the bool is the state;
+        # k is in range, and mode="clip" only spares take() a buffered copy
+        np.take(excited, k, out=states[lo:lo + m].view(bool), mode="clip")
+        carry = states[lo + m - 1]
     return StateEstimate(
         t_meas=iq.t_meas,
         states=states,

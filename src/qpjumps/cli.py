@@ -54,15 +54,23 @@ def _scenario(args, require_file: bool = True) -> ScenarioConfig:
 
 
 def _finish_manifest(args, config, outputs, counts, t0, inputs=()):
+    """Write manifest.json.  config is None for a command that ran on the
+    defaults without --config: no configuration is hashed, and the seed is
+    the --seed given, if any."""
     manifest = io.RunManifest(
-        config_hash=io.config_hash(config),
-        rng_seed=config.rng_seed,
+        config_hash=io.config_hash(config) if config is not None else None,
+        rng_seed=config.rng_seed if config is not None else args.seed,
         inputs=[str(p) for p in inputs],
         outputs=[os.path.basename(p) for p in outputs],
         wall_clock_s=time.monotonic() - t0,
         record_counts=counts,
     )
     io.write_manifest(os.path.join(args.out, "manifest.json"), manifest)
+
+
+def _given(args, config):
+    """config if it was read from --config, else None (the defaults)."""
+    return config if args.config else None
 
 
 def cmd_snr(args) -> int:
@@ -105,8 +113,8 @@ def cmd_filter(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     states_path = os.path.join(args.out, "states.csv")
     io.write_states_csv(states_path, est)
-    _finish_manifest(args, config, [states_path], {"samples": len(est)}, t0,
-                     inputs=[args.record])
+    _finish_manifest(args, _given(args, config), [states_path],
+                     {"samples": len(est)}, t0, inputs=[args.record])
     return 0
 
 
@@ -140,7 +148,7 @@ def cmd_stats(args) -> int:
             outputs.append(path)
             histograms += 1
 
-    _finish_manifest(args, config, outputs,
+    _finish_manifest(args, _given(args, config), outputs,
                      {"samples": len(est), "windows": len(report),
                       "histograms": histograms}, t0, inputs=[args.record])
     return 0
@@ -163,7 +171,7 @@ def cmd_fit_psd(args) -> int:
     fit_path = os.path.join(args.out, "fit.csv")
     resid_path = os.path.join(args.out, "residuals.csv")
     experiments.write_psd_fit(fit_path, resid_path, fit, freqs, power)
-    _finish_manifest(args, config, [psd_path, fit_path, resid_path],
+    _finish_manifest(args, _given(args, config), [psd_path, fit_path, resid_path],
                      {"frequencies": len(freqs)}, t0, inputs=[args.input])
     return _fit_exit(fit.status)
 
@@ -179,7 +187,7 @@ def cmd_fit_recovery(args) -> int:
     resid_path = os.path.join(args.out, "residuals.csv")
     experiments.write_recovery_fit(fit_path, resid_path, fit, times, tau_e,
                                    config.qubit)
-    _finish_manifest(args, config, [fit_path, resid_path],
+    _finish_manifest(args, _given(args, config), [fit_path, resid_path],
                      {"bins": len(times)}, t0, inputs=[args.input])
     return _fit_exit(fit.status)
 
@@ -200,7 +208,7 @@ def cmd_fit_thermal(args) -> int:
     model = fit.model(times)
     resid_path = os.path.join(args.out, "residuals.csv")
     io.write_residuals_csv(resid_path, temps, model, np.asarray(temps) - model)
-    _finish_manifest(args, config, [fit_path, resid_path],
+    _finish_manifest(args, _given(args, config), [fit_path, resid_path],
                      {"points": len(times)}, t0, inputs=[args.input])
     return _fit_exit(fit.status)
 

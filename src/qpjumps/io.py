@@ -8,6 +8,7 @@ outputs never appear under their final name.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.metadata
 import json
@@ -20,7 +21,7 @@ import numpy as np
 
 from .analysis import DwellHistogram, StateEstimate, WindowedReport
 from .core import ScenarioConfig, serialize_config
-from .jumpsim import IQRecord, STATE_EXCITED, TruthTrace
+from .jumpsim import _BLOCK, IQRecord, STATE_EXCITED, TruthTrace
 
 try:
     TOOL_VERSION = importlib.metadata.version("qpjumps")
@@ -42,18 +43,25 @@ def _fmt(x: float) -> str:
     return f"{float(x):.9g}"
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
+@contextlib.contextmanager
+def _atomic_file(path):
+    """Binary file handle on a temp file that replaces path on success."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -65,36 +73,51 @@ def atomic_write_text(path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def write_iq(path, record: IQRecord) -> None:
-    header = _HEADER.pack(IQ_MAGIC, IQ_VERSION, record.t_meas, len(record))
-    interleaved = np.empty(2 * len(record), dtype="<f8")
-    interleaved[0::2] = record.i
-    interleaved[1::2] = record.q
-    atomic_write_bytes(path, header + interleaved.tobytes())
+    """Header, then (I, Q) pairs, interleaved and written one block at a time."""
+    n = len(record)
+    block = np.empty(2 * min(n, _BLOCK), dtype="<f8")
+    with _atomic_file(path) as fh:
+        fh.write(_HEADER.pack(IQ_MAGIC, IQ_VERSION, record.t_meas, n))
+        for lo in range(0, n, _BLOCK):
+            pairs = block[:2 * min(_BLOCK, n - lo)]
+            pairs[0::2] = record.i[lo:lo + _BLOCK]
+            pairs[1::2] = record.q[lo:lo + _BLOCK]
+            fh.write(pairs)
 
 
 def read_iq(path) -> IQRecord:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise DataFormatError(
-            f"{path}: truncated header at offset {len(blob)} (need {_HEADER.size} bytes)"
-        )
-    magic, version, t_meas, count = _HEADER.unpack_from(blob, 0)
-    if magic != IQ_MAGIC:
-        raise DataFormatError(f"{path}: bad magic at offset 0: {magic!r}")
-    if version != IQ_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version} at offset 4")
-    if t_meas <= 0:
-        raise DataFormatError(f"{path}: non-positive sample period at offset 8")
-    payload = blob[_HEADER.size:]
-    expected = 16 * count
-    if len(payload) != expected:
-        raise DataFormatError(
-            f"{path}: payload at offset {_HEADER.size} has {len(payload)} bytes, "
-            f"expected {expected} for {count} samples"
-        )
-    data = np.frombuffer(payload, dtype="<f8")
-    return IQRecord(t_meas=t_meas, i=data[0::2].copy(), q=data[1::2].copy())
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise DataFormatError(
+                f"{path}: truncated header at offset {len(header)} "
+                f"(need {_HEADER.size} bytes)"
+            )
+        magic, version, t_meas, count = _HEADER.unpack(header)
+        if magic != IQ_MAGIC:
+            raise DataFormatError(f"{path}: bad magic at offset 0: {magic!r}")
+        if version != IQ_VERSION:
+            raise DataFormatError(f"{path}: unsupported version {version} at offset 4")
+        if t_meas <= 0:
+            raise DataFormatError(f"{path}: non-positive sample period at offset 8")
+        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+        expected = 16 * count
+        if payload != expected:
+            raise DataFormatError(
+                f"{path}: payload at offset {_HEADER.size} has {payload} bytes, "
+                f"expected {expected} for {count} samples"
+            )
+        # de-interleave block by block into the two output arrays
+        i, q = np.empty(count), np.empty(count)
+        block = np.empty(2 * min(count, _BLOCK), dtype="<f8")
+        for lo in range(0, count, _BLOCK):
+            pairs = block[:2 * min(_BLOCK, count - lo)]
+            if fh.readinto(pairs) != pairs.nbytes:
+                raise DataFormatError(
+                    f"{path}: payload ended early at offset {_HEADER.size + 16 * lo}")
+            i[lo:lo + _BLOCK] = pairs[0::2]
+            q[lo:lo + _BLOCK] = pairs[1::2]
+    return IQRecord(t_meas=t_meas, i=i, q=q)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +240,8 @@ def config_hash(config: ScenarioConfig) -> str:
 class RunManifest:
     """Provenance record written alongside every output set."""
 
-    config_hash: str
-    rng_seed: int
+    config_hash: str | None  # None: the command ran without a configuration
+    rng_seed: int | None
     inputs: list[str] = field(default_factory=list)
     outputs: list[str] = field(default_factory=list)
     wall_clock_s: float = 0.0

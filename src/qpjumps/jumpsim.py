@@ -32,6 +32,8 @@ STATE_GROUND = 0
 STATE_EXCITED = 1
 
 _RNG_BUF = 1 << 16
+# samples per block of the record pipeline: its scratch arrays stay in cache
+_BLOCK = 1 << 16
 
 
 def snr_separation(meas: MeasurementParams) -> float:
@@ -166,24 +168,74 @@ class TruthTrace:
         return starts, ends - starts, states
 
 
-def excited_time_at(truth: TruthTrace, times) -> np.ndarray:
-    """Cumulative seconds spent excited in [0, t) for each query time."""
+def _excited_cumulative(truth: TruthTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, excited, cum): the knot times with the duration appended, whether
+    each knot's segment is excited, and the excited seconds before each knot."""
     t, s, _ = truth.knots()
     t = np.concatenate((t, [truth.duration]))
-    seg = np.diff(t)
-    cum = np.concatenate(([0.0], np.cumsum(seg * (s == STATE_EXCITED))))
+    excited = s == STATE_EXCITED
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(t) * excited)))
+    return t, excited, cum
 
+
+def excited_time_at(truth: TruthTrace, times) -> np.ndarray:
+    """Cumulative seconds spent excited in [0, t) for each query time."""
+    t, excited, cum = _excited_cumulative(truth)
     times = np.asarray(times, dtype=float)
     idx = np.searchsorted(t, times, side="right") - 1
-    idx = np.clip(idx, 0, len(s) - 1)
-    return cum[idx] + (times - t[idx]) * (s[idx] == STATE_EXCITED)
+    idx = np.clip(idx, 0, len(excited) - 1)
+    return cum[idx] + (times - t[idx]) * excited[idx]
 
 
-def excited_occupancy(truth: TruthTrace, edges: np.ndarray) -> np.ndarray:
-    """Fraction of each [edges[i], edges[i+1]) interval spent excited."""
-    edges = np.asarray(edges, dtype=float)
-    cum_at = excited_time_at(truth, edges)
-    return np.diff(cum_at) / np.diff(edges)
+def occupancy_blocks(truth: TruthTrace, t_meas: float):
+    """Fraction of each readout bin spent excited, in consecutive blocks.
+
+    Bin k spans the edges float(k) * t_meas and float(k + 1) * t_meas, for
+    the sample_count(duration, t_meas) bins of the record.  Each yielded
+    array covers the next _BLOCK bins (fewer in the last block) and is
+    scratch space: the caller may overwrite it, and the next block does.
+    The values equal diff(excited_time_at(truth, edges)) / diff(edges) bit
+    for bit, but the knot under each edge comes from one pass over the
+    knots, not a search per edge, so the cost is O(knots + bins).
+    """
+    t, excited, cum = _excited_cumulative(truth)
+    excited = excited.astype(float)
+    last = len(excited) - 1
+    # first edge at or after each knot, min{k : float(k) * t_meas >= t_j}:
+    # a ceil, corrected with the same products that make the edges
+    first = np.ceil(t / t_meas)
+    first -= (first - 1.0) * t_meas >= t
+    first += first * t_meas < t
+    first = first.astype(np.int64)
+
+    n = sample_count(truth.duration, t_meas)
+    steps = np.arange(_BLOCK + 1, dtype=float)
+    edges = np.empty(_BLOCK + 1)
+    at = np.empty(_BLOCK + 1)
+    part = np.empty(_BLOCK + 1)
+    for lo in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - lo)
+        e, c, d = edges[:m + 1], at[:m + 1], part[:m + 1]
+        np.add(steps[:m + 1], lo, out=e)
+        e *= t_meas
+        # knot under each edge, as searchsorted(t, e, "right") - 1: knot j
+        # is under edges first[j] to first[j + 1] - 1
+        j0, j1 = np.searchsorted(first, [lo, lo + m + 1])
+        runs = np.diff(np.concatenate(([lo], first[j0:j1], [lo + m + 1])))
+        k = np.repeat(np.clip(np.arange(j0 - 1, j1), 0, last), runs)
+        # excited seconds before each edge: cum[k] + (e - t[k]) * excited[k]
+        # (k is in range; mode="clip" only spares take() a buffered copy)
+        np.take(t, k, out=d, mode="clip")
+        np.subtract(e, d, out=d)
+        d *= np.take(excited, k, out=c, mode="clip")
+        np.take(cum, k, out=c, mode="clip")
+        c += d
+        # diff(c) / diff(e), reusing d for the fraction and c for the width
+        frac, width = d[:m], c[:m]
+        np.subtract(c[1:], c[:-1], out=frac)
+        np.subtract(e[1:], e[:-1], out=width)
+        frac /= width
+        yield frac
 
 
 def relaxation_jump_times(truth: TruthTrace) -> np.ndarray:
@@ -382,16 +434,21 @@ def synthesize_iq(
 
     Each bin of length t_meas gets I = (f_g - f_e) * separation + noise and
     Q = noise, with f_g/f_e the exact fractions of the bin spent in each
-    state (ground maps to +I).
+    state (ground maps to +I).  I is built block by block; its noise comes
+    from the generator's stream in order, then all of Q's.
     """
     n = sample_count(truth.duration, meas.t_meas)
     sep = snr_separation(meas)
     i = np.empty(n)
-    block = 1 << 22  # bound the per-call scratch for long records
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        edges = np.arange(lo, hi + 1, dtype=float) * meas.t_meas
-        f_e = excited_occupancy(truth, edges)
-        i[lo:hi] = (1.0 - 2.0 * f_e) * sep + rng.standard_normal(hi - lo)
+    lo = 0
+    for f_e in occupancy_blocks(truth, meas.t_meas):
+        hi = lo + len(f_e)
+        # noise + (1 - 2 f_e) * sep, in place
+        out = rng.standard_normal(out=i[lo:hi])
+        f_e *= 2.0
+        np.subtract(1.0, f_e, out=f_e)
+        f_e *= sep
+        out += f_e
+        lo = hi
     q = rng.standard_normal(n)
     return IQRecord(t_meas=meas.t_meas, i=i, q=q)

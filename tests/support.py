@@ -1,6 +1,7 @@
 """Test-only helpers: synthetic spectral series, the noiseless readout
-record, and an exact oracle for the joint (modulator, qubit, QP number)
-Markov chain sampled by jumpsim.simulate_joint.
+record, whole-array oracles for the blocked record pipeline, and an exact
+oracle for the joint (modulator, qubit, QP number) Markov chain sampled by
+jumpsim.simulate_joint.
 
 The oracle is built from the model's rate definitions (the public rate
 functions and the kinetics coefficients), not from the sampler's loop, so
@@ -15,11 +16,15 @@ from types import SimpleNamespace
 import numpy as np
 from scipy import stats
 
+from qpjumps.analysis import StateEstimate
 from qpjumps.core import MeasurementParams, ScenarioConfig
 from qpjumps.jumpsim import (
+    STATE_EXCITED,
+    STATE_GROUND,
     IQRecord,
     TruthTrace,
-    excited_occupancy,
+    excited_time_at,
+    occupancy_blocks,
     qp_relaxation_rate,
     sample_count,
     snr_separation,
@@ -83,10 +88,49 @@ def telegraph_series(
 def noiseless_iq(truth: TruthTrace, meas: MeasurementParams) -> IQRecord:
     """The mean of jumpsim.synthesize_iq's record: I = (f_g - f_e) *
     separation per bin and Q = 0, with no noise drawn."""
-    n = sample_count(truth.duration, meas.t_meas)
-    f_e = excited_occupancy(truth, np.arange(n + 1, dtype=float) * meas.t_meas)
+    f_e = np.empty(sample_count(truth.duration, meas.t_meas))
+    lo = 0
+    for block in occupancy_blocks(truth, meas.t_meas):
+        f_e[lo:lo + len(block)] = block
+        lo += len(block)
     return IQRecord(t_meas=meas.t_meas, i=(1.0 - 2.0 * f_e) * snr_separation(meas),
-                    q=np.zeros(n))
+                    q=np.zeros(len(f_e)))
+
+
+def whole_record_iq(truth: TruthTrace, meas: MeasurementParams,
+                    rng: np.random.Generator) -> IQRecord:
+    """synthesize_iq's record computed over the whole array at once: the
+    occupancy from a search per bin edge, then all I noise, then all Q."""
+    n = sample_count(truth.duration, meas.t_meas)
+    edges = np.arange(n + 1, dtype=float) * meas.t_meas
+    f_e = np.diff(excited_time_at(truth, edges)) / np.diff(edges)
+    i = (1.0 - 2.0 * f_e) * snr_separation(meas) + rng.standard_normal(n)
+    return IQRecord(t_meas=meas.t_meas, i=i, q=rng.standard_normal(n))
+
+
+def whole_record_filter(iq: IQRecord, separation: float) -> StateEstimate:
+    """analysis.two_point_filter as one forward fill over the whole record."""
+    to_excited = -separation + 0.5
+    to_ground = separation - 0.5
+    i = np.asarray(iq.i, dtype=float)
+
+    decided_e = i < to_excited
+    decided_g = i > to_ground
+    decided = decided_e | decided_g
+    idx = np.where(decided, np.arange(len(i)), -1)
+    last = np.maximum.accumulate(idx)
+    initial = STATE_GROUND if i[0] >= 0 else STATE_EXCITED
+    states = np.where(
+        last < 0,
+        initial,
+        np.where(decided_e[np.clip(last, 0, None)], STATE_EXCITED, STATE_GROUND),
+    ).astype(np.uint8)
+    return StateEstimate(
+        t_meas=iq.t_meas,
+        states=states,
+        threshold_to_excited=to_excited,
+        threshold_to_ground=to_ground,
+    )
 
 
 def iteration_capped(optimize_module, maxiter: int):

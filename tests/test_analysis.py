@@ -19,6 +19,7 @@ from qpjumps.analysis import (
 )
 from qpjumps.core import MeasurementParams, polarization_to_temperature
 from qpjumps.jumpsim import (
+    _BLOCK,
     IQRecord,
     STATE_EXCITED,
     STATE_GROUND,
@@ -26,7 +27,7 @@ from qpjumps.jumpsim import (
     snr_separation,
 )
 
-from support import noiseless_iq
+from support import noiseless_iq, whole_record_filter
 
 TM = 5e-6
 
@@ -76,6 +77,42 @@ class TestTwoPointFilter:
         a = two_point_filter(record(i), separation=2.59).states
         b = two_point_filter(record(-i), separation=2.59).states
         assert np.all(a != b)
+
+
+@st.composite
+def dead_band_records(draw):
+    """I values in runs: below the excited threshold, above the ground one,
+    or undecided (in the dead band or exactly on a threshold).  The record
+    opens undecided, and run lengths put undecided stretches across block
+    boundaries."""
+    sep = 2.59
+    lo, hi = -sep + 0.5, sep - 0.5
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = st.sampled_from((1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 17))
+    runs = [("u", draw(lengths))]
+    runs += draw(st.lists(st.tuples(st.sampled_from("egu"), lengths), max_size=6))
+    parts = []
+    for kind, length in runs:
+        if kind == "e":
+            parts.append(rng.uniform(-sep - 3.0, lo, length) - 1e-9)
+        elif kind == "g":
+            parts.append(rng.uniform(hi, sep + 3.0, length) + 1e-9)
+        else:
+            parts.append(rng.choice([lo, hi, 0.0, rng.uniform(lo, hi)], length))
+    return record(np.concatenate(parts)), sep
+
+
+class TestFilterOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(dead_band_records())
+    def test_equals_whole_record_forward_fill(self, case):
+        iq, sep = case
+        got = two_point_filter(iq, sep)
+        want = whole_record_filter(iq, sep)
+        assert got.states.dtype == want.states.dtype
+        assert np.array_equal(got.states, want.states)
+        assert got.threshold_to_excited == want.threshold_to_excited
+        assert got.threshold_to_ground == want.threshold_to_ground
 
 
 class TestExtractDwells:

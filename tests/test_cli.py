@@ -225,6 +225,47 @@ class TestFitCommands:
                      str(tmp_path / "psd")]) == 4
 
 
+class TestManifestProvenance:
+    """A command run without --config records no configuration hash, and
+    its seed only when --seed is given."""
+
+    @pytest.fixture()
+    def series(self, tmp_path):
+        t = np.arange(64.0) * 1e-3
+        path = tmp_path / "series.csv"
+        io.write_series_csv(path, t, 0.045 + 0.01 * np.exp(-t / 8e-3), "value")
+        return path
+
+    @pytest.mark.parametrize("command", ["fit-psd", "fit-thermal", "fit-recovery"])
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_fit_without_config(self, tmp_path, series, command, seed):
+        out = tmp_path / "fit"
+        argv = [command, "--input", str(series), "--out", str(out)]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        main(argv)
+        manifest = read_manifest(out)
+        assert manifest["config_hash"] is None
+        assert manifest["rng_seed"] == seed
+
+    @pytest.mark.parametrize("command", ["filter", "stats"])
+    def test_record_commands_with_and_without_config(self, tmp_path, config_file,
+                                                      command):
+        main(["simulate", "--config", str(config_file), "--out", str(tmp_path)])
+        record = str(tmp_path / "record.iq")
+        extra = ["--window", "0.05"] if command == "stats" else []
+        bare, given = tmp_path / "bare", tmp_path / "given"
+        assert main([command, "--record", record, "--separation", "2.6",
+                     "--out", str(bare)] + extra) == 0
+        assert main([command, "--record", record, "--config", str(config_file),
+                     "--out", str(given)] + extra) == 0
+        assert read_manifest(bare)["config_hash"] is None
+        assert read_manifest(bare)["rng_seed"] is None
+        config = validate_config(config_file.read_text())
+        assert read_manifest(given)["config_hash"] == io.config_hash(config)
+        assert read_manifest(given)["rng_seed"] == 7
+
+
 class TestExperiment:
     def test_unknown_name_lists_available(self, tmp_path, capsys):
         assert main(["experiment", "nope", "--out", str(tmp_path)]) == 2

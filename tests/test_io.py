@@ -7,7 +7,7 @@ import pytest
 from qpjumps import io
 from qpjumps.analysis import StateEstimate, log_histogram, poisson_prediction
 from qpjumps.core import validate_config
-from qpjumps.jumpsim import IQRecord, TruthTrace
+from qpjumps.jumpsim import _BLOCK, IQRecord, TruthTrace
 
 
 def make_record(n=100, seed=0, t_meas=5e-6):
@@ -43,6 +43,20 @@ class TestIqFormat:
         assert int.from_bytes(blob[16:24], "little") == 3
         assert len(blob) == 24 + 3 * 16
 
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 17])
+    def test_streamed_blocks_equal_whole_record_bytes(self, tmp_path, n):
+        record = make_record(n, seed=n)
+        path = tmp_path / "r.iq"
+        io.write_iq(path, record)
+        interleaved = np.empty(2 * n, dtype="<f8")
+        interleaved[0::2] = record.i
+        interleaved[1::2] = record.q
+        header = io._HEADER.pack(io.IQ_MAGIC, io.IQ_VERSION, record.t_meas, n)
+        assert path.read_bytes() == header + interleaved.tobytes()
+        back = io.read_iq(path)
+        assert np.array_equal(back.i, record.i)
+        assert np.array_equal(back.q, record.q)
+
     def test_bad_magic_names_offset(self, tmp_path):
         path = tmp_path / "r.iq"
         io.write_iq(path, make_record(4))
@@ -55,7 +69,8 @@ class TestIqFormat:
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "r.iq"
         path.write_bytes(b"QJIQ\x01")
-        with pytest.raises(io.DataFormatError, match="truncated"):
+        with pytest.raises(io.DataFormatError,
+                           match=r"truncated header at offset 5 \(need 24 bytes\)"):
             io.read_iq(path)
 
     def test_truncated_payload_names_offset(self, tmp_path):
@@ -63,7 +78,8 @@ class TestIqFormat:
         io.write_iq(path, make_record(8))
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
-        with pytest.raises(io.DataFormatError, match="offset 24"):
+        with pytest.raises(io.DataFormatError,
+                           match="offset 24 has 112 bytes, expected 128 for 8 samples"):
             io.read_iq(path)
 
     def test_wrong_version(self, tmp_path):

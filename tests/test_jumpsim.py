@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.optimize import curve_fit
@@ -21,10 +21,11 @@ from qpjumps.core import (
 )
 from qpjumps.kinetics import QpKineticsParams, evolve_ode, steady_state
 from qpjumps.jumpsim import (
+    _BLOCK,
     STATE_EXCITED,
     STATE_GROUND,
     TruthTrace,
-    excited_occupancy,
+    occupancy_blocks,
     qp_generation_count,
     qp_generation_rate,
     qp_relaxation_rate,
@@ -38,7 +39,13 @@ from qpjumps.jumpsim import (
     thermal_transient,
 )
 
-from support import noiseless_iq, occupancy_chi2, stationary_qn, transition_rate_chi2
+from support import (
+    noiseless_iq,
+    occupancy_chi2,
+    stationary_qn,
+    transition_rate_chi2,
+    whole_record_iq,
+)
 
 KIN = QpKineticsParams()
 QUBIT = QubitParams()
@@ -177,7 +184,7 @@ class TestSimulateJoint:
         assert trace.initial_count == 0
         assert trace.initial_state in (STATE_GROUND, STATE_EXCITED)
         # occupancy helpers still work on an event-free trace
-        assert excited_occupancy(trace, np.array([0.0, 1.0]))[0] in (0.0, 1.0)
+        assert next(occupancy_blocks(trace, 1.0))[0] in (0.0, 1.0)
 
     def test_frozen_population_dwells_are_exponential(self):
         config = frozen_config(2, duration=4.0, seed=21)
@@ -509,6 +516,70 @@ class TestSynthesizeIq:
         truth = simulate_joint(config, rng)
         iq = synthesize_iq(truth, config.meas, rng)
         assert len(iq) == sample_count(0.0123, config.meas.t_meas)
+
+
+# record lengths around the synthesis block size: one sample, a block less
+# one, one block, a block and one, and three blocks plus a remainder
+BLOCK_LENGTHS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17)
+
+
+@st.composite
+def knotted_traces(draw):
+    """(truth, meas): knots on bin edges and one ulp off them, at t = 0 and
+    at the duration, repeated states as a pulse-end injection leaves them,
+    and dense random knots that put thousands in one block."""
+    n = draw(st.sampled_from(BLOCK_LENGTHS))
+    t_meas = draw(st.sampled_from((5e-6, 1e-3, 3.7e-6)))
+    duration = n * t_meas
+    assume(sample_count(duration, t_meas) == n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = rng.integers(0, n + 1, size=draw(st.integers(0, 2000)))
+    on_edges = k.astype(float) * t_meas
+    nudged = np.nextafter(on_edges, rng.choice([-np.inf, np.inf], size=len(k)))
+    inside = rng.uniform(0.0, duration, size=draw(st.integers(0, 3000)))
+    ends = [v for v in (0.0, duration) if draw(st.booleans())]
+    times = np.unique(np.concatenate((on_edges, nudged, inside, ends)))
+    times = times[(times >= 0.0) & (times <= duration)]
+    states = rng.integers(0, 2, size=len(times)).astype(np.uint8)
+    truth = TruthTrace(
+        initial_state=draw(st.sampled_from((STATE_GROUND, STATE_EXCITED))),
+        initial_count=0, duration=duration, times=times, states=states,
+        counts=np.arange(len(times), dtype=np.int64),
+    )
+    return truth, MeasurementParams(t_meas=t_meas)
+
+
+class TestBlockedRecordOracle:
+    """synthesize_iq against the whole-array occupancy and noise draws."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(knotted_traces(), st.integers(0, 2**32 - 1))
+    def test_equals_whole_record_bit_for_bit(self, case, seed):
+        truth, meas = case
+        got = synthesize_iq(truth, meas, np.random.default_rng(seed))
+        want = whole_record_iq(truth, meas, np.random.default_rng(seed))
+        assert got.i.tobytes() == want.i.tobytes()
+        assert got.q.tobytes() == want.q.tobytes()
+
+    def test_simulated_pulse_injections(self):
+        # pulse ends inject QPs without a qubit flip; the record spans three
+        # blocks plus a remainder
+        meas = MeasurementParams()
+        duration = (3 * _BLOCK + 17) * meas.t_meas
+        config = validate_config(
+            f"rng_seed = 3\nduration = {duration!r}\n"
+            "pulse_first = 0\npulse_period = 0.1\npulse_length = 100us\n"
+            "pulse_inject = 5\npulse_count = 9\n"
+        )
+        rng = np.random.default_rng(config.rng_seed)
+        truth = simulate_joint(config, rng)
+        state = rng.bit_generator.state
+        got = synthesize_iq(truth, meas, rng)
+        rng.bit_generator.state = state
+        want = whole_record_iq(truth, meas, rng)
+        assert len(got) == 3 * _BLOCK + 17
+        assert got.i.tobytes() == want.i.tobytes()
+        assert got.q.tobytes() == want.q.tobytes()
 
 
 def test_relaxation_jump_times():
