@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .kinetics import QpKineticsParams, steady_state
 
@@ -96,10 +96,11 @@ class ThermalParams:
     power: dissipated power during a pulse (W); specific_heat (J/g/K) and
     mass (g) set the temperature rise per unit energy; tau_thermal (s) is
     the observed equilibration constant.  i_critical (A) and v_gap (V)
-    record the junction values behind power.
+    record the junction values behind power, which defaults to
+    junction_power(i_critical, v_gap).
     """
 
-    power: float = 1.12e-10
+    power: float | None = None
     specific_heat: float = 1e-11
     mass: float = 0.1
     tau_thermal: float = 2e-3
@@ -107,6 +108,8 @@ class ThermalParams:
     v_gap: float = 0.4e-3
 
     def __post_init__(self):
+        if self.power is None:
+            object.__setattr__(self, "power", junction_power(self.i_critical, self.v_gap))
         for name in ("power", "specific_heat", "mass", "tau_thermal",
                      "i_critical", "v_gap"):
             if getattr(self, name) <= 0:
@@ -137,11 +140,11 @@ class Pulse:
 class PeriodicPulses:
     """Compact description of an evenly spaced pulse train."""
 
-    first: float
     period: float
     length: float
     inject: int
     count: int
+    first: float = 0.0
 
     def __post_init__(self):
         if self.period <= 0 or self.length <= 0 or self.count < 1:
@@ -216,10 +219,7 @@ class ScenarioConfig:
         """Starting QP number: explicit n_initial, else rounded steady mean."""
         if self.n_initial >= 0:
             return self.n_initial
-        try:
-            return int(round(steady_state(self.kinetics) * self.kinetics.n_pairs))
-        except ValueError:
-            return 0
+        return int(round(steady_state(self.kinetics) * self.kinetics.n_pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -275,72 +275,115 @@ _UNIT_TABLES = {
     "plain": {"": 1.0},
 }
 
-_REQUIRED = object()
+# The table below is the whole configuration surface.  Each key sets one
+# field, named "group.field" (a bare field belongs to the scenario itself),
+# to the parsed value times the key's scale: 2 pi for a key named
+# x_over_2pi, which sets the angular field x, and 1 for every other key.
+# A key's default is its field's default over the scale.  The scenario is
+# always built.  Any other group is built when one of its keys is given,
+# and its fields without a default must then be given too.  pulse_schedule
+# is the one key with its own parser.
+
+_GROUPS = {
+    "": ScenarioConfig,
+    "qubit": QubitParams,
+    "meas": MeasurementParams,
+    "kinetics": QpKineticsParams,
+    "modulation": Modulation,
+    "pulse_periodic": PeriodicPulses,
+    "thermal": ThermalParams,
+}
+_SCHEDULE = "pulse_schedule"
 
 
 @dataclass(frozen=True)
 class _Key:
     kind: str  # unit table name, or "int"/"seed" for integers
-    default: object
+    target: str
     doc: str
+
+    @property
+    def group(self) -> str:
+        return self.target.rpartition(".")[0]
+
+    @property
+    def name(self) -> str:
+        return self.target.rpartition(".")[2]
 
 
 CONFIG_SCHEMA: dict[str, _Key] = {
-    "rng_seed": _Key("seed", _REQUIRED, "unsigned 64-bit seed for all random draws"),
-    "duration": _Key("time", _REQUIRED, "total simulated time (s)"),
+    "rng_seed": _Key("seed", "rng_seed", "unsigned 64-bit seed for all random draws"),
+    "duration": _Key("time", "duration", "total simulated time (s)"),
     # qubit
-    "f_ge": _Key("freq", 665e6, "qubit transition frequency (Hz)"),
-    "f_gap": _Key("freq", 48.4e9, "superconducting gap as a frequency Delta/h (Hz)"),
-    "f_inductive": _Key("freq", 0.5e9,
+    "f_ge": _Key("freq", "qubit.f_ge", "qubit transition frequency (Hz)"),
+    "f_gap": _Key("freq", "qubit.f_gap", "superconducting gap as a frequency Delta/h (Hz)"),
+    "f_inductive": _Key("freq", "qubit.f_inductive",
                         "inductive energy as a frequency E_L/h (Hz); derived default, "
                         "chosen so the default QP density gives a ~100 us lifetime"),
-    "gamma_background": _Key("plain", 0.0, "non-QP relaxation rate (1/s)"),
-    "temperature": _Key("temp", 0.045, "effective bath temperature (K)"),
+    "gamma_background": _Key("plain", "qubit.gamma_background", "non-QP relaxation rate (1/s)"),
+    "temperature": _Key("temp", "qubit.temperature", "effective bath temperature (K)"),
     # measurement
-    "n_photons": _Key("plain", 2.5, "mean readout cavity photon number"),
-    "kappa_over_2pi": _Key("freq", 4.7e6, "cavity linewidth kappa/2pi (Hz)"),
-    "chi_over_2pi": _Key("freq", 1e6, "dispersive shift chi/2pi (Hz)"),
-    "t_meas": _Key("time", 5e-6, "integration time per sample (s)"),
-    "efficiency": _Key("plain", 0.21, "total measurement efficiency, in (0, 1]"),
+    "n_photons": _Key("plain", "meas.n_photons", "mean readout cavity photon number"),
+    "kappa_over_2pi": _Key("freq", "meas.kappa", "cavity linewidth kappa/2pi (Hz)"),
+    "chi_over_2pi": _Key("freq", "meas.chi", "dispersive shift chi/2pi (Hz)"),
+    "t_meas": _Key("time", "meas.t_meas", "integration time per sample (s)"),
+    "efficiency": _Key("plain", "meas.efficiency", "total measurement efficiency, in (0, 1]"),
     # kinetics
-    "qp_generation": _Key("plain", 3.2e-4, "QP generation coefficient (1/s)"),
-    "qp_trapping": _Key("plain", 8000.0, "single-QP trapping/diffusion rate (1/s)"),
-    "qp_recombination": _Key("plain", 0.0, "QP recombination coefficient (1/s)"),
-    "n_cooper_pairs": _Key("plain", 3.75e7,
+    "qp_generation": _Key("plain", "kinetics.generation", "QP generation coefficient (1/s)"),
+    "qp_trapping": _Key("plain", "kinetics.trapping", "single-QP trapping/diffusion rate (1/s)"),
+    "qp_recombination": _Key("plain", "kinetics.recombination",
+                             "QP recombination coefficient (1/s)"),
+    "n_cooper_pairs": _Key("plain", "kinetics.n_pairs",
                            "Cooper pairs in the array; derived default, back-computed "
                            "from 1-2 QPs at density 4e-8"),
-    "n_initial": _Key("int", -1, "starting QP count; -1 uses the rounded steady mean"),
-    "gamma_scale": _Key("plain", 1.0,
+    "n_initial": _Key("int", "n_initial", "starting QP count; -1 uses the rounded steady mean"),
+    "gamma_scale": _Key("plain", "gamma_scale",
                         "optional multiplier on the relaxation rate (readout photons "
                         "shorten the lifetime by ~25% at the default drive)"),
+    "pulse_wait": _Key("time", "pulse_wait", "dead time after each pulse before readout (s)"),
     # modulation of the generation coefficient
-    "mod_quiet_generation": _Key("plain", None,
+    "mod_quiet_generation": _Key("plain", "modulation.quiet_generation",
                                  "quiet-state generation coefficient (1/s); absent "
                                  "disables modulation"),
-    "mod_mean_quiet": _Key("time", 4.0, "mean residence in the quiet state (s)"),
-    "mod_mean_noisy": _Key("time", 4.0, "mean residence in the noisy state (s)"),
+    "mod_mean_quiet": _Key("time", "modulation.mean_quiet",
+                           "mean residence in the quiet state (s)"),
+    "mod_mean_noisy": _Key("time", "modulation.mean_noisy",
+                           "mean residence in the noisy state (s)"),
     # pulse train
-    "pulse_schedule": _Key("plain", None,
-                           "explicit pulses as comma-separated start:length:count "
-                           "(times may carry unit suffixes)"),
-    "pulse_first": _Key("time", None, "start of the first periodic pulse (s)"),
-    "pulse_period": _Key("time", None, "periodic pulse spacing (s)"),
-    "pulse_length": _Key("time", None, "pulse length (s)"),
-    "pulse_inject": _Key("int", None, "QPs injected into the array per pulse"),
-    "pulse_count": _Key("int", None, "number of periodic pulses"),
-    "pulse_wait": _Key("time", 5e-6, "dead time after each pulse before readout (s)"),
+    _SCHEDULE: _Key("plain", "pulses",
+                    "explicit pulses as comma-separated start:length:count "
+                    "(times may carry unit suffixes)"),
+    "pulse_first": _Key("time", "pulse_periodic.first", "start of the first periodic pulse (s)"),
+    "pulse_period": _Key("time", "pulse_periodic.period", "periodic pulse spacing (s)"),
+    "pulse_length": _Key("time", "pulse_periodic.length", "pulse length (s)"),
+    "pulse_inject": _Key("int", "pulse_periodic.inject", "QPs injected into the array per pulse"),
+    "pulse_count": _Key("int", "pulse_periodic.count", "number of periodic pulses"),
     # thermal (any thermal_* key enables the substrate heating model)
-    "thermal_power": _Key("power", None,
+    "thermal_power": _Key("power", "thermal.power",
                           "dissipated power during a pulse (W); default "
                           "i_critical * v_gap"),
-    "thermal_specific_heat": _Key("plain", 1e-11, "substrate specific heat (J/g/K)"),
-    "thermal_mass": _Key("mass", 0.1, "substrate mass (g)"),
-    "thermal_tau": _Key("time", 2e-3, "observed temperature equilibration time (s)"),
-    "thermal_i_critical": _Key("current", 280e-9, "junction critical current (A)"),
-    "thermal_v_gap": _Key("voltage", 0.4e-3, "junction gap voltage (V)"),
+    "thermal_specific_heat": _Key("plain", "thermal.specific_heat",
+                                  "substrate specific heat (J/g/K)"),
+    "thermal_mass": _Key("mass", "thermal.mass", "substrate mass (g)"),
+    "thermal_tau": _Key("time", "thermal.tau_thermal",
+                        "observed temperature equilibration time (s)"),
+    "thermal_i_critical": _Key("current", "thermal.i_critical", "junction critical current (A)"),
+    "thermal_v_gap": _Key("voltage", "thermal.v_gap", "junction gap voltage (V)"),
 }
 
-_THERMAL_KEYS = tuple(k for k in CONFIG_SCHEMA if k.startswith("thermal_"))
+
+
+def _scale(key: str):
+    return TWO_PI if key.endswith("_over_2pi") else 1  # an int 1 keeps ints ints
+
+
+def _default(key: str):
+    """The key's default: its field's default over the scale, or MISSING."""
+    spec = CONFIG_SCHEMA[key]
+    value = next(f.default for f in fields(_GROUPS[spec.group]) if f.name == spec.name)
+    return value if value is MISSING or _scale(key) == 1 else value / _scale(key)
+
+
 _VALUE_RE = re.compile(r"^([-+0-9.eE]+)\s*([A-Za-z]*)$")
 
 
@@ -395,8 +438,9 @@ def _parse_pulse_schedule(text: str) -> tuple[Pulse, ...]:
 def validate_config(text: str) -> ScenarioConfig:
     """Parse and validate flat key-value configuration text.
 
-    Unknown keys, bad numbers and invariant violations raise ConfigError
-    naming the offending key; keys left out take the documented defaults.
+    Unknown keys, bad numbers, invariant violations and a group key given
+    without a required partner raise ConfigError naming the keys; keys left
+    out take their parameter type's default.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -416,88 +460,34 @@ def validate_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"{key}: empty value")
         raw[key] = value
 
-    for key, spec in CONFIG_SCHEMA.items():
-        if spec.default is _REQUIRED and key not in raw:
-            raise ConfigError(f"missing required key {key!r}")
-
-    def get(key: str):
+    given: dict[str, dict] = {group: {} for group in _GROUPS}
+    for key, value in raw.items():
         spec = CONFIG_SCHEMA[key]
-        if key in raw:
-            return _parse_number(key, raw[key])
-        return spec.default if spec.default is not _REQUIRED else None
-
-    def build(cls, key_map: dict[str, str], **extra):
-        kwargs = dict(extra)
-        for field_name, key in key_map.items():
-            kwargs[field_name] = get(key)
-        try:
-            return cls(**kwargs)
-        except ValueError as exc:
-            keys = ", ".join(key_map.values())
-            raise ConfigError(f"invalid value among [{keys}]: {exc}") from None
-
-    qubit = build(QubitParams, {
-        "f_ge": "f_ge", "f_gap": "f_gap", "f_inductive": "f_inductive",
-        "gamma_background": "gamma_background", "temperature": "temperature",
-    })
-    meas = build(MeasurementParams, {
-        "n_photons": "n_photons", "t_meas": "t_meas", "efficiency": "efficiency",
-    }, kappa=TWO_PI * get("kappa_over_2pi"), chi=TWO_PI * get("chi_over_2pi"))
-    kin = build(QpKineticsParams, {
-        "generation": "qp_generation", "trapping": "qp_trapping",
-        "recombination": "qp_recombination", "n_pairs": "n_cooper_pairs",
-    })
-
-    thermal = None
-    if any(k in raw for k in _THERMAL_KEYS):
-        power = get("thermal_power")
-        if power is None:
-            power = junction_power(get("thermal_i_critical"), get("thermal_v_gap"))
-        thermal = build(ThermalParams, {
-            "specific_heat": "thermal_specific_heat", "mass": "thermal_mass",
-            "tau_thermal": "thermal_tau", "i_critical": "thermal_i_critical", "v_gap": "thermal_v_gap",
-        }, power=power)
-
-    modulation = None
-    if "mod_quiet_generation" in raw:
-        modulation = build(Modulation, {
-            "quiet_generation": "mod_quiet_generation",
-            "mean_quiet": "mod_mean_quiet", "mean_noisy": "mod_mean_noisy",
-        })
-
-    pulses: tuple[Pulse, ...] = ()
-    periodic = None
-    periodic_keys = ("pulse_first", "pulse_period", "pulse_length",
-                     "pulse_inject", "pulse_count")
-    have_periodic = [k for k in periodic_keys if k in raw]
-    if "pulse_schedule" in raw and have_periodic:
+        if key != _SCHEDULE:
+            given[spec.group][spec.name] = _parse_number(key, value) * _scale(key)
+    if _SCHEDULE in raw and given["pulse_periodic"]:
         raise ConfigError("give either pulse_schedule or pulse_first/period/... , not both")
-    if "pulse_schedule" in raw:
-        pulses = _parse_pulse_schedule(raw["pulse_schedule"])
-    elif have_periodic:
-        missing = [k for k in periodic_keys if k not in raw and k != "pulse_first"]
-        if missing:
-            raise ConfigError(f"periodic pulse train needs keys {missing}")
-        try:
-            periodic = PeriodicPulses(
-                first=get("pulse_first") if "pulse_first" in raw else 0.0,
-                period=get("pulse_period"), length=get("pulse_length"),
-                inject=get("pulse_inject"), count=get("pulse_count"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid pulse train: {exc}") from None
-        pulses = periodic.expand()
 
-    try:
-        return ScenarioConfig(
-            duration=get("duration"), rng_seed=get("rng_seed"),
-            qubit=qubit, meas=meas, kinetics=kin, thermal=thermal,
-            pulses=pulses, pulse_periodic=periodic, pulse_wait=get("pulse_wait"),
-            n_initial=get("n_initial"), gamma_scale=get("gamma_scale"),
-            modulation=modulation,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    def build(group: str):
+        keys = [k for k, spec in CONFIG_SCHEMA.items() if spec.group == group]
+        missing = [k for k in keys if k not in raw and _default(k) is MISSING]
+        if missing:
+            needed_by = f" (needed with the {group} keys given)" if group else ""
+            raise ConfigError(f"missing required keys {missing}{needed_by}")
+        try:
+            return _GROUPS[group](**given[group])
+        except ValueError as exc:
+            raise ConfigError(f"invalid value among [{', '.join(keys)}]: {exc}") from None
+
+    scenario = given[""]
+    for group in _GROUPS:
+        if group and given[group]:
+            scenario[group] = build(group)
+    if _SCHEDULE in raw:
+        scenario["pulses"] = _parse_pulse_schedule(raw[_SCHEDULE])
+    elif "pulse_periodic" in scenario:
+        scenario["pulses"] = scenario["pulse_periodic"].expand()
+    return build("")
 
 
 def serialize_config(config: ScenarioConfig) -> str:
@@ -507,58 +497,22 @@ def serialize_config(config: ScenarioConfig) -> str:
     text is a fixed point of a parse/serialize round trip, which also makes
     it the hashable canonical form recorded in run manifests.
     """
-    lines = [
-        f"rng_seed = {config.rng_seed}",
-        f"duration = {config.duration!r}",
-        f"f_ge = {config.qubit.f_ge!r}",
-        f"f_gap = {config.qubit.f_gap!r}",
-        f"f_inductive = {config.qubit.f_inductive!r}",
-        f"gamma_background = {config.qubit.gamma_background!r}",
-        f"temperature = {config.qubit.temperature!r}",
-        f"n_photons = {config.meas.n_photons!r}",
-        f"kappa_over_2pi = {config.meas.kappa / TWO_PI!r}",
-        f"chi_over_2pi = {config.meas.chi / TWO_PI!r}",
-        f"t_meas = {config.meas.t_meas!r}",
-        f"efficiency = {config.meas.efficiency!r}",
-        f"qp_generation = {config.kinetics.generation!r}",
-        f"qp_trapping = {config.kinetics.trapping!r}",
-        f"qp_recombination = {config.kinetics.recombination!r}",
-        f"n_cooper_pairs = {config.kinetics.n_pairs!r}",
-        f"n_initial = {config.n_initial}",
-        f"gamma_scale = {config.gamma_scale!r}",
-        f"pulse_wait = {config.pulse_wait!r}",
-    ]
-    if config.modulation is not None:
-        m = config.modulation
-        lines += [
-            f"mod_quiet_generation = {m.quiet_generation!r}",
-            f"mod_mean_quiet = {m.mean_quiet!r}",
-            f"mod_mean_noisy = {m.mean_noisy!r}",
-        ]
-    if config.pulse_periodic is not None:
-        p = config.pulse_periodic
-        lines += [
-            f"pulse_first = {p.first!r}",
-            f"pulse_period = {p.period!r}",
-            f"pulse_length = {p.length!r}",
-            f"pulse_inject = {p.inject}",
-            f"pulse_count = {p.count}",
-        ]
-    elif config.pulses:
-        items = ", ".join(
-            f"{p.start!r}:{p.length!r}:{p.inject}" for p in config.pulses
-        )
-        lines.append(f"pulse_schedule = {items}")
-    if config.thermal is not None:
-        t = config.thermal
-        lines += [
-            f"thermal_power = {t.power!r}",
-            f"thermal_specific_heat = {t.specific_heat!r}",
-            f"thermal_mass = {t.mass!r}",
-            f"thermal_tau = {t.tau_thermal!r}",
-            f"thermal_i_critical = {t.i_critical!r}",
-            f"thermal_v_gap = {t.v_gap!r}",
-        ]
+    lines = []
+    for key, spec in CONFIG_SCHEMA.items():
+        if key == _SCHEDULE:
+            if config.pulses and config.pulse_periodic is None:
+                items = ", ".join(
+                    f"{p.start!r}:{p.length!r}:{p.inject}" for p in config.pulses
+                )
+                lines.append(f"{key} = {items}")
+            continue
+        owner = getattr(config, spec.group) if spec.group else config
+        if owner is None:
+            continue
+        value = getattr(owner, spec.name)
+        if _scale(key) != 1:
+            value /= _scale(key)
+        lines.append(f"{key} = {value!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -593,11 +547,12 @@ def config_reference() -> str:
         "|-----|------|---------|-------------|",
     ]
     for key, spec in CONFIG_SCHEMA.items():
-        if spec.default is _REQUIRED:
+        value = _default(key)
+        if value is MISSING and not spec.group:
             default = "required"
-        elif spec.default is None:
+        elif value in (MISSING, None, ()):  # no default, or an empty schedule
             default = "unset"
         else:
-            default = f"`{spec.default!r}`"
+            default = f"`{value!r}`"
         lines.append(f"| `{key}` | {unit_hint[spec.kind]} | {default} | {spec.doc} |")
     return "\n".join(lines) + "\n"

@@ -19,6 +19,7 @@ from scipy import optimize
 
 from .core import QubitParams
 from .jumpsim import qp_rate_coefficient
+from .kinetics import exponential_relaxation
 
 ALPHA_MIN, ALPHA_MAX = 0.5, 3.0
 N_BOOTSTRAP = 200
@@ -233,9 +234,7 @@ class RecoveryFit:
     status: str = "converged"
 
     def model(self, t) -> np.ndarray:
-        return self.x_steady + (self.x_initial - self.x_steady) * np.exp(
-            -np.asarray(t, dtype=float) / self.tau
-        )
+        return exponential_relaxation(self.x_initial, self.x_steady, self.tau, t)
 
 
 def invert_relaxation(tau_excited, qubit: QubitParams) -> np.ndarray:

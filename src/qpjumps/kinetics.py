@@ -48,9 +48,7 @@ class QpKineticsParams:
 def steady_state(params: QpKineticsParams) -> float:
     """Non-negative root of generation - trapping*x - recombination*x**2."""
     g, s, r = params.generation, params.trapping, params.recombination
-    if s == 0.0 and r == 0.0:
-        if g > 0.0:
-            raise ValueError("no steady state: generation with no removal")
+    if g == 0.0:
         return 0.0
     # stable form of the quadratic root; no cancellation for small r
     return 2.0 * g / (s + math.sqrt(s * s + 4.0 * r * g))
@@ -76,16 +74,13 @@ def exponential_relaxation(x0: float, x_steady: float, tau: float, t) -> float |
     return x_steady + (x0 - x_steady) * np.exp(-np.asarray(t, dtype=float) / tau)
 
 
-def _xdot(x: float, g: float, s: float, r: float) -> float:
-    return g - s * x - r * x * x
-
-
 def evolve_ode(x0: float, params: QpKineticsParams, t_grid) -> np.ndarray:
-    """Integrate the density rate equation on t_grid with fixed-step RK4.
+    """Solve the density rate equation in closed form at each time of t_grid.
 
-    The step is capped at 1/100 of the fastest linearized time scale so
-    results are bit-reproducible; returns x at each grid time (the first
-    grid point gets x0 exactly when the grid starts at the initial time).
+    With y = x - x_steady and lam = trapping + 2*recombination*x_steady the
+    equation is dy/dt = -lam*y - recombination*y**2, whose solution from y0
+    at the first grid time is y0*e / (1 + recombination*y0*(1 - e)/lam),
+    e = exp(-lam*t); (1 - e)/lam tends to t as lam -> 0.
     """
     if x0 < 0.0:
         raise ValueError("initial density must be non-negative")
@@ -95,31 +90,11 @@ def evolve_ode(x0: float, params: QpKineticsParams, t_grid) -> np.ndarray:
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
 
-    g, s, r = params.generation, params.trapping, params.recombination
-    # fastest local rate over the reachable range [0, max(x0, x_steady)]
-    try:
-        x_ref = max(x0, steady_state(params))
-    except ValueError:
-        x_ref = x0
-    rate_ref = s + 2.0 * r * x_ref
-    h_max = (1.0 / rate_ref) / 100.0 if rate_ref > 0.0 else math.inf
-
-    out = np.empty_like(t_grid)
-    x = float(x0)
-    t = float(t_grid[0])
-    out[0] = x
-    for i in range(1, len(t_grid)):
-        span = float(t_grid[i]) - t
-        n_sub = max(1, math.ceil(span / h_max)) if math.isfinite(h_max) else 1
-        h = span / n_sub
-        for _ in range(n_sub):
-            k1 = _xdot(x, g, s, r)
-            k2 = _xdot(x + 0.5 * h * k1, g, s, r)
-            k3 = _xdot(x + 0.5 * h * k2, g, s, r)
-            k4 = _xdot(x + h * k3, g, s, r)
-            x += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if x < 0.0:
-                x = 0.0
-        t = float(t_grid[i])
-        out[i] = x
-    return out
+    r = params.recombination
+    x_ss = steady_state(params)
+    lam = params.trapping + 2.0 * r * x_ss
+    t = t_grid - t_grid[0]
+    decay = np.exp(-lam * t)
+    span = -np.expm1(-lam * t) / lam if lam > 0.0 else t
+    y0 = x0 - x_ss
+    return x_ss + y0 * decay / (1.0 + r * y0 * span)

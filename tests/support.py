@@ -1,6 +1,7 @@
 """Test-only helpers: synthetic spectral series, the noiseless readout
-record, whole-array oracles for the blocked record pipeline, and an exact
-oracle for the joint (modulator, qubit, QP number) Markov chain sampled by
+record, whole-array oracles for the blocked record pipeline, an RK4
+integrator for the QP density rate equation, and an exact oracle for the
+joint (modulator, qubit, QP number) Markov chain sampled by
 jumpsim.simulate_joint.
 
 The oracle is built from the model's rate definitions (the public rate
@@ -18,6 +19,7 @@ from scipy import stats
 
 from qpjumps.analysis import StateEstimate
 from qpjumps.core import MeasurementParams, ScenarioConfig
+from qpjumps.kinetics import QpKineticsParams, steady_state
 from qpjumps.jumpsim import (
     STATE_EXCITED,
     STATE_GROUND,
@@ -131,6 +133,55 @@ def whole_record_filter(iq: IQRecord, separation: float) -> StateEstimate:
         threshold_to_excited=to_excited,
         threshold_to_ground=to_ground,
     )
+
+
+def _xdot(x: float, g: float, s: float, r: float) -> float:
+    return g - s * x - r * x * x
+
+
+def rk4_evolve_ode(x0: float, params: QpKineticsParams, t_grid) -> np.ndarray:
+    """kinetics.evolve_ode by fixed-step RK4 integration of the rate equation.
+
+    The step is capped at 1/100 of the fastest linearized time scale so
+    results are bit-reproducible; returns x at each grid time (the first
+    grid point gets x0 exactly when the grid starts at the initial time).
+    """
+    if x0 < 0.0:
+        raise ValueError("initial density must be non-negative")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or len(t_grid) == 0:
+        raise ValueError("t_grid must be a non-empty 1-d sequence")
+    if np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must be strictly increasing")
+
+    g, s, r = params.generation, params.trapping, params.recombination
+    # fastest local rate over the reachable range [0, max(x0, x_steady)]
+    try:
+        x_ref = max(x0, steady_state(params))
+    except ValueError:
+        x_ref = x0
+    rate_ref = s + 2.0 * r * x_ref
+    h_max = (1.0 / rate_ref) / 100.0 if rate_ref > 0.0 else math.inf
+
+    out = np.empty_like(t_grid)
+    x = float(x0)
+    t = float(t_grid[0])
+    out[0] = x
+    for i in range(1, len(t_grid)):
+        span = float(t_grid[i]) - t
+        n_sub = max(1, math.ceil(span / h_max)) if math.isfinite(h_max) else 1
+        h = span / n_sub
+        for _ in range(n_sub):
+            k1 = _xdot(x, g, s, r)
+            k2 = _xdot(x + 0.5 * h * k1, g, s, r)
+            k3 = _xdot(x + 0.5 * h * k2, g, s, r)
+            k4 = _xdot(x + h * k3, g, s, r)
+            x += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if x < 0.0:
+                x = 0.0
+        t = float(t_grid[i])
+        out[i] = x
+    return out
 
 
 def iteration_capped(optimize_module, maxiter: int):

@@ -107,6 +107,12 @@ class TestSimulate:
         assert (a / "record.iq").read_bytes() == (b / "record.iq").read_bytes()
         assert (a / "record.iq").read_bytes() != (c / "record.iq").read_bytes()
 
+    def test_pure_recombination(self, tmp_path):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("rng_seed = 1\nduration = 0.01\nqp_generation = 0\n"
+                       "qp_trapping = 0\nqp_recombination = 1e10\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "x")]) == 2
 

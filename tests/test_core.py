@@ -1,5 +1,7 @@
 import math
 import pathlib
+from collections import Counter
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -7,12 +9,16 @@ from hypothesis import strategies as st
 
 from qpjumps.core import (
     BOLTZMANN,
+    CONFIG_SCHEMA,
     PLANCK,
     TWO_PI,
     ConfigError,
     MeasurementParams,
+    Modulation,
+    PeriodicPulses,
     QubitParams,
     ScenarioConfig,
+    ThermalParams,
     config_reference,
     gap_frequency,
     junction_power,
@@ -21,8 +27,42 @@ from qpjumps.core import (
     temperature_to_polarization,
     validate_config,
 )
+from qpjumps.kinetics import QpKineticsParams
 
 MINIMAL = "rng_seed = 7\nduration = 1\n"
+
+# every key but pulse_schedule, which excludes the periodic train, at a
+# value other than its default
+ALL_KEYS = (
+    "rng_seed = 11\nduration = 3 s\n"
+    "f_ge = 700 MHz\nf_gap = 45 GHz\nf_inductive = 0.6 GHz\n"
+    "gamma_background = 1500\ntemperature = 50 mK\n"
+    "n_photons = 3\nkappa_over_2pi = 5.1 MHz\nchi_over_2pi = 0.9 MHz\n"
+    "t_meas = 4 us\nefficiency = 0.3\n"
+    "qp_generation = 1e-4\nqp_trapping = 2000\nqp_recombination = 1e6\n"
+    "n_cooper_pairs = 4e7\nn_initial = 3\ngamma_scale = 0.8\npulse_wait = 7 us\n"
+    "mod_quiet_generation = 5e-6\nmod_mean_quiet = 1.5\nmod_mean_noisy = 2.5\n"
+    "pulse_first = 1 ms\npulse_period = 20 ms\npulse_length = 50 us\n"
+    "pulse_inject = 4\npulse_count = 100\n"
+    "thermal_power = 90 pW\nthermal_specific_heat = 2e-11\nthermal_mass = 50 mg\n"
+    "thermal_tau = 3 ms\nthermal_i_critical = 300 nA\nthermal_v_gap = 0.38 mV\n"
+)
+
+# the parameter type behind each group of config keys ("" is the scenario)
+GROUP_TYPES = {
+    "": ScenarioConfig,
+    "qubit": QubitParams,
+    "meas": MeasurementParams,
+    "kinetics": QpKineticsParams,
+    "modulation": Modulation,
+    "pulse_periodic": PeriodicPulses,
+    "thermal": ThermalParams,
+}
+
+
+def _target(key):
+    group, _, name = CONFIG_SCHEMA[key].target.rpartition(".")
+    return group, name
 
 
 class TestPolarizationTemperature:
@@ -165,6 +205,20 @@ class TestConfigParsing:
         # default power comes from the junction values
         assert config.thermal.power == pytest.approx(1.12e-10)
 
+    def test_thermal_key_alone_gives_default_thermal_params(self):
+        assert validate_config(MINIMAL + "thermal_mass = 0.1\n").thermal == ThermalParams()
+
+    def test_minimal_file_equals_default_scenario(self):
+        assert validate_config(MINIMAL) == ScenarioConfig(duration=1.0, rng_seed=7)
+
+    @pytest.mark.parametrize("text, missing", [
+        ("mod_mean_quiet = 2\n", "mod_quiet_generation"),
+        ("pulse_period = 10 ms\npulse_inject = 1\npulse_count = 2\n", "pulse_length"),
+    ])
+    def test_group_key_without_required_partner(self, text, missing):
+        with pytest.raises(ConfigError, match=missing):
+            validate_config(MINIMAL + text)
+
     def test_modulation_block(self):
         config = validate_config(
             MINIMAL + "mod_quiet_generation = 1.6e-5\nmod_mean_quiet = 2\n"
@@ -180,6 +234,7 @@ class TestConfigRoundTrip:
         MINIMAL + "pulse_schedule = 0:100us:10, 0.5:100us:0\n",
         MINIMAL + "pulse_period = 10.105ms\npulse_length = 100us\n"
         + "pulse_inject = 7\npulse_count = 3\ngamma_scale = 0.75\n",
+        ALL_KEYS,
     ]
 
     @pytest.mark.parametrize("text", CASES)
@@ -192,6 +247,32 @@ class TestConfigRoundTrip:
     def test_round_trip_preserves_config(self, text):
         config = validate_config(text)
         assert validate_config(serialize_config(config)) == config
+
+
+class TestSchema:
+    def test_every_target_names_a_field(self):
+        for key in CONFIG_SCHEMA:
+            group, name = _target(key)
+            assert name in {f.name for f in fields(GROUP_TYPES[group])}, key
+
+    def test_every_field_is_set_by_exactly_one_key(self):
+        keyed = Counter(_target(key) for key in CONFIG_SCHEMA)
+        assert max(keyed.values()) == 1
+        for group, cls in GROUP_TYPES.items():
+            names = {f.name for f in fields(cls)}
+            if not group:
+                names -= set(GROUP_TYPES)
+            assert {name for g, name in keyed if g == group} == names, group
+
+    def test_all_keys_case_sets_every_key_off_default(self):
+        config = validate_config(ALL_KEYS)
+        given = {line.partition("=")[0].strip() for line in ALL_KEYS.splitlines()}
+        assert given == set(CONFIG_SCHEMA) - {"pulse_schedule"}
+        for key in given:
+            group, name = _target(key)
+            owner = getattr(config, group) if group else config
+            default = next(f.default for f in fields(GROUP_TYPES[group]) if f.name == name)
+            assert getattr(owner, name) != default, key
 
 
 def test_scenario_initial_count_defaults_to_steady_mean():

@@ -13,6 +13,8 @@ from qpjumps.kinetics import (
     steady_state,
 )
 
+from support import rk4_evolve_ode
+
 TRAP_LIMITED = QpKineticsParams()  # defaults: trap-limited, x_bar=4e-8
 
 
@@ -26,6 +28,10 @@ class TestSteadyState:
     def test_recombination_only(self):
         p = QpKineticsParams(generation=1.0, trapping=0.0, recombination=4.0)
         assert steady_state(p) == pytest.approx(0.5, rel=1e-12)
+
+    def test_pure_recombination(self):
+        p = QpKineticsParams(generation=0.0, trapping=0.0, recombination=1e10)
+        assert steady_state(p) == 0.0
 
     def test_no_removal_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -113,6 +119,20 @@ class TestEvolveOde:
             for x0 in (0.0, 0.3 * x_bar, 3 * x_bar, 10 * x_bar):
                 x = evolve_ode(x0, p, np.array([0.0, 10 * tau]))
                 assert abs(x[-1] - x_bar) <= 1e-4 * max(abs(x0 - x_bar), 1e-30)
+
+    @pytest.mark.parametrize("p", [
+        TRAP_LIMITED,
+        QpKineticsParams(generation=1e-3, trapping=5000.0, recombination=2e9),
+        QpKineticsParams(generation=1e-3, trapping=0.0, recombination=1e10),
+        QpKineticsParams(generation=0.0, trapping=0.0, recombination=1e10),
+    ])
+    def test_matches_rk4(self, p):
+        # pure recombination has x_bar = 0, so its starts scale from 4e-8
+        x_bar = steady_state(p) or 4e-8
+        t = np.linspace(0.0, 10.0 / (p.trapping + 2.0 * p.recombination * x_bar), 41)
+        for x0 in (0.0, x_bar / 3, 3 * x_bar, 10 * x_bar):
+            assert evolve_ode(x0, p, t) == pytest.approx(rk4_evolve_ode(x0, p, t),
+                                                         rel=1e-8, abs=0.0)
 
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError):
