@@ -39,7 +39,6 @@ from .jumpsim import (
 )
 from .analysis import (
     DwellHistogram,
-    FidelityReport,
     StateEstimate,
     cross_correlation,
     extract_dwells,
@@ -47,6 +46,7 @@ from .analysis import (
     log_histogram,
     poisson_prediction,
     polarization,
+    split_windows,
     two_point_filter,
     windowed_report,
 )

@@ -25,12 +25,11 @@ MIN_DWELLS = 20
 
 @dataclass(frozen=True)
 class StateEstimate:
-    """Binary state trajectory estimated from a measurement record."""
+    """Binary state trajectory estimated from a measurement record, one
+    state per sample of length t_meas."""
 
     t_meas: float
     states: np.ndarray  # uint8, STATE_GROUND / STATE_EXCITED
-    threshold_to_excited: float
-    threshold_to_ground: float
 
     def __len__(self) -> int:
         return len(self.states)
@@ -53,7 +52,6 @@ class DwellHistogram:
     units; tau_mean is the plain per-dwell mean duration.
     """
 
-    state: int
     edges: np.ndarray
     log_width: float
     counts: np.ndarray
@@ -62,18 +60,6 @@ class DwellHistogram:
 
     def centers(self) -> np.ndarray:
         return np.sqrt(self.edges[:-1] * self.edges[1:])
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    """Overlap of a measured histogram with its constant-rate prediction."""
-
-    fidelity: float
-    predicted: np.ndarray
-
-    @property
-    def one_minus(self) -> float:
-        return 1.0 - self.fidelity
 
 
 def two_point_filter(iq: IQRecord, separation: float) -> StateEstimate:
@@ -115,12 +101,7 @@ def two_point_filter(iq: IQRecord, separation: float) -> StateEstimate:
         # k is in range, and mode="clip" only spares take() a buffered copy
         np.take(excited, k, out=states[lo:lo + m].view(bool), mode="clip")
         carry = states[lo + m - 1]
-    return StateEstimate(
-        t_meas=iq.t_meas,
-        states=states,
-        threshold_to_excited=to_excited,
-        threshold_to_ground=to_ground,
-    )
+    return StateEstimate(t_meas=iq.t_meas, states=states)
 
 
 def _runs(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +135,6 @@ def log_histogram(
     dwells,
     t_meas: float,
     bins_per_decade: int = 10,
-    state: int = STATE_GROUND,
 ) -> DwellHistogram:
     """Sample-weighted histogram of dwell durations on a log grid.
 
@@ -181,7 +161,6 @@ def log_histogram(
     counts = np.bincount(idx, weights=k.astype(float), minlength=n_bins)
     edges = t_meas * 10.0 ** (log_width * np.arange(n_bins + 1))
     return DwellHistogram(
-        state=state,
         edges=edges,
         log_width=log_width,
         counts=counts,
@@ -205,7 +184,7 @@ def poisson_prediction(hist: DwellHistogram) -> np.ndarray:
     )
 
 
-def fidelity(measured, predicted) -> FidelityReport:
+def fidelity(measured, predicted) -> float:
     """Bhattacharyya overlap sum(sqrt(M*P)) / sum(M) of two histograms."""
     m = np.asarray(measured, dtype=float)
     p = np.asarray(predicted, dtype=float)
@@ -216,10 +195,7 @@ def fidelity(measured, predicted) -> FidelityReport:
     total = m.sum()
     if total <= 0:
         raise ValueError("fidelity undefined for an all-zero measured histogram")
-    return FidelityReport(
-        fidelity=float(np.sqrt(m * p).sum() / total),
-        predicted=p,
-    )
+    return float(np.sqrt(m * p).sum() / total)
 
 
 def polarization(est: StateEstimate) -> tuple[float, float]:
@@ -269,6 +245,17 @@ class WindowedReport:
         return len(self.t_start)
 
 
+def split_windows(est: StateEstimate, window: float) -> list[StateEstimate]:
+    """Consecutive windows of round(window / t_meas) samples each, as views
+    of est; a partial window at the end is dropped."""
+    samples = int(round(window / est.t_meas))
+    states = np.asarray(est.states)
+    return [
+        StateEstimate(t_meas=est.t_meas, states=states[lo:lo + samples])
+        for lo in range(0, len(states) - samples + 1, samples)
+    ]
+
+
 def windowed_report(
     est: StateEstimate,
     window: float,
@@ -281,25 +268,18 @@ def windowed_report(
     """
     if window < 100 * est.t_meas:
         raise ValueError("window must cover at least 100 samples")
-    samples_per_window = int(round(window / est.t_meas))
-    states = np.asarray(est.states)
-    n_windows = len(states) // samples_per_window
+    windows = split_windows(est, window)
+    n_windows = len(windows)
     if n_windows == 0:
         raise ValueError("record shorter than one window")
 
-    t0 = np.arange(n_windows) * (samples_per_window * est.t_meas)
+    width = len(windows[0]) * est.t_meas
+    t0 = np.arange(n_windows) * width
     tau_g = np.full(n_windows, np.nan)
     tau_e = np.full(n_windows, np.nan)
     fid = np.full(n_windows, np.nan)
     sig = np.empty(n_windows)
-    for w in range(n_windows):
-        chunk = states[w * samples_per_window:(w + 1) * samples_per_window]
-        sub = StateEstimate(
-            t_meas=est.t_meas,
-            states=chunk,
-            threshold_to_excited=est.threshold_to_excited,
-            threshold_to_ground=est.threshold_to_ground,
-        )
+    for w, sub in enumerate(windows):
         p_e, sig[w] = polarization(sub)
         dwells = extract_dwells(sub)
         if len(dwells.ground) > 0:
@@ -308,9 +288,9 @@ def windowed_report(
             tau_e[w] = dwells.excited.mean()
         if len(dwells.ground) >= MIN_DWELLS:
             hist = log_histogram(dwells.ground, est.t_meas, bins_per_decade)
-            fid[w] = fidelity(hist.counts, poisson_prediction(hist)).fidelity
+            fid[w] = fidelity(hist.counts, poisson_prediction(hist))
     return WindowedReport(
-        window=samples_per_window * est.t_meas,
+        window=width,
         t_start=t0,
         tau_ground=tau_g,
         tau_excited=tau_e,

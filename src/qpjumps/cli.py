@@ -16,7 +16,13 @@ from dataclasses import replace
 import numpy as np
 
 from . import experiments, io
-from .analysis import extract_dwells, log_histogram, poisson_prediction, two_point_filter
+from .analysis import (
+    extract_dwells,
+    log_histogram,
+    poisson_prediction,
+    split_windows,
+    two_point_filter,
+)
 from .core import ConfigError, ScenarioConfig, load_config, validate_config
 from .fitting import (
     FitConvergenceError,
@@ -131,17 +137,14 @@ def cmd_stats(args) -> int:
     io.write_report_csv(report_path, report)
     outputs.append(report_path)
 
-    samples = int(round(report.window / est.t_meas))
-    states = np.asarray(est.states)
     histograms = 0
-    for w in range(len(report)):
-        chunk = replace(est, states=states[w * samples:(w + 1) * samples])
-        dwells = extract_dwells(chunk)
+    for w, window in enumerate(split_windows(est, report.window)):
+        dwells = extract_dwells(window)
         for state, durations in ((STATE_GROUND, dwells.ground),
                                  (STATE_EXCITED, dwells.excited)):
             if len(durations) == 0:
                 continue
-            hist = log_histogram(durations, est.t_meas, args.bins_per_decade, state=state)
+            hist = log_histogram(durations, est.t_meas, args.bins_per_decade)
             path = os.path.join(
                 args.out, f"hist_{w:04d}_{io.STATE_CHARS[state]}.csv")
             io.write_histogram_csv(path, hist, poisson_prediction(hist))

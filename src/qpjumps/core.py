@@ -43,7 +43,8 @@ class QubitParams:
     f_ge: transition frequency (Hz); f_gap: superconducting gap as a
     frequency Delta/h (Hz); f_inductive: inductive energy as a frequency
     E_L/h (Hz); gamma_background: relaxation rate from non-QP channels
-    (1/s); temperature: effective bath temperature (K).
+    (1/s); temperature: effective bath temperature (K); gamma_scale:
+    multiplier on the whole relaxation rate, QP and background terms alike.
     """
 
     f_ge: float = 665e6
@@ -51,6 +52,7 @@ class QubitParams:
     f_inductive: float = 0.5e9
     gamma_background: float = 0.0
     temperature: float = 0.045
+    gamma_scale: float = 1.0
 
     def __post_init__(self):
         if self.f_ge <= 0 or self.f_gap <= 0 or self.f_inductive <= 0:
@@ -59,6 +61,8 @@ class QubitParams:
             raise ValueError("gamma_background must be non-negative")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+        if self.gamma_scale <= 0:
+            raise ValueError("gamma_scale must be positive")
         if self.f_ge >= 2.0 * self.f_gap:
             raise ValueError("f_ge must be below twice f_gap (pair-breaking photon)")
 
@@ -193,7 +197,6 @@ class ScenarioConfig:
     pulse_periodic: PeriodicPulses | None = None
     pulse_wait: float = 5e-6
     n_initial: int = -1  # -1: use the rounded steady-state mean
-    gamma_scale: float = 1.0
     modulation: Modulation | None = None
 
     def __post_init__(self):
@@ -201,8 +204,6 @@ class ScenarioConfig:
             raise ValueError("duration must be positive")
         if not 0 <= self.rng_seed < 2**64:
             raise ValueError("rng_seed must be an unsigned 64-bit integer")
-        if self.gamma_scale <= 0:
-            raise ValueError("gamma_scale must be positive")
         if self.pulse_wait < 0:
             raise ValueError("pulse_wait must be non-negative")
         if self.n_initial < -1:
@@ -298,7 +299,7 @@ _SCHEDULE = "pulse_schedule"
 
 @dataclass(frozen=True)
 class _Key:
-    kind: str  # unit table name, or "int"/"seed" for integers
+    kind: str  # unit table name, "int"/"seed" for integers, or "schedule"
     target: str
     doc: str
 
@@ -337,7 +338,7 @@ CONFIG_SCHEMA: dict[str, _Key] = {
                            "Cooper pairs in the array; derived default, back-computed "
                            "from 1-2 QPs at density 4e-8"),
     "n_initial": _Key("int", "n_initial", "starting QP count; -1 uses the rounded steady mean"),
-    "gamma_scale": _Key("plain", "gamma_scale",
+    "gamma_scale": _Key("plain", "qubit.gamma_scale",
                         "optional multiplier on the relaxation rate (readout photons "
                         "shorten the lifetime by ~25% at the default drive)"),
     "pulse_wait": _Key("time", "pulse_wait", "dead time after each pulse before readout (s)"),
@@ -350,9 +351,9 @@ CONFIG_SCHEMA: dict[str, _Key] = {
     "mod_mean_noisy": _Key("time", "modulation.mean_noisy",
                            "mean residence in the noisy state (s)"),
     # pulse train
-    _SCHEDULE: _Key("plain", "pulses",
-                    "explicit pulses as comma-separated start:length:count "
-                    "(times may carry unit suffixes)"),
+    _SCHEDULE: _Key("schedule", "pulses",
+                    "explicit pulses: each starts at start (s), lasts length (s) "
+                    "and injects count QPs when it ends"),
     "pulse_first": _Key("time", "pulse_periodic.first", "start of the first periodic pulse (s)"),
     "pulse_period": _Key("time", "pulse_periodic.period", "periodic pulse spacing (s)"),
     "pulse_length": _Key("time", "pulse_periodic.length", "pulse length (s)"),
@@ -387,8 +388,8 @@ def _default(key: str):
 _VALUE_RE = re.compile(r"^([-+0-9.eE]+)\s*([A-Za-z]*)$")
 
 
-def _parse_number(key: str, text: str) -> float:
-    kind = CONFIG_SCHEMA[key].kind
+def _parse_number(key: str, kind: str, text: str) -> float:
+    """text as a number of the given kind; errors are prefixed with key."""
     m = _VALUE_RE.match(text.strip())
     if not m:
         raise ConfigError(f"{key}: cannot parse value {text!r}")
@@ -423,13 +424,14 @@ def _parse_pulse_schedule(text: str) -> tuple[Pulse, ...]:
             raise ConfigError(
                 f"pulse_schedule: expected start:length:count, got {item!r}"
             )
-        start = _parse_number("pulse_first", parts[0])
-        length = _parse_number("pulse_length", parts[1])
-        count = _parse_number("pulse_inject", parts[2])
+        label = f"{_SCHEDULE} item {item!r}"
+        start = _parse_number(label, "time", parts[0])
+        length = _parse_number(label, "time", parts[1])
+        count = _parse_number(label, "int", parts[2])
         try:
-            pulses.append(Pulse(start, length, int(count)))
+            pulses.append(Pulse(start, length, count))
         except ValueError as exc:
-            raise ConfigError(f"pulse_schedule: {exc}") from None
+            raise ConfigError(f"{label}: {exc}") from None
     if not pulses:
         raise ConfigError("pulse_schedule: no pulses given")
     return tuple(pulses)
@@ -464,7 +466,7 @@ def validate_config(text: str) -> ScenarioConfig:
     for key, value in raw.items():
         spec = CONFIG_SCHEMA[key]
         if key != _SCHEDULE:
-            given[spec.group][spec.name] = _parse_number(key, value) * _scale(key)
+            given[spec.group][spec.name] = _parse_number(key, spec.kind, value) * _scale(key)
     if _SCHEDULE in raw and given["pulse_periodic"]:
         raise ConfigError("give either pulse_schedule or pulse_first/period/... , not both")
 
@@ -535,6 +537,8 @@ def config_reference() -> str:
         "plain": "number (no suffix)",
         "int": "integer",
         "seed": "integer",
+        "schedule": "comma list of `start:length:count` (times with suffixes "
+                    "s, ms, us, ns; integer count)",
     }
     lines = [
         "# Configuration keys",

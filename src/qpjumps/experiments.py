@@ -24,6 +24,7 @@ from .analysis import (
     extract_dwells,
     log_histogram,
     poisson_prediction,
+    split_windows,
     two_point_filter,
     windowed_report,
 )
@@ -172,20 +173,13 @@ def tau_fidelity_correlation(report: WindowedReport) -> float:
     return cross_correlation(tau[good], -np.log10(1.0 - f[good]))
 
 
-def _write_window_histograms(out_dir, est, report, idx, tag):
-    samples = int(round(report.window / est.t_meas))
-    chunk = StateEstimate(
-        t_meas=est.t_meas,
-        states=np.asarray(est.states)[idx * samples:(idx + 1) * samples],
-        threshold_to_excited=est.threshold_to_excited,
-        threshold_to_ground=est.threshold_to_ground,
-    )
-    dwells = extract_dwells(chunk)
+def _write_window_histograms(out_dir, window: StateEstimate, tag):
+    dwells = extract_dwells(window)
     written = []
     for state, durations in ((STATE_GROUND, dwells.ground), (STATE_EXCITED, dwells.excited)):
         if len(durations) == 0:
             continue
-        hist = log_histogram(durations, est.t_meas, DEFAULT_BINS_PER_DECADE, state=state)
+        hist = log_histogram(durations, window.t_meas, DEFAULT_BINS_PER_DECADE)
         path = os.path.join(out_dir, f"example_{tag}_{io.STATE_CHARS[state]}.csv")
         io.write_histogram_csv(path, hist, poisson_prediction(hist))
         written.append(path)
@@ -218,10 +212,9 @@ def _alternation_driver(config, out_dir, workers):
     # most/least Poissonian windows as example histogram pairs
     f = report.fidelity_ground
     if np.isfinite(f).any():
-        outputs += _write_window_histograms(
-            out_dir, est, report, int(np.nanargmax(f)), "quiet")
-        outputs += _write_window_histograms(
-            out_dir, est, report, int(np.nanargmin(f)), "noisy")
+        windows = split_windows(est, report.window)
+        outputs += _write_window_histograms(out_dir, windows[int(np.nanargmax(f))], "quiet")
+        outputs += _write_window_histograms(out_dir, windows[int(np.nanargmin(f))], "noisy")
 
     summary_path = os.path.join(out_dir, "summary.csv")
     io.write_fit_report_csv(summary_path, summary)

@@ -240,13 +240,14 @@ class RecoveryFit:
 def invert_relaxation(tau_excited, qubit: QubitParams) -> np.ndarray:
     """QP density from measured mean excited-state dwell times.
 
-    Inverts rate = x * coefficient + gamma_background; dwells faster than
-    the background rate allow no consistent density.
+    Inverts jumpsim.qp_relaxation_rate, 1/tau = gamma_scale * (x *
+    coefficient + gamma_background); dwells slower than the scaled
+    background rate allow no consistent density.
     """
     tau_excited = np.asarray(tau_excited, dtype=float)
     if np.any(tau_excited <= 0):
         raise FitInputError("dwell times must be positive")
-    rate = 1.0 / tau_excited - qubit.gamma_background
+    rate = 1.0 / tau_excited / qubit.gamma_scale - qubit.gamma_background
     if np.any(rate < 0):
         raise FitInputError(
             "inconsistent background: a dwell is slower than 1/gamma_background"

@@ -125,15 +125,18 @@ def read_iq(path) -> IQRecord:
 # ---------------------------------------------------------------------------
 
 def write_truth_csv(path, truth: TruthTrace) -> None:
-    t, s, n = truth.knots()
+    """One row per knot of the trace: time, qubit state and QP count."""
     lines = ["time_s,state,N"]
-    lines += [f"{_fmt(ti)},{STATE_CHARS[si]},{ni}" for ti, si, ni in zip(t, s, n)]
+    lines += [
+        f"{_fmt(ti)},{STATE_CHARS[si]},{ni}"
+        for ti, si, ni in zip(truth.times, truth.states, truth.counts)
+    ]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_qp_trace_csv(path, truth: TruthTrace) -> None:
     """QP-count marginal: the initial count at t=0, then a row per change of N."""
-    t, _, n = truth.knots()
+    t, n = truth.times, truth.counts
     changed = np.concatenate(([True], np.diff(n) != 0))
     lines = ["time_s,N"]
     lines += [f"{_fmt(ti)},{ni}" for ti, ni in zip(t[changed], n[changed])]

@@ -53,11 +53,12 @@ def qp_rate_coefficient(qubit: QubitParams) -> float:
 
 
 def qp_relaxation_rate(n_qp: float, kinetics: QpKineticsParams, qubit: QubitParams) -> float:
-    """Excited-to-ground rate for n_qp quasiparticles in the array (1/s)."""
+    """Excited-to-ground rate for n_qp quasiparticles in the array (1/s):
+    gamma_scale * (x * qp_rate_coefficient + gamma_background)."""
     if n_qp < 0:
         raise ValueError("n_qp must be non-negative")
     x = n_qp / kinetics.n_pairs
-    return x * qp_rate_coefficient(qubit) + qubit.gamma_background
+    return qubit.gamma_scale * (x * qp_rate_coefficient(qubit) + qubit.gamma_background)
 
 
 def thermal_excitation_rate(
@@ -130,29 +131,22 @@ def thermal_decay_constant(
 
 @dataclass(frozen=True)
 class TruthTrace:
-    """Ground-truth trajectory of (qubit state, QP count).
+    """Ground-truth trajectory of (qubit state, QP count) as knots.
 
-    times are strictly increasing event times; states[i] and counts[i] hold
-    the values immediately after event i.  Every event changes the qubit
-    state or the count (temperature and modulator moves are not recorded).
+    times are strictly increasing, with times[0] = 0.0; states[i] and
+    counts[i] hold from times[i] until the next knot (or duration).  Every
+    knot after the first is an event that changes the qubit state or the
+    count (temperature and modulator moves are not recorded), so len()
+    counts events, one fewer than the knots.
     """
 
-    initial_state: int
-    initial_count: int
     duration: float
     times: np.ndarray
     states: np.ndarray  # uint8, STATE_GROUND / STATE_EXCITED
     counts: np.ndarray  # int64
 
     def __len__(self) -> int:
-        return len(self.times)
-
-    def knots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(t, state, count) with a leading t=0 entry for the initial values."""
-        t = np.concatenate(([0.0], self.times))
-        s = np.concatenate(([self.initial_state], self.states)).astype(np.uint8)
-        n = np.concatenate(([self.initial_count], self.counts)).astype(np.int64)
-        return t, s, n
+        return len(self.times) - 1
 
     def qubit_intervals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Maximal constant-qubit-state intervals as (start, duration, state).
@@ -160,7 +154,7 @@ class TruthTrace:
         Includes the boundary intervals at the start and end of the record;
         callers doing dwell statistics should drop the first and last.
         """
-        t, s, _ = self.knots()
+        t, s = self.times, self.states
         flips = np.flatnonzero(np.diff(s.astype(np.int8)) != 0)
         starts = np.concatenate(([0.0], t[flips + 1]))
         ends = np.concatenate((t[flips + 1], [self.duration]))
@@ -171,9 +165,8 @@ class TruthTrace:
 def _excited_cumulative(truth: TruthTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t, excited, cum): the knot times with the duration appended, whether
     each knot's segment is excited, and the excited seconds before each knot."""
-    t, s, _ = truth.knots()
-    t = np.concatenate((t, [truth.duration]))
-    excited = s == STATE_EXCITED
+    t = np.concatenate((truth.times, [truth.duration]))
+    excited = truth.states == STATE_EXCITED
     cum = np.concatenate(([0.0], np.cumsum(np.diff(t) * excited)))
     return t, excited, cum
 
@@ -240,9 +233,9 @@ def occupancy_blocks(truth: TruthTrace, t_meas: float):
 
 def relaxation_jump_times(truth: TruthTrace) -> np.ndarray:
     """Times of excited-to-ground transitions in the trajectory."""
-    t, s, _ = truth.knots()
+    s = truth.states
     mask = (s[:-1] == STATE_EXCITED) & (s[1:] == STATE_GROUND)
-    return t[1:][mask]
+    return truth.times[1:][mask]
 
 
 def simulate_joint(config: ScenarioConfig, rng: np.random.Generator) -> TruthTrace:
@@ -259,8 +252,8 @@ def simulate_joint(config: ScenarioConfig, rng: np.random.Generator) -> TruthTra
     ncp = kin.n_pairs
     g_noisy, s_rate, r_rate = kin.generation, kin.trapping, kin.recombination
 
-    per_qp = config.gamma_scale * qp_rate_coefficient(qubit) / ncp
-    bg = config.gamma_scale * qubit.gamma_background
+    per_qp = qubit.gamma_scale * qp_rate_coefficient(qubit) / ncp
+    bg = qubit.gamma_scale * qubit.gamma_background
     hf_over_kb = PLANCK * qubit.f_ge / BOLTZMANN
     t_base = qubit.temperature
     boltz_base = math.exp(-hf_over_kb / t_base)
@@ -306,11 +299,10 @@ def simulate_joint(config: ScenarioConfig, rng: np.random.Generator) -> TruthTra
         m_state = 0 if draw() < p_quiet else 1
     else:
         m_state = 1
-    q0, n0 = q, n
 
-    times = array("d")
-    states = array("b")
-    counts = array("q")
+    times = array("d", [0.0])
+    states = array("b", [q])
+    counts = array("q", [n])
     log = math.log
     exp = math.exp
 
@@ -390,8 +382,6 @@ def simulate_joint(config: ScenarioConfig, rng: np.random.Generator) -> TruthTra
                 counts.append(n)
 
     return TruthTrace(
-        initial_state=q0,
-        initial_count=n0,
         duration=config.duration,
         times=np.frombuffer(times, dtype=float).copy(),
         states=np.frombuffer(states, dtype=np.int8).astype(np.uint8),

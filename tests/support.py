@@ -127,12 +127,7 @@ def whole_record_filter(iq: IQRecord, separation: float) -> StateEstimate:
         initial,
         np.where(decided_e[np.clip(last, 0, None)], STATE_EXCITED, STATE_GROUND),
     ).astype(np.uint8)
-    return StateEstimate(
-        t_meas=iq.t_meas,
-        states=states,
-        threshold_to_excited=to_excited,
-        threshold_to_ground=to_ground,
-    )
+    return StateEstimate(t_meas=iq.t_meas, states=states)
 
 
 def _xdot(x: float, g: float, s: float, r: float) -> float:
@@ -226,11 +221,9 @@ def joint_rates(config: ScenarioConfig, m: int, q: int, n: int) -> list:
     if mod is not None:
         out.append(((1 - m, q, n), 1.0 / (mod.mean_quiet if m == 0 else mod.mean_noisy)))
     if q == 1:
-        relax = qp_relaxation_rate(n, kin, qubit)
-        out.append(((m, 0, n), config.gamma_scale * relax))
+        out.append(((m, 0, n), qp_relaxation_rate(n, kin, qubit)))
     else:
-        excite = thermal_excitation_rate(n, kin, qubit, qubit.temperature)
-        out.append(((m, 1, n), config.gamma_scale * excite))
+        out.append(((m, 1, n), thermal_excitation_rate(n, kin, qubit, qubit.temperature)))
     return [(state, rate) for state, rate in out if rate > 0.0]
 
 
@@ -268,7 +261,7 @@ def occupancy_chi2(truth, pi_qn: np.ndarray, spacing: float = 2e-3):
     counts are merged into one (N beyond the truncation counts there too).
     Returns (p_value, number_of_cells).
     """
-    t, s, n = truth.knots()
+    t, s, n = truth.times, truth.states, truth.counts
     snaps = np.arange(spacing, truth.duration, spacing)
     idx = np.searchsorted(t, snaps, side="right") - 1
     n_max = pi_qn.shape[1] - 1
@@ -304,7 +297,7 @@ def transition_rate_chi2(truth, config: ScenarioConfig, n_max: int,
     jumps inside the truncation that the generator gives no rate in any
     modulator state.
     """
-    t, s, n = truth.knots()
+    t, s, n = truth.times, truth.states, truth.counts
     dwell = np.diff(np.append(t, truth.duration))
     inside = n <= n_max
     occupancy = np.zeros((2, n_max + 1))

@@ -216,9 +216,10 @@ def test_09_oracle_suites():
     times = np.cumsum(runs).astype(float) * meas.t_meas
     states = np.array([(k + 1) % 2 for k in range(len(runs))], dtype=np.uint8)
     truth = TruthTrace(
-        initial_state=0, initial_count=0, duration=float(times[-1]),
-        times=times[:-1], states=states[:-1],
-        counts=np.zeros(len(runs) - 1, dtype=np.int64),
+        duration=float(times[-1]),
+        times=np.concatenate(([0.0], times[:-1])),
+        states=np.concatenate(([0], states[:-1])).astype(np.uint8),
+        counts=np.zeros(len(runs), dtype=np.int64),
     )
     iq = noiseless_iq(truth, meas)
     est = two_point_filter(iq, snr_separation(meas))

@@ -14,6 +14,7 @@ from qpjumps.analysis import (
     log_histogram,
     poisson_prediction,
     polarization,
+    split_windows,
     two_point_filter,
     windowed_report,
 )
@@ -38,18 +39,12 @@ def record(i_values, t_meas=TM):
 
 
 def estimate(states, t_meas=TM):
-    return StateEstimate(
-        t_meas=t_meas,
-        states=np.asarray(states, dtype=np.uint8),
-        threshold_to_excited=-2.0,
-        threshold_to_ground=2.0,
-    )
+    return StateEstimate(t_meas=t_meas, states=np.asarray(states, dtype=np.uint8))
 
 
 class TestTwoPointFilter:
     def test_hand_worked_example(self):
         est = two_point_filter(record([2.5, 0.0, -2.3]), separation=2.59)
-        assert est.threshold_to_excited == pytest.approx(-2.09)
         assert list(est.states) == [STATE_GROUND, STATE_GROUND, STATE_EXCITED]
 
     def test_constant_high_signal(self):
@@ -64,6 +59,15 @@ class TestTwoPointFilter:
         # separation 2.0 puts the thresholds at -1.5 and +1.5
         est = two_point_filter(record([-3.0, 0.0, 1.4, -1.4, 3.0, 0.0]), separation=2.0)
         assert list(est.states) == [1, 1, 1, 1, 0, 0]
+
+    def test_thresholds_half_sigma_from_each_destination(self):
+        # separation 2.59 puts the thresholds at -2.09 and +2.09; a sample
+        # decides only strictly past one, from either side
+        eps = 1e-9
+        est = two_point_filter(
+            record([2.5, -2.09 + eps, -2.09 - eps, 2.09 - eps, 2.09 + eps]), separation=2.59)
+        assert list(est.states) == [STATE_GROUND, STATE_GROUND, STATE_EXCITED,
+                                    STATE_EXCITED, STATE_GROUND]
 
     def test_requires_separated_thresholds(self):
         with pytest.raises(ValueError):
@@ -111,8 +115,6 @@ class TestFilterOracle:
         want = whole_record_filter(iq, sep)
         assert got.states.dtype == want.states.dtype
         assert np.array_equal(got.states, want.states)
-        assert got.threshold_to_excited == want.threshold_to_excited
-        assert got.threshold_to_ground == want.threshold_to_ground
 
 
 class TestExtractDwells:
@@ -180,7 +182,6 @@ class TestLogHistogram:
 def uniform_log_hist(total, tau_mean, center, log_width=0.1):
     half = 10.0 ** (log_width / 2)
     return DwellHistogram(
-        state=STATE_GROUND,
         edges=np.array([center / half, center * half]),
         log_width=log_width,
         counts=np.array([float(total)]),
@@ -208,7 +209,7 @@ class TestPoissonPrediction:
         # build a finely binned prediction over a wide grid
         edges = 1e-5 * 10.0 ** (np.arange(400) / 100)
         fine = DwellHistogram(
-            state=STATE_GROUND, edges=edges, log_width=0.01,
+            edges=edges, log_width=0.01,
             counts=np.zeros(len(edges) - 1), total=hist.total, tau_mean=tau_mean,
         )
         p = poisson_prediction(fine)
@@ -228,15 +229,15 @@ class TestPoissonPrediction:
 class TestFidelity:
     def test_identical_histograms(self):
         m = np.array([4.0, 5.0, 1.0])
-        assert fidelity(m, m).fidelity == pytest.approx(1.0)
+        assert fidelity(m, m) == pytest.approx(1.0)
 
     def test_disjoint_supports(self):
-        assert fidelity([1, 0, 2], [0, 3, 0]).fidelity == 0.0
+        assert fidelity([1, 0, 2], [0, 3, 0]) == 0.0
 
     def test_hand_value(self):
-        rep = fidelity([1, 3], [3, 1])
-        assert rep.fidelity == pytest.approx(2 * math.sqrt(3) / 4, rel=1e-12)
-        assert rep.one_minus == pytest.approx(1 - 2 * math.sqrt(3) / 4, rel=1e-9)
+        f = fidelity([1, 3], [3, 1])
+        assert f == pytest.approx(2 * math.sqrt(3) / 4, rel=1e-12)
+        assert 1.0 - f == pytest.approx(1 - 2 * math.sqrt(3) / 4, rel=1e-9)
 
     def test_all_zero_measured(self):
         with pytest.raises(ValueError):
@@ -254,8 +255,8 @@ class TestFidelity:
         if m.sum() == 0:
             return
         p = m[::-1].copy()
-        base = fidelity(m, p).fidelity
-        scaled = fidelity(c * m, c * p).fidelity
+        base = fidelity(m, p)
+        scaled = fidelity(c * m, c * p)
         assert scaled == pytest.approx(base, rel=1e-9)
 
 
@@ -346,10 +347,21 @@ class TestWindowedReport:
         with pytest.raises(ValueError):
             windowed_report(estimate(np.zeros(1000, dtype=np.uint8)), window=50 * TM)
 
+    def test_split_windows_are_the_report_windows(self):
+        states = markov_states(1050, 0.05, 0.05, np.random.default_rng(3))
+        est = estimate(states)
+        report = windowed_report(est, window=200 * TM)
+        windows = split_windows(est, report.window)
+        assert len(windows) == len(report) == 5  # the last 50 samples are dropped
+        for w, sub in enumerate(windows):
+            assert sub.t_meas == TM
+            assert np.array_equal(sub.states, states[200 * w:200 * (w + 1)])
+            assert polarization(sub)[1] == report.sigma_z[w]
+
 
 class TestNoiseFreePipeline:
     def _truth_from_runs(self, run_samples, t_meas=TM):
-        times, states, counts = [], [], []
+        times, states = [], []
         t = 0.0
         state = STATE_GROUND
         for k in run_samples:
@@ -357,11 +369,10 @@ class TestNoiseFreePipeline:
             state = 1 - state
             times.append(t)
             states.append(state)
-            counts.append(0)
         return TruthTrace(
-            initial_state=STATE_GROUND, initial_count=0, duration=t,
-            times=np.array(times[:-1]), states=np.array(states[:-1], dtype=np.uint8),
-            counts=np.array(counts[:-1], dtype=np.int64),
+            duration=t, times=np.array([0.0] + times[:-1]),
+            states=np.array([STATE_GROUND] + states[:-1], dtype=np.uint8),
+            counts=np.zeros(len(times), dtype=np.int64),
         )
 
     def test_bin_aligned_jumps_recovered_exactly(self):
@@ -387,8 +398,9 @@ class TestNoiseFreePipeline:
         n = len(times)
         states = np.array([(k + 1) % 2 for k in range(n)], dtype=np.uint8)
         truth = TruthTrace(
-            initial_state=STATE_GROUND, initial_count=0, duration=duration,
-            times=times, states=states, counts=np.zeros(n, dtype=np.int64),
+            duration=duration, times=np.concatenate(([0.0], times)),
+            states=np.concatenate(([STATE_GROUND], states)).astype(np.uint8),
+            counts=np.zeros(n + 1, dtype=np.int64),
         )
         meas = MeasurementParams()
         iq = noiseless_iq(truth, meas)

@@ -184,6 +184,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="duration"):
             validate_config(MINIMAL + "pulse_schedule = 0.9999:1ms:1\n")
 
+    @pytest.mark.parametrize("item, problem", [
+        ("1 MHz:1ms:1", "unknown unit 'MHz'"),
+        ("0:1ms:1.5", "expected an integer"),
+    ])
+    def test_pulse_schedule_errors_name_the_key_and_item(self, item, problem):
+        with pytest.raises(ConfigError) as err:
+            validate_config(MINIMAL + f"pulse_schedule = {item}\n")
+        assert str(err.value).startswith(f"pulse_schedule item {item!r}: {problem}")
+
     def test_periodic_and_explicit_conflict(self):
         with pytest.raises(ConfigError, match="not both"):
             validate_config(

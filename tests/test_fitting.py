@@ -20,7 +20,8 @@ from qpjumps.fitting import (
     invert_relaxation,
     periodogram,
 )
-from qpjumps.jumpsim import qp_rate_coefficient
+from qpjumps.jumpsim import qp_rate_coefficient, qp_relaxation_rate
+from qpjumps.kinetics import QpKineticsParams
 
 from support import iteration_capped, power_law_series, telegraph_series
 
@@ -313,6 +314,17 @@ def test_invert_relaxation_checks_background():
         invert_relaxation([1e-3], qubit)  # 1/tau = 1000 < background
     x = invert_relaxation([1e-4], QubitParams())
     assert x[0] == pytest.approx(1e4 / COEFF, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+def test_invert_relaxation_undoes_the_scaled_rate(n):
+    # the sampler's rate carries gamma_scale on both terms; the inversion
+    # must take it off again to give back the density
+    kin = QpKineticsParams()
+    qubit = QubitParams(gamma_background=300.0, gamma_scale=0.5)
+    tau = 1.0 / qp_relaxation_rate(n, kin, qubit)
+    x = invert_relaxation([tau], qubit)
+    assert x[0] == pytest.approx(n / kin.n_pairs, rel=1e-12, abs=1e-20)
 
 
 @settings(max_examples=10, deadline=None)

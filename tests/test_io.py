@@ -95,10 +95,10 @@ class TestIqFormat:
 class TestCsvWriters:
     def test_truth_csv(self, tmp_path):
         truth = TruthTrace(
-            initial_state=0, initial_count=2, duration=1.0,
-            times=np.array([0.25, 0.5]),
-            states=np.array([1, 1], dtype=np.uint8),
-            counts=np.array([2, 3], dtype=np.int64),
+            duration=1.0,
+            times=np.array([0.0, 0.25, 0.5]),
+            states=np.array([0, 1, 1], dtype=np.uint8),
+            counts=np.array([2, 2, 3], dtype=np.int64),
         )
         path = tmp_path / "t.csv"
         io.write_truth_csv(path, truth)
@@ -111,10 +111,10 @@ class TestCsvWriters:
     def test_qp_trace_csv(self, tmp_path):
         # qubit flips (0.1, 0.3) leave N alone and are dropped
         truth = TruthTrace(
-            initial_state=0, initial_count=3, duration=1.0,
-            times=np.array([0.1, 0.2, 0.3, 0.4]),
-            states=np.array([1, 1, 0, 0], dtype=np.uint8),
-            counts=np.array([3, 5, 5, 4], dtype=np.int64),
+            duration=1.0,
+            times=np.array([0.0, 0.1, 0.2, 0.3, 0.4]),
+            states=np.array([0, 1, 1, 0, 0], dtype=np.uint8),
+            counts=np.array([3, 3, 5, 5, 4], dtype=np.int64),
         )
         path = tmp_path / "qp.csv"
         io.write_qp_trace_csv(path, truth)
@@ -162,10 +162,7 @@ class TestCsvWriters:
         assert len(lines) == len(hist.counts) + 1
 
     def test_states_csv(self, tmp_path):
-        est = StateEstimate(
-            t_meas=5e-6, states=np.array([0, 1], dtype=np.uint8),
-            threshold_to_excited=-2.0, threshold_to_ground=2.0,
-        )
+        est = StateEstimate(t_meas=5e-6, states=np.array([0, 1], dtype=np.uint8))
         path = tmp_path / "st.csv"
         io.write_states_csv(path, est)
         assert path.read_text().splitlines()[1:] == ["0,g", "5e-06,e"]

@@ -181,8 +181,9 @@ class TestSimulateJoint:
         config = frozen_config(0, duration=1.0)
         trace = simulate_joint(config, np.random.default_rng(0))
         assert len(trace) == 0
-        assert trace.initial_count == 0
-        assert trace.initial_state in (STATE_GROUND, STATE_EXCITED)
+        assert trace.times.tolist() == [0.0]
+        assert trace.counts[0] == 0
+        assert trace.states[0] in (STATE_GROUND, STATE_EXCITED)
         # occupancy helpers still work on an event-free trace
         assert next(occupancy_blocks(trace, 1.0))[0] in (0.0, 1.0)
 
@@ -211,7 +212,7 @@ class TestSimulateJoint:
         # decorrelated snapshots give clean binomial statistics
         ts = np.arange(1e-3, config.duration, 2e-3)
         idx = np.searchsorted(trace.times, ts, side="right") - 1
-        states = np.concatenate(([trace.initial_state], trace.states))[idx + 1]
+        states = trace.states[idx]
         p_hat = np.mean(states == STATE_EXCITED)
         sigma = math.sqrt(p_expected * (1 - p_expected) / len(ts))
         assert abs(p_hat - p_expected) < 3 * sigma
@@ -231,7 +232,7 @@ class TestSimulateJoint:
         end = config.pulses[0].end
         k = np.searchsorted(trace.times, end)
         assert trace.times[k] == end
-        before = trace.counts[k - 1] if k else trace.initial_count
+        before = trace.counts[k - 1]
         assert trace.counts[k] == before + 10
         # injected QPs decay away afterwards
         assert trace.counts[-1] < 10
@@ -261,8 +262,8 @@ class TestSimulateJoint:
         gamma_down = qp_relaxation_rate(2, KIN, config.qubit)
 
         window = 0.5e-3  # look right after each pulse, while still hot
-        t, s, _ = trace.knots()
-        t = np.concatenate((t, [config.duration]))
+        s = trace.states
+        t = np.concatenate((trace.times, [config.duration]))
         seg_start, seg_end, seg_state = t[:-1], t[1:], s
 
         jumps = 0
@@ -273,7 +274,7 @@ class TestSimulateJoint:
             overlap = np.clip(np.minimum(seg_end, hi) - np.maximum(seg_start, lo), 0, None)
             exposure += float(overlap[seg_state == STATE_GROUND].sum())
             flips = (s[:-1] == STATE_GROUND) & (s[1:] == STATE_EXCITED)
-            jt = trace.times[flips[: len(trace.times)]] if len(trace) else np.array([])
+            jt = trace.times[1:][flips]
             jumps += int(np.sum((jt >= lo) & (jt < hi)))
 
         def rate(u):
@@ -299,7 +300,7 @@ class TestSimulateJoint:
             ).pulses,
         )
         trace = simulate_joint(config, np.random.default_rng(seed))
-        t, s, n = trace.knots()
+        t, s, n = trace.times, trace.states, trace.counts
         assert np.all(np.diff(t) > 0)
         assert np.all(n >= 0)
         changed = (np.diff(s.astype(int)) != 0) | (np.diff(n) != 0)
@@ -327,7 +328,7 @@ class TestSimulateJoint:
             ).pulses,
         )
         trace = simulate_joint(config, np.random.default_rng(seed))
-        t, s, n = trace.knots()
+        t, s, n = trace.times, trace.states, trace.counts
         assert np.all(n >= 0)
         dn = np.diff(n)
         flips = np.diff(s.astype(int)) != 0
@@ -350,7 +351,7 @@ class TestSimulateJoint:
         config = ScenarioConfig(duration=train.count * train.period, rng_seed=11,
                                 kinetics=kin, n_initial=0, pulses=train.expand())
         trace = simulate_joint(config, np.random.default_rng(config.rng_seed))
-        t, _, n = trace.knots()
+        t, n = trace.times, trace.counts
         ends = np.array([p.end for p in config.pulses])
         dn = np.diff(n)
         assert np.array_equal(t[1:][dn == 1], ends)
@@ -374,7 +375,7 @@ class TestSimulateJoint:
         config = ScenarioConfig(duration=train.count * train.period, rng_seed=99,
                                 kinetics=KIN, pulses=train.expand())
         trace = simulate_joint(config, np.random.default_rng(config.rng_seed))
-        t, _, n = trace.knots()
+        t, n = trace.times, trace.counts
         checkpoints = np.array([0.5, 1.0, 2.0, 4.0, 8.0]) * tau
         ends = np.array([p.end for p in config.pulses])
         idx = np.searchsorted(t, ends[:, None] + checkpoints, side="right") - 1
@@ -388,7 +389,7 @@ class TestSimulateJoint:
     def test_default_regime_population_one_to_two(self):
         config = ScenarioConfig(duration=2.0, rng_seed=5)
         trace = simulate_joint(config, np.random.default_rng(config.rng_seed))
-        t, _, n = trace.knots()
+        t, n = trace.times, trace.counts
         time_avg = np.sum(n * np.diff(np.append(t, trace.duration))) / trace.duration
         assert 1.0 < time_avg < 2.0
 
@@ -450,9 +451,8 @@ class TestJointOracle:
 class TestSynthesizeIq:
     def _flat_truth(self, state, duration):
         return TruthTrace(
-            initial_state=state, initial_count=0, duration=duration,
-            times=np.empty(0), states=np.empty(0, dtype=np.uint8),
-            counts=np.empty(0, dtype=np.int64),
+            duration=duration, times=np.zeros(1),
+            states=np.array([state], dtype=np.uint8), counts=np.zeros(1, dtype=np.int64),
         )
 
     def test_pure_ground_noiseless(self):
@@ -465,10 +465,10 @@ class TestSynthesizeIq:
     def test_half_split_bin_is_zero(self):
         meas = MeasurementParams()
         truth = TruthTrace(
-            initial_state=STATE_GROUND, initial_count=0, duration=meas.t_meas,
-            times=np.array([meas.t_meas / 2]),
-            states=np.array([STATE_EXCITED], dtype=np.uint8),
-            counts=np.array([0], dtype=np.int64),
+            duration=meas.t_meas,
+            times=np.array([0.0, meas.t_meas / 2]),
+            states=np.array([STATE_GROUND, STATE_EXCITED], dtype=np.uint8),
+            counts=np.array([0, 0], dtype=np.int64),
         )
         iq = noiseless_iq(truth, meas)
         assert iq.i[0] == pytest.approx(0.0, abs=1e-12)
@@ -541,10 +541,12 @@ def knotted_traces(draw):
     times = np.unique(np.concatenate((on_edges, nudged, inside, ends)))
     times = times[(times >= 0.0) & (times <= duration)]
     states = rng.integers(0, 2, size=len(times)).astype(np.uint8)
+    # the t = 0 knot comes first; a drawn knot at 0.0 repeats its time
+    initial = draw(st.sampled_from((STATE_GROUND, STATE_EXCITED)))
     truth = TruthTrace(
-        initial_state=draw(st.sampled_from((STATE_GROUND, STATE_EXCITED))),
-        initial_count=0, duration=duration, times=times, states=states,
-        counts=np.arange(len(times), dtype=np.int64),
+        duration=duration, times=np.concatenate(([0.0], times)),
+        states=np.concatenate(([initial], states)).astype(np.uint8),
+        counts=np.arange(len(times) + 1, dtype=np.int64),
     )
     return truth, MeasurementParams(t_meas=t_meas)
 
@@ -584,9 +586,10 @@ class TestBlockedRecordOracle:
 
 def test_relaxation_jump_times():
     truth = TruthTrace(
-        initial_state=STATE_EXCITED, initial_count=1, duration=1.0,
-        times=np.array([0.2, 0.5, 0.7]),
-        states=np.array([STATE_GROUND, STATE_EXCITED, STATE_GROUND], dtype=np.uint8),
-        counts=np.array([1, 1, 1], dtype=np.int64),
+        duration=1.0,
+        times=np.array([0.0, 0.2, 0.5, 0.7]),
+        states=np.array([STATE_EXCITED, STATE_GROUND, STATE_EXCITED, STATE_GROUND],
+                        dtype=np.uint8),
+        counts=np.array([1, 1, 1, 1], dtype=np.int64),
     )
     assert np.allclose(relaxation_jump_times(truth), [0.2, 0.7])
