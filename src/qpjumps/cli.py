@@ -99,7 +99,7 @@ def cmd_simulate(args) -> int:
         io.write_truth_csv(truth_path, truth)
         outputs.append(truth_path)
     _finish_manifest(args, config, outputs,
-                     {"events": len(truth), "samples": len(iq)}, t0)
+                     {**truth.event_counts(), "samples": len(iq)}, t0)
     return 0
 
 

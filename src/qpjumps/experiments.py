@@ -146,10 +146,15 @@ def experiment_names() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 def run_simulation(config: ScenarioConfig) -> tuple[TruthTrace, IQRecord]:
-    """Trajectory plus synthesized measurement record for one scenario."""
-    rng = np.random.default_rng(config.rng_seed)
-    truth = simulate_joint(config, rng)
-    iq = synthesize_iq(truth, config.meas, rng)
+    """Trajectory plus synthesized measurement record for one scenario.
+
+    Each stage draws from its own stream spawned from the seed: the QP
+    layer, the qubit candidates, the acceptance uniforms, I noise, Q noise.
+    """
+    qp, candidates, uniforms, noise_i, noise_q = np.random.default_rng(
+        config.rng_seed).spawn(5)
+    truth = simulate_joint(config, qp, candidates, uniforms)
+    iq = synthesize_iq(truth, config.meas, noise_i, noise_q)
     return truth, iq
 
 
@@ -219,7 +224,7 @@ def _alternation_driver(config, out_dir, workers):
     summary_path = os.path.join(out_dir, "summary.csv")
     io.write_fit_report_csv(summary_path, summary)
     outputs.append(summary_path)
-    counts = {"events": len(truth), "samples": len(iq), "windows": len(report)}
+    counts = {**truth.event_counts(), "samples": len(iq), "windows": len(report)}
     return outputs, counts
 
 
@@ -292,12 +297,11 @@ def recovery_chunk_stats(
 
 def _recovery_chunk(args):
     config, seed_seq = args
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    truth = simulate_joint(config, rng)
+    truth = simulate_joint(config, *np.random.default_rng(seed_seq).spawn(3))
     edges = recovery_bin_edges(config)
     period = config.pulse_periodic.period
     return recovery_chunk_stats(truth, period, config.pulse_periodic.length, edges) + (
-        len(truth),
+        truth.event_counts(),
     )
 
 
@@ -308,7 +312,8 @@ def run_recovery(config: ScenarioConfig, workers: int = 1):
     seeds (results are identical for any worker count), the mean excited
     dwell per log-spaced time bin is estimated as exposure / jump count
     (bins with fewer than MIN_JUMPS jumps are dropped), and the density
-    recovery is fitted through the relaxation-rate inversion.
+    recovery is fitted through the relaxation-rate inversion.  Returns
+    (times, tau_e, jump counts, fit, event counts summed over the chunks).
     """
     if config.pulse_periodic is None:
         raise ValueError("recovery needs a periodic pulse train")
@@ -341,7 +346,7 @@ def run_recovery(config: ScenarioConfig, workers: int = 1):
     exposure = np.sum([r[0] for r in results], axis=0)
     counts = np.sum([r[1] for r in results], axis=0)
     t_sum = np.sum([r[2] for r in results], axis=0)
-    events = int(np.sum([r[3] for r in results]))
+    events = {key: sum(r[3][key] for r in results) for key in results[0][3]}
 
     good = counts >= MIN_JUMPS
     times = t_sum[good] / counts[good]
@@ -363,7 +368,7 @@ def _recovery_driver(config, out_dir, workers):
     resid_path = os.path.join(out_dir, "residuals.csv")
     fit_path = os.path.join(out_dir, "recovery_fit.csv")
     write_recovery_fit(fit_path, resid_path, fit, times, tau_e, config.qubit)
-    counts = {"events": events, "bins": len(times)}
+    counts = {**events, "bins": len(times)}
     return [tau_path, resid_path, fit_path], counts
 
 
@@ -388,7 +393,7 @@ def _psd_driver(config, out_dir, workers):
     write_psd_fit(fit_path, resid_path, fit, freqs, power)
     outputs += [fit_path, resid_path]
 
-    counts = {"events": len(truth), "samples": len(iq), "windows": len(report),
+    counts = {**truth.event_counts(), "samples": len(iq), "windows": len(report),
               "frequencies": len(freqs)}
     return outputs, counts
 

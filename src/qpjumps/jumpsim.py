@@ -1,11 +1,20 @@
-"""Joint qubit + quasiparticle continuous-time Markov chain and readout model.
+"""Qubit + quasiparticle continuous-time Markov chain and readout model.
 
-The qubit relaxes at a rate linear in the instantaneous QP density and is
+The qubit relaxes at a rate linear in the instantaneous QP number and is
 re-excited thermally at the detailed-balance rate for the current effective
 temperature.  Generation pulses inject QPs instantaneously when they end and
-may raise the effective temperature transiently.  The dispersive measurement
-record is synthesized per integration bin from the exact fraction of the bin
-spent in each state, at the separation set by the readout parameters.
+may raise the effective temperature transiently.
+
+The QP number drives the qubit but the qubit never drives the QP number, so
+the sampler works in two layers.  The (modulator, N) chain is sampled alone
+by exact jumps.  The qubit is then a two-state chain with a known,
+piecewise-constant relaxation rate, sampled by uniformization in vectorized
+blocks: candidate times at the relaxation rate, each one relaxing an excited
+qubit and exciting a ground one with the Boltzmann factor of the moment.
+
+The dispersive measurement record is synthesized per integration bin from
+the exact fraction of the bin spent in each state, at the separation set by
+the readout parameters.
 """
 
 from __future__ import annotations
@@ -32,7 +41,8 @@ STATE_GROUND = 0
 STATE_EXCITED = 1
 
 _RNG_BUF = 1 << 16
-# samples per block of the record pipeline: its scratch arrays stay in cache
+# samples per block of the record pipeline, and qubit candidates per block
+# of the sampler: their scratch arrays stay in cache
 _BLOCK = 1 << 16
 
 
@@ -148,6 +158,14 @@ class TruthTrace:
     def __len__(self) -> int:
         return len(self.times) - 1
 
+    def event_counts(self) -> dict[str, int]:
+        """Events, and of them the QP-number changes and the qubit flips."""
+        return {
+            "events": len(self),
+            "qp_events": int(np.count_nonzero(np.diff(self.counts))),
+            "qubit_flips": int(np.count_nonzero(np.diff(self.states))),
+        }
+
     def qubit_intervals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Maximal constant-qubit-state intervals as (start, duration, state).
 
@@ -238,154 +256,183 @@ def relaxation_jump_times(truth: TruthTrace) -> np.ndarray:
     return truth.times[1:][mask]
 
 
-def simulate_joint(config: ScenarioConfig, rng: np.random.Generator) -> TruthTrace:
-    """Exact-jump sampling of the coupled (qubit, QP number) chain.
+def _qp_layer(config: ScenarioConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Knot times and QP counts of the (modulator, N) chain.
 
-    QP propensities follow the birth-death mapping of the kinetics module;
-    the qubit flips at the relaxation/excitation rates for the current
-    count and effective temperature.  Pulses inject QPs when they end and,
-    if a thermal model is configured, step the temperature up; the
-    excitation rate then decays with the transient (sampled exactly by
-    thinning against the monotone upper bound at the current time).
+    Exact-jump sampling of generation, trapping, recombination and modulator
+    switches; each pulse end injects its QPs.  Every step takes one unit
+    exponential and one uniform from buffers drawn _RNG_BUF at a time; a
+    step that would cross the next pulse end (or the duration) stops there
+    and its draws are dropped.  Knots are t = 0 and every change of N.
     """
-    kin, qubit = config.kinetics, config.qubit
+    kin = config.kinetics
     ncp = kin.n_pairs
-    g_noisy, s_rate, r_rate = kin.generation, kin.trapping, kin.recombination
-
-    per_qp = qubit.gamma_scale * qp_rate_coefficient(qubit) / ncp
-    bg = qubit.gamma_scale * qubit.gamma_background
-    hf_over_kb = PLANCK * qubit.f_ge / BOLTZMANN
-    t_base = qubit.temperature
-    boltz_base = math.exp(-hf_over_kb / t_base)
-
+    trapping = kin.trapping
+    pair_rate = kin.recombination / (2.0 * ncp)
     mod = config.modulation
+    # (generation, switch) propensity per modulator state, 0 quiet, 1 noisy
     if mod is not None:
-        gen_props = (0.5 * mod.quiet_generation * ncp, 0.5 * g_noisy * ncp)
-        switch_rates = (1.0 / mod.mean_quiet, 1.0 / mod.mean_noisy)
+        props = ((0.5 * mod.quiet_generation * ncp, 1.0 / mod.mean_quiet),
+                 (0.5 * kin.generation * ncp, 1.0 / mod.mean_noisy))
+        p_quiet = mod.mean_quiet / (mod.mean_quiet + mod.mean_noisy)
+        m_state = 0 if rng.random() < p_quiet else 1
     else:
-        gen_props = (0.5 * g_noisy * ncp, 0.5 * g_noisy * ncp)
-        switch_rates = (0.0, 0.0)
-
-    transients = None
-    tau_th = math.inf
-    if config.thermal is not None and config.pulses:
-        transients = {
-            p.end: thermal_transient(config.thermal, p.length).delta_temperature
-            for p in config.pulses
-        }
-        tau_th = config.thermal.tau_thermal
-
-    # segment boundaries: pulse ends (injection/heating) and the final time
-    boundaries = sorted(p.end for p in config.pulses)
-    injections = {p.end: p.inject for p in config.pulses}
-    boundaries.append(config.duration)
-
-    buf = rng.random(_RNG_BUF).tolist()
-    ib = 0
-
-    def draw() -> float:
-        nonlocal buf, ib
-        if ib == _RNG_BUF:
-            buf = rng.random(_RNG_BUF).tolist()
-            ib = 0
-        u = buf[ib]
-        ib += 1
-        return u
+        props = ((0.5 * kin.generation * ncp, 0.0),) * 2
+        m_state = 1
+    edges = sorted((p.end, p.inject) for p in config.pulses)
+    edges.append((config.duration, 0))
 
     n = config.initial_count()
-    q = STATE_EXCITED if draw() < temperature_to_polarization(t_base, qubit.f_ge) else STATE_GROUND
-    if mod is not None:
-        p_quiet = mod.mean_quiet / (mod.mean_quiet + mod.mean_noisy)
-        m_state = 0 if draw() < p_quiet else 1
-    else:
-        m_state = 1
-
     times = array("d", [0.0])
-    states = array("b", [q])
     counts = array("q", [n])
-    log = math.log
-    exp = math.exp
-
+    a_gen, a_switch = props[m_state]
     t = 0.0
-    delta_t_amp = 0.0  # current thermal transient amplitude (K)
-    t_amp = 0.0
-    for t_edge in boundaries:
-        while True:
-            a_gen = gen_props[m_state]
-            a_loss = s_rate * n
-            a_rec = r_rate * n * (n - 1) / (2.0 * ncp)
-            a_switch = switch_rates[m_state]
-            relax = n * per_qp + bg
-            if q == STATE_EXCITED:
-                a_relax, a_exc = relax, 0.0
-                boltz_now = 0.0
-            else:
-                a_relax = 0.0
-                if delta_t_amp != 0.0:
-                    offset = delta_t_amp * exp(-(t - t_amp) / tau_th)
-                    if offset < 1e-9:
-                        delta_t_amp = 0.0
-                        boltz_now = boltz_base
-                    else:
-                        boltz_now = exp(-hf_over_kb / (t_base + offset))
-                else:
-                    boltz_now = boltz_base
-                a_exc = relax * boltz_now
-            total = a_gen + a_loss + a_rec + a_switch + a_relax + a_exc
-            if total <= 0.0:
-                t = t_edge
-                break
-            t_next = t - log(1.0 - draw()) / total
+    k = 0
+    t_edge, inject = edges[0]
+    while True:
+        for e, u in zip(rng.standard_exponential(_RNG_BUF).tolist(),
+                        rng.random(_RNG_BUF).tolist()):
+            c_loss = a_gen + trapping * n
+            c_rec = c_loss + pair_rate * n * (n - 1)
+            total = c_rec + a_switch
+            t_next = t + e / total if total > 0.0 else math.inf
             if t_next >= t_edge:
                 t = t_edge
-                break
-            u = draw() * total
-            if u < a_gen:
-                t = t_next
-                n += 2
-            elif u < a_gen + a_loss:
-                t = t_next
-                n -= 1
-            elif u < a_gen + a_loss + a_rec:
-                t = t_next
-                n -= 2
-            elif u < a_gen + a_loss + a_rec + a_switch:
-                t = t_next
-                m_state = 1 - m_state
+                if inject > 0:
+                    n += inject
+                    times.append(t)
+                    counts.append(n)
+                k += 1
+                if k == len(edges):
+                    return np.frombuffer(times, dtype=float), np.frombuffer(counts, dtype=np.int64)
+                t_edge, inject = edges[k]
                 continue
-            elif u < a_gen + a_loss + a_rec + a_switch + a_relax:
-                t = t_next
-                q = STATE_GROUND
+            t = t_next
+            u *= total
+            if u < a_gen:
+                n += 2
+            elif u < c_loss:
+                n -= 1
+            elif u < c_rec:
+                n -= 2
             else:
-                # thinning: accept the excitation candidate at the true rate,
-                # which only fell since the bound was computed
-                if delta_t_amp != 0.0:
-                    offset = delta_t_amp * exp(-(t_next - t_amp) / tau_th)
-                    boltz_true = exp(-hf_over_kb / (t_base + offset)) if offset > 0 else boltz_base
-                    if draw() * boltz_now > boltz_true:
-                        t = t_next
-                        continue
-                t = t_next
-                q = STATE_EXCITED
+                m_state = 1 - m_state
+                a_gen, a_switch = props[m_state]
+                continue
             times.append(t)
-            states.append(q)
             counts.append(n)
-        if t_edge in injections:
-            inject = injections[t_edge]
-            if transients is not None:
-                delta_t_amp = delta_t_amp * exp(-(t_edge - t_amp) / tau_th) + transients[t_edge]
-                t_amp = t_edge
-            if inject > 0:
-                n += inject
-                times.append(t_edge)
-                states.append(q)
-                counts.append(n)
 
+
+def _boltzmann_factor(config: ScenarioConfig):
+    """boltz(t) = exp(-h f_ge / kB T(t)) as a function of an array of times,
+    with T the base temperature plus the exact sum of the decayed thermal
+    transients of the pulses that ended at or before t."""
+    hf_over_kb = PLANCK * config.qubit.f_ge / BOLTZMANN
+    t_base = config.qubit.temperature
+    if config.thermal is None or not config.pulses:
+        boltz = math.exp(-hf_over_kb / t_base)
+        return lambda t: boltz
+    tau = config.thermal.tau_thermal
+    pulses = sorted(config.pulses, key=lambda p: p.end)
+    # amp[k]: summed transient amplitude (K) just after ends[k], the k-th
+    # pulse end; ends[0] = 0 with no amplitude covers the time before them
+    ends = np.array([0.0] + [p.end for p in pulses])
+    amp = np.zeros(len(ends))
+    for k, p in enumerate(pulses, start=1):
+        amp[k] = (amp[k - 1] * math.exp(-(ends[k] - ends[k - 1]) / tau)
+                  + thermal_transient(config.thermal, p.length).delta_temperature)
+
+    def boltz(t: np.ndarray) -> np.ndarray:
+        k = np.searchsorted(ends, t, side="right") - 1
+        offset = amp[k] * np.exp(-(t - ends[k]) / tau)
+        return np.exp(-hf_over_kb / (t_base + offset))
+
+    return boltz
+
+
+def _qubit_flips(config: ScenarioConfig, knot_t: np.ndarray, knot_n: np.ndarray,
+                 q0: int, candidate_rng: np.random.Generator,
+                 uniform_rng: np.random.Generator) -> np.ndarray:
+    """Flip times of the qubit on the QP path, by uniformization.
+
+    Candidates come at the relaxation rate relax(N(t)), which is constant
+    between knots, so its integral H(t) is piecewise linear: candidate i is
+    at H^-1(E_i), with E_i the running sum of unit exponentials.  An excited
+    qubit relaxes at every candidate; a ground one is excited where
+    U_i < boltz(t_i).  Candidates are handled _BLOCK at a time, carrying the
+    running sum and the last state across blocks.
+    """
+    qubit = config.qubit
+    per_qp = qubit.gamma_scale * qp_rate_coefficient(qubit) / config.kinetics.n_pairs
+    rate = knot_n * per_qp + qubit.gamma_scale * qubit.gamma_background
+    hazard = np.concatenate(([0.0], np.cumsum(rate * np.diff(knot_t, append=config.duration))))
+    h_end = hazard[-1]
+
+    boltz = _boltzmann_factor(config)
+
+    flips = [np.empty(0)]
+    h_carry = 0.0
+    state = q0
+    while True:
+        e = candidate_rng.standard_exponential(_BLOCK)
+        e[0] += h_carry
+        np.cumsum(e, out=e)
+        h_carry = e[-1]
+        u = uniform_rng.random(_BLOCK)
+        m = int(np.searchsorted(e, h_end))
+        if m == 0:
+            break
+        e, u = e[:m], u[:m]
+        # the knot whose segment holds each candidate; zero-rate segments
+        # have no width in H and are never chosen
+        j = np.searchsorted(hazard, e, side="right") - 1
+        t = knot_t[j] + (e - hazard[j]) / rate[j]
+        accept = u < boltz(t)
+        # s_i = accept_i and not s_(i-1): the states alternate inside each
+        # run of accepts, starting excited after a reject; an excited state
+        # carried in acts as an accept just before the block
+        idx = np.arange(m)
+        last_reject = np.maximum.accumulate(np.where(accept, state - 1, idx))
+        s = accept & ((idx - last_reject) & 1 == 1)
+        prev = np.concatenate(([state != 0], s[:-1]))
+        flips.append(t[s != prev])
+        state = int(s[-1])
+        if m < _BLOCK:
+            break
+    return np.concatenate(flips)
+
+
+def simulate_joint(config: ScenarioConfig, qp_rng: np.random.Generator,
+                   candidate_rng: np.random.Generator,
+                   uniform_rng: np.random.Generator) -> TruthTrace:
+    """Sample the coupled (qubit, QP number) chain in two layers.
+
+    The QP number drives the qubit and never the reverse, so the (modulator,
+    N) chain is sampled alone from qp_rng, by exact jumps.  The qubit is then
+    a two-state chain with the known piecewise-constant relaxation rate
+    relax(N(t)) and excitation rate relax(N(t)) * boltz(t), where boltz
+    follows the thermal transients of the pulses.  It is sampled by
+    uniformization: candidate times from candidate_rng, acceptance uniforms
+    (and the initial state) from uniform_rng.  The two layers' knots are
+    merged into one trace.  The trace does not depend on _BLOCK.
+    """
+    qubit = config.qubit
+    knot_t, knot_n = _qp_layer(config, qp_rng)
+    q0 = STATE_EXCITED if uniform_rng.random() < temperature_to_polarization(
+        qubit.temperature, qubit.f_ge) else STATE_GROUND
+    flips = _qubit_flips(config, knot_t, knot_n, q0, candidate_rng, uniform_rng)
+
+    # flip k goes after the QP knots at or before it and the k flips before it
+    is_flip = np.zeros(len(knot_t) + len(flips), dtype=bool)
+    is_flip[np.searchsorted(knot_t, flips, side="right") + np.arange(len(flips))] = True
+    times = np.empty(len(is_flip))
+    times[is_flip] = flips
+    times[~is_flip] = knot_t
     return TruthTrace(
         duration=config.duration,
-        times=np.frombuffer(times, dtype=float).copy(),
-        states=np.frombuffer(states, dtype=np.int8).astype(np.uint8),
-        counts=np.frombuffer(counts, dtype=np.int64).copy(),
+        times=times,
+        states=((q0 + np.cumsum(is_flip)) & 1).astype(np.uint8),
+        counts=knot_n[np.cumsum(~is_flip) - 1],
     )
 
 
@@ -418,14 +465,15 @@ def sample_count(duration: float, t_meas: float) -> int:
 def synthesize_iq(
     truth: TruthTrace,
     meas: MeasurementParams,
-    rng: np.random.Generator,
+    i_rng: np.random.Generator,
+    q_rng: np.random.Generator,
 ) -> IQRecord:
     """Dispersive readout record for a trajectory.
 
     Each bin of length t_meas gets I = (f_g - f_e) * separation + noise and
     Q = noise, with f_g/f_e the exact fractions of the bin spent in each
-    state (ground maps to +I).  I is built block by block; its noise comes
-    from the generator's stream in order, then all of Q's.
+    state (ground maps to +I).  I is built block by block with noise from
+    i_rng in order; Q's noise comes from q_rng.
     """
     n = sample_count(truth.duration, meas.t_meas)
     sep = snr_separation(meas)
@@ -434,11 +482,11 @@ def synthesize_iq(
     for f_e in occupancy_blocks(truth, meas.t_meas):
         hi = lo + len(f_e)
         # noise + (1 - 2 f_e) * sep, in place
-        out = rng.standard_normal(out=i[lo:hi])
+        out = i_rng.standard_normal(out=i[lo:hi])
         f_e *= 2.0
         np.subtract(1.0, f_e, out=f_e)
         f_e *= sep
         out += f_e
         lo = hi
-    q = rng.standard_normal(n)
+    q = q_rng.standard_normal(n)
     return IQRecord(t_meas=meas.t_meas, i=i, q=q)

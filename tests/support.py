@@ -1,8 +1,8 @@
 """Test-only helpers: synthetic spectral series, the noiseless readout
 record, whole-array oracles for the blocked record pipeline, an RK4
-integrator for the QP density rate equation, and an exact oracle for the
-joint (modulator, qubit, QP number) Markov chain sampled by
-jumpsim.simulate_joint.
+integrator for the QP density rate equation, a scalar loop over the
+sampler's qubit candidates, and an exact oracle for the joint (modulator,
+qubit, QP number) Markov chain sampled by jumpsim.simulate_joint.
 
 The oracle is built from the model's rate definitions (the public rate
 functions and the kinetics coefficients), not from the sampler's loop, so
@@ -18,7 +18,13 @@ import numpy as np
 from scipy import stats
 
 from qpjumps.analysis import StateEstimate
-from qpjumps.core import MeasurementParams, ScenarioConfig
+from qpjumps.core import (
+    BOLTZMANN,
+    PLANCK,
+    MeasurementParams,
+    ScenarioConfig,
+    temperature_to_polarization,
+)
 from qpjumps.kinetics import QpKineticsParams, steady_state
 from qpjumps.jumpsim import (
     STATE_EXCITED,
@@ -27,10 +33,12 @@ from qpjumps.jumpsim import (
     TruthTrace,
     excited_time_at,
     occupancy_blocks,
+    qp_rate_coefficient,
     qp_relaxation_rate,
     sample_count,
     snr_separation,
     thermal_excitation_rate,
+    thermal_transient,
 )
 
 # ---------------------------------------------------------------------------
@@ -100,14 +108,14 @@ def noiseless_iq(truth: TruthTrace, meas: MeasurementParams) -> IQRecord:
 
 
 def whole_record_iq(truth: TruthTrace, meas: MeasurementParams,
-                    rng: np.random.Generator) -> IQRecord:
+                    i_rng: np.random.Generator, q_rng: np.random.Generator) -> IQRecord:
     """synthesize_iq's record computed over the whole array at once: the
-    occupancy from a search per bin edge, then all I noise, then all Q."""
+    occupancy from a search per bin edge, and all I noise in one draw."""
     n = sample_count(truth.duration, meas.t_meas)
     edges = np.arange(n + 1, dtype=float) * meas.t_meas
     f_e = np.diff(excited_time_at(truth, edges)) / np.diff(edges)
-    i = (1.0 - 2.0 * f_e) * snr_separation(meas) + rng.standard_normal(n)
-    return IQRecord(t_meas=meas.t_meas, i=i, q=rng.standard_normal(n))
+    i = (1.0 - 2.0 * f_e) * snr_separation(meas) + i_rng.standard_normal(n)
+    return IQRecord(t_meas=meas.t_meas, i=i, q=q_rng.standard_normal(n))
 
 
 def whole_record_filter(iq: IQRecord, separation: float) -> StateEstimate:
@@ -128,6 +136,58 @@ def whole_record_filter(iq: IQRecord, separation: float) -> StateEstimate:
         np.where(decided_e[np.clip(last, 0, None)], STATE_EXCITED, STATE_GROUND),
     ).astype(np.uint8)
     return StateEstimate(t_meas=iq.t_meas, states=states)
+
+
+def scalar_qubit_layer(config: ScenarioConfig, truth: TruthTrace,
+                       candidate_rng: np.random.Generator,
+                       uniform_rng: np.random.Generator):
+    """The qubit layer of jumpsim.simulate_joint, one candidate at a time.
+
+    Runs on the QP path of truth (its first knot and every knot where the
+    count changes) with the sampler's arithmetic for times and rates, so
+    the flip times must agree bit for bit.  Returns (initial state, flip
+    times, accepts), where accepts[i] is U_i < boltz(t_i) for candidate i.
+    """
+    qubit = config.qubit
+    qp = np.concatenate(([0], np.flatnonzero(np.diff(truth.counts)) + 1))
+    knot_t = truth.times[qp].tolist() + [config.duration]
+    per_qp = qubit.gamma_scale * qp_rate_coefficient(qubit) / config.kinetics.n_pairs
+    rate = [n * per_qp + qubit.gamma_scale * qubit.gamma_background
+            for n in truth.counts[qp].tolist()]
+    hazard = [0.0]
+    for j, r in enumerate(rate):
+        hazard.append(hazard[-1] + r * (knot_t[j + 1] - knot_t[j]))
+
+    hf_over_kb = PLANCK * qubit.f_ge / BOLTZMANN
+    pulses = sorted(config.pulses, key=lambda p: p.end) if config.thermal else []
+    k, amp, amp_end = 0, 0.0, 0.0  # pulses ended so far, their summed transient
+
+    state = (STATE_EXCITED if uniform_rng.random()
+             < temperature_to_polarization(qubit.temperature, qubit.f_ge) else STATE_GROUND)
+    initial = state
+    flips, accepts = [], []
+    h, j = 0.0, 0
+    while True:
+        h += candidate_rng.standard_exponential()
+        if h >= hazard[-1]:
+            break
+        u = uniform_rng.random()
+        while hazard[j + 1] <= h:
+            j += 1
+        t = knot_t[j] + (h - hazard[j]) / rate[j]
+        while k < len(pulses) and pulses[k].end <= t:
+            amp = (amp * math.exp(-(pulses[k].end - amp_end) / config.thermal.tau_thermal)
+                   + thermal_transient(config.thermal, pulses[k].length).delta_temperature)
+            amp_end = pulses[k].end
+            k += 1
+        offset = amp * math.exp(-(t - amp_end) / config.thermal.tau_thermal) if k else 0.0
+        accept = u < math.exp(-hf_over_kb / (qubit.temperature + offset))
+        accepts.append(accept)
+        new = STATE_EXCITED if accept and state == STATE_GROUND else STATE_GROUND
+        if new != state:
+            flips.append(t)
+            state = new
+    return initial, np.array(flips), accepts
 
 
 def _xdot(x: float, g: float, s: float, r: float) -> float:

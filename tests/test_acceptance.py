@@ -116,7 +116,7 @@ def test_05_recovery_round_trip():
     x_dev = abs(fit.x_steady - x_true) / x_true
     ok = fit.status == "converged" and tau_dev <= 0.10 and x_dev <= 0.25
     check(5, ok,
-          f"1e4 cycles ({events} events): tau_ss = {fit.tau * 1e6:.1f} us "
+          f"1e4 cycles ({events['events']} events): tau_ss = {fit.tau * 1e6:.1f} us "
           f"({tau_dev * 100:.1f}% off), x_bar = {fit.x_steady:.3e} "
           f"({x_dev * 100:.1f}% off)")
 
@@ -204,7 +204,7 @@ def test_09_oracle_suites():
     # truncated joint-generator stationary law: 10^4 snapshots 2 ms apart;
     # p > 0.01 fails by chance for about 1% of seeds
     config = ScenarioConfig(duration=20.0, rng_seed=1)
-    truth = simulate_joint(config, np.random.default_rng(config.rng_seed))
+    truth = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
     p_value, _ = occupancy_chi2(truth, stationary_qn(config, n_max=40))
 
     # noise-free synthesis + filter reproduces bin-aligned truth exactly

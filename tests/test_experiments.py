@@ -68,7 +68,10 @@ class TestRecoveryMachinery:
 
 
 def test_pulses_suppress_and_traps_extend_quiet_windows():
-    base = preset_config("quiet-noisy", {"duration": "24"})
+    # the cooled run is quiet in every window, so the last check fails when
+    # the base run never leaves the quiet state: about 0.5 e^-6 = 0.1% of
+    # seeds at 48 s, and 1 of 20 seed pairs at 24 s
+    base = preset_config("quiet-noisy", {"duration": "48"})
     truth, iq = run_simulation(base)
     rep_base = run_stats(iq, snr_separation(base.meas))[1]
     quiet_level = float(np.nanpercentile(rep_base.tau_ground, 60))

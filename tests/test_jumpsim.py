@@ -19,6 +19,8 @@ from qpjumps.core import (
     temperature_to_polarization,
     validate_config,
 )
+from qpjumps import jumpsim
+from qpjumps.experiments import run_simulation
 from qpjumps.kinetics import QpKineticsParams, evolve_ode, steady_state
 from qpjumps.jumpsim import (
     _BLOCK,
@@ -42,6 +44,7 @@ from qpjumps.jumpsim import (
 from support import (
     noiseless_iq,
     occupancy_chi2,
+    scalar_qubit_layer,
     stationary_qn,
     transition_rate_chi2,
     whole_record_iq,
@@ -179,7 +182,7 @@ class TestPulseEnergetics:
 class TestSimulateJoint:
     def test_everything_frozen_gives_no_events(self):
         config = frozen_config(0, duration=1.0)
-        trace = simulate_joint(config, np.random.default_rng(0))
+        trace = simulate_joint(config, *np.random.default_rng(0).spawn(3))
         assert len(trace) == 0
         assert trace.times.tolist() == [0.0]
         assert trace.counts[0] == 0
@@ -189,7 +192,7 @@ class TestSimulateJoint:
 
     def test_frozen_population_dwells_are_exponential(self):
         config = frozen_config(2, duration=4.0, seed=21)
-        trace = simulate_joint(config, np.random.default_rng(config.rng_seed))
+        trace = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         gamma_down = qp_relaxation_rate(2, KIN, config.qubit)
         gamma_up = thermal_excitation_rate(2, KIN, config.qubit, config.qubit.temperature)
 
@@ -207,7 +210,7 @@ class TestSimulateJoint:
 
     def test_frozen_population_stationary_occupancy(self):
         config = frozen_config(2, duration=4.0, seed=22)
-        trace = simulate_joint(config, np.random.default_rng(config.rng_seed))
+        trace = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         p_expected = temperature_to_polarization(config.qubit.temperature, config.qubit.f_ge)
         # decorrelated snapshots give clean binomial statistics
         ts = np.arange(1e-3, config.duration, 2e-3)
@@ -228,7 +231,7 @@ class TestSimulateJoint:
                 "rng_seed = 0\nduration = 5e-3\npulse_schedule = 1e-3:100us:10\n"
             ).pulses),
         )
-        trace = simulate_joint(config, np.random.default_rng(config.rng_seed))
+        trace = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         end = config.pulses[0].end
         k = np.searchsorted(trace.times, end)
         assert trace.times[k] == end
@@ -255,7 +258,7 @@ class TestSimulateJoint:
             kinetics=QpKineticsParams(generation=0.0, trapping=0.0, recombination=0.0),
             n_initial=2, thermal=thermal, pulses=pulses,
         )
-        trace = simulate_joint(config, np.random.default_rng(config.rng_seed))
+        trace = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
 
         t_base = config.qubit.temperature
         hf_kb = PLANCK * config.qubit.f_ge / BOLTZMANN
@@ -299,7 +302,7 @@ class TestSimulateJoint:
                 "rng_seed = 0\nduration = 20e-3\npulse_schedule = 5e-3:100us:6\n"
             ).pulses,
         )
-        trace = simulate_joint(config, np.random.default_rng(seed))
+        trace = simulate_joint(config, *np.random.default_rng(seed).spawn(3))
         t, s, n = trace.times, trace.states, trace.counts
         assert np.all(np.diff(t) > 0)
         assert np.all(n >= 0)
@@ -327,7 +330,7 @@ class TestSimulateJoint:
                 "pulse_schedule = 5e-3:100us:6, 12e-3:50us:3\n"
             ).pulses,
         )
-        trace = simulate_joint(config, np.random.default_rng(seed))
+        trace = simulate_joint(config, *np.random.default_rng(seed).spawn(3))
         t, s, n = trace.times, trace.states, trace.counts
         assert np.all(n >= 0)
         dn = np.diff(n)
@@ -350,7 +353,7 @@ class TestSimulateJoint:
                                count=3000)
         config = ScenarioConfig(duration=train.count * train.period, rng_seed=11,
                                 kinetics=kin, n_initial=0, pulses=train.expand())
-        trace = simulate_joint(config, np.random.default_rng(config.rng_seed))
+        trace = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         t, n = trace.times, trace.counts
         ends = np.array([p.end for p in config.pulses])
         dn = np.diff(n)
@@ -374,7 +377,7 @@ class TestSimulateJoint:
                                inject=8, count=10_000)
         config = ScenarioConfig(duration=train.count * train.period, rng_seed=99,
                                 kinetics=KIN, pulses=train.expand())
-        trace = simulate_joint(config, np.random.default_rng(config.rng_seed))
+        trace = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         t, n = trace.times, trace.counts
         checkpoints = np.array([0.5, 1.0, 2.0, 4.0, 8.0]) * tau
         ends = np.array([p.end for p in config.pulses])
@@ -388,7 +391,7 @@ class TestSimulateJoint:
 
     def test_default_regime_population_one_to_two(self):
         config = ScenarioConfig(duration=2.0, rng_seed=5)
-        trace = simulate_joint(config, np.random.default_rng(config.rng_seed))
+        trace = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         t, n = trace.times, trace.counts
         time_avg = np.sum(n * np.diff(np.append(t, trace.duration))) / trace.duration
         assert 1.0 < time_avg < 2.0
@@ -416,7 +419,7 @@ ORACLE_CASES = {
 @pytest.fixture(scope="module", params=sorted(ORACLE_CASES))
 def oracle_run(request):
     config = ORACLE_CASES[request.param]
-    return config, simulate_joint(config, np.random.default_rng(config.rng_seed))
+    return config, simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
 
 
 class TestJointOracle:
@@ -446,6 +449,78 @@ class TestJointOracle:
         pi_n = stationary_qn(ScenarioConfig(duration=1.0, rng_seed=0), N_MAX).sum(axis=0)
         mean = float(np.arange(len(pi_n)) @ pi_n)
         assert mean == pytest.approx(KIN.generation * KIN.n_pairs / KIN.trapping, rel=1e-6)
+
+
+def _pulse_train(text):
+    return validate_config(f"rng_seed = 0\nduration = 1\n{text}\n").pulses
+
+
+QUBIT_LAYER_CASES = {
+    # the first candidate finds the qubit excited and accepts, so the first
+    # run of accepts continues an excited state: it relaxes first
+    "excited-start": frozen_config(2, duration=0.05, seed=3),
+    "no-candidates": frozen_config(0, duration=0.05, seed=1),
+    # N = 0 between injected QPs and no background: zero-rate segments
+    "zero-rate-segments": ScenarioConfig(
+        duration=0.2, rng_seed=5, n_initial=0,
+        kinetics=QpKineticsParams(generation=0.0, trapping=8000.0, recombination=0.0),
+        pulses=_pulse_train("pulse_first = 0\npulse_period = 1e-3\n"
+                            "pulse_length = 10us\npulse_inject = 3\npulse_count = 150"),
+    ),
+    "thermal-transient": frozen_config(
+        2, duration=0.2, seed=7,
+        thermal=ThermalParams(power=1e-10, specific_heat=2e-13, mass=0.1, tau_thermal=2e-3),
+        pulses=_pulse_train("pulse_first = 0\npulse_period = 10e-3\n"
+                            "pulse_length = 100us\npulse_inject = 0\npulse_count = 19"),
+    ),
+}
+
+
+class TestQubitLayerOracle:
+    """The vectorized qubit layer against a scalar loop over the same
+    candidates and uniforms (tests/support.py), at a block size of 7 and
+    at the default one."""
+
+    @pytest.mark.parametrize("block", [7, _BLOCK])
+    @pytest.mark.parametrize("case", sorted(QUBIT_LAYER_CASES))
+    def test_flips_equal_scalar_loop_bit_for_bit(self, case, block, monkeypatch):
+        config = QUBIT_LAYER_CASES[case]
+        monkeypatch.setattr(jumpsim, "_BLOCK", block)
+        truth = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
+        _, candidates, uniforms = np.random.default_rng(config.rng_seed).spawn(3)
+        initial, flips, accepts = scalar_qubit_layer(config, truth, candidates, uniforms)
+
+        s = truth.states
+        assert s[0] == initial
+        assert truth.times[1:][s[1:] != s[:-1]].tobytes() == flips.tobytes()
+        # each case exercises what it is named for
+        if case == "excited-start":
+            assert initial == STATE_EXCITED and accepts[0]
+            assert len(flips) > 100
+        elif case == "no-candidates":
+            assert accepts == [] and len(truth) == 0
+        elif case == "zero-rate-segments":
+            dwell = np.diff(np.append(truth.times, truth.duration))
+            assert dwell[truth.counts == 0].sum() > 0.1 * truth.duration
+            assert len(flips) > 100
+        else:
+            assert sum(accepts) > 100 and len(flips) > 100
+
+    def test_block_size_does_not_change_the_trace(self, monkeypatch):
+        config = ScenarioConfig(
+            duration=0.2, rng_seed=13, qubit=QubitParams(gamma_background=300.0),
+            modulation=Modulation(quiet_generation=1.6e-5, mean_quiet=0.02, mean_noisy=0.02),
+            thermal=ThermalParams(power=1e-10, specific_heat=2e-13, mass=0.1,
+                                  tau_thermal=2e-3),
+            pulses=_pulse_train("pulse_first = 0\npulse_period = 10e-3\n"
+                                "pulse_length = 100us\npulse_inject = 4\npulse_count = 19"),
+        )
+        whole = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
+        monkeypatch.setattr(jumpsim, "_BLOCK", 7)
+        blocked = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
+        assert len(whole) > 1000
+        for field in ("times", "states", "counts"):
+            assert getattr(blocked, field).tobytes() == getattr(whole, field).tobytes()
 
 
 class TestSynthesizeIq:
@@ -481,9 +556,7 @@ class TestSynthesizeIq:
 
     def test_histogram_separation_recovers_snr(self):
         config = validate_config("rng_seed = 42\nduration = 1\n")
-        rng = np.random.default_rng(config.rng_seed)
-        truth = simulate_joint(config, rng)
-        iq = synthesize_iq(truth, config.meas, rng)
+        truth, iq = run_simulation(config)
         assert len(iq) == 200_000
 
         def mixture(x, w, m1, m2, s1, s2):
@@ -502,9 +575,7 @@ class TestSynthesizeIq:
         # 2e5 samples: the bounds are over 6 standard errors, so a chance
         # failure is below 1e-8
         config = validate_config("rng_seed = 42\nduration = 1\n")
-        rng = np.random.default_rng(config.rng_seed)
-        truth = simulate_joint(config, rng)
-        iq = synthesize_iq(truth, config.meas, rng)
+        truth, iq = run_simulation(config)
         mean = noiseless_iq(truth, config.meas)
         for noise in (iq.i - mean.i, iq.q - mean.q):
             assert abs(noise.mean()) < 0.015
@@ -512,9 +583,7 @@ class TestSynthesizeIq:
 
     def test_duration_preserved(self):
         config = validate_config("rng_seed = 9\nduration = 0.0123\n")
-        rng = np.random.default_rng(9)
-        truth = simulate_joint(config, rng)
-        iq = synthesize_iq(truth, config.meas, rng)
+        truth, iq = run_simulation(config)
         assert len(iq) == sample_count(0.0123, config.meas.t_meas)
 
 
@@ -558,8 +627,8 @@ class TestBlockedRecordOracle:
     @given(knotted_traces(), st.integers(0, 2**32 - 1))
     def test_equals_whole_record_bit_for_bit(self, case, seed):
         truth, meas = case
-        got = synthesize_iq(truth, meas, np.random.default_rng(seed))
-        want = whole_record_iq(truth, meas, np.random.default_rng(seed))
+        got = synthesize_iq(truth, meas, *np.random.default_rng(seed).spawn(2))
+        want = whole_record_iq(truth, meas, *np.random.default_rng(seed).spawn(2))
         assert got.i.tobytes() == want.i.tobytes()
         assert got.q.tobytes() == want.q.tobytes()
 
@@ -573,12 +642,9 @@ class TestBlockedRecordOracle:
             "pulse_first = 0\npulse_period = 0.1\npulse_length = 100us\n"
             "pulse_inject = 5\npulse_count = 9\n"
         )
-        rng = np.random.default_rng(config.rng_seed)
-        truth = simulate_joint(config, rng)
-        state = rng.bit_generator.state
-        got = synthesize_iq(truth, meas, rng)
-        rng.bit_generator.state = state
-        want = whole_record_iq(truth, meas, rng)
+        truth, got = run_simulation(config)
+        want = whole_record_iq(truth, meas,
+                               *np.random.default_rng(config.rng_seed).spawn(5)[3:])
         assert len(got) == 3 * _BLOCK + 17
         assert got.i.tobytes() == want.i.tobytes()
         assert got.q.tobytes() == want.q.tobytes()
