@@ -23,7 +23,7 @@ from .analysis import (
     split_windows,
     two_point_filter,
 )
-from .core import ConfigError, ScenarioConfig, load_config, validate_config
+from .core import ConfigError, MeasurementParams, QubitParams, ScenarioConfig, load_config
 from .fitting import (
     FitConvergenceError,
     FitInputError,
@@ -44,16 +44,14 @@ def _add_seed_and_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory")
 
 
-def _load(path, require_file: bool) -> ScenarioConfig:
-    if path:
-        return load_config(path)
-    if require_file:
-        raise ConfigError("this command needs --config")
-    return validate_config("rng_seed = 0\nduration = 1")
-
-
-def _scenario(args, require_file: bool = True) -> ScenarioConfig:
-    config = _load(args.config, require_file)
+def _scenario(args, require_file: bool = True) -> ScenarioConfig | None:
+    """The --config scenario with --seed applied; None without --config,
+    where the command reads the default parameters."""
+    if not args.config:
+        if require_file:
+            raise ConfigError("this command needs --config")
+        return None
+    config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, rng_seed=args.seed)
     return config
@@ -74,13 +72,9 @@ def _finish_manifest(args, config, outputs, counts, t0, inputs=()):
     io.write_manifest(os.path.join(args.out, "manifest.json"), manifest)
 
 
-def _given(args, config):
-    """config if it was read from --config, else None (the defaults)."""
-    return config if args.config else None
-
-
 def cmd_snr(args) -> int:
-    sep = snr_separation(_load(args.config, require_file=False).meas)
+    sep = snr_separation(load_config(args.config).meas if args.config
+                         else MeasurementParams())
     print(f"i_over_sigma = {sep:.9g}")
     print(f"peak_separation_2i = {2 * sep:.9g}")
     return 0
@@ -114,12 +108,13 @@ def cmd_filter(args) -> int:
     t0 = time.monotonic()
     config = _scenario(args, require_file=False)
     iq = _read_record(args.record)
-    sep = args.separation if args.separation is not None else snr_separation(config.meas)
+    sep = args.separation if args.separation is not None else snr_separation(
+        config.meas if config else MeasurementParams())
     est = two_point_filter(iq, sep)
     os.makedirs(args.out, exist_ok=True)
     states_path = os.path.join(args.out, "states.csv")
     io.write_states_csv(states_path, est)
-    _finish_manifest(args, _given(args, config), [states_path],
+    _finish_manifest(args, config, [states_path],
                      {"samples": len(est)}, t0, inputs=[args.record])
     return 0
 
@@ -128,7 +123,8 @@ def cmd_stats(args) -> int:
     t0 = time.monotonic()
     config = _scenario(args, require_file=False)
     iq = _read_record(args.record)
-    sep = args.separation if args.separation is not None else snr_separation(config.meas)
+    sep = args.separation if args.separation is not None else snr_separation(
+        config.meas if config else MeasurementParams())
     est, report = experiments.run_stats(iq, sep, args.window, args.bins_per_decade)
     os.makedirs(args.out, exist_ok=True)
 
@@ -151,7 +147,7 @@ def cmd_stats(args) -> int:
             outputs.append(path)
             histograms += 1
 
-    _finish_manifest(args, _given(args, config), outputs,
+    _finish_manifest(args, config, outputs,
                      {"samples": len(est), "windows": len(report),
                       "histograms": histograms}, t0, inputs=[args.record])
     return 0
@@ -174,7 +170,7 @@ def cmd_fit_psd(args) -> int:
     fit_path = os.path.join(args.out, "fit.csv")
     resid_path = os.path.join(args.out, "residuals.csv")
     experiments.write_psd_fit(fit_path, resid_path, fit, freqs, power)
-    _finish_manifest(args, _given(args, config), [psd_path, fit_path, resid_path],
+    _finish_manifest(args, config, [psd_path, fit_path, resid_path],
                      {"frequencies": len(freqs)}, t0, inputs=[args.input])
     return _fit_exit(fit.status)
 
@@ -182,15 +178,14 @@ def cmd_fit_psd(args) -> int:
 def cmd_fit_recovery(args) -> int:
     t0 = time.monotonic()
     config = _scenario(args, require_file=False)
+    qubit = config.qubit if config else QubitParams()
     times, tau_e = io.read_series_csv(args.input)
-    fit = fit_recovery(times, tau_e, config.qubit, n_boot=args.bootstrap,
-                       seed=args.seed or 0)
+    fit = fit_recovery(times, tau_e, qubit, n_boot=args.bootstrap, seed=args.seed or 0)
     os.makedirs(args.out, exist_ok=True)
     fit_path = os.path.join(args.out, "fit.csv")
     resid_path = os.path.join(args.out, "residuals.csv")
-    experiments.write_recovery_fit(fit_path, resid_path, fit, times, tau_e,
-                                   config.qubit)
-    _finish_manifest(args, _given(args, config), [fit_path, resid_path],
+    experiments.write_recovery_fit(fit_path, resid_path, fit, times, tau_e, qubit)
+    _finish_manifest(args, config, [fit_path, resid_path],
                      {"bins": len(times)}, t0, inputs=[args.input])
     return _fit_exit(fit.status)
 
@@ -211,7 +206,7 @@ def cmd_fit_thermal(args) -> int:
     model = fit.model(times)
     resid_path = os.path.join(args.out, "residuals.csv")
     io.write_residuals_csv(resid_path, temps, model, np.asarray(temps) - model)
-    _finish_manifest(args, _given(args, config), [fit_path, resid_path],
+    _finish_manifest(args, config, [fit_path, resid_path],
                      {"points": len(times)}, t0, inputs=[args.input])
     return _fit_exit(fit.status)
 

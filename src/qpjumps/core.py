@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 
 from .kinetics import QpKineticsParams, steady_state
 
@@ -30,6 +31,9 @@ TWO_PI = 2.0 * math.pi
 
 class ConfigError(ValueError):
     """Raised for unparseable or invariant-violating configuration input."""
+
+
+_BOTH_PULSE_FORMS = "give either pulse_schedule or pulse_first/period/... , not both"
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +189,9 @@ class Modulation:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete description of one simulated run."""
+    """Complete description of one simulated run.  Pulses are given as a
+    pulse_schedule or a pulse_periodic train, not both, and read through
+    the pulses view."""
 
     duration: float
     rng_seed: int
@@ -193,7 +199,7 @@ class ScenarioConfig:
     meas: MeasurementParams = field(default_factory=MeasurementParams)
     kinetics: QpKineticsParams = field(default_factory=QpKineticsParams)
     thermal: ThermalParams | None = None
-    pulses: tuple[Pulse, ...] = ()
+    pulse_schedule: tuple[Pulse, ...] = ()
     pulse_periodic: PeriodicPulses | None = None
     pulse_wait: float = 5e-6
     n_initial: int = -1  # -1: use the rounded steady-state mean
@@ -208,13 +214,22 @@ class ScenarioConfig:
             raise ValueError("pulse_wait must be non-negative")
         if self.n_initial < -1:
             raise ValueError("n_initial must be -1 (auto) or a non-negative count")
+        if self.pulse_schedule and self.pulse_periodic is not None:
+            raise ValueError(_BOTH_PULSE_FORMS)
         prev_end = -math.inf
-        for p in sorted(self.pulses, key=lambda p: p.start):
+        for p in self.pulses:
             if p.start < prev_end:
                 raise ValueError("pulses must not overlap")
             if p.end > self.duration:
                 raise ValueError("pulses must end within duration")
             prev_end = p.end
+
+    @cached_property
+    def pulses(self) -> tuple[Pulse, ...]:
+        """Every pulse of the run, sorted by start."""
+        if self.pulse_periodic is not None:
+            return self.pulse_periodic.expand()
+        return tuple(sorted(self.pulse_schedule, key=lambda p: p.start))
 
     def initial_count(self) -> int:
         """Starting QP number: explicit n_initial, else rounded steady mean."""
@@ -351,7 +366,7 @@ CONFIG_SCHEMA: dict[str, _Key] = {
     "mod_mean_noisy": _Key("time", "modulation.mean_noisy",
                            "mean residence in the noisy state (s)"),
     # pulse train
-    _SCHEDULE: _Key("schedule", "pulses",
+    _SCHEDULE: _Key("schedule", "pulse_schedule",
                     "explicit pulses: each starts at start (s), lasts length (s) "
                     "and injects count QPs when it ends"),
     "pulse_first": _Key("time", "pulse_periodic.first", "start of the first periodic pulse (s)"),
@@ -467,8 +482,9 @@ def validate_config(text: str) -> ScenarioConfig:
         spec = CONFIG_SCHEMA[key]
         if key != _SCHEDULE:
             given[spec.group][spec.name] = _parse_number(key, spec.kind, value) * _scale(key)
+    # before the groups: beside a schedule the periodic keys may be incomplete
     if _SCHEDULE in raw and given["pulse_periodic"]:
-        raise ConfigError("give either pulse_schedule or pulse_first/period/... , not both")
+        raise ConfigError(_BOTH_PULSE_FORMS)
 
     def build(group: str):
         keys = [k for k, spec in CONFIG_SCHEMA.items() if spec.group == group]
@@ -486,9 +502,7 @@ def validate_config(text: str) -> ScenarioConfig:
         if group and given[group]:
             scenario[group] = build(group)
     if _SCHEDULE in raw:
-        scenario["pulses"] = _parse_pulse_schedule(raw[_SCHEDULE])
-    elif "pulse_periodic" in scenario:
-        scenario["pulses"] = scenario["pulse_periodic"].expand()
+        scenario[_SCHEDULE] = _parse_pulse_schedule(raw[_SCHEDULE])
     return build("")
 
 
@@ -502,9 +516,9 @@ def serialize_config(config: ScenarioConfig) -> str:
     lines = []
     for key, spec in CONFIG_SCHEMA.items():
         if key == _SCHEDULE:
-            if config.pulses and config.pulse_periodic is None:
+            if config.pulse_schedule:
                 items = ", ".join(
-                    f"{p.start!r}:{p.length!r}:{p.inject}" for p in config.pulses
+                    f"{p.start!r}:{p.length!r}:{p.inject}" for p in config.pulse_schedule
                 )
                 lines.append(f"{key} = {items}")
             continue

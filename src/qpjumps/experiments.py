@@ -266,28 +266,27 @@ def write_recovery_fit(fit_path, resid_path, fit: RecoveryFit, times, tau_e,
 
 def recovery_bin_edges(config: ScenarioConfig) -> np.ndarray:
     """Log-spaced time bins after each injection, inside the readout window."""
-    period = config.pulse_periodic.period
-    length = config.pulse_periodic.length
     lo = max(config.pulse_wait, 1e-7)
-    hi = period - length
+    hi = config.pulse_periodic.period - config.pulse_periodic.length
     n = int(math.ceil(math.log10(hi / lo) * RECOVERY_BINS_PER_DECADE))
     return lo * 10.0 ** (np.arange(n + 1) / RECOVERY_BINS_PER_DECADE)
 
 
 def recovery_chunk_stats(
-    truth: TruthTrace, period: float, pulse_length: float, rel_edges: np.ndarray
+    truth: TruthTrace, config: ScenarioConfig, rel_edges: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(excited exposure, jump count, jump-time sum) per post-injection bin."""
-    n_cycles = int(round(truth.duration / period))
-    pulse_ends = np.arange(n_cycles) * period + pulse_length
+    """(excited exposure, jump count, jump-time sum) per post-injection bin
+    of the config's periodic train; a jump's time counts from the end of
+    the pulse before it."""
+    pulse_ends = np.array([p.end for p in config.pulses])
     abs_edges = (pulse_ends[:, None] + rel_edges[None, :]).ravel()
-    cum = excited_time_at(truth, abs_edges).reshape(n_cycles, len(rel_edges))
+    cum = excited_time_at(truth, abs_edges).reshape(len(pulse_ends), len(rel_edges))
     exposure = np.diff(cum, axis=1).sum(axis=0)
 
     jumps = relaxation_jump_times(truth)
-    rel = (jumps - pulse_length) % period
+    rel = (jumps - pulse_ends[0]) % config.pulse_periodic.period
     idx = np.searchsorted(rel_edges, rel, side="right") - 1
-    ok = (idx >= 0) & (idx < len(rel_edges) - 1) & (jumps >= pulse_length)
+    ok = (idx >= 0) & (idx < len(rel_edges) - 1) & (jumps >= pulse_ends[0])
     idx = idx[ok]
     nbins = len(rel_edges) - 1
     counts = np.bincount(idx, minlength=nbins).astype(float)
@@ -298,43 +297,32 @@ def recovery_chunk_stats(
 def _recovery_chunk(args):
     config, seed_seq = args
     truth = simulate_joint(config, *np.random.default_rng(seed_seq).spawn(3))
-    edges = recovery_bin_edges(config)
-    period = config.pulse_periodic.period
-    return recovery_chunk_stats(truth, period, config.pulse_periodic.length, edges) + (
-        truth.event_counts(),
-    )
+    stats = recovery_chunk_stats(truth, config, recovery_bin_edges(config))
+    return stats + (truth.event_counts(),)
 
 
 def run_recovery(config: ScenarioConfig, workers: int = 1):
     """Post-injection lifetime profile and its exponential-recovery fit.
 
     The pulse train is split into fixed-size chunks simulated with spawned
-    seeds (results are identical for any worker count), the mean excited
-    dwell per log-spaced time bin is estimated as exposure / jump count
-    (bins with fewer than MIN_JUMPS jumps are dropped), and the density
-    recovery is fitted through the relaxation-rate inversion.  Returns
+    seeds (results are identical for any worker count).  Each chunk keeps
+    the train's first pulse start and ends with its last readout window.
+    The mean excited dwell per log-spaced time bin is estimated as
+    exposure / jump count (bins with fewer than MIN_JUMPS jumps are
+    dropped), and the density recovery is fitted through the
+    relaxation-rate inversion.  Returns
     (times, tau_e, jump counts, fit, event counts summed over the chunks).
     """
-    if config.pulse_periodic is None:
+    train = config.pulse_periodic
+    if train is None:
         raise ValueError("recovery needs a periodic pulse train")
-    period = config.pulse_periodic.period
-    total_cycles = config.pulse_periodic.count
-    n_chunks = max(1, math.ceil(total_cycles / RECOVERY_CHUNK_CYCLES))
-    seeds = np.random.SeedSequence(config.rng_seed).spawn(n_chunks)
-
+    n_chunks = max(1, math.ceil(train.count / RECOVERY_CHUNK_CYCLES))
     jobs = []
-    done = 0
-    for k in range(n_chunks):
-        cycles = min(RECOVERY_CHUNK_CYCLES, total_cycles - done)
-        done += cycles
-        chunk_train = replace(config.pulse_periodic, count=cycles)
-        chunk_config = replace(
-            config,
-            duration=cycles * period,
-            pulse_periodic=chunk_train,
-            pulses=chunk_train.expand(),
-        )
-        jobs.append((chunk_config, seeds[k]))
+    for k, seed in enumerate(np.random.SeedSequence(config.rng_seed).spawn(n_chunks)):
+        cycles = min(RECOVERY_CHUNK_CYCLES, train.count - k * RECOVERY_CHUNK_CYCLES)
+        chunk_config = replace(config, duration=train.first + cycles * train.period,
+                               pulse_periodic=replace(train, count=cycles))
+        jobs.append((chunk_config, seed))
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -342,7 +330,6 @@ def run_recovery(config: ScenarioConfig, workers: int = 1):
     else:
         results = [_recovery_chunk(job) for job in jobs]
 
-    edges = recovery_bin_edges(config)
     exposure = np.sum([r[0] for r in results], axis=0)
     counts = np.sum([r[1] for r in results], axis=0)
     t_sum = np.sum([r[2] for r in results], axis=0)

@@ -255,6 +255,12 @@ def invert_relaxation(tau_excited, qubit: QubitParams) -> np.ndarray:
     return rate / qp_rate_coefficient(qubit)
 
 
+def _decay_time(log_tau: float) -> float:
+    """exp(log_tau), clipped to e^+-500 s, far outside any real fit: Levenberg-
+    Marquardt is unbounded, and near-flat data drive tau up until exp overflows."""
+    return math.exp(min(max(log_tau, -500.0), 500.0))
+
+
 def _exp_fit(t, y, n_boot, seed):
     """Shared bounded least-squares for y = base + amp*exp(-t/tau)."""
     t = np.asarray(t, dtype=float)
@@ -267,7 +273,7 @@ def _exp_fit(t, y, n_boot, seed):
 
     def resid(theta, target):
         base, amp, log_tau = theta
-        return base + amp * np.exp(-t / math.exp(log_tau)) - target
+        return base + amp * np.exp(-t / _decay_time(log_tau)) - target
 
     n_tail = max(2, len(y) // 5)
     base0 = float(np.mean(y[np.argsort(t)[-n_tail:]]))
@@ -282,7 +288,7 @@ def _exp_fit(t, y, n_boot, seed):
             best = res
 
     theta = best.x
-    model = theta[0] + theta[1] * np.exp(-t / math.exp(theta[2]))
+    model = resid(theta, 0.0)
     r = y - model
     rnorm = float(np.sqrt(r @ r))
     ss_tot = float(((y - y.mean()) ** 2).sum())
@@ -300,7 +306,7 @@ def _exp_fit(t, y, n_boot, seed):
                                     max_nfev=500)
         boot[i] = rb.x
     errs = boot.std(axis=0)
-    tau = math.exp(theta[2])
+    tau = _decay_time(theta[2])
     tau_err = tau * errs[2]
     return (float(theta[0]), float(theta[1]), tau), (float(errs[0]), float(errs[1]), tau_err), rnorm, status
 

@@ -99,9 +99,6 @@ class ThermalTransient:
         """Temperature excess over the base at time t after the pulse."""
         return self.delta_temperature * np.exp(-np.asarray(t, dtype=float) / self.tau)
 
-    def temperature(self, t, t_base: float) -> np.ndarray:
-        return t_base + self.offset(t)
-
 
 def thermal_transient(thermal: ThermalParams, t_pulse: float) -> ThermalTransient:
     """Temperature rise from a pulse of length t_pulse dumped into the substrate."""
@@ -279,7 +276,7 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator) -> tuple[np.ndar
     else:
         props = ((0.5 * kin.generation * ncp, 0.0),) * 2
         m_state = 1
-    edges = sorted((p.end, p.inject) for p in config.pulses)
+    edges = [(p.end, p.inject) for p in config.pulses]
     edges.append((config.duration, 0))
 
     n = config.initial_count()
@@ -333,12 +330,11 @@ def _boltzmann_factor(config: ScenarioConfig):
         boltz = math.exp(-hf_over_kb / t_base)
         return lambda t: boltz
     tau = config.thermal.tau_thermal
-    pulses = sorted(config.pulses, key=lambda p: p.end)
     # amp[k]: summed transient amplitude (K) just after ends[k], the k-th
     # pulse end; ends[0] = 0 with no amplitude covers the time before them
-    ends = np.array([0.0] + [p.end for p in pulses])
+    ends = np.array([0.0] + [p.end for p in config.pulses])
     amp = np.zeros(len(ends))
-    for k, p in enumerate(pulses, start=1):
+    for k, p in enumerate(config.pulses, start=1):
         amp[k] = (amp[k - 1] * math.exp(-(ends[k] - ends[k - 1]) / tau)
                   + thermal_transient(config.thermal, p.length).delta_temperature)
 

@@ -189,6 +189,19 @@ class TestFitCommands:
         assert main(["fit-thermal", "--input", str(series), "--out",
                      str(tmp_path / "f"), "--bootstrap", "4"]) == 1
 
+    def test_fit_thermal_flat_data_warns_not_overflows(self, tmp_path):
+        # near-flat noise: Levenberg-Marquardt drives the decay time towards
+        # infinity, where exp(log tau) used to overflow
+        temps = [0.05100396157584217, 0.0493820929552924, 0.05182201136332833,
+                 0.048679569029986706, 0.049338471978184785, 0.050935049988114024,
+                 0.05004905461382531, 0.05200239258364526]
+        series = tmp_path / "temps.csv"
+        io.write_series_csv(series, np.arange(8) / 7, temps, "temperature_K")
+        out = tmp_path / "f"
+        assert main(["fit-thermal", "--input", str(series), "--out", str(out)]) == 1
+        report = dict(line.split(",") for line in (out / "fit.csv").read_text().splitlines())
+        assert report["status"] == "warned"
+
     def test_fit_recovery_too_few_bins_exit(self, tmp_path):
         series = tmp_path / "tau.csv"
         io.write_series_csv(series, [1e-3, 2e-3, 3e-3], [1e-4] * 3, "tau_e_s")
@@ -273,6 +286,17 @@ class TestManifestProvenance:
 
 
 class TestExperiment:
+    # 3 ms used to bin against the wrong phase; with 10.05 ms the first
+    # pulse start plus its length exceeds the period
+    @pytest.mark.parametrize("first", ["3ms", "10.05ms"])
+    def test_recovery_with_a_late_first_pulse(self, tmp_path, first):
+        out = tmp_path / "exp"
+        assert main(["experiment", "recovery", "--out", str(out), "--set", "duration=20.23",
+                     "--set", "pulse_count=2000", "--set", f"pulse_first={first}"]) == 0
+        report = dict(line.split(",")
+                      for line in (out / "recovery_fit.csv").read_text().splitlines())
+        assert report["status"] == "converged"
+
     def test_unknown_name_lists_available(self, tmp_path, capsys):
         assert main(["experiment", "nope", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err

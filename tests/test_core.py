@@ -16,6 +16,7 @@ from qpjumps.core import (
     MeasurementParams,
     Modulation,
     PeriodicPulses,
+    Pulse,
     QubitParams,
     ScenarioConfig,
     ThermalParams,
@@ -198,6 +199,19 @@ class TestConfigParsing:
             validate_config(
                 MINIMAL + "pulse_schedule = 0:1ms:1\npulse_period = 10ms\n"
             )
+
+    def test_scenario_takes_one_pulse_form(self):
+        train = PeriodicPulses(period=10e-3, length=100e-6, inject=1, count=2)
+        with pytest.raises(ValueError, match="not both"):
+            ScenarioConfig(duration=1.0, rng_seed=0, pulse_schedule=(Pulse(0.5, 1e-3, 1),),
+                           pulse_periodic=train)
+
+    def test_pulses_view_is_sorted_and_schedule_keeps_its_order(self):
+        text = MINIMAL + "pulse_schedule = 0.5:1ms:2, 0:1ms:1\n"
+        config = validate_config(text)
+        assert [p.start for p in config.pulse_schedule] == [0.5, 0.0]
+        assert [p.start for p in config.pulses] == [0.0, 0.5]
+        assert "pulse_schedule = 0.5:0.001:2, 0.0:0.001:1\n" in serialize_config(config)
 
     def test_periodic_expansion(self):
         config = validate_config(

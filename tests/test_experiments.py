@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from qpjumps.core import ConfigError
+from qpjumps.core import ConfigError, PeriodicPulses, ScenarioConfig
 from qpjumps.experiments import (
     preset_config,
     recovery_bin_edges,
+    recovery_chunk_stats,
     run_recovery,
     run_simulation,
     run_stats,
     tau_fidelity_correlation,
 )
-from qpjumps.jumpsim import snr_separation
+from qpjumps.jumpsim import STATE_EXCITED, STATE_GROUND, TruthTrace, snr_separation
 
 
 class TestPresetConfigs:
@@ -46,6 +47,32 @@ class TestRecoveryMachinery:
         edges = recovery_bin_edges(config)
         assert edges[0] == pytest.approx(config.pulse_wait)
         assert edges[-1] >= config.pulse_periodic.period - config.pulse_periodic.length
+
+    def test_jump_is_binned_from_the_pulse_before_it(self):
+        # the train starts 3 ms in; the qubit is excited from t = 0 and
+        # relaxes t_rel after the second pulse ends
+        train = PeriodicPulses(first=3e-3, period=10.105e-3, length=100e-6, inject=0,
+                               count=3)
+        config = ScenarioConfig(duration=train.first + 3 * train.period, rng_seed=0,
+                                pulse_periodic=train)
+        edges = recovery_bin_edges(config)
+        t_rel = 1e-3
+        truth = TruthTrace(
+            duration=config.duration,
+            times=np.array([0.0, config.pulses[1].end + t_rel]),
+            states=np.array([STATE_EXCITED, STATE_GROUND], dtype=np.uint8),
+            counts=np.zeros(2, dtype=np.int64),
+        )
+        exposure, counts, t_sum = recovery_chunk_stats(truth, config, edges)
+        k = np.searchsorted(edges, t_rel, side="right") - 1
+        assert counts.sum() == 1 and counts[k] == 1
+        assert t_sum[k] == pytest.approx(t_rel, rel=1e-9)
+        assert t_sum.sum() == t_sum[k]
+        # bins before k are excited after the first two pulses, bin k after
+        # the first and up to the jump after the second
+        width = np.diff(edges)
+        assert exposure[:k] == pytest.approx(2 * width[:k], rel=1e-9)
+        assert exposure[k] == pytest.approx(width[k] + t_rel - edges[k], rel=1e-9)
 
     def test_small_run_fits(self):
         config = preset_config("recovery", {"pulse_count": "600",

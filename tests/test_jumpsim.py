@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.optimize import curve_fit
 
+from dataclasses import replace
+
 from qpjumps.core import (
     BOLTZMANN,
     PLANCK,
@@ -16,6 +18,7 @@ from qpjumps.core import (
     QubitParams,
     ScenarioConfig,
     ThermalParams,
+    serialize_config,
     temperature_to_polarization,
     validate_config,
 )
@@ -160,7 +163,7 @@ class TestPulseEnergetics:
 
     def test_decay_profile(self):
         tr = thermal_transient(ThermalParams(power=1e-10, tau_thermal=2e-3), 100e-6)
-        assert tr.temperature(0.0, 0.045) == pytest.approx(0.045 + tr.delta_temperature)
+        assert tr.offset(0.0) == pytest.approx(tr.delta_temperature)
         assert tr.offset(5 * tr.tau) == pytest.approx(tr.delta_temperature * math.exp(-5))
 
     def test_generation_rate_about_1e6_per_us(self):
@@ -227,9 +230,9 @@ class TestSimulateJoint:
             qubit=QubitParams(),
             kinetics=QpKineticsParams(generation=0.0, trapping=8000.0),
             n_initial=0,
-            pulses=(validate_config(
+            pulse_schedule=(validate_config(
                 "rng_seed = 0\nduration = 5e-3\npulse_schedule = 1e-3:100us:10\n"
-            ).pulses),
+            ).pulse_schedule),
         )
         trace = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         end = config.pulses[0].end
@@ -240,6 +243,35 @@ class TestSimulateJoint:
         # injected QPs decay away afterwards
         assert trace.counts[-1] < 10
 
+    def test_periodic_train_alone_injects(self):
+        train = PeriodicPulses(first=0.5e-3, period=1e-3, length=10e-6, inject=5, count=20)
+        config = ScenarioConfig(
+            duration=0.021, rng_seed=3, n_initial=0, pulse_periodic=train,
+            kinetics=QpKineticsParams(generation=0.0, trapping=8000.0),
+        )
+        trace = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
+        dn = np.diff(trace.counts)
+        assert list(trace.times[1:][dn > 0]) == [p.end for p in train.expand()]
+        assert np.all(dn[dn > 0] == train.inject)
+
+    def test_replaced_train_simulates_what_serializes(self):
+        # a train replaced after parsing must not keep the parsed pulses
+        config = validate_config(
+            "rng_seed = 5\nduration = 0.1\nqp_generation = 0\n"
+            "pulse_period = 10 ms\npulse_length = 100 us\n"
+            "pulse_inject = 10\npulse_count = 9\n"
+        )
+        quiet = replace(config, pulse_periodic=replace(config.pulse_periodic, inject=0))
+        reread = validate_config(serialize_config(quiet))
+        assert reread == quiet
+        assert reread.pulses == quiet.pulses
+        assert len(quiet.pulses) == 9 and all(p.inject == 0 for p in quiet.pulses)
+        a = simulate_joint(quiet, *np.random.default_rng(quiet.rng_seed).spawn(3))
+        b = simulate_joint(reread, *np.random.default_rng(reread.rng_seed).spawn(3))
+        for field in ("times", "states", "counts"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert np.all(np.diff(a.counts) <= 0)
+
     def test_thermal_transient_raises_excitation_rate(self):
         # strong heating pulse on a frozen population: measured excitation
         # rate right after the pulse matches the decaying-temperature model
@@ -247,16 +279,16 @@ class TestSimulateJoint:
                                 tau_thermal=2e-3)
         tr = thermal_transient(thermal, 100e-6)
         assert tr.delta_temperature == pytest.approx(0.5)
-        pulses = validate_config(
+        train = validate_config(
             "rng_seed = 0\nduration = 1\n"
             "pulse_first = 0\npulse_period = 10e-3\npulse_length = 100us\n"
             "pulse_inject = 0\npulse_count = 99\n"
-        ).pulses
+        ).pulse_periodic
         config = ScenarioConfig(
             duration=1.0, rng_seed=77,
             qubit=QubitParams(),
             kinetics=QpKineticsParams(generation=0.0, trapping=0.0, recombination=0.0),
-            n_initial=2, thermal=thermal, pulses=pulses,
+            n_initial=2, thermal=thermal, pulse_periodic=train,
         )
         trace = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
 
@@ -271,7 +303,7 @@ class TestSimulateJoint:
 
         jumps = 0
         exposure = 0.0
-        for p in pulses:
+        for p in config.pulses:
             lo, hi = p.end, p.end + window
             # ground-state exposure inside [lo, hi)
             overlap = np.clip(np.minimum(seg_end, hi) - np.maximum(seg_start, lo), 0, None)
@@ -298,9 +330,9 @@ class TestSimulateJoint:
             rng_seed=seed,
             kinetics=KIN,
             qubit=QubitParams(gamma_background=500.0),
-            pulses=validate_config(
+            pulse_schedule=validate_config(
                 "rng_seed = 0\nduration = 20e-3\npulse_schedule = 5e-3:100us:6\n"
-            ).pulses,
+            ).pulse_schedule,
         )
         trace = simulate_joint(config, *np.random.default_rng(seed).spawn(3))
         t, s, n = trace.times, trace.states, trace.counts
@@ -325,10 +357,10 @@ class TestSimulateJoint:
             kinetics=QpKineticsParams(generation=g, trapping=s_rate, recombination=r),
             qubit=QubitParams(gamma_background=500.0),
             n_initial=n0,
-            pulses=validate_config(
+            pulse_schedule=validate_config(
                 "rng_seed = 0\nduration = 20e-3\n"
                 "pulse_schedule = 5e-3:100us:6, 12e-3:50us:3\n"
-            ).pulses,
+            ).pulse_schedule,
         )
         trace = simulate_joint(config, *np.random.default_rng(seed).spawn(3))
         t, s, n = trace.times, trace.states, trace.counts
@@ -352,7 +384,7 @@ class TestSimulateJoint:
         train = PeriodicPulses(first=0.0, period=10e-3, length=10e-6, inject=1,
                                count=3000)
         config = ScenarioConfig(duration=train.count * train.period, rng_seed=11,
-                                kinetics=kin, n_initial=0, pulses=train.expand())
+                                kinetics=kin, n_initial=0, pulse_periodic=train)
         trace = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         t, n = trace.times, trace.counts
         ends = np.array([p.end for p in config.pulses])
@@ -376,7 +408,7 @@ class TestSimulateJoint:
         train = PeriodicPulses(first=12 * tau - 10e-6, period=12 * tau, length=10e-6,
                                inject=8, count=10_000)
         config = ScenarioConfig(duration=train.count * train.period, rng_seed=99,
-                                kinetics=KIN, pulses=train.expand())
+                                kinetics=KIN, pulse_periodic=train)
         trace = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         t, n = trace.times, trace.counts
         checkpoints = np.array([0.5, 1.0, 2.0, 4.0, 8.0]) * tau
@@ -452,7 +484,7 @@ class TestJointOracle:
 
 
 def _pulse_train(text):
-    return validate_config(f"rng_seed = 0\nduration = 1\n{text}\n").pulses
+    return validate_config(f"rng_seed = 0\nduration = 1\n{text}\n").pulse_periodic
 
 
 QUBIT_LAYER_CASES = {
@@ -464,14 +496,14 @@ QUBIT_LAYER_CASES = {
     "zero-rate-segments": ScenarioConfig(
         duration=0.2, rng_seed=5, n_initial=0,
         kinetics=QpKineticsParams(generation=0.0, trapping=8000.0, recombination=0.0),
-        pulses=_pulse_train("pulse_first = 0\npulse_period = 1e-3\n"
-                            "pulse_length = 10us\npulse_inject = 3\npulse_count = 150"),
+        pulse_periodic=_pulse_train("pulse_first = 0\npulse_period = 1e-3\n"
+                                   "pulse_length = 10us\npulse_inject = 3\npulse_count = 150"),
     ),
     "thermal-transient": frozen_config(
         2, duration=0.2, seed=7,
         thermal=ThermalParams(power=1e-10, specific_heat=2e-13, mass=0.1, tau_thermal=2e-3),
-        pulses=_pulse_train("pulse_first = 0\npulse_period = 10e-3\n"
-                            "pulse_length = 100us\npulse_inject = 0\npulse_count = 19"),
+        pulse_periodic=_pulse_train("pulse_first = 0\npulse_period = 10e-3\n"
+                                   "pulse_length = 100us\npulse_inject = 0\npulse_count = 19"),
     ),
 }
 
@@ -512,8 +544,9 @@ class TestQubitLayerOracle:
             modulation=Modulation(quiet_generation=1.6e-5, mean_quiet=0.02, mean_noisy=0.02),
             thermal=ThermalParams(power=1e-10, specific_heat=2e-13, mass=0.1,
                                   tau_thermal=2e-3),
-            pulses=_pulse_train("pulse_first = 0\npulse_period = 10e-3\n"
-                                "pulse_length = 100us\npulse_inject = 4\npulse_count = 19"),
+            pulse_periodic=_pulse_train(
+                "pulse_first = 0\npulse_period = 10e-3\n"
+                "pulse_length = 100us\npulse_inject = 4\npulse_count = 19"),
         )
         whole = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         monkeypatch.setattr(jumpsim, "_BLOCK", 7)
