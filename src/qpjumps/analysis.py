@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jumpsim import _BLOCK, IQRecord, STATE_EXCITED, STATE_GROUND
+from .jumpsim import _BLOCK, IQRecord, STATE_EXCITED, STATE_GROUND, run_starts
 
 LN10 = math.log(10.0)
 # ground dwells a window needs for its fidelity: the overlap of a
@@ -104,27 +104,15 @@ def two_point_filter(iq: IQRecord, separation: float) -> StateEstimate:
     return StateEstimate(t_meas=iq.t_meas, states=states)
 
 
-def _runs(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(run lengths, run states) for a 1-d state array."""
-    flips = np.flatnonzero(np.diff(states.astype(np.int8)) != 0)
-    starts = np.concatenate(([0], flips + 1))
-    ends = np.concatenate((flips + 1, [len(states)]))
-    return ends - starts, states[starts]
-
-
 def extract_dwells(est: StateEstimate) -> DwellSet:
     """Interior dwell durations: maximal runs bounded by a jump on each side.
 
     The first and last runs touch the record edges and are discarded to
     avoid censoring bias; fewer than three runs therefore give no dwells.
     """
-    lengths, run_states = _runs(np.asarray(est.states))
-    if len(lengths) < 3:
-        empty = np.empty(0)
-        return DwellSet(ground=empty, excited=empty)
-    lengths = lengths[1:-1]
-    run_states = run_states[1:-1]
-    durations = lengths.astype(float) * est.t_meas
+    starts = run_starts(est.states)
+    run_states = est.states[starts[1:-1]]
+    durations = np.diff(starts[1:]).astype(float) * est.t_meas
     return DwellSet(
         ground=durations[run_states == STATE_GROUND],
         excited=durations[run_states == STATE_EXCITED],

@@ -265,11 +265,11 @@ def write_recovery_fit(fit_path, resid_path, fit: RecoveryFit, times, tau_e,
 # ---------------------------------------------------------------------------
 
 def recovery_bin_edges(config: ScenarioConfig) -> np.ndarray:
-    """Log-spaced time bins after each injection, inside the readout window."""
+    """Log-spaced bins after each injection; the last ends at the next pulse."""
     lo = max(config.pulse_wait, 1e-7)
     hi = config.pulse_periodic.period - config.pulse_periodic.length
     n = int(math.ceil(math.log10(hi / lo) * RECOVERY_BINS_PER_DECADE))
-    return lo * 10.0 ** (np.arange(n + 1) / RECOVERY_BINS_PER_DECADE)
+    return np.minimum(lo * 10.0 ** (np.arange(n + 1) / RECOVERY_BINS_PER_DECADE), hi)
 
 
 def recovery_chunk_stats(

@@ -234,6 +234,8 @@ class RecoveryFit:
     status: str = "converged"
 
     def model(self, t) -> np.ndarray:
+        if math.isnan(self.tau):
+            return np.full_like(np.asarray(t, dtype=float), self.x_steady)
         return exponential_relaxation(self.x_initial, self.x_steady, self.tau, t)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .analysis import DwellHistogram, StateEstimate, WindowedReport
 from .core import ScenarioConfig, serialize_config
-from .jumpsim import _BLOCK, IQRecord, STATE_EXCITED, TruthTrace
+from .jumpsim import _BLOCK, IQRecord, STATE_EXCITED, TruthTrace, run_starts
 
 try:
     TOOL_VERSION = importlib.metadata.version("qpjumps")
@@ -136,10 +136,9 @@ def write_truth_csv(path, truth: TruthTrace) -> None:
 
 def write_qp_trace_csv(path, truth: TruthTrace) -> None:
     """QP-count marginal: the initial count at t=0, then a row per change of N."""
-    t, n = truth.times, truth.counts
-    changed = np.concatenate(([True], np.diff(n) != 0))
+    first = run_starts(truth.counts)
     lines = ["time_s,N"]
-    lines += [f"{_fmt(ti)},{ni}" for ti, ni in zip(t[changed], n[changed])]
+    lines += [f"{_fmt(ti)},{ni}" for ti, ni in zip(truth.times[first], truth.counts[first])]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -150,10 +149,13 @@ def write_ode_csv(path, times, densities) -> None:
 
 
 def write_states_csv(path, est: StateEstimate) -> None:
-    lines = ["time_s,state"]
+    """One row per run of equal states: start time, state, length in samples."""
+    first = run_starts(est.states)
+    samples = np.diff(first, append=len(est))
+    lines = ["start_s,state,samples"]
     lines += [
-        f"{_fmt(k * est.t_meas)},{STATE_CHARS[int(s == STATE_EXCITED)]}"
-        for k, s in enumerate(est.states)
+        f"{_fmt(k * est.t_meas)},{STATE_CHARS[int(s == STATE_EXCITED)]},{n}"
+        for k, s, n in zip(first.tolist(), est.states[first].tolist(), samples.tolist())
     ]
     atomic_write_text(path, "\n".join(lines) + "\n")
 

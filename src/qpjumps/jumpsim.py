@@ -136,6 +136,16 @@ def thermal_decay_constant(
 # joint trajectory
 # ---------------------------------------------------------------------------
 
+def run_starts(values) -> np.ndarray:
+    """Index of the first element and of every element that differs from
+    the one before it: where each maximal run of equal values starts."""
+    values = np.asarray(values)
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
+
+
 @dataclass(frozen=True)
 class TruthTrace:
     """Ground-truth trajectory of (qubit state, QP count) as knots.
@@ -159,8 +169,8 @@ class TruthTrace:
         """Events, and of them the QP-number changes and the qubit flips."""
         return {
             "events": len(self),
-            "qp_events": int(np.count_nonzero(np.diff(self.counts))),
-            "qubit_flips": int(np.count_nonzero(np.diff(self.states))),
+            "qp_events": len(run_starts(self.counts)) - 1,
+            "qubit_flips": len(run_starts(self.states)) - 1,
         }
 
     def qubit_intervals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,12 +179,9 @@ class TruthTrace:
         Includes the boundary intervals at the start and end of the record;
         callers doing dwell statistics should drop the first and last.
         """
-        t, s = self.times, self.states
-        flips = np.flatnonzero(np.diff(s.astype(np.int8)) != 0)
-        starts = np.concatenate(([0.0], t[flips + 1]))
-        ends = np.concatenate((t[flips + 1], [self.duration]))
-        states = np.concatenate((s[:1], s[flips + 1]))
-        return starts, ends - starts, states
+        first = run_starts(self.states)
+        starts = self.times[first]
+        return starts, np.append(starts[1:], self.duration) - starts, self.states[first]
 
 
 def _excited_cumulative(truth: TruthTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -248,9 +255,8 @@ def occupancy_blocks(truth: TruthTrace, t_meas: float):
 
 def relaxation_jump_times(truth: TruthTrace) -> np.ndarray:
     """Times of excited-to-ground transitions in the trajectory."""
-    s = truth.states
-    mask = (s[:-1] == STATE_EXCITED) & (s[1:] == STATE_GROUND)
-    return truth.times[1:][mask]
+    flips = run_starts(truth.states)[1:]
+    return truth.times[flips[truth.states[flips] == STATE_GROUND]]
 
 
 def _qp_layer(config: ScenarioConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -390,8 +396,8 @@ def _qubit_flips(config: ScenarioConfig, knot_t: np.ndarray, knot_n: np.ndarray,
         idx = np.arange(m)
         last_reject = np.maximum.accumulate(np.where(accept, state - 1, idx))
         s = accept & ((idx - last_reject) & 1 == 1)
-        prev = np.concatenate(([state != 0], s[:-1]))
-        flips.append(t[s != prev])
+        # a flip wherever s changes, with the carried state standing before it
+        flips.append(t[run_starts(np.concatenate(([state != 0], s)))[1:] - 1])
         state = int(s[-1])
         if m < _BLOCK:
             break

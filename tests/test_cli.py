@@ -8,8 +8,9 @@ import pytest
 from scipy import optimize
 
 from qpjumps import fitting, io
+from qpjumps.analysis import two_point_filter
 from qpjumps.cli import build_parser, main
-from qpjumps.core import serialize_config, validate_config
+from qpjumps.core import load_config, serialize_config, validate_config
 from qpjumps.experiments import preset_config, run_stats
 from qpjumps.jumpsim import snr_separation
 
@@ -126,11 +127,20 @@ class TestFilterAndStats:
     def test_filter_writes_states(self, tmp_path, config_file):
         out = tmp_path / "run"
         main(["simulate", "--config", str(config_file), "--out", str(out)])
+        samples = read_manifest(out)["record_counts"]["samples"]
         assert main(["filter", "--record", str(out / "record.iq"),
                      "--config", str(config_file), "--out", str(out)]) == 0
         lines = (out / "states.csv").read_text().splitlines()
-        assert lines[0] == "time_s,state"
-        assert len(lines) == 50_001
+        assert lines[0] == "start_s,state,samples"
+        # expanding the runs gives the filter's states, one per sample
+        starts, states, lengths = zip(*(line.split(",") for line in lines[1:]))
+        lengths = np.array(lengths, dtype=np.int64)
+        expanded = np.repeat([io.STATE_CHARS.index(c) for c in states], lengths)
+        sep = snr_separation(load_config(config_file).meas)
+        want = two_point_filter(io.read_iq(out / "record.iq"), sep).states
+        assert expanded.tolist() == want.tolist()
+        assert lengths.sum() == samples == 50_000
+        assert starts[0] == "0"
 
     def test_stats_outputs(self, tmp_path, config_file):
         out = tmp_path / "run"
@@ -207,6 +217,20 @@ class TestFitCommands:
         io.write_series_csv(series, [1e-3, 2e-3, 3e-3], [1e-4] * 3, "tau_e_s")
         assert main(["fit-recovery", "--input", str(series),
                      "--out", str(tmp_path / "f"), "--bootstrap", "4"]) == 4
+
+    def test_fit_recovery_constant_series_models_the_steady_value(self, tmp_path):
+        # nothing to recover: tau is NaN, and the model is the steady density
+        series = tmp_path / "tau.csv"
+        io.write_series_csv(series, np.arange(1, 9) * 1e-3, [1e-4] * 8, "tau_e_s")
+        out = tmp_path / "f"
+        assert main(["fit-recovery", "--input", str(series), "--out", str(out)]) == 1
+        report = dict(line.split(",") for line in (out / "fit.csv").read_text().splitlines())
+        assert report["status"] == "warned" and report["tau_ss_s"] == "nan"
+        rows = (out / "residuals.csv").read_text().splitlines()[1:]
+        assert len(rows) == 8
+        for row in rows:
+            _, model, residual = row.split(",")
+            assert model == report["x_steady"] and float(residual) == 0.0
 
     def test_fit_psd_on_synthetic_series(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -46,7 +46,7 @@ class TestRecoveryMachinery:
         config = preset_config("recovery")
         edges = recovery_bin_edges(config)
         assert edges[0] == pytest.approx(config.pulse_wait)
-        assert edges[-1] >= config.pulse_periodic.period - config.pulse_periodic.length
+        assert edges[-1] == config.pulse_periodic.period - config.pulse_periodic.length
 
     def test_jump_is_binned_from_the_pulse_before_it(self):
         # the train starts 3 ms in; the qubit is excited from t = 0 and
@@ -73,6 +73,29 @@ class TestRecoveryMachinery:
         width = np.diff(edges)
         assert exposure[:k] == pytest.approx(2 * width[:k], rel=1e-9)
         assert exposure[k] == pytest.approx(width[k] + t_rel - edges[k], rel=1e-9)
+
+    def test_jump_during_the_next_pulse_is_not_binned(self):
+        # the qubit is excited from t = 0 and relaxes halfway through the
+        # second pulse, past the first readout window
+        train = PeriodicPulses(first=0.0, period=10.105e-3, length=100e-6, inject=0,
+                               count=2)
+        config = ScenarioConfig(duration=2 * train.period, rng_seed=0,
+                                pulse_periodic=train)
+        edges = recovery_bin_edges(config)
+        pulse = config.pulses[1]
+        truth = TruthTrace(
+            duration=config.duration,
+            times=np.array([0.0, pulse.start + pulse.length / 2]),
+            states=np.array([STATE_EXCITED, STATE_GROUND], dtype=np.uint8),
+            counts=np.zeros(2, dtype=np.int64),
+        )
+        exposure, counts, t_sum = recovery_chunk_stats(truth, config, edges)
+        assert counts.sum() == 0 and t_sum.sum() == 0
+        # every bin is excited after the first pulse only, and the last one
+        # stops where the second pulse starts
+        window = train.period - train.length
+        assert exposure == pytest.approx(np.diff(edges), rel=1e-9)
+        assert exposure[-1] == pytest.approx(window - edges[-2], rel=1e-9)
 
     def test_small_run_fits(self):
         config = preset_config("recovery", {"pulse_count": "600",

@@ -162,10 +162,16 @@ class TestCsvWriters:
         assert len(lines) == len(hist.counts) + 1
 
     def test_states_csv(self, tmp_path):
-        est = StateEstimate(t_meas=5e-6, states=np.array([0, 1], dtype=np.uint8))
+        # one row per run: its first sample's time, its state, its length
         path = tmp_path / "st.csv"
-        io.write_states_csv(path, est)
-        assert path.read_text().splitlines()[1:] == ["0,g", "5e-06,e"]
+        for states, rows in (
+            ([0, 1], ["0,g,1", "5e-06,e,1"]),
+            ([1, 1, 0, 0, 0, 1, 1], ["0,e,2", "1e-05,g,3", "2.5e-05,e,2"]),
+            ([0] * 4, ["0,g,4"]),
+        ):
+            est = StateEstimate(t_meas=5e-6, states=np.array(states, dtype=np.uint8))
+            io.write_states_csv(path, est)
+            assert path.read_text().splitlines() == ["start_s,state,samples"] + rows
 
 
 class TestManifest:

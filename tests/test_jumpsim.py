@@ -35,6 +35,7 @@ from qpjumps.jumpsim import (
     qp_generation_rate,
     qp_relaxation_rate,
     relaxation_jump_times,
+    run_starts,
     sample_count,
     simulate_joint,
     snr_separation,
@@ -692,3 +693,27 @@ def test_relaxation_jump_times():
         counts=np.array([1, 1, 1, 1], dtype=np.int64),
     )
     assert np.allclose(relaxation_jump_times(truth), [0.2, 0.7])
+
+
+@st.composite
+def runs_of_values(draw):
+    """1-d arrays built from runs: a small alphabet, so neighbouring runs
+    often merge; runs of one element and of thousands; empty arrays; and
+    the uint8 states and int64 counts of a trace."""
+    values = draw(st.lists(st.integers(0, 2), max_size=40))
+    lengths = draw(st.lists(st.sampled_from((1, 2, 3, 5000)),
+                            min_size=len(values), max_size=len(values)))
+    dtype = draw(st.sampled_from((np.uint8, np.int64)))
+    return np.repeat(np.array(values, dtype=dtype), np.array(lengths, dtype=np.int64))
+
+
+class TestRunStarts:
+    @settings(max_examples=200, deadline=None)
+    @given(runs_of_values())
+    def test_runs_rebuild_the_input_and_are_maximal(self, values):
+        starts = run_starts(values)
+        lengths = np.diff(starts, append=len(values))
+        assert np.array_equal(np.repeat(values[starts], lengths), values)
+        assert np.all(lengths >= 1)
+        assert np.all(values[starts][1:] != values[starts][:-1])
+        assert starts[:1].tolist() == [0][:len(values)]

@@ -2,6 +2,8 @@ import pathlib
 import runpy
 import sys
 
+import pytest
+
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -13,3 +15,15 @@ def test_reproduce_paper_numbers_writes_csvs(tmp_path, monkeypatch, capsys):
     qp = (tmp_path / "qp_events.csv").read_text().splitlines()
     assert ode[0] == "time_s,x_qp" and len(ode) == 201
     assert qp[:2] == ["time_s,N", "0,15"] and len(qp) > 2
+
+
+def test_run_all_experiments_quick(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["run_all_experiments.py", "--quick",
+                                      "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(SCRIPTS / "run_all_experiments.py"), run_name="__main__")
+    assert exit_.value.code == 0
+    presets = ["field-cool", "psd", "qp-pulses", "quiet-noisy", "recovery"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == presets
+    for name in presets:
+        assert (tmp_path / name / "manifest.json").is_file()
