@@ -62,14 +62,17 @@ class DwellHistogram:
         return np.sqrt(self.edges[:-1] * self.edges[1:])
 
 
-def two_point_filter(iq: IQRecord, separation: float) -> StateEstimate:
+def two_point_filter(iq: IQRecord, separation: float,
+                     initial: int | None = None) -> StateEstimate:
     """Hysteresis state estimate from the I quadrature.
 
     A jump to the excited state is declared when I drops below
     -separation + 1/2, a jump back when I rises above separation - 1/2
     (thresholds half a sigma from the jump destination); otherwise the
-    previous state is kept.  The initial state is the sign of the first
-    sample.
+    previous state is kept.  initial is the state standing before the
+    first sample: the last state of the block before, when a record is
+    filtered in blocks, so that the blocks' estimates join into the
+    whole record's.  By default it is the sign of the first sample.
     """
     if separation <= 1.0:
         raise ValueError("separation must exceed 1 for distinct thresholds")
@@ -82,7 +85,9 @@ def two_point_filter(iq: IQRecord, separation: float) -> StateEstimate:
     # forward fill of the last decided sample, one block at a time, with the
     # state carried in from the previous block standing at position 0
     states = np.empty(len(i), dtype=np.uint8)
-    carry = STATE_GROUND if i[0] >= 0 else STATE_EXCITED
+    carry = initial
+    if carry is None:
+        carry = STATE_GROUND if i[0] >= 0 else STATE_EXCITED
     position = np.arange(1, _BLOCK + 1)
     excited = np.empty(_BLOCK + 1, dtype=bool)  # [carry, decided excited...]
     decided = np.empty(_BLOCK, dtype=bool)
@@ -233,6 +238,14 @@ class WindowedReport:
         return len(self.t_start)
 
 
+def window_samples(window: float, t_meas: float) -> int:
+    """Samples in a window of `window` seconds, round(window / t_meas);
+    windows shorter than 100 samples are refused."""
+    if window < 100 * t_meas:
+        raise ValueError("window must cover at least 100 samples")
+    return int(round(window / t_meas))
+
+
 def split_windows(est: StateEstimate, window: float) -> list[StateEstimate]:
     """Consecutive windows of round(window / t_meas) samples each, as views
     of est; a partial window at the end is dropped."""
@@ -254,8 +267,7 @@ def windowed_report(
     Windows shorter than 100 samples are refused; windows with fewer than
     MIN_DWELLS interior ground dwells get a NaN fidelity.
     """
-    if window < 100 * est.t_meas:
-        raise ValueError("window must cover at least 100 samples")
+    window_samples(window, est.t_meas)
     windows = split_windows(est, window)
     n_windows = len(windows)
     if n_windows == 0:

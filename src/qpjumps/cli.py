@@ -148,7 +148,7 @@ def cmd_stats(args) -> int:
             histograms += 1
 
     _finish_manifest(args, config, outputs,
-                     {"samples": len(est), "windows": len(report),
+                     {"samples": len(iq), "windows": len(report),
                       "histograms": histograms}, t0, inputs=[args.record])
     return 0
 

@@ -4,7 +4,9 @@ Each preset is a set of configuration overrides on top of the defaults plus
 a driver that runs the simulate / filter / stats chain and writes the
 figure-ready CSVs.  Presets reuse the exact same pipeline functions as the
 individual CLI commands, so composing `simulate` and `stats` by hand on the
-same seed reproduces an experiment's outputs byte for byte.
+same seed reproduces an experiment's outputs byte for byte.  A preset's
+record is never whole: run_stats reads its I block by block as it is
+synthesized, and Q, which no preset reads, is not drawn.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,9 +28,10 @@ from .analysis import (
     poisson_prediction,
     split_windows,
     two_point_filter,
+    window_samples,
     windowed_report,
 )
-from .core import ScenarioConfig, validate_config
+from .core import MeasurementParams, ScenarioConfig, validate_config
 from .fitting import (
     PsdFit,
     RecoveryFit,
@@ -44,6 +47,7 @@ from .jumpsim import (
     TruthTrace,
     excited_time_at,
     relaxation_jump_times,
+    sample_count,
     simulate_joint,
     snr_separation,
     synthesize_iq,
@@ -55,6 +59,10 @@ RECOVERY_CHUNK_CYCLES = 500
 RECOVERY_BINS_PER_DECADE = 8
 # post-injection bins with fewer relaxation jumps are left out of the fit
 MIN_JUMPS = 25
+# samples per block of a preset's record, rounded down to whole windows
+# (at least one): a block's I, states and scratch take about 10 MB,
+# whatever the duration
+STREAM_BLOCK = 1 << 20
 
 # preset scenario overrides; everything else takes the documented defaults.
 #
@@ -145,27 +153,108 @@ def experiment_names() -> tuple[str, ...]:
 # pipeline stages shared by the CLI commands and the presets
 # ---------------------------------------------------------------------------
 
-def run_simulation(config: ScenarioConfig) -> tuple[TruthTrace, IQRecord]:
-    """Trajectory plus synthesized measurement record for one scenario.
+def _simulate_truth(
+    config: ScenarioConfig,
+) -> tuple[TruthTrace, np.random.Generator, np.random.Generator]:
+    """Trajectory of one scenario, and the I and Q noise streams of its
+    record.
 
     Each stage draws from its own stream spawned from the seed: the QP
     layer, the qubit candidates, the acceptance uniforms, I noise, Q noise.
     """
     qp, candidates, uniforms, noise_i, noise_q = np.random.default_rng(
         config.rng_seed).spawn(5)
-    truth = simulate_joint(config, qp, candidates, uniforms)
-    iq = synthesize_iq(truth, config.meas, noise_i, noise_q)
-    return truth, iq
+    return simulate_joint(config, qp, candidates, uniforms), noise_i, noise_q
+
+
+def run_simulation(config: ScenarioConfig) -> tuple[TruthTrace, IQRecord]:
+    """Trajectory plus the whole synthesized measurement record, I and Q,
+    for one scenario."""
+    truth, noise_i, noise_q = _simulate_truth(config)
+    return truth, synthesize_iq(truth, config.meas, noise_i, noise_q)
+
+
+@dataclass(frozen=True)
+class SynthesizedRecord:
+    """The I quadrature of a simulated record, synthesized a range at a time.
+
+    It has the t_meas and len() of the record run_simulation returns, and
+    read(lo, hi) gives samples lo to hi - 1 as a record of I alone.  The
+    noise comes from one stream, so ranges are read in order from 0;
+    consecutive ranges then hold the whole record's I bit for bit.
+    """
+
+    truth: TruthTrace
+    meas: MeasurementParams
+    i_rng: np.random.Generator
+
+    @property
+    def t_meas(self) -> float:
+        return self.meas.t_meas
+
+    def __len__(self) -> int:
+        return sample_count(self.truth.duration, self.meas.t_meas)
+
+    def read(self, lo: int, hi: int) -> IQRecord:
+        return synthesize_iq(self.truth, self.meas, self.i_rng, None, lo, hi)
 
 
 def run_stats(
-    iq: IQRecord,
+    record: IQRecord | SynthesizedRecord,
     separation: float,
     window: float = DEFAULT_WINDOW,
     bins_per_decade: int = DEFAULT_BINS_PER_DECADE,
 ) -> tuple[StateEstimate, WindowedReport]:
-    est = two_point_filter(iq, separation)
-    return est, windowed_report(est, window, bins_per_decade)
+    """State estimate and windowed report of a record, a block at a time.
+
+    An IQRecord is one block.  A SynthesizedRecord is read in blocks of
+    STREAM_BLOCK samples rounded down to whole windows, at least one.  The
+    last block also holds the partial window at the end, which is dropped
+    as split_windows drops it.  Each block is filtered with the state
+    carried in from the block before and reported on window by window, so
+    the estimate, which keeps the whole windows, and the report equal the
+    whole record's byte for byte.  Beyond one block, this keeps one byte
+    of state per sample.  A window under 100 samples or a record shorter
+    than one window raises ValueError before any block is read.
+    """
+    n = len(record)
+    per = window_samples(window, record.t_meas)
+    n_windows = n // per
+    if n_windows == 0:
+        raise ValueError("record shorter than one window")
+    whole = n_windows * per
+    if isinstance(record, IQRecord):
+        blocks = [record]
+    else:
+        size = max(1, STREAM_BLOCK // per) * per
+        blocks = (record.read(lo, n if lo + size >= whole else lo + size)
+                  for lo in range(0, whole, size))
+
+    states = np.empty(whole, dtype=np.uint8)
+    reports = []
+    lo = 0
+    carry = None
+    for block in blocks:
+        est = two_point_filter(block, separation, carry)
+        carry = est.states[-1]
+        reports.append(windowed_report(est, window, bins_per_decade))
+        hi = lo + len(reports[-1]) * per
+        states[lo:hi] = est.states[:hi - lo]
+        lo = hi
+
+    def joined(column):
+        return np.concatenate([getattr(r, column) for r in reports])
+
+    width = reports[0].window
+    report = WindowedReport(
+        window=width,
+        t_start=np.arange(n_windows) * width,
+        tau_ground=joined("tau_ground"),
+        tau_excited=joined("tau_excited"),
+        fidelity_ground=joined("fidelity_ground"),
+        sigma_z=joined("sigma_z"),
+    )
+    return StateEstimate(t_meas=record.t_meas, states=states), report
 
 
 def tau_fidelity_correlation(report: WindowedReport) -> float:
@@ -191,10 +280,10 @@ def _write_window_histograms(out_dir, window: StateEstimate, tag):
     return written
 
 
-def _alternation_driver(config, out_dir, workers):
-    truth, iq = run_simulation(config)
-    est, report = run_stats(iq, snr_separation(config.meas))
-
+def _write_alternation_outputs(out_dir, est: StateEstimate,
+                               report: WindowedReport) -> list[str]:
+    """report.csv, the most and least Poissonian windows' example
+    histograms and summary.csv of an alternation preset; returns the paths."""
     outputs = []
     report_path = os.path.join(out_dir, "report.csv")
     io.write_report_csv(report_path, report)
@@ -224,7 +313,15 @@ def _alternation_driver(config, out_dir, workers):
     summary_path = os.path.join(out_dir, "summary.csv")
     io.write_fit_report_csv(summary_path, summary)
     outputs.append(summary_path)
-    counts = {**truth.event_counts(), "samples": len(iq), "windows": len(report)}
+    return outputs
+
+
+def _alternation_driver(config, out_dir, workers):
+    truth, noise_i, _ = _simulate_truth(config)
+    record = SynthesizedRecord(truth, config.meas, noise_i)
+    est, report = run_stats(record, snr_separation(config.meas))
+    outputs = _write_alternation_outputs(out_dir, est, report)
+    counts = {**truth.event_counts(), "samples": len(record), "windows": len(report)}
     return outputs, counts
 
 
@@ -360,8 +457,9 @@ def _recovery_driver(config, out_dir, workers):
 
 
 def _psd_driver(config, out_dir, workers):
-    truth, iq = run_simulation(config)
-    est, report = run_stats(iq, snr_separation(config.meas), window=PSD_WINDOW)
+    truth, noise_i, _ = _simulate_truth(config)
+    record = SynthesizedRecord(truth, config.meas, noise_i)
+    _, report = run_stats(record, snr_separation(config.meas), window=PSD_WINDOW)
 
     outputs = []
     series_path = os.path.join(out_dir, "series.csv")
@@ -380,7 +478,7 @@ def _psd_driver(config, out_dir, workers):
     write_psd_fit(fit_path, resid_path, fit, freqs, power)
     outputs += [fit_path, resid_path]
 
-    counts = {**truth.event_counts(), "samples": len(iq), "windows": len(report),
+    counts = {**truth.event_counts(), "samples": len(record), "windows": len(report),
               "frequencies": len(freqs)}
     return outputs, counts
 

@@ -74,6 +74,8 @@ def atomic_write_text(path, text: str) -> None:
 
 def write_iq(path, record: IQRecord) -> None:
     """Header, then (I, Q) pairs, interleaved and written one block at a time."""
+    if record.q is None:
+        raise ValueError(f"{path}: the record has no Q to write")
     n = len(record)
     block = np.empty(2 * min(n, _BLOCK), dtype="<f8")
     with _atomic_file(path) as fh:

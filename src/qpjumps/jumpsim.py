@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -183,66 +184,72 @@ class TruthTrace:
         starts = self.times[first]
         return starts, np.append(starts[1:], self.duration) - starts, self.states[first]
 
-
-def _excited_cumulative(truth: TruthTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, excited, cum): the knot times with the duration appended, whether
-    each knot's segment is excited, and the excited seconds before each knot."""
-    t = np.concatenate((truth.times, [truth.duration]))
-    excited = truth.states == STATE_EXCITED
-    cum = np.concatenate(([0.0], np.cumsum(np.diff(t) * excited)))
-    return t, excited, cum
+    @cached_property
+    def excited_cumulative(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(t, excited, cum): the knot times with the duration appended,
+        whether each knot's segment is excited, and the excited seconds
+        before each knot.  Built on first use and kept, so a record
+        synthesized in ranges builds it once."""
+        t = np.concatenate((self.times, [self.duration]))
+        excited = self.states == STATE_EXCITED
+        cum = np.concatenate(([0.0], np.cumsum(np.diff(t) * excited)))
+        return t, excited, cum
 
 
 def excited_time_at(truth: TruthTrace, times) -> np.ndarray:
     """Cumulative seconds spent excited in [0, t) for each query time."""
-    t, excited, cum = _excited_cumulative(truth)
+    t, excited, cum = truth.excited_cumulative
     times = np.asarray(times, dtype=float)
     idx = np.searchsorted(t, times, side="right") - 1
     idx = np.clip(idx, 0, len(excited) - 1)
     return cum[idx] + (times - t[idx]) * excited[idx]
 
 
-def occupancy_blocks(truth: TruthTrace, t_meas: float):
+def occupancy_blocks(truth: TruthTrace, t_meas: float, start: int = 0,
+                     stop: int | None = None):
     """Fraction of each readout bin spent excited, in consecutive blocks.
 
-    Bin k spans the edges float(k) * t_meas and float(k + 1) * t_meas, for
-    the sample_count(duration, t_meas) bins of the record.  Each yielded
-    array covers the next _BLOCK bins (fewer in the last block) and is
-    scratch space: the caller may overwrite it, and the next block does.
-    The values equal diff(excited_time_at(truth, edges)) / diff(edges) bit
-    for bit, but the knot under each edge comes from one pass over the
-    knots, not a search per edge, so the cost is O(knots + bins).
+    Bin k spans the edges float(k) * t_meas and float(k + 1) * t_meas; the
+    blocks cover bins start to stop - 1, by default all
+    sample_count(duration, t_meas) bins of the record.  Each yielded array
+    covers the next _BLOCK bins (fewer in the last block) and is scratch
+    space: the caller may overwrite it, and the next block does.  The
+    values equal diff(excited_time_at(truth, edges)) / diff(edges) bit for
+    bit, whatever the range, but the knot under each edge comes from one
+    pass over the block's knots, not a search per edge, so the cost is
+    O(knots + bins) over a record read in any number of ranges.
     """
-    t, excited, cum = _excited_cumulative(truth)
-    excited = excited.astype(float)
+    t, excited, cum = truth.excited_cumulative
     last = len(excited) - 1
-    # first edge at or after each knot, min{k : float(k) * t_meas >= t_j}:
-    # a ceil, corrected with the same products that make the edges
-    first = np.ceil(t / t_meas)
-    first -= (first - 1.0) * t_meas >= t
-    first += first * t_meas < t
-    first = first.astype(np.int64)
-
-    n = sample_count(truth.duration, t_meas)
-    steps = np.arange(_BLOCK + 1, dtype=float)
-    edges = np.empty(_BLOCK + 1)
-    at = np.empty(_BLOCK + 1)
-    part = np.empty(_BLOCK + 1)
-    for lo in range(0, n, _BLOCK):
-        m = min(_BLOCK, n - lo)
+    if stop is None:
+        stop = sample_count(truth.duration, t_meas)
+    size = min(_BLOCK, stop - start)
+    steps = np.arange(size + 1, dtype=float)
+    edges = np.empty(size + 1)
+    at = np.empty(size + 1)
+    part = np.empty(size + 1)
+    for lo in range(start, stop, _BLOCK):
+        m = min(_BLOCK, stop - lo)
         e, c, d = edges[:m + 1], at[:m + 1], part[:m + 1]
         np.add(steps[:m + 1], lo, out=e)
         e *= t_meas
-        # knot under each edge, as searchsorted(t, e, "right") - 1: knot j
-        # is under edges first[j] to first[j + 1] - 1
-        j0, j1 = np.searchsorted(first, [lo, lo + m + 1])
-        runs = np.diff(np.concatenate(([lo], first[j0:j1], [lo + m + 1])))
+        # knot under each edge, as searchsorted(t, e, "right") - 1: knot
+        # j0 - 1 is under the first edge, and knots j0 to j1 - 1 lie after
+        # it and at or before the last.  Each of those is under the edges
+        # from the first at or after it, min{k : float(k) * t_meas >= t_j}:
+        # a ceil, corrected with the same products that make the edges
+        j0, j1 = np.searchsorted(t, (e[0], e[m]), side="right")
+        tj = t[j0:j1]
+        first = np.ceil(tj / t_meas)
+        first -= (first - 1.0) * t_meas >= tj
+        first += first * t_meas < tj
+        runs = np.diff(np.concatenate(([lo], first.astype(np.int64), [lo + m + 1])))
         k = np.repeat(np.clip(np.arange(j0 - 1, j1), 0, last), runs)
         # excited seconds before each edge: cum[k] + (e - t[k]) * excited[k]
         # (k is in range; mode="clip" only spares take() a buffered copy)
         np.take(t, k, out=d, mode="clip")
         np.subtract(e, d, out=d)
-        d *= np.take(excited, k, out=c, mode="clip")
+        d *= excited[k]
         np.take(cum, k, out=c, mode="clip")
         c += d
         # diff(c) / diff(e), reusing d for the fraction and c for the width
@@ -444,14 +451,18 @@ def simulate_joint(config: ScenarioConfig, qp_rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class IQRecord:
-    """Quadrature samples in sigma units (unit-variance noise per sample)."""
+    """Quadrature samples in sigma units (unit-variance noise per sample).
+
+    q is None for a record synthesized for analysis alone, which reads
+    only I; such a record cannot be written to a file.
+    """
 
     t_meas: float
     i: np.ndarray
-    q: np.ndarray
+    q: np.ndarray | None
 
     def __post_init__(self):
-        if len(self.i) != len(self.q):
+        if self.q is not None and len(self.i) != len(self.q):
             raise ValueError("I and Q must have equal length")
 
     def __len__(self) -> int:
@@ -468,20 +479,27 @@ def synthesize_iq(
     truth: TruthTrace,
     meas: MeasurementParams,
     i_rng: np.random.Generator,
-    q_rng: np.random.Generator,
+    q_rng: np.random.Generator | None,
+    start: int = 0,
+    stop: int | None = None,
 ) -> IQRecord:
-    """Dispersive readout record for a trajectory.
+    """Dispersive readout record for bins start to stop - 1 of a trajectory,
+    by default all of them.
 
     Each bin of length t_meas gets I = (f_g - f_e) * separation + noise and
     Q = noise, with f_g/f_e the exact fractions of the bin spent in each
-    state (ground maps to +I).  I is built block by block with noise from
-    i_rng in order; Q's noise comes from q_rng.
+    state (ground maps to +I).  I is built block by block with the next
+    stop - start draws of i_rng as its noise; Q's come from q_rng, and
+    with q_rng None no Q is drawn and the record's q is None.  Normal
+    draws do not depend on how a stream is split, so consecutive ranges
+    synthesized with one i_rng give the whole record's I bit for bit.
     """
-    n = sample_count(truth.duration, meas.t_meas)
+    if stop is None:
+        stop = sample_count(truth.duration, meas.t_meas)
     sep = snr_separation(meas)
-    i = np.empty(n)
+    i = np.empty(stop - start)
     lo = 0
-    for f_e in occupancy_blocks(truth, meas.t_meas):
+    for f_e in occupancy_blocks(truth, meas.t_meas, start, stop):
         hi = lo + len(f_e)
         # noise + (1 - 2 f_e) * sep, in place
         out = i_rng.standard_normal(out=i[lo:hi])
@@ -490,5 +508,5 @@ def synthesize_iq(
         f_e *= sep
         out += f_e
         lo = hi
-    q = q_rng.standard_normal(n)
+    q = q_rng.standard_normal(len(i)) if q_rng is not None else None
     return IQRecord(t_meas=meas.t_meas, i=i, q=q)

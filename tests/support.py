@@ -1,5 +1,6 @@
 """Test-only helpers: synthetic spectral series, the noiseless readout
-record, whole-array oracles for the blocked record pipeline, an RK4
+record, whole-array oracles for the blocked record pipeline and for the
+presets that stream their record, an RK4
 integrator for the QP density rate equation, a scalar loop over the
 sampler's qubit candidates, and an exact oracle for the joint (modulator,
 qubit, QP number) Markov chain sampled by jumpsim.simulate_joint.
@@ -12,12 +13,14 @@ the two agree only if the sampler realizes the model.
 from __future__ import annotations
 
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
 from scipy import stats
 
-from qpjumps.analysis import StateEstimate
+from qpjumps import experiments, io
+from qpjumps.analysis import StateEstimate, two_point_filter, windowed_report
 from qpjumps.core import (
     BOLTZMANN,
     PLANCK,
@@ -136,6 +139,22 @@ def whole_record_filter(iq: IQRecord, separation: float) -> StateEstimate:
         np.where(decided_e[np.clip(last, 0, None)], STATE_EXCITED, STATE_GROUND),
     ).astype(np.uint8)
     return StateEstimate(t_meas=iq.t_meas, states=states)
+
+
+def whole_record_experiment(name: str, config: ScenarioConfig, out_dir) -> None:
+    """An alternation preset or psd as run on the whole record at once:
+    run_simulation, then two_point_filter and windowed_report over all of
+    it.  Writes report.csv, summary.csv and the example histograms of an
+    alternation preset, or psd's series.csv, into out_dir."""
+    truth, iq = experiments.run_simulation(config)
+    est = two_point_filter(iq, snr_separation(config.meas))
+    if name == "psd":
+        report = windowed_report(est, experiments.PSD_WINDOW)
+        io.write_series_csv(os.path.join(out_dir, "series.csv"), report.t_start,
+                            report.tau_ground, "tau_g_s")
+    else:
+        report = windowed_report(est, experiments.DEFAULT_WINDOW)
+        experiments._write_alternation_outputs(out_dir, est, report)
 
 
 def scalar_qubit_layer(config: ScenarioConfig, truth: TruthTrace,

@@ -117,6 +117,20 @@ class TestFilterOracle:
         assert np.array_equal(got.states, want.states)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(dead_band_records(), st.lists(st.floats(0.0, 1.0), max_size=6))
+    def test_blocks_with_the_state_carried_equal_the_whole_record(self, case, cuts):
+        iq, sep = case
+        n = len(iq)
+        bounds = sorted({0, n, *(int(c * n) for c in cuts)})
+        states, carry = [], None
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            block = two_point_filter(record(iq.i[lo:hi]), sep, carry).states
+            carry = block[-1]
+            states.append(block)
+        assert np.array_equal(np.concatenate(states), two_point_filter(iq, sep).states)
+
+
 class TestExtractDwells:
     def test_interior_dwell_only(self):
         d = extract_dwells(estimate([0, 0, 1, 1, 1, 0]))

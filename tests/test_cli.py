@@ -169,6 +169,16 @@ class TestFilterAndStats:
         io.write_iq(path, io.IQRecord(t_meas=5e-6, i=np.empty(0), q=np.empty(0)))
         assert main(["stats", "--record", str(path), "--out", str(tmp_path)]) == 3
 
+    # windows of 20 samples, and of 1 s on a 0.25 s record
+    @pytest.mark.parametrize("window", ["0.0001", "1.0"])
+    def test_bad_window_is_a_configuration_error(self, tmp_path, config_file, window,
+                                                 capsys):
+        out = tmp_path / "run"
+        main(["simulate", "--config", str(config_file), "--out", str(out)])
+        assert main(["stats", "--record", str(out / "record.iq"), "--window", window,
+                     "--config", str(config_file), "--out", str(out / "stats")]) == 2
+        assert "window" in capsys.readouterr().err
+
     def test_bad_separation_rejected(self, tmp_path, config_file):
         out = tmp_path / "run"
         main(["simulate", "--config", str(config_file), "--out", str(out)])
@@ -326,6 +336,20 @@ class TestExperiment:
         err = capsys.readouterr().err
         for name in ("quiet-noisy", "qp-pulses", "field-cool", "recovery", "psd"):
             assert name in err
+
+    # a record shorter than the 1 s or 0.1 s window; windows of 50 samples
+    @pytest.mark.parametrize("name, keys", [
+        ("quiet-noisy", ["duration=0.5"]),
+        ("psd", ["duration=0.09"]),
+        ("quiet-noisy", ["duration=4", "t_meas=0.02"]),
+        ("psd", ["duration=4", "t_meas=0.002"]),
+    ])
+    def test_bad_window_is_a_configuration_error(self, tmp_path, name, keys, capsys):
+        argv = ["experiment", name, "--out", str(tmp_path)]
+        for key in keys:
+            argv += ["--set", key]
+        assert main(argv) == 2
+        assert "window" in capsys.readouterr().err
 
     def test_quiet_noisy_bundle(self, tmp_path):
         out = tmp_path / "exp"

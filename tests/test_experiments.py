@@ -1,17 +1,29 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qpjumps import experiments
 from qpjumps.core import ConfigError, PeriodicPulses, ScenarioConfig
 from qpjumps.experiments import (
     preset_config,
     recovery_bin_edges,
     recovery_chunk_stats,
+    run_experiment,
     run_recovery,
     run_simulation,
     run_stats,
     tau_fidelity_correlation,
 )
-from qpjumps.jumpsim import STATE_EXCITED, STATE_GROUND, TruthTrace, snr_separation
+from qpjumps.jumpsim import (
+    STATE_EXCITED,
+    STATE_GROUND,
+    TruthTrace,
+    sample_count,
+    snr_separation,
+)
+
+from support import whole_record_experiment
 
 
 class TestPresetConfigs:
@@ -149,3 +161,98 @@ def test_quiet_noisy_alternation_short_run():
     tau = report.tau_ground[np.isfinite(report.tau_ground)]
     assert tau.min() < 2.5e-4
     assert tau.max() > 7e-4
+
+
+# (preset, duration): each leaves a partial window at the end, 0.7 of a
+# 1 s window and 0.5 of a 0.1 s one
+STREAMED = {"quiet-noisy": "30.7", "psd": "32.05"}
+
+
+@pytest.fixture(scope="module")
+def whole_record_files(tmp_path_factory):
+    """Data files of the whole-record oracle (tests/support.py), per preset."""
+    files = {}
+    for name, duration in STREAMED.items():
+        out = tmp_path_factory.mktemp(name)
+        whole_record_experiment(name, preset_config(name, {"duration": duration}), out)
+        files[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    return files
+
+
+class TestStreamedPresets:
+    """The presets synthesize and filter their record block by block; the
+    files must equal the whole-record path's byte for byte, whatever the
+    block size."""
+
+    # STREAM_BLOCK values: under one window (so one window a block), three
+    # windows and 7 samples (three windows a block, not a multiple of
+    # jumpsim's _BLOCK), and more than the record (one block)
+    @pytest.mark.parametrize("block", [1, "3 windows + 7", 10**9])
+    @pytest.mark.parametrize("name", sorted(STREAMED))
+    def test_files_equal_the_whole_record_path(self, name, block, tmp_path, monkeypatch,
+                                               whole_record_files):
+        config = preset_config(name, {"duration": STREAMED[name]})
+        window = experiments.PSD_WINDOW if name == "psd" else experiments.DEFAULT_WINDOW
+        per = round(window / config.meas.t_meas)
+        if block == "3 windows + 7":
+            block = 3 * per + 7
+        monkeypatch.setattr(experiments, "STREAM_BLOCK", block)
+        ranges = []
+
+        def recorded(truth, meas, i_rng, q_rng, start=0, stop=None):
+            assert q_rng is None
+            ranges.append((start, stop))
+            return synthesize(truth, meas, i_rng, q_rng, start, stop)
+
+        synthesize = experiments.synthesize_iq
+        monkeypatch.setattr(experiments, "synthesize_iq", recorded)
+        _, counts = run_experiment(name, config, tmp_path)
+
+        got = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        want = whole_record_files[name]
+        assert want.keys() <= got.keys()
+        for fname, data in want.items():
+            assert got[fname] == data, fname
+        # consecutive ranges of whole windows; the last also takes the tail
+        n = sample_count(config.duration, config.meas.t_meas)
+        size = max(1, block // per) * per
+        assert counts["samples"] == n and n % per > 0
+        assert [lo for lo, _ in ranges] == list(range(0, n // per * per, size))
+        assert [hi for _, hi in ranges[:-1]] == [lo for lo, _ in ranges[1:]]
+        assert ranges[-1][1] == n
+
+    @pytest.mark.parametrize("name, keys, message", [
+        ("quiet-noisy", {"duration": "0.5"}, "record shorter than one window"),
+        ("psd", {"duration": "0.09"}, "record shorter than one window"),
+        ("quiet-noisy", {"duration": "4", "t_meas": "0.02"},
+         "window must cover at least 100 samples"),
+        ("psd", {"duration": "4", "t_meas": "0.002"},
+         "window must cover at least 100 samples"),
+    ])
+    def test_window_errors_come_before_any_block(self, name, keys, message, tmp_path,
+                                                 monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a block was synthesized")
+
+        monkeypatch.setattr(experiments, "synthesize_iq", refused)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(name, preset_config(name, keys), tmp_path)
+
+    def test_memory_grows_by_under_4_bytes_per_sample(self, tmp_path):
+        # numpy reports its buffers to tracemalloc.  Holding the whole I/Q
+        # record grew the traced peak by 18.1 B per added sample; streaming
+        # it grows by 2.7 B, a margin of 1.3 B under the bound: 1 B of
+        # states, the rest the trajectory and its tables, which grow with
+        # the events rather than the samples
+        peaks = {}
+        for duration in (40, 80):
+            config = preset_config("quiet-noisy", {"duration": str(duration)})
+            tracemalloc.start()
+            try:
+                run_experiment("quiet-noisy", config, tmp_path / str(duration))
+                peaks[duration] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        t_meas = config.meas.t_meas
+        added = sample_count(80, t_meas) - sample_count(40, t_meas)
+        assert (peaks[80] - peaks[40]) / added < 4.0

@@ -57,6 +57,13 @@ class TestIqFormat:
         assert np.array_equal(back.i, record.i)
         assert np.array_equal(back.q, record.q)
 
+    def test_record_without_q_is_refused_before_any_file(self, tmp_path):
+        record = IQRecord(t_meas=5e-6, i=np.zeros(10), q=None)
+        path = tmp_path / "r.iq"
+        with pytest.raises(ValueError, match=str(path)):
+            io.write_iq(path, record)
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_magic_names_offset(self, tmp_path):
         path = tmp_path / "r.iq"
         io.write_iq(path, make_record(4))

@@ -684,6 +684,35 @@ class TestBlockedRecordOracle:
         assert got.q.tobytes() == want.q.tobytes()
 
 
+class TestRecordRanges:
+    """The presets synthesize their record a range of bins at a time."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(knotted_traces(), st.lists(st.floats(0.0, 1.0), max_size=6),
+           st.integers(0, 2**32 - 1))
+    def test_ranges_join_into_the_whole_record(self, case, cuts, seed):
+        truth, meas = case
+        n = sample_count(truth.duration, meas.t_meas)
+        bounds = sorted({0, n, *(int(c * n) for c in cuts)})
+        ranges = list(zip(bounds[:-1], bounds[1:]))
+        # each yielded block is scratch that the next one overwrites
+        whole = [block.copy() for block in occupancy_blocks(truth, meas.t_meas)]
+        pieces = [block.copy() for lo, hi in ranges
+                  for block in occupancy_blocks(truth, meas.t_meas, lo, hi)]
+        assert np.concatenate(pieces).tobytes() == np.concatenate(whole).tobytes()
+
+        want = synthesize_iq(truth, meas, *np.random.default_rng(seed).spawn(2))
+        i_rng = np.random.default_rng(seed).spawn(2)[0]
+        got = [synthesize_iq(truth, meas, i_rng, None, lo, hi) for lo, hi in ranges]
+        assert all(block.q is None for block in got)
+        assert np.concatenate([block.i for block in got]).tobytes() == want.i.tobytes()
+
+    def test_q_is_checked_only_when_present(self):
+        assert len(jumpsim.IQRecord(t_meas=1.0, i=np.zeros(3), q=None)) == 3
+        with pytest.raises(ValueError, match="equal length"):
+            jumpsim.IQRecord(t_meas=1.0, i=np.zeros(3), q=np.zeros(2))
+
+
 def test_relaxation_jump_times():
     truth = TruthTrace(
         duration=1.0,
