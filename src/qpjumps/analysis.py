@@ -220,7 +220,8 @@ class WindowedReport:
     """Per-window dwell statistics over non-overlapping windows.
 
     Entries are NaN where a window had no interior dwells of the needed
-    state, or too few ground dwells for a meaningful fidelity.
+    state, or too few ground dwells for a meaningful fidelity.  dwells[w]
+    holds window w's dwells, which the histogram writers read.
     """
 
     window: float
@@ -229,6 +230,7 @@ class WindowedReport:
     tau_excited: np.ndarray
     fidelity_ground: np.ndarray
     sigma_z: np.ndarray
+    dwells: list[DwellSet]
 
     @property
     def one_minus_fidelity(self) -> np.ndarray:
@@ -262,7 +264,7 @@ def windowed_report(
     window: float,
     bins_per_decade: int = 10,
 ) -> WindowedReport:
-    """Dwell means, ground-state Poisson fidelity and polarization per window.
+    """Dwells, their means, ground-state Poisson fidelity and polarization per window.
 
     Windows shorter than 100 samples are refused; windows with fewer than
     MIN_DWELLS interior ground dwells get a NaN fidelity.
@@ -279,9 +281,9 @@ def windowed_report(
     tau_e = np.full(n_windows, np.nan)
     fid = np.full(n_windows, np.nan)
     sig = np.empty(n_windows)
-    for w, sub in enumerate(windows):
+    found = [extract_dwells(sub) for sub in windows]
+    for w, (sub, dwells) in enumerate(zip(windows, found)):
         p_e, sig[w] = polarization(sub)
-        dwells = extract_dwells(sub)
         if len(dwells.ground) > 0:
             tau_g[w] = dwells.ground.mean()
         if len(dwells.excited) > 0:
@@ -296,4 +298,5 @@ def windowed_report(
         tau_excited=tau_e,
         fidelity_ground=fid,
         sigma_z=sig,
+        dwells=found,
     )

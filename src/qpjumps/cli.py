@@ -16,11 +16,12 @@ from dataclasses import replace
 import numpy as np
 
 from . import experiments, io
-from .analysis import (
+# extract_dwells, log_histogram and poisson_prediction are not called here:
+# perfbench/spans.py, the benchmark's tracer, rebinds them in this module by name
+from .analysis import (  # noqa: F401
     extract_dwells,
     log_histogram,
     poisson_prediction,
-    split_windows,
     two_point_filter,
 )
 from .core import ConfigError, MeasurementParams, QubitParams, ScenarioConfig, load_config
@@ -32,7 +33,7 @@ from .fitting import (
     fit_thermal,
     periodogram,
 )
-from .jumpsim import STATE_EXCITED, STATE_GROUND, snr_separation
+from .jumpsim import snr_separation
 
 
 def _add_config(p: argparse.ArgumentParser) -> None:
@@ -125,31 +126,19 @@ def cmd_stats(args) -> int:
     iq = _read_record(args.record)
     sep = args.separation if args.separation is not None else snr_separation(
         config.meas if config else MeasurementParams())
-    est, report = experiments.run_stats(iq, sep, args.window, args.bins_per_decade)
+    report = experiments.run_stats(iq, sep, args.window, args.bins_per_decade)
     os.makedirs(args.out, exist_ok=True)
 
-    outputs = []
     report_path = os.path.join(args.out, "report.csv")
     io.write_report_csv(report_path, report)
-    outputs.append(report_path)
+    histograms = []
+    for w, dwells in enumerate(report.dwells):
+        histograms += experiments.write_dwell_histograms(
+            args.out, f"hist_{w:04d}", dwells, iq.t_meas, args.bins_per_decade)
 
-    histograms = 0
-    for w, window in enumerate(split_windows(est, report.window)):
-        dwells = extract_dwells(window)
-        for state, durations in ((STATE_GROUND, dwells.ground),
-                                 (STATE_EXCITED, dwells.excited)):
-            if len(durations) == 0:
-                continue
-            hist = log_histogram(durations, est.t_meas, args.bins_per_decade)
-            path = os.path.join(
-                args.out, f"hist_{w:04d}_{io.STATE_CHARS[state]}.csv")
-            io.write_histogram_csv(path, hist, poisson_prediction(hist))
-            outputs.append(path)
-            histograms += 1
-
-    _finish_manifest(args, config, outputs,
+    _finish_manifest(args, config, [report_path, *histograms],
                      {"samples": len(iq), "windows": len(report),
-                      "histograms": histograms}, t0, inputs=[args.record])
+                      "histograms": len(histograms)}, t0, inputs=[args.record])
     return 0
 
 
@@ -226,6 +215,8 @@ def cmd_experiment(args) -> int:
         raise ConfigError(
             f"unknown experiment {args.name!r}; available: {names}"
         ) from None
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     outputs, counts = experiments.run_experiment(
         args.name, config, args.out, workers=args.workers)
     _finish_manifest(args, config, outputs, counts, t0)

@@ -19,14 +19,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import io
+# extract_dwells is not called here: perfbench/spans.py, the benchmark's
+# tracer, rebinds it in this module by name
 from .analysis import (
-    StateEstimate,
+    DwellSet,
     WindowedReport,
     cross_correlation,
-    extract_dwells,
+    extract_dwells,  # noqa: F401
     log_histogram,
     poisson_prediction,
-    split_windows,
     two_point_filter,
     window_samples,
     windowed_report,
@@ -59,9 +60,9 @@ RECOVERY_CHUNK_CYCLES = 500
 RECOVERY_BINS_PER_DECADE = 8
 # post-injection bins with fewer relaxation jumps are left out of the fit
 MIN_JUMPS = 25
-# samples per block of a preset's record, rounded down to whole windows
-# (at least one): a block's I, states and scratch take about 10 MB,
-# whatever the duration
+# samples per block of a record, rounded down to whole windows (at least
+# one): a block's I, states and scratch take about 10 MB, whatever the
+# duration
 STREAM_BLOCK = 1 << 20
 
 # preset scenario overrides; everything else takes the documented defaults.
@@ -204,57 +205,49 @@ def run_stats(
     separation: float,
     window: float = DEFAULT_WINDOW,
     bins_per_decade: int = DEFAULT_BINS_PER_DECADE,
-) -> tuple[StateEstimate, WindowedReport]:
-    """State estimate and windowed report of a record, a block at a time.
+) -> WindowedReport:
+    """Windowed report of a record, each window's dwells included.
 
-    An IQRecord is one block.  A SynthesizedRecord is read in blocks of
-    STREAM_BLOCK samples rounded down to whole windows, at least one.  The
-    last block also holds the partial window at the end, which is dropped
-    as split_windows drops it.  Each block is filtered with the state
-    carried in from the block before and reported on window by window, so
-    the estimate, which keeps the whole windows, and the report equal the
-    whole record's byte for byte.  Beyond one block, this keeps one byte
-    of state per sample.  A window under 100 samples or a record shorter
-    than one window raises ValueError before any block is read.
+    The record is read with record.read(lo, hi) in blocks of STREAM_BLOCK
+    samples rounded down to whole windows, at least one.  The last block
+    also holds the partial window at the end, which is dropped as
+    split_windows drops it.  Each block is filtered with the state carried
+    in from the block before and reported on window by window, so the
+    report equals the whole record's byte for byte; no state outlives its
+    block.  A window under 100 samples, a record shorter than one window
+    or bins_per_decade under 1 raises ValueError before any block is read.
     """
     n = len(record)
     per = window_samples(window, record.t_meas)
     n_windows = n // per
     if n_windows == 0:
         raise ValueError("record shorter than one window")
+    if bins_per_decade < 1:
+        raise ValueError("bins_per_decade must be at least 1")
     whole = n_windows * per
-    if isinstance(record, IQRecord):
-        blocks = [record]
-    else:
-        size = max(1, STREAM_BLOCK // per) * per
-        blocks = (record.read(lo, n if lo + size >= whole else lo + size)
-                  for lo in range(0, whole, size))
+    size = max(1, STREAM_BLOCK // per) * per
 
-    states = np.empty(whole, dtype=np.uint8)
     reports = []
-    lo = 0
     carry = None
-    for block in blocks:
+    for lo in range(0, whole, size):
+        block = record.read(lo, n if lo + size >= whole else lo + size)
         est = two_point_filter(block, separation, carry)
         carry = est.states[-1]
         reports.append(windowed_report(est, window, bins_per_decade))
-        hi = lo + len(reports[-1]) * per
-        states[lo:hi] = est.states[:hi - lo]
-        lo = hi
 
     def joined(column):
         return np.concatenate([getattr(r, column) for r in reports])
 
     width = reports[0].window
-    report = WindowedReport(
+    return WindowedReport(
         window=width,
         t_start=np.arange(n_windows) * width,
         tau_ground=joined("tau_ground"),
         tau_excited=joined("tau_excited"),
         fidelity_ground=joined("fidelity_ground"),
         sigma_z=joined("sigma_z"),
+        dwells=[d for r in reports for d in r.dwells],
     )
-    return StateEstimate(t_meas=record.t_meas, states=states), report
 
 
 def tau_fidelity_correlation(report: WindowedReport) -> float:
@@ -267,28 +260,24 @@ def tau_fidelity_correlation(report: WindowedReport) -> float:
     return cross_correlation(tau[good], -np.log10(1.0 - f[good]))
 
 
-def _write_window_histograms(out_dir, window: StateEstimate, tag):
-    dwells = extract_dwells(window)
+def write_dwell_histograms(out_dir, stem: str, dwells: DwellSet, t_meas: float,
+                           bins_per_decade: int) -> list[str]:
+    """{stem}_g.csv and {stem}_e.csv: the sample-weighted histogram of
+    each state's dwells beside its constant-rate prediction, for each
+    state that has dwells; returns the paths written."""
     written = []
     for state, durations in ((STATE_GROUND, dwells.ground), (STATE_EXCITED, dwells.excited)):
         if len(durations) == 0:
             continue
-        hist = log_histogram(durations, window.t_meas, DEFAULT_BINS_PER_DECADE)
-        path = os.path.join(out_dir, f"example_{tag}_{io.STATE_CHARS[state]}.csv")
+        hist = log_histogram(durations, t_meas, bins_per_decade)
+        path = os.path.join(out_dir, f"{stem}_{io.STATE_CHARS[state]}.csv")
         io.write_histogram_csv(path, hist, poisson_prediction(hist))
         written.append(path)
     return written
 
 
-def _write_alternation_outputs(out_dir, est: StateEstimate,
-                               report: WindowedReport) -> list[str]:
-    """report.csv, the most and least Poissonian windows' example
-    histograms and summary.csv of an alternation preset; returns the paths."""
-    outputs = []
-    report_path = os.path.join(out_dir, "report.csv")
-    io.write_report_csv(report_path, report)
-    outputs.append(report_path)
-
+def _alternation_summary(report: WindowedReport) -> dict[str, float]:
+    """The key/value rows of an alternation preset's summary.csv."""
     summary = {}
     tau = report.tau_ground
     valid = np.isfinite(tau)
@@ -302,16 +291,25 @@ def _write_alternation_outputs(out_dir, est: StateEstimate,
         summary["tau_fidelity_correlation"] = tau_fidelity_correlation(report)
     except ValueError:
         summary["tau_fidelity_correlation"] = math.nan
+    return summary
 
-    # most/least Poissonian windows as example histogram pairs
+
+def _write_alternation_outputs(out_dir, report: WindowedReport,
+                               t_meas: float) -> list[str]:
+    """report.csv, the most and least Poissonian windows' example
+    histograms and summary.csv of an alternation preset; returns the paths."""
+    report_path = os.path.join(out_dir, "report.csv")
+    io.write_report_csv(report_path, report)
+    outputs = [report_path]
+
     f = report.fidelity_ground
     if np.isfinite(f).any():
-        windows = split_windows(est, report.window)
-        outputs += _write_window_histograms(out_dir, windows[int(np.nanargmax(f))], "quiet")
-        outputs += _write_window_histograms(out_dir, windows[int(np.nanargmin(f))], "noisy")
+        for stem, w in (("example_quiet", np.nanargmax(f)), ("example_noisy", np.nanargmin(f))):
+            outputs += write_dwell_histograms(out_dir, stem, report.dwells[w], t_meas,
+                                              DEFAULT_BINS_PER_DECADE)
 
     summary_path = os.path.join(out_dir, "summary.csv")
-    io.write_fit_report_csv(summary_path, summary)
+    io.write_fit_report_csv(summary_path, _alternation_summary(report))
     outputs.append(summary_path)
     return outputs
 
@@ -319,8 +317,8 @@ def _write_alternation_outputs(out_dir, est: StateEstimate,
 def _alternation_driver(config, out_dir, workers):
     truth, noise_i, _ = _simulate_truth(config)
     record = SynthesizedRecord(truth, config.meas, noise_i)
-    est, report = run_stats(record, snr_separation(config.meas))
-    outputs = _write_alternation_outputs(out_dir, est, report)
+    report = run_stats(record, snr_separation(config.meas))
+    outputs = _write_alternation_outputs(out_dir, report, record.t_meas)
     counts = {**truth.event_counts(), "samples": len(record), "windows": len(report)}
     return outputs, counts
 
@@ -421,6 +419,8 @@ def run_recovery(config: ScenarioConfig, workers: int = 1):
                                pulse_periodic=replace(train, count=cycles))
         jobs.append((chunk_config, seed))
 
+    # a forked pool starts all its workers at once: no more than the chunks
+    workers = min(workers, n_chunks)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_recovery_chunk, jobs))
@@ -459,7 +459,7 @@ def _recovery_driver(config, out_dir, workers):
 def _psd_driver(config, out_dir, workers):
     truth, noise_i, _ = _simulate_truth(config)
     record = SynthesizedRecord(truth, config.meas, noise_i)
-    _, report = run_stats(record, snr_separation(config.meas), window=PSD_WINDOW)
+    report = run_stats(record, snr_separation(config.meas), window=PSD_WINDOW)
 
     outputs = []
     series_path = os.path.join(out_dir, "series.csv")

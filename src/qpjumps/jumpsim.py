@@ -468,6 +468,10 @@ class IQRecord:
     def __len__(self) -> int:
         return len(self.i)
 
+    def read(self, lo: int, hi: int) -> IQRecord:
+        """Samples lo to hi - 1 as a record of I alone, a view of this one."""
+        return IQRecord(t_meas=self.t_meas, i=self.i[lo:hi], q=None)
+
 
 def sample_count(duration: float, t_meas: float) -> int:
     """Number of complete integration bins in the record."""

@@ -20,7 +20,15 @@ import numpy as np
 from scipy import stats
 
 from qpjumps import experiments, io
-from qpjumps.analysis import StateEstimate, two_point_filter, windowed_report
+from qpjumps.analysis import (
+    StateEstimate,
+    extract_dwells,
+    log_histogram,
+    poisson_prediction,
+    split_windows,
+    two_point_filter,
+    windowed_report,
+)
 from qpjumps.core import (
     BOLTZMANN,
     PLANCK,
@@ -145,16 +153,30 @@ def whole_record_experiment(name: str, config: ScenarioConfig, out_dir) -> None:
     """An alternation preset or psd as run on the whole record at once:
     run_simulation, then two_point_filter and windowed_report over all of
     it.  Writes report.csv, summary.csv and the example histograms of an
-    alternation preset, or psd's series.csv, into out_dir."""
+    alternation preset, or psd's series.csv, into out_dir.  The example
+    histograms are built from the dwells of the whole estimate's windows,
+    not from the report's dwells or the preset's histogram writer."""
     truth, iq = experiments.run_simulation(config)
     est = two_point_filter(iq, snr_separation(config.meas))
     if name == "psd":
         report = windowed_report(est, experiments.PSD_WINDOW)
         io.write_series_csv(os.path.join(out_dir, "series.csv"), report.t_start,
                             report.tau_ground, "tau_g_s")
-    else:
-        report = windowed_report(est, experiments.DEFAULT_WINDOW)
-        experiments._write_alternation_outputs(out_dir, est, report)
+        return
+    report = windowed_report(est, experiments.DEFAULT_WINDOW)
+    io.write_report_csv(os.path.join(out_dir, "report.csv"), report)
+    io.write_fit_report_csv(os.path.join(out_dir, "summary.csv"),
+                            experiments._alternation_summary(report))
+    windows = split_windows(est, report.window)
+    f = report.fidelity_ground
+    for tag, w in (("quiet", np.nanargmax(f)), ("noisy", np.nanargmin(f))):
+        dwells = extract_dwells(windows[w])
+        for state, durations in (("g", dwells.ground), ("e", dwells.excited)):
+            if len(durations):
+                hist = log_histogram(durations, est.t_meas,
+                                     experiments.DEFAULT_BINS_PER_DECADE)
+                io.write_histogram_csv(os.path.join(out_dir, f"example_{tag}_{state}.csv"),
+                                       hist, poisson_prediction(hist))
 
 
 def scalar_qubit_layer(config: ScenarioConfig, truth: TruthTrace,

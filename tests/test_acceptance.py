@@ -132,7 +132,7 @@ mod_mean_noisy = 0.15
 """
     config = validate_config(text)
     truth, iq = run_simulation(config)
-    return run_stats(iq, snr_separation(config.meas))[1]
+    return run_stats(iq, snr_separation(config.meas))
 
 
 def test_06_poissonianity_contrast():
@@ -152,7 +152,7 @@ n_initial = 0
 """
     config = validate_config(text)
     truth, iq = run_simulation(config)
-    report_a = run_stats(iq, snr_separation(config.meas))[1]
+    report_a = run_stats(iq, snr_separation(config.meas))
     f_a = float(np.nanmedian(report_a.fidelity_ground))
     omf_a = float(np.nanmedian(report_a.one_minus_fidelity))
     ratio = omf_b / omf_a
@@ -165,7 +165,7 @@ n_initial = 0
 def test_07_tau_fidelity_correlation():
     config = preset_config("quiet-noisy")  # 160 s spanning both regimes
     truth, iq = run_simulation(config)
-    report = run_stats(iq, snr_separation(config.meas))[1]
+    report = run_stats(iq, snr_separation(config.meas))
     corr = tau_fidelity_correlation(report)
     check(7, corr > 0.5,
           f"corr(tau_g, -log10(1-F)) = {corr:.3f} over {len(report)} windows "

@@ -366,11 +366,15 @@ class TestWindowedReport:
         est = estimate(states)
         report = windowed_report(est, window=200 * TM)
         windows = split_windows(est, report.window)
-        assert len(windows) == len(report) == 5  # the last 50 samples are dropped
+        # the last 50 samples are dropped
+        assert len(windows) == len(report) == len(report.dwells) == 5
         for w, sub in enumerate(windows):
             assert sub.t_meas == TM
             assert np.array_equal(sub.states, states[200 * w:200 * (w + 1)])
             assert polarization(sub)[1] == report.sigma_z[w]
+            want = extract_dwells(sub)
+            assert np.array_equal(report.dwells[w].ground, want.ground)
+            assert np.array_equal(report.dwells[w].excited, want.excited)
 
 
 class TestNoiseFreePipeline:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from qpjumps import fitting, io
+from qpjumps import analysis, cli, experiments, fitting, io
 from qpjumps.analysis import two_point_filter
 from qpjumps.cli import build_parser, main
 from qpjumps.core import load_config, serialize_config, validate_config
@@ -179,6 +179,19 @@ class TestFilterAndStats:
                      "--config", str(config_file), "--out", str(out / "stats")]) == 2
         assert "window" in capsys.readouterr().err
 
+    def test_bins_per_decade_below_one_writes_no_data_file(self, tmp_path, config_file,
+                                                           capsys):
+        # 100-sample windows hold too few dwells for a fidelity, so the first
+        # histogram is built only after report.csv would be written
+        out = tmp_path / "run"
+        main(["simulate", "--config", str(config_file), "--out", str(out)])
+        stats = out / "stats"
+        assert main(["stats", "--record", str(out / "record.iq"), "--window", "0.0005",
+                     "--bins-per-decade", "0", "--config", str(config_file),
+                     "--out", str(stats)]) == 2
+        assert "bins_per_decade" in capsys.readouterr().err
+        assert not stats.exists() or not any(stats.iterdir())
+
     def test_bad_separation_rejected(self, tmp_path, config_file):
         out = tmp_path / "run"
         main(["simulate", "--config", str(config_file), "--out", str(out)])
@@ -331,6 +344,14 @@ class TestExperiment:
                       for line in (out / "recovery_fit.csv").read_text().splitlines())
         assert report["status"] == "converged"
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_a_configuration_error(self, tmp_path, workers, capsys):
+        out = tmp_path / "exp"
+        assert main(["experiment", "recovery", "--out", str(out),
+                     "--workers", workers]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_unknown_name_lists_available(self, tmp_path, capsys):
         assert main(["experiment", "nope", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -382,14 +403,41 @@ class TestExperiment:
 
         # the preset's example histograms are stats' histograms of the
         # windows with the largest and the smallest fidelity
-        _, report = run_stats(io.read_iq(sim_out / "record.iq"),
-                              snr_separation(config.meas))
+        report = run_stats(io.read_iq(sim_out / "record.iq"), snr_separation(config.meas))
         f = report.fidelity_ground
         for tag, w in (("quiet", np.nanargmax(f)), ("noisy", np.nanargmin(f))):
             for state in ("g", "e"):
                 example = exp_out / f"example_{tag}_{state}.csv"
                 assert example.read_bytes() == (
                     sim_out / f"hist_{w:04d}_{state}.csv").read_bytes()
+
+    def test_each_window_is_scanned_for_dwells_once(self, tmp_path, monkeypatch):
+        calls = []
+        extract = analysis.extract_dwells
+
+        def counted(est):
+            calls.append(len(est))
+            return extract(est)
+
+        for module in (analysis, experiments, cli):
+            monkeypatch.setattr(module, "extract_dwells", counted)
+        config = preset_config("quiet-noisy", {"duration": "3"})
+        per = round(experiments.DEFAULT_WINDOW / config.meas.t_meas)
+        cfg_path = tmp_path / "qn.cfg"
+        cfg_path.write_text(serialize_config(config))
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(sim_out)]) == 0
+        assert main(["stats", "--record", str(sim_out / "record.iq"),
+                     "--config", str(cfg_path), "--out", str(sim_out)]) == 0
+        assert (sim_out / "hist_0002_g.csv").exists()
+        assert calls == [per] * 3
+
+        calls.clear()
+        exp_out = tmp_path / "exp"
+        assert main(["experiment", "quiet-noisy", "--out", str(exp_out),
+                     "--set", "duration=3"]) == 0
+        assert (exp_out / "example_noisy_g.csv").exists()
+        assert calls == [per] * 3
 
     def test_experiment_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
