@@ -16,8 +16,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import experiments, io
-# extract_dwells, log_histogram and poisson_prediction are not called here:
-# perfbench/spans.py, the benchmark's tracer, rebinds them in this module by name
+# extract_dwells, log_histogram, poisson_prediction and two_point_filter are
+# not called here: perfbench/spans.py, the benchmark's tracer, rebinds them in
+# this module by name
 from .analysis import (  # noqa: F401
     extract_dwells,
     log_histogram,
@@ -85,48 +86,49 @@ def cmd_simulate(args) -> int:
     t0 = time.monotonic()
     config = _scenario(args)
     os.makedirs(args.out, exist_ok=True)
-    truth, iq = experiments.run_simulation(config)
+    truth, record = experiments.simulate_record(config)
     record_path = os.path.join(args.out, "record.iq")
-    io.write_iq(record_path, iq)
+    io.write_iq(record_path, record)
     outputs = [record_path]
     if args.emit_truth:
         truth_path = os.path.join(args.out, "record.truth")
         io.write_truth_csv(truth_path, truth)
         outputs.append(truth_path)
     _finish_manifest(args, config, outputs,
-                     {**truth.event_counts(), "samples": len(iq)}, t0)
+                     {**truth.event_counts(), "samples": len(record)}, t0)
     return 0
 
 
 def _read_record(path):
-    iq = io.read_iq(path)
-    if len(iq) == 0:
+    """The record file at path, checked but not read: the commands read it
+    a block at a time."""
+    record = io.read_iq(path)
+    if len(record) == 0:
         raise io.DataFormatError(f"{path}: record holds no samples")
-    return iq
+    return record
 
 
 def cmd_filter(args) -> int:
     t0 = time.monotonic()
     config = _scenario(args, require_file=False)
-    iq = _read_record(args.record)
+    record = _read_record(args.record)
     sep = args.separation if args.separation is not None else snr_separation(
         config.meas if config else MeasurementParams())
-    est = two_point_filter(iq, sep)
     os.makedirs(args.out, exist_ok=True)
     states_path = os.path.join(args.out, "states.csv")
-    io.write_states_csv(states_path, est)
+    io.write_states_csv(states_path, experiments.filter_blocks(record, sep))
     _finish_manifest(args, config, [states_path],
-                     {"samples": len(est)}, t0, inputs=[args.record])
+                     {"samples": len(record)}, t0, inputs=[args.record])
     return 0
 
 
 def cmd_stats(args) -> int:
     t0 = time.monotonic()
     config = _scenario(args, require_file=False)
-    iq = _read_record(args.record)
+    record = _read_record(args.record)
     sep = args.separation if args.separation is not None else snr_separation(
         config.meas if config else MeasurementParams())
-    report = experiments.run_stats(iq, sep, args.window, args.bins_per_decade)
+    report = experiments.run_stats(record, sep, args.window, args.bins_per_decade)
     os.makedirs(args.out, exist_ok=True)
 
     report_path = os.path.join(args.out, "report.csv")
@@ -134,10 +136,10 @@ def cmd_stats(args) -> int:
     histograms = []
     for w, dwells in enumerate(report.dwells):
         histograms += experiments.write_dwell_histograms(
-            args.out, f"hist_{w:04d}", dwells, iq.t_meas, args.bins_per_decade)
+            args.out, f"hist_{w:04d}", dwells, record.t_meas, args.bins_per_decade)
 
     _finish_manifest(args, config, [report_path, *histograms],
-                     {"samples": len(iq), "windows": len(report),
+                     {"samples": len(record), "windows": len(report),
                       "histograms": len(histograms)}, t0, inputs=[args.record])
     return 0
 

@@ -4,9 +4,10 @@ Each preset is a set of configuration overrides on top of the defaults plus
 a driver that runs the simulate / filter / stats chain and writes the
 figure-ready CSVs.  Presets reuse the exact same pipeline functions as the
 individual CLI commands, so composing `simulate` and `stats` by hand on the
-same seed reproduces an experiment's outputs byte for byte.  A preset's
-record is never whole: run_stats reads its I block by block as it is
-synthesized, and Q, which no preset reads, is not drawn.
+same seed reproduces an experiment's outputs byte for byte.  No record is
+held whole: a SynthesizedRecord draws a range at a time as it is read, and
+run_stats and filter_blocks read any record in blocks.  Q, which no
+preset reads, is not drawn for a preset.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .jumpsim import (
     IQRecord,
     STATE_EXCITED,
     STATE_GROUND,
+    STREAM_BLOCK,
     TruthTrace,
     excited_time_at,
     relaxation_jump_times,
@@ -60,10 +62,6 @@ RECOVERY_CHUNK_CYCLES = 500
 RECOVERY_BINS_PER_DECADE = 8
 # post-injection bins with fewer relaxation jumps are left out of the fit
 MIN_JUMPS = 25
-# samples per block of a record, rounded down to whole windows (at least
-# one): a block's I, states and scratch take about 10 MB, whatever the
-# duration
-STREAM_BLOCK = 1 << 20
 
 # preset scenario overrides; everything else takes the documented defaults.
 #
@@ -154,40 +152,20 @@ def experiment_names() -> tuple[str, ...]:
 # pipeline stages shared by the CLI commands and the presets
 # ---------------------------------------------------------------------------
 
-def _simulate_truth(
-    config: ScenarioConfig,
-) -> tuple[TruthTrace, np.random.Generator, np.random.Generator]:
-    """Trajectory of one scenario, and the I and Q noise streams of its
-    record.
-
-    Each stage draws from its own stream spawned from the seed: the QP
-    layer, the qubit candidates, the acceptance uniforms, I noise, Q noise.
-    """
-    qp, candidates, uniforms, noise_i, noise_q = np.random.default_rng(
-        config.rng_seed).spawn(5)
-    return simulate_joint(config, qp, candidates, uniforms), noise_i, noise_q
-
-
-def run_simulation(config: ScenarioConfig) -> tuple[TruthTrace, IQRecord]:
-    """Trajectory plus the whole synthesized measurement record, I and Q,
-    for one scenario."""
-    truth, noise_i, noise_q = _simulate_truth(config)
-    return truth, synthesize_iq(truth, config.meas, noise_i, noise_q)
-
-
 @dataclass(frozen=True)
 class SynthesizedRecord:
-    """The I quadrature of a simulated record, synthesized a range at a time.
+    """The record of a simulated trajectory, synthesized a range at a time.
 
-    It has the t_meas and len() of the record run_simulation returns, and
-    read(lo, hi) gives samples lo to hi - 1 as a record of I alone.  The
-    noise comes from one stream, so ranges are read in order from 0;
-    consecutive ranges then hold the whole record's I bit for bit.
+    read(lo, hi) gives samples lo to hi - 1 as an IQRecord: I, and Q when
+    q_rng is given.  Each quadrature's noise comes from one stream, so
+    ranges are read in order from 0; consecutive ranges then hold the
+    whole record bit for bit.
     """
 
     truth: TruthTrace
     meas: MeasurementParams
     i_rng: np.random.Generator
+    q_rng: np.random.Generator | None = None
 
     @property
     def t_meas(self) -> float:
@@ -197,25 +175,70 @@ class SynthesizedRecord:
         return sample_count(self.truth.duration, self.meas.t_meas)
 
     def read(self, lo: int, hi: int) -> IQRecord:
-        return synthesize_iq(self.truth, self.meas, self.i_rng, None, lo, hi)
+        return synthesize_iq(self.truth, self.meas, self.i_rng, self.q_rng, lo, hi)
+
+
+def simulate_record(config: ScenarioConfig,
+                    with_q: bool = True) -> tuple[TruthTrace, SynthesizedRecord]:
+    """Trajectory of one scenario, and its record to be synthesized as it
+    is read; without Q when with_q is False.
+
+    Each stage draws from its own stream spawned from the seed: the QP
+    layer, the qubit candidates, the acceptance uniforms, I noise, Q noise.
+    """
+    qp, candidates, uniforms, noise_i, noise_q = np.random.default_rng(
+        config.rng_seed).spawn(5)
+    truth = simulate_joint(config, qp, candidates, uniforms)
+    return truth, SynthesizedRecord(truth, config.meas, noise_i,
+                                    noise_q if with_q else None)
+
+
+def run_simulation(config: ScenarioConfig) -> tuple[TruthTrace, IQRecord]:
+    """Trajectory plus the whole synthesized measurement record, I and Q,
+    for one scenario."""
+    truth, record = simulate_record(config)
+    return truth, record.read(0, len(record))
+
+
+def filter_blocks(record, separation: float, size: int | None = None,
+                  stop: int | None = None):
+    """The hysteresis estimate of a record, one block at a time.
+
+    record has t_meas, len() and read(lo, hi).  Blocks of size samples
+    (STREAM_BLOCK by default) are read in order from 0; the block that
+    reaches stop (by default the record's end) runs on to the end.  Each
+    is filtered with the state carried in from the block before, so the
+    yielded StateEstimates join into the whole record's estimate; only the
+    block in hand is held.
+    """
+    n = len(record)
+    size = STREAM_BLOCK if size is None else size
+    stop = n if stop is None else stop
+    carry = None
+    for lo in range(0, stop, size):
+        hi = n if lo + size >= stop else lo + size
+        est = two_point_filter(record.read(lo, hi), separation, carry)
+        carry = est.states[-1]
+        yield est
 
 
 def run_stats(
-    record: IQRecord | SynthesizedRecord,
+    record,
     separation: float,
     window: float = DEFAULT_WINDOW,
     bins_per_decade: int = DEFAULT_BINS_PER_DECADE,
 ) -> WindowedReport:
     """Windowed report of a record, each window's dwells included.
 
-    The record is read with record.read(lo, hi) in blocks of STREAM_BLOCK
-    samples rounded down to whole windows, at least one.  The last block
-    also holds the partial window at the end, which is dropped as
-    split_windows drops it.  Each block is filtered with the state carried
-    in from the block before and reported on window by window, so the
-    report equals the whole record's byte for byte; no state outlives its
-    block.  A window under 100 samples, a record shorter than one window
-    or bins_per_decade under 1 raises ValueError before any block is read.
+    record has t_meas, len() and read(lo, hi): an IQRecord, a
+    SynthesizedRecord or an io.IQFile.  filter_blocks reads it in blocks
+    of STREAM_BLOCK samples rounded down to whole windows, at least one.
+    The last block also holds the partial window at the end, which is
+    dropped as split_windows drops it.  Each block's estimate is reported
+    on window by window, so the report equals the whole record's byte for
+    byte; no state outlives its block.  A window under 100 samples, a
+    record shorter than one window or bins_per_decade under 1 raises
+    ValueError before any block is read.
     """
     n = len(record)
     per = window_samples(window, record.t_meas)
@@ -224,16 +247,9 @@ def run_stats(
         raise ValueError("record shorter than one window")
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be at least 1")
-    whole = n_windows * per
     size = max(1, STREAM_BLOCK // per) * per
-
-    reports = []
-    carry = None
-    for lo in range(0, whole, size):
-        block = record.read(lo, n if lo + size >= whole else lo + size)
-        est = two_point_filter(block, separation, carry)
-        carry = est.states[-1]
-        reports.append(windowed_report(est, window, bins_per_decade))
+    reports = [windowed_report(est, window, bins_per_decade)
+               for est in filter_blocks(record, separation, size, n_windows * per)]
 
     def joined(column):
         return np.concatenate([getattr(r, column) for r in reports])
@@ -315,8 +331,7 @@ def _write_alternation_outputs(out_dir, report: WindowedReport,
 
 
 def _alternation_driver(config, out_dir, workers):
-    truth, noise_i, _ = _simulate_truth(config)
-    record = SynthesizedRecord(truth, config.meas, noise_i)
+    truth, record = simulate_record(config, with_q=False)
     report = run_stats(record, snr_separation(config.meas))
     outputs = _write_alternation_outputs(out_dir, report, record.t_meas)
     counts = {**truth.event_counts(), "samples": len(record), "windows": len(report)}
@@ -457,8 +472,7 @@ def _recovery_driver(config, out_dir, workers):
 
 
 def _psd_driver(config, out_dir, workers):
-    truth, noise_i, _ = _simulate_truth(config)
-    record = SynthesizedRecord(truth, config.meas, noise_i)
+    truth, record = simulate_record(config, with_q=False)
     report = run_stats(record, snr_separation(config.meas), window=PSD_WINDOW)
 
     outputs = []

@@ -1,9 +1,12 @@
 """File formats: binary quadrature records, CSV exports, run manifests.
 
 All floating-point CSV values are written with 9 significant digits; the
-binary record format is little-endian with a fixed 24-byte header.  Every
-file is written atomically (temp file + rename) so partially written
-outputs never appear under their final name.
+binary record format is little-endian with a fixed 24-byte header.  Records
+stream through this module: write_iq pulls its record a range at a time,
+read_iq checks a file's header and size and returns an IQFile that reads
+ranges on demand, and write_states_csv writes the runs of a record's
+estimate block by block.  Every file is written atomically (temp file +
+rename) so partially written outputs never appear under their final name.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import DwellHistogram, StateEstimate, WindowedReport
+from .analysis import DwellHistogram, WindowedReport
 from .core import ScenarioConfig, serialize_config
-from .jumpsim import _BLOCK, IQRecord, STATE_EXCITED, TruthTrace, run_starts
+from .jumpsim import _BLOCK, IQRecord, STATE_EXCITED, STREAM_BLOCK, TruthTrace, run_starts
 
 try:
     TOOL_VERSION = importlib.metadata.version("qpjumps")
@@ -72,22 +75,74 @@ def atomic_write_text(path, text: str) -> None:
 # binary quadrature records
 # ---------------------------------------------------------------------------
 
-def write_iq(path, record: IQRecord) -> None:
-    """Header, then (I, Q) pairs, interleaved and written one block at a time."""
-    if record.q is None:
-        raise ValueError(f"{path}: the record has no Q to write")
+def _write_pairs(fh, block: IQRecord, pairs: np.ndarray) -> None:
+    """Write a block's (I, Q) pairs, interleaved through the pairs buffer
+    one bufferful at a time."""
+    room = len(pairs) // 2
+    for lo in range(0, len(block), room):
+        out = pairs[:2 * min(room, len(block) - lo)]
+        out[0::2] = block.i[lo:lo + room]
+        out[1::2] = block.q[lo:lo + room]
+        fh.write(out)
+
+
+def write_iq(path, record) -> None:
+    """Header, then (I, Q) pairs.
+
+    record has t_meas, len() and read(lo, hi), which gives samples lo to
+    hi - 1 as an IQRecord: an IQRecord itself, a synthesized record with Q
+    or a record file.  It is read in ranges of STREAM_BLOCK samples, and
+    each range is interleaved _BLOCK pairs at a time, so the writer holds
+    one range.  A record without Q is refused before any file is made.
+    """
     n = len(record)
-    block = np.empty(2 * min(n, _BLOCK), dtype="<f8")
+    # an empty range draws and reads nothing, and it shows the Q at any length
+    if record.read(0, 0).q is None:
+        raise ValueError(f"{path}: the record has no Q to write")
+    pairs = np.empty(2 * min(n, _BLOCK), dtype="<f8")
     with _atomic_file(path) as fh:
         fh.write(_HEADER.pack(IQ_MAGIC, IQ_VERSION, record.t_meas, n))
-        for lo in range(0, n, _BLOCK):
-            pairs = block[:2 * min(_BLOCK, n - lo)]
-            pairs[0::2] = record.i[lo:lo + _BLOCK]
-            pairs[1::2] = record.q[lo:lo + _BLOCK]
-            fh.write(pairs)
+        for lo in range(0, n, STREAM_BLOCK):
+            _write_pairs(fh, record.read(lo, min(n, lo + STREAM_BLOCK)), pairs)
 
 
-def read_iq(path) -> IQRecord:
+@dataclass(frozen=True)
+class IQFile:
+    """A record file whose header read_iq has checked; its samples stay in
+    the file until read(lo, hi) reads a range of them."""
+
+    path: str
+    t_meas: float
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def read(self, lo: int, hi: int) -> IQRecord:
+        """Samples lo to hi - 1, de-interleaved _BLOCK pairs at a time.
+
+        The file is opened for each range, so one that has shrunk since
+        read_iq raises DataFormatError naming the offset where it now ends.
+        """
+        i, q = np.empty(hi - lo), np.empty(hi - lo)
+        pairs = np.empty(2 * min(hi - lo, _BLOCK), dtype="<f8")
+        with open(self.path, "rb") as fh:
+            fh.seek(_HEADER.size + 16 * lo)
+            for k in range(0, hi - lo, _BLOCK):
+                block = pairs[:2 * min(_BLOCK, hi - lo - k)]
+                got = fh.readinto(block)
+                if got != block.nbytes:
+                    end = _HEADER.size + 16 * (lo + k) + got
+                    raise DataFormatError(
+                        f"{self.path}: payload ended early at offset {end}")
+                i[k:k + _BLOCK] = block[0::2]
+                q[k:k + _BLOCK] = block[1::2]
+        return IQRecord(t_meas=self.t_meas, i=i, q=q)
+
+
+def read_iq(path) -> IQFile:
+    """The record file at path, its header and payload size checked; no
+    sample is read until the returned record's read(lo, hi)."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -103,23 +158,13 @@ def read_iq(path) -> IQRecord:
         if t_meas <= 0:
             raise DataFormatError(f"{path}: non-positive sample period at offset 8")
         payload = os.fstat(fh.fileno()).st_size - _HEADER.size
-        expected = 16 * count
-        if payload != expected:
-            raise DataFormatError(
-                f"{path}: payload at offset {_HEADER.size} has {payload} bytes, "
-                f"expected {expected} for {count} samples"
-            )
-        # de-interleave block by block into the two output arrays
-        i, q = np.empty(count), np.empty(count)
-        block = np.empty(2 * min(count, _BLOCK), dtype="<f8")
-        for lo in range(0, count, _BLOCK):
-            pairs = block[:2 * min(_BLOCK, count - lo)]
-            if fh.readinto(pairs) != pairs.nbytes:
-                raise DataFormatError(
-                    f"{path}: payload ended early at offset {_HEADER.size + 16 * lo}")
-            i[lo:lo + _BLOCK] = pairs[0::2]
-            q[lo:lo + _BLOCK] = pairs[1::2]
-    return IQRecord(t_meas=t_meas, i=i, q=q)
+    expected = 16 * count
+    if payload != expected:
+        raise DataFormatError(
+            f"{path}: payload at offset {_HEADER.size} has {payload} bytes, "
+            f"expected {expected} for {count} samples"
+        )
+    return IQFile(path=os.fspath(path), t_meas=t_meas, count=count)
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +195,38 @@ def write_ode_csv(path, times, densities) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_states_csv(path, est: StateEstimate) -> None:
-    """One row per run of equal states: start time, state, length in samples."""
-    first = run_starts(est.states)
-    samples = np.diff(first, append=len(est))
-    lines = ["start_s,state,samples"]
-    lines += [
-        f"{_fmt(k * est.t_meas)},{STATE_CHARS[int(s == STATE_EXCITED)]},{n}"
-        for k, s, n in zip(first.tolist(), est.states[first].tolist(), samples.tolist())
-    ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def _run_rows(starts, states, samples, t_meas: float) -> bytes:
+    return "".join(
+        f"{_fmt(k * t_meas)},{STATE_CHARS[int(s == STATE_EXCITED)]},{n}\n"
+        for k, s, n in zip(starts.tolist(), states.tolist(), samples.tolist())
+    ).encode("utf-8")
+
+
+def write_states_csv(path, blocks) -> None:
+    """One row per run of equal states: start time, state, length in samples.
+
+    blocks are the StateEstimates of consecutive ranges of one record from
+    its first sample, as experiments.filter_blocks yields them.  A run that
+    crosses from one block into the next is one row.  Each block's runs are
+    written once the next run has started, so the writer holds one block's
+    runs and the one still open, not the record's.
+    """
+    # the run still open: its first sample and its state
+    start, state = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
+    end = 0
+    with _atomic_file(path) as fh:
+        fh.write(b"start_s,state,samples\n")
+        for est in blocks:
+            first = run_starts(est.states)
+            if len(state) and est.states[0] == state[0]:
+                first = first[1:]  # the open run goes on
+            starts = np.concatenate((start, end + first))
+            states = np.concatenate((state, est.states[first]))
+            end += len(est)
+            fh.write(_run_rows(starts[:-1], states[:-1], np.diff(starts), est.t_meas))
+            start, state, t_meas = starts[-1:], states[-1:], est.t_meas
+        if len(start):
+            fh.write(_run_rows(start, state, end - start, t_meas))
 
 
 def write_histogram_csv(path, hist: DwellHistogram, predicted) -> None:

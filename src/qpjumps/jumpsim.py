@@ -45,6 +45,11 @@ _RNG_BUF = 1 << 16
 # samples per block of the record pipeline, and qubit candidates per block
 # of the sampler: their scratch arrays stay in cache
 _BLOCK = 1 << 16
+# samples per range in which a record is streamed: synthesized and written
+# to a file, read back and filtered.  experiments.run_stats rounds it down
+# to whole windows (at least one).  A range's I, Q, states and scratch take
+# about 20 MB, whatever the duration
+STREAM_BLOCK = 1 << 20
 
 
 def snr_separation(meas: MeasurementParams) -> float:
@@ -469,8 +474,10 @@ class IQRecord:
         return len(self.i)
 
     def read(self, lo: int, hi: int) -> IQRecord:
-        """Samples lo to hi - 1 as a record of I alone, a view of this one."""
-        return IQRecord(t_meas=self.t_meas, i=self.i[lo:hi], q=None)
+        """Samples lo to hi - 1 as a record: views of this one's I and of
+        its Q, when it has Q."""
+        q = None if self.q is None else self.q[lo:hi]
+        return IQRecord(t_meas=self.t_meas, i=self.i[lo:hi], q=q)
 
 
 def sample_count(duration: float, t_meas: float) -> int:

@@ -2,6 +2,7 @@ import argparse
 import json
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from qpjumps import analysis, cli, experiments, fitting, io
 from qpjumps.analysis import two_point_filter
 from qpjumps.cli import build_parser, main
 from qpjumps.core import load_config, serialize_config, validate_config
-from qpjumps.experiments import preset_config, run_stats
-from qpjumps.jumpsim import snr_separation
+from qpjumps.experiments import preset_config, run_simulation, run_stats
+from qpjumps.jumpsim import _BLOCK, IQRecord, sample_count, snr_separation
 
 from support import iteration_capped, power_law_series
 
@@ -114,6 +115,22 @@ class TestSimulate:
                        "qp_trapping = 0\nqp_recombination = 1e10\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
+    # simulate pulls its record from the synthesis in ranges of
+    # STREAM_BLOCK samples; they join into run_simulation's whole record
+    @pytest.mark.parametrize("stream_block", [7777, _BLOCK + 1])
+    def test_record_file_holds_the_whole_record(self, tmp_path, monkeypatch, stream_block):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("rng_seed = 5\nduration = 0.7\n")
+        monkeypatch.setattr(io, "STREAM_BLOCK", stream_block)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        _, iq = run_simulation(load_config(cfg))
+        assert len(iq) > 2 * _BLOCK
+        pairs = np.empty(2 * len(iq), dtype="<f8")
+        pairs[0::2], pairs[1::2] = iq.i, iq.q
+        header = io._HEADER.pack(io.IQ_MAGIC, io.IQ_VERSION, iq.t_meas, len(iq))
+        assert (out / "record.iq").read_bytes() == header + pairs.tobytes()
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "x")]) == 2
 
@@ -137,7 +154,8 @@ class TestFilterAndStats:
         lengths = np.array(lengths, dtype=np.int64)
         expanded = np.repeat([io.STATE_CHARS.index(c) for c in states], lengths)
         sep = snr_separation(load_config(config_file).meas)
-        want = two_point_filter(io.read_iq(out / "record.iq"), sep).states
+        record = io.read_iq(out / "record.iq")
+        want = two_point_filter(record.read(0, len(record)), sep).states
         assert expanded.tolist() == want.tolist()
         assert lengths.sum() == samples == 50_000
         assert starts[0] == "0"
@@ -153,6 +171,69 @@ class TestFilterAndStats:
         assert len(report) == 6  # five 50 ms windows
         assert (out / "hist_0000_g.csv").exists()
         assert (out / "hist_0000_e.csv").exists()
+
+    # filter's blocks: one sample, seven, one _BLOCK and one more; a record
+    # of runs that cross the block edges, and one that is a single run
+    @pytest.mark.parametrize("block", [1, 7, _BLOCK, _BLOCK + 1])
+    @pytest.mark.parametrize("case", ["runs", "one run"])
+    def test_blocked_filter_writes_the_whole_estimate_rows(self, tmp_path, monkeypatch,
+                                                          block, case):
+        n = 300 if block < 100 else 2 * _BLOCK + 50
+        rng = np.random.default_rng(block)
+        sep = 2.5
+        if case == "runs":
+            states = np.repeat(np.arange(n) % 2, rng.geometric(1 / 40, n))[:n]
+            i = sep * (1.0 - 2.0 * states) + rng.standard_normal(n)
+        else:
+            i = np.full(n, sep)
+        whole = IQRecord(t_meas=5e-6, i=i, q=rng.standard_normal(n))
+        path = tmp_path / "r.iq"
+        io.write_iq(path, whole)
+        est = two_point_filter(whole, sep)
+        want = tmp_path / "want.csv"
+        io.write_states_csv(want, [est])
+        edges = np.arange(block, n, block)
+        crossing = np.sum(est.states[edges - 1] == est.states[edges])
+        if case == "runs":
+            assert crossing > 0
+        else:
+            assert len(want.read_text().splitlines()) == 2
+
+        filtered = []
+        real_filter = experiments.two_point_filter
+
+        def recorded(iq, separation, initial=None):
+            filtered.append(len(iq))
+            return real_filter(iq, separation, initial)
+
+        monkeypatch.setattr(experiments, "two_point_filter", recorded)
+        monkeypatch.setattr(experiments, "STREAM_BLOCK", block)
+        out = tmp_path / "out"
+        assert main(["filter", "--record", str(path), "--separation", str(sep),
+                     "--out", str(out)]) == 0
+        assert (out / "states.csv").read_bytes() == want.read_bytes()
+        assert filtered == np.diff([*range(0, n, block), n]).tolist()
+
+    @pytest.mark.parametrize("command", ["stats", "filter"])
+    def test_record_that_shrinks_after_read_iq_exits_3(self, tmp_path, config_file,
+                                                       monkeypatch, command, capsys):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config_file), "--out", str(sim)]) == 0
+        read_iq = io.read_iq
+
+        def shrinking(path):
+            record = read_iq(path)
+            with open(path, "r+b") as fh:
+                fh.truncate(24 + 16 * 1000)
+            return record
+
+        monkeypatch.setattr(io, "read_iq", shrinking)
+        out = tmp_path / "out"
+        window = ["--window", "0.05"] if command == "stats" else []
+        assert main([command, "--record", str(sim / "record.iq"), *window,
+                     "--config", str(config_file), "--out", str(out)]) == 3
+        assert "payload ended early at offset 16024" in capsys.readouterr().err
+        assert list(out.glob("*")) == []
 
     def test_corrupt_record_exit_code(self, tmp_path, config_file):
         path = tmp_path / "bad.iq"
@@ -449,3 +530,35 @@ class TestExperiment:
         ma, mb = read_manifest(a), read_manifest(b)
         ma.pop("wall_clock_s"), mb.pop("wall_clock_s")
         assert ma == mb
+
+
+def test_record_commands_grow_by_under_2_5_bytes_per_sample(tmp_path):
+    # numpy reports its buffers to tracemalloc.  On quiet-noisy from 20 s to
+    # 40 s, holding the whole record grew simulate's traced peak by 16.7 B
+    # per added sample, stats' by 16.1 B and filter's by 19.0 B.  Streamed
+    # in blocks they grow by 0.73, 0.11 and 0.08 B, a margin of 1.77 B or
+    # more under the bound: simulate keeps the trajectory and its tables,
+    # which grow with the events rather than the samples
+    peaks = {}
+    for duration in (20, 40):
+        config = preset_config("quiet-noisy", {"duration": str(duration)})
+        cfg = tmp_path / f"{duration}.cfg"
+        cfg.write_text(serialize_config(config))
+        out = tmp_path / str(duration)
+        record = str(out / "record.iq")
+        for command, argv in (
+            ("simulate", ["--out", str(out)]),
+            ("stats", ["--record", record, "--out", str(out / "stats")]),
+            ("filter", ["--record", record, "--out", str(out / "filter")]),
+        ):
+            tracemalloc.start()
+            try:
+                assert main([command, "--config", str(cfg), *argv]) == 0
+                peaks[command, duration] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    t_meas = config.meas.t_meas
+    added = sample_count(40, t_meas) - sample_count(20, t_meas)
+    for command in ("simulate", "stats", "filter"):
+        growth = (peaks[command, 40] - peaks[command, 20]) / added
+        assert growth < 2.5, (command, growth)

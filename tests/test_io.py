@@ -6,7 +6,8 @@ import pytest
 
 from qpjumps import io
 from qpjumps.analysis import StateEstimate, log_histogram, poisson_prediction
-from qpjumps.core import validate_config
+from qpjumps.core import MeasurementParams, validate_config
+from qpjumps.experiments import SynthesizedRecord
 from qpjumps.jumpsim import _BLOCK, IQRecord, TruthTrace
 
 
@@ -22,8 +23,10 @@ class TestIqFormat:
         io.write_iq(path, record)
         back = io.read_iq(path)
         assert back.t_meas == record.t_meas
-        assert np.array_equal(back.i, record.i)
-        assert np.array_equal(back.q, record.q)
+        assert len(back) == len(record)
+        whole = back.read(0, len(back))
+        assert np.array_equal(whole.i, record.i)
+        assert np.array_equal(whole.q, record.q)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         record = make_record(64)
@@ -53,16 +56,92 @@ class TestIqFormat:
         interleaved[1::2] = record.q
         header = io._HEADER.pack(io.IQ_MAGIC, io.IQ_VERSION, record.t_meas, n)
         assert path.read_bytes() == header + interleaved.tobytes()
-        back = io.read_iq(path)
+        back = io.read_iq(path).read(0, n)
         assert np.array_equal(back.i, record.i)
         assert np.array_equal(back.q, record.q)
 
-    def test_record_without_q_is_refused_before_any_file(self, tmp_path):
-        record = IQRecord(t_meas=5e-6, i=np.zeros(10), q=None)
+    # write_iq pulls ranges of STREAM_BLOCK samples: at 7 they cut the
+    # record off _BLOCK's edges, at _BLOCK + 1 one range spans two of them
+    @pytest.mark.parametrize("stream_block", [7, _BLOCK + 1])
+    def test_record_is_pulled_in_ranges(self, tmp_path, monkeypatch, stream_block):
+        record = make_record(2 * _BLOCK + 17)
+        ranges = []
+
+        class Pulled:
+            t_meas = record.t_meas
+
+            def __len__(self):
+                return len(record)
+
+            def read(self, lo, hi):
+                ranges.append((lo, hi))
+                return record.read(lo, hi)
+
+        whole = tmp_path / "whole.iq"
+        io.write_iq(whole, record)
+        monkeypatch.setattr(io, "STREAM_BLOCK", stream_block)
         path = tmp_path / "r.iq"
-        with pytest.raises(ValueError, match=str(path)):
-            io.write_iq(path, record)
-        assert list(tmp_path.iterdir()) == []
+        io.write_iq(path, Pulled())
+        assert path.read_bytes() == whole.read_bytes()
+        bounds = list(range(0, len(record), stream_block)) + [len(record)]
+        assert ranges == [(0, 0), *zip(bounds[:-1], bounds[1:])]
+
+    # ranges inside one _BLOCK, across one or two of its edges, from 0 and
+    # to the end, and empty ones
+    @pytest.mark.parametrize("lo, hi", [
+        (0, 0), (5, 5), (_BLOCK, _BLOCK), (0, 1), (3, 40), (_BLOCK - 1, _BLOCK + 1),
+        (_BLOCK - 3, 2 * _BLOCK + 2), (0, 2 * _BLOCK + 17), (_BLOCK, 2 * _BLOCK + 17),
+        (2 * _BLOCK + 16, 2 * _BLOCK + 17),
+    ])
+    def test_file_ranges_equal_the_written_slices(self, tmp_path, lo, hi):
+        record = make_record(2 * _BLOCK + 17, seed=1)
+        path = tmp_path / "r.iq"
+        io.write_iq(path, record)
+        got = io.read_iq(path).read(lo, hi)
+        assert got.t_meas == record.t_meas
+        assert got.i.tobytes() == record.i[lo:hi].tobytes()
+        assert got.q.tobytes() == record.q[lo:hi].tobytes()
+
+    def test_read_iq_reads_only_the_header(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.iq"
+        io.write_iq(path, make_record(_BLOCK + 1))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a sample was read")
+
+        monkeypatch.setattr(io.IQFile, "read", refused)
+        record = io.read_iq(path)
+        assert len(record) == _BLOCK + 1 and record.t_meas == 5e-6
+
+    def test_record_without_q_is_refused_before_any_file(self, tmp_path):
+        # at every length, n = 0 included, where no range is written; and
+        # for a synthesized record without a Q stream as for an IQRecord
+        meas = MeasurementParams()
+        for n in (0, 10):
+            truth = TruthTrace(duration=n * meas.t_meas, times=np.array([0.0]),
+                               states=np.zeros(1, dtype=np.uint8),
+                               counts=np.zeros(1, dtype=np.int64))
+            for record in (IQRecord(t_meas=meas.t_meas, i=np.zeros(n), q=None),
+                           SynthesizedRecord(truth, meas, np.random.default_rng(0))):
+                assert len(record) == n
+                path = tmp_path / "r.iq"
+                with pytest.raises(ValueError, match=str(path)):
+                    io.write_iq(path, record)
+                assert list(tmp_path.iterdir()) == []
+
+    def test_record_that_shrinks_after_read_iq_names_the_offset(self, tmp_path):
+        # read_iq checked the size; a later read finds the payload cut short
+        path = tmp_path / "r.iq"
+        written = make_record(_BLOCK + 8)
+        io.write_iq(path, written)
+        record = io.read_iq(path)
+        path.write_bytes(path.read_bytes()[:24 + 16 * (_BLOCK + 3)])
+        assert record.read(0, _BLOCK).i.tobytes() == written.i[:_BLOCK].tobytes()
+        end = f"{path}: payload ended early at offset {24 + 16 * (_BLOCK + 3)}"
+        with pytest.raises(io.DataFormatError, match=end):
+            record.read(0, _BLOCK + 8)
+        with pytest.raises(io.DataFormatError, match=end):
+            record.read(_BLOCK + 2, _BLOCK + 4)
 
     def test_bad_magic_names_offset(self, tmp_path):
         path = tmp_path / "r.iq"
@@ -177,8 +256,27 @@ class TestCsvWriters:
             ([0] * 4, ["0,g,4"]),
         ):
             est = StateEstimate(t_meas=5e-6, states=np.array(states, dtype=np.uint8))
-            io.write_states_csv(path, est)
+            io.write_states_csv(path, [est])
             assert path.read_text().splitlines() == ["start_s,state,samples"] + rows
+
+    def test_states_csv_joins_runs_across_blocks(self, tmp_path):
+        # every way to cut the record into blocks gives the whole record's
+        # rows: a run that crosses a cut is one row
+        states = np.array([1, 1, 0, 0, 0, 1, 1], dtype=np.uint8)
+        path = tmp_path / "st.csv"
+        io.write_states_csv(path, [StateEstimate(t_meas=5e-6, states=states)])
+        want = path.read_bytes()
+        for mask in range(1 << (len(states) - 1)):
+            cuts = [k for k in range(1, len(states)) if mask >> (k - 1) & 1]
+            blocks = [StateEstimate(t_meas=5e-6, states=part)
+                      for part in np.split(states, cuts)]
+            io.write_states_csv(path, iter(blocks))
+            assert path.read_bytes() == want, cuts
+
+    def test_states_csv_of_no_blocks_is_the_header(self, tmp_path):
+        path = tmp_path / "st.csv"
+        io.write_states_csv(path, [])
+        assert path.read_text() == "start_s,state,samples\n"
 
 
 class TestManifest:
