@@ -5,17 +5,20 @@ a driver that runs the simulate / filter / stats chain and writes the
 figure-ready CSVs.  Presets reuse the exact same pipeline functions as the
 individual CLI commands, so composing `simulate` and `stats` by hand on the
 same seed reproduces an experiment's outputs byte for byte.  No record is
-held whole: a SynthesizedRecord draws a range at a time as it is read, and
-run_stats and filter_blocks read any record in blocks.  Q, which no
-preset reads, is not drawn for a preset.
+held whole: a SynthesizedRecord synthesizes a range at a time as it is
+read, while one worker thread draws the next range's noise, and run_stats
+and filter_blocks read any record in blocks.  Q, which no preset reads,
+is not drawn for a preset.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from .jumpsim import (
     STREAM_BLOCK,
     TruthTrace,
     excited_time_at,
+    reading,
     relaxation_jump_times,
     sample_count,
     simulate_joint,
@@ -152,20 +156,31 @@ def experiment_names() -> tuple[str, ...]:
 # pipeline stages shared by the CLI commands and the presets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class SynthesizedRecord:
     """The record of a simulated trajectory, synthesized a range at a time.
 
     read(lo, hi) gives samples lo to hi - 1 as an IQRecord: I, and Q when
     q_rng is given.  Each quadrature's noise comes from one stream, so
-    ranges are read in order from 0; consecutive ranges then hold the
-    whole record bit for bit.
+    each read starts where the last one ended, from 0; consecutive ranges
+    then hold the whole record bit for bit, and a read from anywhere else
+    raises ValueError.  While the caller works on a range, one worker
+    thread draws the noise of the next, as long as the range just read and
+    capped at the record's end; a read of exactly that range takes the
+    drawn arrays as its I and Q, and a longer one draws the rest once the
+    worker is done.  close() waits for the worker: the read loops call it
+    as they end, so no thread outlives them.
     """
 
     truth: TruthTrace
     meas: MeasurementParams
     i_rng: np.random.Generator
     q_rng: np.random.Generator | None = None
+    # where the last read ended; the noise drawn from there on, one array
+    # per stream (or the error that drawing it raised); and the worker
+    _next: int = field(default=0, init=False, repr=False)
+    _ahead: list | BaseException = field(default_factory=list, init=False, repr=False)
+    _worker: threading.Thread | None = field(default=None, init=False, repr=False)
 
     @property
     def t_meas(self) -> float:
@@ -174,8 +189,54 @@ class SynthesizedRecord:
     def __len__(self) -> int:
         return sample_count(self.truth.duration, self.meas.t_meas)
 
+    def _streams(self) -> list[np.random.Generator]:
+        return [rng for rng in (self.i_rng, self.q_rng) if rng is not None]
+
+    def _draw(self, m: int) -> list[np.ndarray]:
+        return [rng.standard_normal(m) for rng in self._streams()]
+
+    def _fill(self, noise: list[np.ndarray]) -> None:
+        # on the worker; the next read raises what this raised
+        try:
+            for rng, out in zip(self._streams(), noise):
+                rng.standard_normal(out=out)
+        except BaseException as exc:
+            self._ahead = exc
+
+    def close(self) -> None:
+        """Wait for the worker, if it is drawing.  Its noise is kept, so
+        reading may go on where the last read ended."""
+        if self._worker is not None:
+            self._worker.join()
+            self._worker = None
+
     def read(self, lo: int, hi: int) -> IQRecord:
-        return synthesize_iq(self.truth, self.meas, self.i_rng, self.q_rng, lo, hi)
+        if lo != self._next:
+            raise ValueError(f"read from sample {lo}: the record is read in order, "
+                             f"and the next read starts at sample {self._next}")
+        self.close()
+        if isinstance(self._ahead, BaseException):
+            raise self._ahead
+        m = hi - lo
+        ahead, self._ahead = self._ahead, []
+        if not ahead:
+            noise = self._draw(m)
+        elif len(ahead[0]) >= m:  # used in place; the rest is the next read's
+            noise = [a[:m] for a in ahead]
+            if len(ahead[0]) > m:
+                self._ahead = [a[m:] for a in ahead]
+        else:  # a longer read draws the rest now, after the worker's part
+            more = self._draw(m - len(ahead[0]))
+            noise = [np.concatenate(pair) for pair in zip(ahead, more)]
+        self._next = hi
+        more = min(len(self), hi + m) - hi
+        if more > 0 and not self._ahead:
+            # allocated here, so the worker only fills them
+            self._ahead = [np.empty(more) for _ in self._streams()]
+            self._worker = threading.Thread(target=self._fill, args=(self._ahead,))
+            self._worker.start()
+        i, *q = noise
+        return synthesize_iq(self.truth, self.meas, i, q[0] if q else None, lo)
 
 
 def simulate_record(config: ScenarioConfig,
@@ -215,11 +276,12 @@ def filter_blocks(record, separation: float, size: int | None = None,
     size = STREAM_BLOCK if size is None else size
     stop = n if stop is None else stop
     carry = None
-    for lo in range(0, stop, size):
-        hi = n if lo + size >= stop else lo + size
-        est = two_point_filter(record.read(lo, hi), separation, carry)
-        carry = est.states[-1]
-        yield est
+    with reading(record):
+        for lo in range(0, stop, size):
+            hi = n if lo + size >= stop else lo + size
+            est = two_point_filter(record.read(lo, hi), separation, carry)
+            carry = est.states[-1]
+            yield est
 
 
 def run_stats(
@@ -248,8 +310,10 @@ def run_stats(
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be at least 1")
     size = max(1, STREAM_BLOCK // per) * per
-    reports = [windowed_report(est, window, bins_per_decade)
-               for est in filter_blocks(record, separation, size, n_windows * per)]
+    # closed as run_stats returns or raises, so the record's reads end here
+    with contextlib.closing(filter_blocks(record, separation, size,
+                                          n_windows * per)) as blocks:
+        reports = [windowed_report(est, window, bins_per_decade) for est in blocks]
 
     def joined(column):
         return np.concatenate([getattr(r, column) for r in reports])

@@ -24,7 +24,15 @@ import numpy as np
 
 from .analysis import DwellHistogram, WindowedReport
 from .core import ScenarioConfig, serialize_config
-from .jumpsim import _BLOCK, IQRecord, STATE_EXCITED, STREAM_BLOCK, TruthTrace, run_starts
+from .jumpsim import (
+    _BLOCK,
+    IQRecord,
+    STATE_EXCITED,
+    STREAM_BLOCK,
+    TruthTrace,
+    reading,
+    run_starts,
+)
 
 try:
     TOOL_VERSION = importlib.metadata.version("qpjumps")
@@ -93,14 +101,15 @@ def write_iq(path, record) -> None:
     hi - 1 as an IQRecord: an IQRecord itself, a synthesized record with Q
     or a record file.  It is read in ranges of STREAM_BLOCK samples, and
     each range is interleaved _BLOCK pairs at a time, so the writer holds
-    one range.  A record without Q is refused before any file is made.
+    one range (a synthesized record also draws the next).  A record
+    without Q is refused before any file is made.
     """
     n = len(record)
     # an empty range draws and reads nothing, and it shows the Q at any length
     if record.read(0, 0).q is None:
         raise ValueError(f"{path}: the record has no Q to write")
     pairs = np.empty(2 * min(n, _BLOCK), dtype="<f8")
-    with _atomic_file(path) as fh:
+    with reading(record), _atomic_file(path) as fh:
         fh.write(_HEADER.pack(IQ_MAGIC, IQ_VERSION, record.t_meas, n))
         for lo in range(0, n, STREAM_BLOCK):
             _write_pairs(fh, record.read(lo, min(n, lo + STREAM_BLOCK)), pairs)
@@ -119,25 +128,20 @@ class IQFile:
         return self.count
 
     def read(self, lo: int, hi: int) -> IQRecord:
-        """Samples lo to hi - 1, de-interleaved _BLOCK pairs at a time.
+        """Samples lo to hi - 1, their pairs read with one readinto: I and Q
+        are strided views of that buffer, and nothing is copied.
 
         The file is opened for each range, so one that has shrunk since
         read_iq raises DataFormatError naming the offset where it now ends.
         """
-        i, q = np.empty(hi - lo), np.empty(hi - lo)
-        pairs = np.empty(2 * min(hi - lo, _BLOCK), dtype="<f8")
+        pairs = np.empty(2 * (hi - lo), dtype="<f8")
         with open(self.path, "rb") as fh:
             fh.seek(_HEADER.size + 16 * lo)
-            for k in range(0, hi - lo, _BLOCK):
-                block = pairs[:2 * min(_BLOCK, hi - lo - k)]
-                got = fh.readinto(block)
-                if got != block.nbytes:
-                    end = _HEADER.size + 16 * (lo + k) + got
-                    raise DataFormatError(
-                        f"{self.path}: payload ended early at offset {end}")
-                i[k:k + _BLOCK] = block[0::2]
-                q[k:k + _BLOCK] = block[1::2]
-        return IQRecord(t_meas=self.t_meas, i=i, q=q)
+            got = fh.readinto(pairs)
+        if got != pairs.nbytes:
+            end = _HEADER.size + 16 * lo + got
+            raise DataFormatError(f"{self.path}: payload ended early at offset {end}")
+        return IQRecord(t_meas=self.t_meas, i=pairs[0::2], q=pairs[1::2])
 
 
 def read_iq(path) -> IQFile:

@@ -19,6 +19,7 @@ the readout parameters.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from array import array
 from dataclasses import dataclass
@@ -47,9 +48,10 @@ _RNG_BUF = 1 << 16
 _BLOCK = 1 << 16
 # samples per range in which a record is streamed: synthesized and written
 # to a file, read back and filtered.  experiments.run_stats rounds it down
-# to whole windows (at least one).  A range's I, Q, states and scratch take
-# about 20 MB, whatever the duration
-STREAM_BLOCK = 1 << 20
+# to whole windows (at least one).  A synthesized record draws the next
+# range's noise while the caller works on this one, so two ranges are in
+# flight: with their states and scratch, about 20 MB whatever the duration
+STREAM_BLOCK = 1 << 19
 
 
 def snr_separation(meas: MeasurementParams) -> float:
@@ -480,6 +482,20 @@ class IQRecord:
         return IQRecord(t_meas=self.t_meas, i=self.i[lo:hi], q=q)
 
 
+@contextlib.contextmanager
+def reading(record):
+    """record, for a loop of reads.  As the loop ends, returning or
+    raising, the record's close() is called when it has one: a
+    synthesized record waits there for the noise it draws ahead, so no
+    thread outlives the loop."""
+    try:
+        yield record
+    finally:
+        close = getattr(record, "close", None)
+        if close is not None:
+            close()
+
+
 def sample_count(duration: float, t_meas: float) -> int:
     """Number of complete integration bins in the record."""
     # relative slack: an absolute one falls below one ULP of large ratios
@@ -489,35 +505,31 @@ def sample_count(duration: float, t_meas: float) -> int:
 def synthesize_iq(
     truth: TruthTrace,
     meas: MeasurementParams,
-    i_rng: np.random.Generator,
-    q_rng: np.random.Generator | None,
+    i: np.ndarray,
+    q: np.ndarray | None = None,
     start: int = 0,
-    stop: int | None = None,
 ) -> IQRecord:
-    """Dispersive readout record for bins start to stop - 1 of a trajectory,
-    by default all of them.
+    """Dispersive readout record for bins start to start + len(i) - 1 of a
+    trajectory, from their noise.
 
     Each bin of length t_meas gets I = (f_g - f_e) * separation + noise and
     Q = noise, with f_g/f_e the exact fractions of the bin spent in each
-    state (ground maps to +I).  I is built block by block with the next
-    stop - start draws of i_rng as its noise; Q's come from q_rng, and
-    with q_rng None no Q is drawn and the record's q is None.  Normal
-    draws do not depend on how a stream is split, so consecutive ranges
-    synthesized with one i_rng give the whole record's I bit for bit.
+    state (ground maps to +I).  i holds the bins' I noise, and the levels
+    are added to it in place, block by block: it becomes the record's I.
+    q, Q's noise, is the record's Q as it is; None gives a record without
+    Q.  Drawing the noise is left to the caller, so a range's draws can be
+    made ahead of its occupancy; normal draws do not depend on how a
+    stream is split, so consecutive ranges of one stream give the whole
+    record bit for bit.
     """
-    if stop is None:
-        stop = sample_count(truth.duration, meas.t_meas)
     sep = snr_separation(meas)
-    i = np.empty(stop - start)
     lo = 0
-    for f_e in occupancy_blocks(truth, meas.t_meas, start, stop):
+    for f_e in occupancy_blocks(truth, meas.t_meas, start, start + len(i)):
         hi = lo + len(f_e)
         # noise + (1 - 2 f_e) * sep, in place
-        out = i_rng.standard_normal(out=i[lo:hi])
         f_e *= 2.0
         np.subtract(1.0, f_e, out=f_e)
         f_e *= sep
-        out += f_e
+        i[lo:hi] += f_e
         lo = hi
-    q = q_rng.standard_normal(len(i)) if q_rng is not None else None
     return IQRecord(t_meas=meas.t_meas, i=i, q=q)

@@ -1,9 +1,12 @@
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qpjumps import experiments
+from qpjumps import cli, experiments, io
 from qpjumps.core import ConfigError, PeriodicPulses, ScenarioConfig
 from qpjumps.experiments import (
     preset_config,
@@ -13,11 +16,14 @@ from qpjumps.experiments import (
     run_recovery,
     run_simulation,
     run_stats,
+    simulate_record,
     tau_fidelity_correlation,
 )
 from qpjumps.jumpsim import (
     STATE_EXCITED,
     STATE_GROUND,
+    STREAM_BLOCK,
+    IQRecord,
     TruthTrace,
     sample_count,
     snr_separation,
@@ -226,10 +232,10 @@ class TestStreamedPresets:
         monkeypatch.setattr(experiments, "STREAM_BLOCK", block)
         ranges = []
 
-        def recorded(truth, meas, i_rng, q_rng, start=0, stop=None):
-            assert q_rng is None
-            ranges.append((start, stop))
-            return synthesize(truth, meas, i_rng, q_rng, start, stop)
+        def recorded(truth, meas, i, q=None, start=0):
+            assert q is None
+            ranges.append((start, start + len(i)))
+            return synthesize(truth, meas, i, q, start)
 
         synthesize = experiments.synthesize_iq
         monkeypatch.setattr(experiments, "synthesize_iq", recorded)
@@ -284,3 +290,195 @@ class TestStreamedPresets:
         t_meas = config.meas.t_meas
         added = sample_count(80, t_meas) - sample_count(40, t_meas)
         assert (peaks[80] - peaks[40]) / added < 2.5
+
+
+class SlowRecord(experiments.SynthesizedRecord):
+    """A synthesized record whose worker takes 50 ms over each range, so
+    that it is still drawing while a failure unwinds."""
+
+    def _fill(self, noise):
+        time.sleep(0.05)
+        super()._fill(noise)
+
+
+class ThirdReadFails(SlowRecord):
+    """A slow record whose third read fails, as a full disk would, once it
+    has set its worker drawing the range after."""
+
+    reads = 0
+
+    def read(self, lo, hi):
+        block = super().read(lo, hi)
+        self.reads += 1
+        if self.reads == 3:
+            raise OSError("third read")
+        return block
+
+
+class TestSynthesizedRecord:
+    """The record draws the next range's noise on one worker thread while
+    the caller works on the range in hand."""
+
+    # 8 s: 1.6 M samples, four ranges of run_stats (two 1 s windows each)
+    # and of write_iq, so the third read leaves a range to draw
+    CONFIG = preset_config("quiet-noisy", {"duration": "8"})
+
+    @pytest.fixture(scope="class")
+    def whole(self):
+        return run_simulation(self.CONFIG)
+
+    def record(self, cls=experiments.SynthesizedRecord, with_q=True):
+        truth, record = simulate_record(self.CONFIG, with_q)
+        return cls(truth, record.meas, record.i_rng, record.q_rng)
+
+    @pytest.mark.parametrize("cuts", [
+        [0, 10, 20, 30],                 # equal ranges, each drawn ahead
+        [0, 10, 15, 16, 40],             # shorter reads, then a longer one
+        [0, 0, 100, 300, 301, 700],      # an empty probe; a longer, a shorter
+        [0, 5, 1000, 1000, 1010],        # an empty read mid-stream
+    ])
+    def test_ranges_in_order_hold_the_whole_record(self, whole, cuts):
+        record = self.record()
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            block = record.read(lo, hi)
+            assert block.i.tobytes() == whole[1].i[lo:hi].tobytes()
+            assert block.q.tobytes() == whole[1].q[lo:hi].tobytes()
+        record.close()
+
+    def test_read_away_from_the_last_end_is_refused(self, whole):
+        record = self.record()
+        record.read(0, 100)
+        for lo in (0, 99, 101, 250):
+            with pytest.raises(ValueError, match=rf"sample {lo}\b.*sample 100\b"):
+                record.read(lo, lo + 50)
+        # nothing was drawn for the refused reads: the stream goes on
+        assert record.read(100, 150).i.tobytes() == whole[1].i[100:150].tobytes()
+        record.close()
+
+    # the last block of run_stats runs on to the record's end: longer than
+    # the range drawn ahead (whole blocks then a partial window, drawn
+    # after the worker is done) or shorter (the drawn range is capped at
+    # the end, and read as it is)
+    @pytest.mark.parametrize("duration, last", [("4.5", "longer"), ("5.5", "shorter")])
+    def test_run_stats_last_block_against_the_range_drawn_ahead(self, duration, last):
+        config = preset_config("quiet-noisy", {"duration": duration})
+        truth, whole = run_simulation(config)
+        n = len(whole)
+        per = round(experiments.DEFAULT_WINDOW / config.meas.t_meas)
+        size = STREAM_BLOCK // per * per
+        reads = []
+
+        class Recorded(experiments.SynthesizedRecord):
+            def read(self, lo, hi):
+                block = super().read(lo, hi)
+                reads.append((lo, hi, block.i.tobytes()))
+                return block
+
+        _, record = simulate_record(config, with_q=False)
+        got = run_stats(Recorded(truth, record.meas, record.i_rng),
+                        snr_separation(config.meas))
+        want = run_stats(IQRecord(t_meas=whole.t_meas, i=whole.i, q=None),
+                         snr_separation(config.meas))
+        assert [(lo, hi) for lo, hi, _ in reads[:-1]] == [
+            (lo, lo + size) for lo in range(0, reads[-1][0], size)]
+        lo, hi = reads[-1][:2]
+        assert hi == n and (hi - lo > size if last == "longer" else hi - lo < size)
+        for lo, hi, data in reads:
+            assert data == whole.i[lo:hi].tobytes()
+        for column in ("tau_ground", "tau_excited", "fidelity_ground", "sigma_z"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+
+    def test_no_thread_outlives_run_stats(self, monkeypatch):
+        before = threading.active_count()
+        run_stats(self.record(with_q=False), 5.0)
+        assert threading.active_count() == before
+        record = self.record(ThirdReadFails, with_q=False)
+        with pytest.raises(OSError, match="third read"):
+            run_stats(record, 5.0)
+        assert record.reads == 3
+        assert threading.active_count() == before
+
+        # and when the work on a block fails, outside the reads
+        reports = []
+
+        def second_report_fails(*args):
+            reports.append(args)
+            if len(reports) == 2:
+                raise OSError("second report")
+            return report(*args)
+
+        report = experiments.windowed_report
+        monkeypatch.setattr(experiments, "windowed_report", second_report_fails)
+        # failed holds the traceback, as a caller's handler would, and with
+        # it the frames that refer to the block generator: run_stats must
+        # close the generator itself
+        with pytest.raises(OSError, match="second report") as failed:
+            run_stats(self.record(SlowRecord, with_q=False), 5.0)
+        assert threading.active_count() == before
+        assert failed.tb is not None
+
+    def test_no_thread_outlives_write_iq(self, tmp_path):
+        before = threading.active_count()
+        io.write_iq(tmp_path / "r.iq", self.record())
+        assert threading.active_count() == before
+        # the empty probe, then two ranges
+        record = self.record(ThirdReadFails)
+        with pytest.raises(OSError, match="third read"):
+            io.write_iq(tmp_path / "s.iq", record)
+        assert record.reads == 3
+        assert threading.active_count() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.iq"]
+
+    def test_no_thread_outlives_simulate(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("rng_seed = 5\nduration = 8\n")
+        before = threading.active_count()
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert threading.active_count() == before
+        monkeypatch.setattr(experiments, "SynthesizedRecord", ThirdReadFails)
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 1
+        assert threading.active_count() == before
+        assert not (tmp_path / "b" / "record.iq").exists()
+
+    def test_one_range_and_recovery_start_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        run_simulation(preset_config("quiet-noisy", {"duration": "0.5"}))
+        run_recovery(preset_config("recovery", {"pulse_count": "600",
+                                                "duration": "6.063"}), workers=1)
+        assert started == []
+        run_stats(self.record(with_q=False), 5.0)
+        assert len(started) == 3  # the ranges after the first: one worker each
+
+    def test_records_read_side_by_side_under_fast_switching(self, whole):
+        # three callers and their workers on two cores, switching threads
+        # every microsecond: each record's ranges still hold its streams
+        bounds = [0, 1, 300, 301, 9000, 20000, 20001, 50000]
+        got = {}
+
+        def read(k):
+            record = self.record()
+            got[k] = [record.read(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+            record.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=read, args=(k,)) for k in range(3)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert sorted(got) == [0, 1, 2]
+        for blocks in got.values():
+            assert np.concatenate([b.i for b in blocks]).tobytes() == whole[1].i[:50000].tobytes()
+            assert np.concatenate([b.q for b in blocks]).tobytes() == whole[1].q[:50000].tobytes()

@@ -661,7 +661,9 @@ class TestBlockedRecordOracle:
     @given(knotted_traces(), st.integers(0, 2**32 - 1))
     def test_equals_whole_record_bit_for_bit(self, case, seed):
         truth, meas = case
-        got = synthesize_iq(truth, meas, *np.random.default_rng(seed).spawn(2))
+        n = sample_count(truth.duration, meas.t_meas)
+        i_rng, q_rng = np.random.default_rng(seed).spawn(2)
+        got = synthesize_iq(truth, meas, i_rng.standard_normal(n), q_rng.standard_normal(n))
         want = whole_record_iq(truth, meas, *np.random.default_rng(seed).spawn(2))
         assert got.i.tobytes() == want.i.tobytes()
         assert got.q.tobytes() == want.q.tobytes()
@@ -701,9 +703,10 @@ class TestRecordRanges:
                   for block in occupancy_blocks(truth, meas.t_meas, lo, hi)]
         assert np.concatenate(pieces).tobytes() == np.concatenate(whole).tobytes()
 
-        want = synthesize_iq(truth, meas, *np.random.default_rng(seed).spawn(2))
+        want = whole_record_iq(truth, meas, *np.random.default_rng(seed).spawn(2))
         i_rng = np.random.default_rng(seed).spawn(2)[0]
-        got = [synthesize_iq(truth, meas, i_rng, None, lo, hi) for lo, hi in ranges]
+        got = [synthesize_iq(truth, meas, i_rng.standard_normal(hi - lo), None, lo)
+               for lo, hi in ranges]
         assert all(block.q is None for block in got)
         assert np.concatenate([block.i for block in got]).tobytes() == want.i.tobytes()
 
