@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -277,10 +276,15 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator) -> tuple[np.ndar
     """Knot times and QP counts of the (modulator, N) chain.
 
     Exact-jump sampling of generation, trapping, recombination and modulator
-    switches; each pulse end injects its QPs.  Every step takes one unit
-    exponential and one uniform from buffers drawn _RNG_BUF at a time; a
-    step that would cross the next pulse end (or the duration) stops there
-    and its draws are dropped.  Knots are t = 0 and every change of N.
+    switches; each pulse end before the duration injects its QPs.  Every
+    step takes one unit exponential and one uniform from buffers drawn
+    _RNG_BUF at a time; a step that would cross the next pulse end (or the
+    duration) stops there and its draws are dropped.  Knots are t = 0 and
+    every change of N.  The cumulative propensities of a count are computed
+    the first time the chain reaches it in a modulator state and are looked
+    up after that, one cache per state, so the caches hold no more entries
+    than the counts reached.  Knots are collected in lists and become
+    arrays on return.
     """
     kin = config.kinetics
     ncp = kin.n_pairs
@@ -296,12 +300,16 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator) -> tuple[np.ndar
     else:
         props = ((0.5 * kin.generation * ncp, 0.0),) * 2
         m_state = 1
-    edges = [(p.end, p.inject) for p in config.pulses]
+    # a pulse that ends at the duration has no time left to act on
+    edges = [(p.end, p.inject) for p in config.pulses if p.end < config.duration]
     edges.append((config.duration, 0))
 
     n = config.initial_count()
-    times = array("d", [0.0])
-    counts = array("q", [n])
+    times = [0.0]
+    counts = [n]
+    # (c_loss, c_rec, total) by count, one dict per modulator state
+    caches = ({}, {})
+    cache = caches[m_state]
     a_gen, a_switch = props[m_state]
     t = 0.0
     k = 0
@@ -309,9 +317,13 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator) -> tuple[np.ndar
     while True:
         for e, u in zip(rng.standard_exponential(_RNG_BUF).tolist(),
                         rng.random(_RNG_BUF).tolist()):
-            c_loss = a_gen + trapping * n
-            c_rec = c_loss + pair_rate * n * (n - 1)
-            total = c_rec + a_switch
+            try:
+                c_loss, c_rec, total = cache[n]
+            except KeyError:
+                c_loss = a_gen + trapping * n
+                c_rec = c_loss + pair_rate * n * (n - 1)
+                total = c_rec + a_switch
+                cache[n] = c_loss, c_rec, total
             t_next = t + e / total if total > 0.0 else math.inf
             if t_next >= t_edge:
                 t = t_edge
@@ -321,7 +333,7 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator) -> tuple[np.ndar
                     counts.append(n)
                 k += 1
                 if k == len(edges):
-                    return np.frombuffer(times, dtype=float), np.frombuffer(counts, dtype=np.int64)
+                    return np.array(times, dtype=float), np.array(counts, dtype=np.int64)
                 t_edge, inject = edges[k]
                 continue
             t = t_next
@@ -334,6 +346,7 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator) -> tuple[np.ndar
                 n -= 2
             else:
                 m_state = 1 - m_state
+                cache = caches[m_state]
                 a_gen, a_switch = props[m_state]
                 continue
             times.append(t)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from qpjumps.core import (
     MeasurementParams,
     Modulation,
     PeriodicPulses,
+    Pulse,
     QubitParams,
     ScenarioConfig,
     ThermalParams,
@@ -23,7 +25,7 @@ from qpjumps.core import (
     validate_config,
 )
 from qpjumps import jumpsim
-from qpjumps.experiments import run_simulation
+from qpjumps.experiments import preset_config, run_simulation
 from qpjumps.kinetics import QpKineticsParams, evolve_ode, steady_state
 from qpjumps.jumpsim import (
     _BLOCK,
@@ -254,6 +256,17 @@ class TestSimulateJoint:
         dn = np.diff(trace.counts)
         assert list(trace.times[1:][dn > 0]) == [p.end for p in train.expand()]
         assert np.all(dn[dn > 0] == train.inject)
+
+    def test_pulse_ending_at_the_duration_adds_no_knot(self):
+        config = ScenarioConfig(
+            duration=0.01, rng_seed=0, n_initial=0,
+            kinetics=QpKineticsParams(generation=0.0),
+            pulse_schedule=(Pulse(0.0075, 0.0025, 5),),
+        )
+        assert config.pulses[0].end == config.duration
+        trace = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
+        assert trace.times.tolist() == [0.0]
+        assert trace.event_counts()["events"] == 0
 
     def test_replaced_train_simulates_what_serializes(self):
         # a train replaced after parsing must not keep the parsed pulses
@@ -555,6 +568,63 @@ class TestQubitLayerOracle:
         assert len(whole) > 1000
         for field in ("times", "states", "counts"):
             assert getattr(blocked, field).tobytes() == getattr(whole, field).tobytes()
+
+
+DETERMINISM_CASES = {
+    # five modulator switches in 2 s at these mean residences
+    "quiet-noisy": preset_config("quiet-noisy", {
+        "duration": "2", "mod_mean_quiet": "0.25", "mod_mean_noisy": "0.25"}),
+    "recovery": preset_config("recovery", {"duration": "0.50525", "pulse_count": "50"}),
+    # recombination after 3000 injected QPs reaches over 1500 distinct counts
+    "recombination-injection": ScenarioConfig(
+        duration=0.01, rng_seed=7, n_initial=0,
+        kinetics=QpKineticsParams(recombination=1e10),
+        pulse_schedule=(Pulse(1e-3, 100e-6, 3000),),
+    ),
+    # no generation: once the injected QPs are trapped, every rate is zero
+    # until the next pulse end
+    "zero-rate-pulses": ScenarioConfig(
+        duration=0.05, rng_seed=5, n_initial=0,
+        kinetics=QpKineticsParams(generation=0.0, trapping=8000.0),
+        pulse_periodic=_pulse_train("pulse_first = 0\npulse_period = 1e-3\n"
+                                   "pulse_length = 10us\npulse_inject = 3\npulse_count = 40"),
+    ),
+}
+
+# sha256 of the times, states and counts bytes of each case's trace.  Only
+# a change of the draw order, declared in CHANGES.md, or a change of
+# numpy's random streams may update these digests.
+DETERMINISM_DIGESTS = {
+    "quiet-noisy": (
+        "f0f4d00b2a9c8497c4b6fb50ff0b865bbd503cb78f1da047e6ba189e5f614cce",
+        "fb984ae1d45eef706cc8425e1c83673a872be7f5d08f8f1f0629cf069b78560e",
+        "ac53a53b84621b718b1f0b625476913c946cdcb7b2d160552c67bdaa89841e2e",
+    ),
+    "recovery": (
+        "79eee272ee1198f12285fcbb9a89a20fc2228fedb353acf5b4f325d956295578",
+        "567bae39cb362b13192c14f09aeb8346689d480381c78f06d7a35c7ffde2c6c4",
+        "10b7433f767b77ba41e81dc85c9ccf4133d3e3a733dd8608e8a25e7b47ef239b",
+    ),
+    "recombination-injection": (
+        "d452ac74fa7f0f0141cefc9ca0abd60e72cd387e683eb69e69c5ef3ebfbc53fc",
+        "c0fb80d6df8c6779bef75e06aa0f1556e389c40d9898fb0ac886f8df4f831960",
+        "64cc6a5477f9962ba0f96c0d71f9a638b5cfac21dac0cb7ae25227eec9298134",
+    ),
+    "zero-rate-pulses": (
+        "df21a9f875e8dae9f71bac5ee8af9d4d2689681f8de1974af13e3cb340f3d8d1",
+        "f6d83f8d1b404810fc43b8b91e7e9c5f72c3504ac4d5319986c74d47c395855f",
+        "bf00ed43411559fa2b337122dd07cfdc8e432a287d2aaf6d08a2a9e5fcd97aca",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DETERMINISM_CASES))
+def test_trace_bytes_are_pinned(case):
+    config = DETERMINISM_CASES[case]
+    truth = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
+    digests = tuple(hashlib.sha256(getattr(truth, field).tobytes()).hexdigest()
+                    for field in ("times", "states", "counts"))
+    assert digests == DETERMINISM_DIGESTS[case]
 
 
 class TestSynthesizeIq:
