@@ -27,7 +27,6 @@ from .kinetics import (
 from .jumpsim import (
     IQRecord,
     TruthTrace,
-    qp_generation_count,
     qp_generation_rate,
     qp_relaxation_rate,
     simulate_joint,

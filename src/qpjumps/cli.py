@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_and_out(p)
     p.add_argument("--input", required=True, help="CSV of t_s,tau_e_s")
     p.add_argument("--bootstrap", type=int, default=200,
-                   help="residual-bootstrap resamples for standard errors")
+                   help="residual-bootstrap resamples for standard errors (at least 2)")
     p.set_defaults(func=cmd_fit_recovery)
 
     p = sub.add_parser("fit-thermal", help="exponential temperature decay fit")
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_and_out(p)
     p.add_argument("--input", required=True, help="CSV of t_s,temperature_K")
     p.add_argument("--bootstrap", type=int, default=200,
-                   help="residual-bootstrap resamples for standard errors")
+                   help="residual-bootstrap resamples for standard errors (at least 2)")
     p.set_defaults(func=cmd_fit_thermal)
 
     p = sub.add_parser("experiment", help="run a named experiment preset")

@@ -5,10 +5,11 @@ a driver that runs the simulate / filter / stats chain and writes the
 figure-ready CSVs.  Presets reuse the exact same pipeline functions as the
 individual CLI commands, so composing `simulate` and `stats` by hand on the
 same seed reproduces an experiment's outputs byte for byte.  No record is
-held whole: a SynthesizedRecord synthesizes a range at a time as it is
-read, while one worker thread draws the next range's noise, and run_stats
-and filter_blocks read any record in blocks.  Q, which no preset reads,
-is not drawn for a preset.
+held whole: every record is read as consecutive ranges from sample 0,
+through its blocks(bounds), and run_stats and filter_blocks read any
+record that way.  A SynthesizedRecord synthesizes each range as it is
+read, while one worker thread draws the next range's noise.  Q, which no
+preset reads, is not drawn for a preset.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import threading
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .jumpsim import (
     STREAM_BLOCK,
     TruthTrace,
     excited_time_at,
-    reading,
     relaxation_jump_times,
     sample_count,
     simulate_joint,
@@ -160,27 +159,21 @@ def experiment_names() -> tuple[str, ...]:
 class SynthesizedRecord:
     """The record of a simulated trajectory, synthesized a range at a time.
 
-    read(lo, hi) gives samples lo to hi - 1 as an IQRecord: I, and Q when
-    q_rng is given.  Each quadrature's noise comes from one stream, so
-    each read starts where the last one ended, from 0; consecutive ranges
-    then hold the whole record bit for bit, and a read from anywhere else
-    raises ValueError.  While the caller works on a range, one worker
-    thread draws the noise of the next, as long as the range just read and
-    capped at the record's end; a read of exactly that range takes the
-    drawn arrays as its I and Q, and a longer one draws the rest once the
-    worker is done.  close() waits for the worker: the read loops call it
-    as they end, so no thread outlives them.
+    blocks(bounds) yields samples bounds[k] to bounds[k + 1] - 1 as an
+    IQRecord for each k: I, and Q when q_rng is given.  Each quadrature's
+    noise comes from one stream drawn in order, so bounds start at 0, and
+    the ranges hold the whole record bit for bit.  The caller draws the
+    first range; while it works on a range, one worker thread fills the
+    next range's noise, in arrays allocated on the caller's thread.  The
+    worker lives as long as the generator: it is joined when the loop
+    ends, raises or closes the generator, and a failed draw raises in the
+    caller.  A one-range loop starts no thread.
     """
 
     truth: TruthTrace
     meas: MeasurementParams
     i_rng: np.random.Generator
     q_rng: np.random.Generator | None = None
-    # where the last read ended; the noise drawn from there on, one array
-    # per stream (or the error that drawing it raised); and the worker
-    _next: int = field(default=0, init=False, repr=False)
-    _ahead: list | BaseException = field(default_factory=list, init=False, repr=False)
-    _worker: threading.Thread | None = field(default=None, init=False, repr=False)
 
     @property
     def t_meas(self) -> float:
@@ -189,54 +182,33 @@ class SynthesizedRecord:
     def __len__(self) -> int:
         return sample_count(self.truth.duration, self.meas.t_meas)
 
-    def _streams(self) -> list[np.random.Generator]:
-        return [rng for rng in (self.i_rng, self.q_rng) if rng is not None]
+    def blocks(self, bounds):
+        if bounds[0] != 0:
+            raise ValueError(f"ranges from sample {bounds[0]}: a synthesized "
+                             "record is read from sample 0")
+        streams = [rng for rng in (self.i_rng, self.q_rng) if rng is not None]
+        # the occupancy's table of the trace, built before any range is,
+        # so that its temporaries are not on top of two ranges in flight
+        self.truth.excited_cumulative
 
-    def _draw(self, m: int) -> list[np.ndarray]:
-        return [rng.standard_normal(m) for rng in self._streams()]
-
-    def _fill(self, noise: list[np.ndarray]) -> None:
-        # on the worker; the next read raises what this raised
-        try:
-            for rng, out in zip(self._streams(), noise):
+        def fill(noise):
+            for rng, out in zip(streams, noise):
                 rng.standard_normal(out=out)
-        except BaseException as exc:
-            self._ahead = exc
+            return noise
 
-    def close(self) -> None:
-        """Wait for the worker, if it is drawing.  Its noise is kept, so
-        reading may go on where the last read ended."""
-        if self._worker is not None:
-            self._worker.join()
-            self._worker = None
+        def empty(k):  # on the caller's thread: the worker only fills them
+            return [np.empty(bounds[k + 1] - bounds[k]) for _ in streams]
 
-    def read(self, lo: int, hi: int) -> IQRecord:
-        if lo != self._next:
-            raise ValueError(f"read from sample {lo}: the record is read in order, "
-                             f"and the next read starts at sample {self._next}")
-        self.close()
-        if isinstance(self._ahead, BaseException):
-            raise self._ahead
-        m = hi - lo
-        ahead, self._ahead = self._ahead, []
-        if not ahead:
-            noise = self._draw(m)
-        elif len(ahead[0]) >= m:  # used in place; the rest is the next read's
-            noise = [a[:m] for a in ahead]
-            if len(ahead[0]) > m:
-                self._ahead = [a[m:] for a in ahead]
-        else:  # a longer read draws the rest now, after the worker's part
-            more = self._draw(m - len(ahead[0]))
-            noise = [np.concatenate(pair) for pair in zip(ahead, more)]
-        self._next = hi
-        more = min(len(self), hi + m) - hi
-        if more > 0 and not self._ahead:
-            # allocated here, so the worker only fills them
-            self._ahead = [np.empty(more) for _ in self._streams()]
-            self._worker = threading.Thread(target=self._fill, args=(self._ahead,))
-            self._worker.start()
-        i, *q = noise
-        return synthesize_iq(self.truth, self.meas, i, q[0] if q else None, lo)
+        ahead = None
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            for k in range(len(bounds) - 1):
+                # range k's noise.  The arrays of range k - 1 go here,
+                # before those of k + 1 are allocated: two ranges in flight
+                i, *q = ahead.result() if ahead else fill(empty(k))
+                if k + 2 < len(bounds):
+                    ahead = worker.submit(fill, empty(k + 1))
+                yield synthesize_iq(self.truth, self.meas, i, q[0] if q else None,
+                                    bounds[k])
 
 
 def simulate_record(config: ScenarioConfig,
@@ -258,28 +230,29 @@ def run_simulation(config: ScenarioConfig) -> tuple[TruthTrace, IQRecord]:
     """Trajectory plus the whole synthesized measurement record, I and Q,
     for one scenario."""
     truth, record = simulate_record(config)
-    return truth, record.read(0, len(record))
+    whole, = record.blocks([0, len(record)])
+    return truth, whole
 
 
 def filter_blocks(record, separation: float, size: int | None = None,
                   stop: int | None = None):
     """The hysteresis estimate of a record, one block at a time.
 
-    record has t_meas, len() and read(lo, hi).  Blocks of size samples
+    record has t_meas, len() and blocks(bounds).  Blocks of size samples
     (STREAM_BLOCK by default) are read in order from 0; the block that
     reaches stop (by default the record's end) runs on to the end.  Each
     is filtered with the state carried in from the block before, so the
     yielded StateEstimates join into the whole record's estimate; only the
-    block in hand is held.
+    block in hand is held.  Closing this generator closes the record's.
     """
     n = len(record)
     size = STREAM_BLOCK if size is None else size
     stop = n if stop is None else stop
     carry = None
-    with reading(record):
-        for lo in range(0, stop, size):
-            hi = n if lo + size >= stop else lo + size
-            est = two_point_filter(record.read(lo, hi), separation, carry)
+    with contextlib.closing(record.blocks([*range(0, stop, size), n])) as blocks:
+        for block in blocks:
+            est = two_point_filter(block, separation, carry)
+            del block  # freed before the range after the next is allocated
             carry = est.states[-1]
             yield est
 
@@ -292,7 +265,7 @@ def run_stats(
 ) -> WindowedReport:
     """Windowed report of a record, each window's dwells included.
 
-    record has t_meas, len() and read(lo, hi): an IQRecord, a
+    record has t_meas, len() and blocks(bounds): an IQRecord, a
     SynthesizedRecord or an io.IQFile.  filter_blocks reads it in blocks
     of STREAM_BLOCK samples rounded down to whole windows, at least one.
     The last block also holds the partial window at the end, which is

@@ -264,7 +264,12 @@ def _decay_time(log_tau: float) -> float:
 
 
 def _exp_fit(t, y, n_boot, seed):
-    """Shared bounded least-squares for y = base + amp*exp(-t/tau)."""
+    """Shared bounded least-squares for y = base + amp*exp(-t/tau).
+
+    The errors are the spread of n_boot residual-bootstrap refits, so
+    n_boot under 2 raises ValueError."""
+    if n_boot < 2:
+        raise ValueError(f"the bootstrap needs at least 2 refits, got {n_boot}")
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     span = t.max() - t.min()

@@ -2,11 +2,12 @@
 
 All floating-point CSV values are written with 9 significant digits; the
 binary record format is little-endian with a fixed 24-byte header.  Records
-stream through this module: write_iq pulls its record a range at a time,
-read_iq checks a file's header and size and returns an IQFile that reads
-ranges on demand, and write_states_csv writes the runs of a record's
-estimate block by block.  Every file is written atomically (temp file +
-rename) so partially written outputs never appear under their final name.
+stream through this module: write_iq reads its record as consecutive
+ranges through blocks(bounds), read_iq checks a file's header and size
+and returns an IQFile that reads ranges on demand, and write_states_csv
+and write_truth_csv write their rows block by block.  Every file is
+written atomically (temp file + rename) so partially written outputs never
+appear under their final name.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .jumpsim import (
     STATE_EXCITED,
     STREAM_BLOCK,
     TruthTrace,
-    reading,
     run_starts,
 )
 
@@ -97,28 +97,34 @@ def _write_pairs(fh, block: IQRecord, pairs: np.ndarray) -> None:
 def write_iq(path, record) -> None:
     """Header, then (I, Q) pairs.
 
-    record has t_meas, len() and read(lo, hi), which gives samples lo to
-    hi - 1 as an IQRecord: an IQRecord itself, a synthesized record with Q
-    or a record file.  It is read in ranges of STREAM_BLOCK samples, and
-    each range is interleaved _BLOCK pairs at a time, so the writer holds
-    one range (a synthesized record also draws the next).  A record
-    without Q is refused before any file is made.
+    record has t_meas, len() and blocks(bounds), which yields consecutive
+    ranges of it as IQRecords: an IQRecord itself, a synthesized record
+    with Q or a record file.  It is read in ranges of STREAM_BLOCK
+    samples, and each range is interleaved _BLOCK pairs at a time, so the
+    writer holds one range (a synthesized record also draws the next).
+    The first range is read before any file is made, and a record without
+    Q is refused there.
     """
     n = len(record)
-    # an empty range draws and reads nothing, and it shows the Q at any length
-    if record.read(0, 0).q is None:
-        raise ValueError(f"{path}: the record has no Q to write")
-    pairs = np.empty(2 * min(n, _BLOCK), dtype="<f8")
-    with reading(record), _atomic_file(path) as fh:
-        fh.write(_HEADER.pack(IQ_MAGIC, IQ_VERSION, record.t_meas, n))
-        for lo in range(0, n, STREAM_BLOCK):
-            _write_pairs(fh, record.read(lo, min(n, lo + STREAM_BLOCK)), pairs)
+    # an empty record gives one empty range, whose Q shows all the same
+    bounds = [*range(0, max(n, 1), STREAM_BLOCK), n]
+    pairs = np.empty(2 * min(max(n, 1), _BLOCK), dtype="<f8")
+    with contextlib.closing(record.blocks(bounds)) as blocks:
+        block = next(blocks)
+        if block.q is None:
+            raise ValueError(f"{path}: the record has no Q to write")
+        with _atomic_file(path) as fh:
+            fh.write(_HEADER.pack(IQ_MAGIC, IQ_VERSION, record.t_meas, n))
+            while block is not None:
+                _write_pairs(fh, block, pairs)
+                del block  # freed before the range after the next is allocated
+                block = next(blocks, None)
 
 
 @dataclass(frozen=True)
 class IQFile:
     """A record file whose header read_iq has checked; its samples stay in
-    the file until read(lo, hi) reads a range of them."""
+    the file until read(lo, hi) or blocks(bounds) reads a range of them."""
 
     path: str
     t_meas: float
@@ -143,10 +149,16 @@ class IQFile:
             raise DataFormatError(f"{self.path}: payload ended early at offset {end}")
         return IQRecord(t_meas=self.t_meas, i=pairs[0::2], q=pairs[1::2])
 
+    def blocks(self, bounds):
+        """Samples bounds[k] to bounds[k + 1] - 1 for each k, read as the
+        loop reaches them."""
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield self.read(lo, hi)
+
 
 def read_iq(path) -> IQFile:
     """The record file at path, its header and payload size checked; no
-    sample is read until the returned record's read(lo, hi)."""
+    sample is read until the returned record reads a range."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -176,13 +188,16 @@ def read_iq(path) -> IQFile:
 # ---------------------------------------------------------------------------
 
 def write_truth_csv(path, truth: TruthTrace) -> None:
-    """One row per knot of the trace: time, qubit state and QP count."""
-    lines = ["time_s,state,N"]
-    lines += [
-        f"{_fmt(ti)},{STATE_CHARS[si]},{ni}"
-        for ti, si, ni in zip(truth.times, truth.states, truth.counts)
-    ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """One row per knot of the trace: time, qubit state and QP count,
+    written _BLOCK knots at a time."""
+    with _atomic_file(path) as fh:
+        fh.write(b"time_s,state,N\n")
+        for lo in range(0, len(truth.times), _BLOCK):
+            knots = (truth.times[lo:lo + _BLOCK].tolist(),
+                     truth.states[lo:lo + _BLOCK].tolist(),
+                     truth.counts[lo:lo + _BLOCK].tolist())
+            fh.write("".join(f"{_fmt(ti)},{STATE_CHARS[si]},{ni}\n"
+                             for ti, si, ni in zip(*knots)).encode("utf-8"))
 
 
 def write_qp_trace_csv(path, truth: TruthTrace) -> None:

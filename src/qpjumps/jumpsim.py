@@ -19,7 +19,6 @@ the readout parameters.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,11 +44,12 @@ _RNG_BUF = 1 << 16
 # samples per block of the record pipeline, and qubit candidates per block
 # of the sampler: their scratch arrays stay in cache
 _BLOCK = 1 << 16
-# samples per range in which a record is streamed: synthesized and written
-# to a file, read back and filtered.  experiments.run_stats rounds it down
-# to whole windows (at least one).  A synthesized record draws the next
-# range's noise while the caller works on this one, so two ranges are in
-# flight: with their states and scratch, about 20 MB whatever the duration
+# samples per range in which a record is streamed through its
+# blocks(bounds): synthesized and written to a file, read back and
+# filtered.  experiments.run_stats rounds it down to whole windows (at
+# least one).  A synthesized record's worker draws the next range's noise
+# while the caller works on this one, so two ranges are in flight: with
+# their states and scratch, about 20 MB whatever the duration
 STREAM_BLOCK = 1 << 19
 
 
@@ -119,17 +119,6 @@ def thermal_transient(thermal: ThermalParams, t_pulse: float) -> ThermalTransien
 def qp_generation_rate(power: float, v_gap: float) -> float:
     """QPs generated per second by dissipated power (one QP per gap energy)."""
     return power / (ELEMENTARY_CHARGE * v_gap)
-
-
-def qp_generation_count(thermal: ThermalParams, t_pulse: float, capture_fraction: float) -> float:
-    """Expected QPs captured by the array from one pulse.
-
-    capture_fraction is a free calibration knob: the total generated count
-    is enormous, only a tiny fraction ends up in the array.
-    """
-    if capture_fraction < 0:
-        raise ValueError("capture_fraction must be non-negative")
-    return qp_generation_rate(thermal.power, thermal.v_gap) * t_pulse * capture_fraction
 
 
 def thermal_decay_constant(
@@ -494,19 +483,10 @@ class IQRecord:
         q = None if self.q is None else self.q[lo:hi]
         return IQRecord(t_meas=self.t_meas, i=self.i[lo:hi], q=q)
 
-
-@contextlib.contextmanager
-def reading(record):
-    """record, for a loop of reads.  As the loop ends, returning or
-    raising, the record's close() is called when it has one: a
-    synthesized record waits there for the noise it draws ahead, so no
-    thread outlives the loop."""
-    try:
-        yield record
-    finally:
-        close = getattr(record, "close", None)
-        if close is not None:
-            close()
+    def blocks(self, bounds):
+        """Samples bounds[k] to bounds[k + 1] - 1 for each k, as views."""
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield self.read(lo, hi)
 
 
 def sample_count(duration: float, t_meas: float) -> int:

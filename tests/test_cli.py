@@ -11,9 +11,15 @@ from scipy import optimize
 from qpjumps import analysis, cli, experiments, fitting, io
 from qpjumps.analysis import two_point_filter
 from qpjumps.cli import build_parser, main
-from qpjumps.core import load_config, serialize_config, validate_config
+from qpjumps.core import QubitParams, load_config, serialize_config, validate_config
 from qpjumps.experiments import preset_config, run_simulation, run_stats
-from qpjumps.jumpsim import _BLOCK, IQRecord, sample_count, snr_separation
+from qpjumps.jumpsim import (
+    _BLOCK,
+    IQRecord,
+    qp_rate_coefficient,
+    sample_count,
+    snr_separation,
+)
 
 from support import iteration_capped, power_law_series
 
@@ -431,6 +437,27 @@ class TestExperiment:
         assert main(["experiment", "recovery", "--out", str(out),
                      "--workers", workers]) == 2
         assert "--workers" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    # bootstrap errors need two refits: one gave zero errors, none NaN
+    @pytest.mark.parametrize("boot", ["0", "1"])
+    @pytest.mark.parametrize("command", ["fit-recovery", "fit-thermal"])
+    def test_bootstrap_below_two_is_invalid_input(self, tmp_path, command, boot, capsys):
+        t = np.geomspace(5e-6, 9e-3, 25)
+        if command == "fit-recovery":
+            x = 4e-8 + 2.6e-7 * np.exp(-t / 125e-6)
+            qubit = QubitParams()
+            values = 1.0 / (x * qp_rate_coefficient(qubit) + qubit.gamma_background)
+        else:
+            values = 0.045 + 0.01 * np.exp(-t / 2.2e-3)
+        series = tmp_path / "series.csv"
+        io.write_series_csv(series, t, values, "value")
+        argv = [command, "--input", str(series), "--out"]
+        assert main(argv + [str(tmp_path / "two"), "--bootstrap", "2"]) == 0
+        out = tmp_path / "fit"
+        assert main(argv + [str(out), "--bootstrap", boot]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and f"2 refits, got {boot}" in err
         assert not out.exists() or not any(out.iterdir())
 
     def test_unknown_name_lists_available(self, tmp_path, capsys):

@@ -292,27 +292,39 @@ class TestStreamedPresets:
         assert (peaks[80] - peaks[40]) / added < 2.5
 
 
-class SlowRecord(experiments.SynthesizedRecord):
-    """A synthesized record whose worker takes 50 ms over each range, so
-    that it is still drawing while a failure unwinds."""
+class SlowStream:
+    """A noise stream that takes 50 ms over each draw."""
 
-    def _fill(self, noise):
+    def __init__(self, rng):
+        self.rng = rng
+
+    def standard_normal(self, *args, **kwargs):
         time.sleep(0.05)
-        super()._fill(noise)
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+class SlowRecord(experiments.SynthesizedRecord):
+    """A synthesized record whose streams are slow, so that its worker is
+    still drawing while a failure unwinds."""
+
+    def __post_init__(self):
+        self.i_rng = SlowStream(self.i_rng)
+        if self.q_rng is not None:
+            self.q_rng = SlowStream(self.q_rng)
 
 
 class ThirdReadFails(SlowRecord):
-    """A slow record whose third read fails, as a full disk would, once it
-    has set its worker drawing the range after."""
+    """A slow record whose third range fails, as a full disk would, once
+    its worker is drawing the range after."""
 
     reads = 0
 
-    def read(self, lo, hi):
-        block = super().read(lo, hi)
-        self.reads += 1
-        if self.reads == 3:
-            raise OSError("third read")
-        return block
+    def blocks(self, bounds):
+        for block in super().blocks(bounds):
+            self.reads += 1
+            if self.reads == 3:
+                raise OSError("third read")
+            yield block
 
 
 class TestSynthesizedRecord:
@@ -332,33 +344,28 @@ class TestSynthesizedRecord:
         return cls(truth, record.meas, record.i_rng, record.q_rng)
 
     @pytest.mark.parametrize("cuts", [
-        [0, 10, 20, 30],                 # equal ranges, each drawn ahead
-        [0, 10, 15, 16, 40],             # shorter reads, then a longer one
-        [0, 0, 100, 300, 301, 700],      # an empty probe; a longer, a shorter
-        [0, 5, 1000, 1000, 1010],        # an empty read mid-stream
+        [0, 10, 20, 30],                 # equal ranges
+        [0, 10, 15, 16, 40],             # shorter ranges, then a longer one
+        [0, 0, 100, 300, 301, 700],      # an empty first range; a longer, a shorter
+        [0, 5, 1000, 1000, 1010],        # an empty range mid-stream
+        [0, 700],                        # one range, drawn by the caller alone
     ])
     def test_ranges_in_order_hold_the_whole_record(self, whole, cuts):
-        record = self.record()
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            block = record.read(lo, hi)
+        blocks = list(self.record().blocks(cuts))
+        assert len(blocks) == len(cuts) - 1
+        for block, lo, hi in zip(blocks, cuts[:-1], cuts[1:]):
             assert block.i.tobytes() == whole[1].i[lo:hi].tobytes()
             assert block.q.tobytes() == whole[1].q[lo:hi].tobytes()
-        record.close()
 
-    def test_read_away_from_the_last_end_is_refused(self, whole):
-        record = self.record()
-        record.read(0, 100)
-        for lo in (0, 99, 101, 250):
-            with pytest.raises(ValueError, match=rf"sample {lo}\b.*sample 100\b"):
-                record.read(lo, lo + 50)
-        # nothing was drawn for the refused reads: the stream goes on
-        assert record.read(100, 150).i.tobytes() == whole[1].i[100:150].tobytes()
-        record.close()
+    def test_ranges_not_from_sample_0_are_refused(self):
+        # the streams are drawn from sample 0: a range from elsewhere
+        # would get other samples' noise
+        with pytest.raises(ValueError, match="ranges from sample 100: "):
+            next(self.record().blocks([100, 150]))
 
     # the last block of run_stats runs on to the record's end: longer than
-    # the range drawn ahead (whole blocks then a partial window, drawn
-    # after the worker is done) or shorter (the drawn range is capped at
-    # the end, and read as it is)
+    # the others (whole blocks then a partial window) or shorter; either
+    # way the worker draws it ahead at its own length
     @pytest.mark.parametrize("duration, last", [("4.5", "longer"), ("5.5", "shorter")])
     def test_run_stats_last_block_against_the_range_drawn_ahead(self, duration, last):
         config = preset_config("quiet-noisy", {"duration": duration})
@@ -369,10 +376,10 @@ class TestSynthesizedRecord:
         reads = []
 
         class Recorded(experiments.SynthesizedRecord):
-            def read(self, lo, hi):
-                block = super().read(lo, hi)
-                reads.append((lo, hi, block.i.tobytes()))
-                return block
+            def blocks(self, bounds):
+                for block, lo, hi in zip(super().blocks(bounds), bounds[:-1], bounds[1:]):
+                    reads.append((lo, hi, block.i.tobytes()))
+                    yield block
 
         _, record = simulate_record(config, with_q=False)
         got = run_stats(Recorded(truth, record.meas, record.i_rng),
@@ -421,7 +428,7 @@ class TestSynthesizedRecord:
         before = threading.active_count()
         io.write_iq(tmp_path / "r.iq", self.record())
         assert threading.active_count() == before
-        # the empty probe, then two ranges
+        # the third of four ranges fails
         record = self.record(ThirdReadFails)
         with pytest.raises(OSError, match="third read"):
             io.write_iq(tmp_path / "s.iq", record)
@@ -440,6 +447,28 @@ class TestSynthesizedRecord:
         assert threading.active_count() == before
         assert not (tmp_path / "b" / "record.iq").exists()
 
+    def test_two_ranges_in_flight(self, tmp_path, monkeypatch):
+        # the range in hand and the one the worker fills, with their
+        # scratch: 2.3 and 2.5 ranges' bytes.  A loop that held on to the
+        # range before would add a third (3.3 and 3.5).  16 s: 3.2 M
+        # samples in four ranges of 10^6 (five windows)
+        size = 10**6
+        config = preset_config("quiet-noisy", {"duration": "16"})
+        monkeypatch.setattr(io, "STREAM_BLOCK", size)
+        monkeypatch.setattr(experiments, "STREAM_BLOCK", size)
+        for with_q, read in ((True, lambda r: io.write_iq(tmp_path / "r.iq", r)),
+                             (False, lambda r: run_stats(r, 5.0))):
+            truth, record = simulate_record(config, with_q)
+            truth.excited_cumulative  # the trace's table is not the loop's
+            tracemalloc.start()
+            try:
+                read(record)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            ranges = peak / (8 * size * (2 if with_q else 1))
+            assert ranges < 3, (with_q, ranges)
+
     def test_one_range_and_recovery_start_no_thread(self, monkeypatch):
         started = []
         start = threading.Thread.start
@@ -454,7 +483,7 @@ class TestSynthesizedRecord:
                                                 "duration": "6.063"}), workers=1)
         assert started == []
         run_stats(self.record(with_q=False), 5.0)
-        assert len(started) == 3  # the ranges after the first: one worker each
+        assert len(started) == 1  # one worker for the loop's four ranges
 
     def test_records_read_side_by_side_under_fast_switching(self, whole):
         # three callers and their workers on two cores, switching threads
@@ -463,9 +492,7 @@ class TestSynthesizedRecord:
         got = {}
 
         def read(k):
-            record = self.record()
-            got[k] = [record.read(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-            record.close()
+            got[k] = list(self.record().blocks(bounds))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -73,9 +74,10 @@ class TestIqFormat:
             def __len__(self):
                 return len(record)
 
-            def read(self, lo, hi):
-                ranges.append((lo, hi))
-                return record.read(lo, hi)
+            def blocks(self, bounds):
+                for lo, hi in zip(bounds[:-1], bounds[1:]):
+                    ranges.append((lo, hi))
+                    yield record.read(lo, hi)
 
         whole = tmp_path / "whole.iq"
         io.write_iq(whole, record)
@@ -84,7 +86,7 @@ class TestIqFormat:
         io.write_iq(path, Pulled())
         assert path.read_bytes() == whole.read_bytes()
         bounds = list(range(0, len(record), stream_block)) + [len(record)]
-        assert ranges == [(0, 0), *zip(bounds[:-1], bounds[1:])]
+        assert ranges == list(zip(bounds[:-1], bounds[1:]))
 
     # ranges inside one _BLOCK, across one or two of its edges, from 0 and
     # to the end, and empty ones
@@ -193,6 +195,22 @@ class TestCsvWriters:
         assert lines[1] == "0,g,2"
         assert lines[2] == "0.25,e,2"
         assert lines[3] == "0.5,e,3"
+
+    def test_truth_csv_longer_than_a_block_is_pinned(self, tmp_path):
+        # 2 _BLOCK + 5 knots: two whole blocks of rows and a short one.  The
+        # digest was taken when the writer built every row as one string
+        rng = np.random.default_rng(3)
+        n = 2 * _BLOCK + 5
+        times = np.concatenate(([0.0], np.cumsum(rng.exponential(1e-4, n - 1))))
+        truth = TruthTrace(duration=float(times[-1]) + 1e-4, times=times,
+                           states=rng.integers(0, 2, n).astype(np.uint8),
+                           counts=rng.integers(0, 5000, n))
+        path = tmp_path / "t.csv"
+        io.write_truth_csv(path, truth)
+        blob = path.read_bytes()
+        assert blob.count(b"\n") == n + 1
+        assert hashlib.sha256(blob).hexdigest() == (
+            "80fc6b433dcf8845cbe0ca92d36fff83d4612b8901b22bf878595dd554686d94")
 
     def test_qp_trace_csv(self, tmp_path):
         # qubit flips (0.1, 0.3) leave N alone and are dropped

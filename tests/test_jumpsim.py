@@ -33,7 +33,6 @@ from qpjumps.jumpsim import (
     STATE_GROUND,
     TruthTrace,
     occupancy_blocks,
-    qp_generation_count,
     qp_generation_rate,
     qp_relaxation_rate,
     relaxation_jump_times,
@@ -172,11 +171,6 @@ class TestPulseEnergetics:
     def test_generation_rate_about_1e6_per_us(self):
         rate = qp_generation_rate(1e-10, 0.4e-3)
         assert rate * 1e-6 == pytest.approx(1.56e6, rel=5e-3)
-
-    def test_generation_count(self):
-        th = ThermalParams(power=1e-10)
-        assert qp_generation_count(th, 100e-6, 0.0) == 0.0
-        assert qp_generation_count(th, 100e-6, 1e-8) == pytest.approx(1.56, rel=5e-3)
 
     def test_substrate_decay_constant_20_us(self):
         tau = thermal_decay_constant(
