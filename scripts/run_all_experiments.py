@@ -24,13 +24,11 @@ QUICK_OVERRIDES = {
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out/experiments")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--quick", action="store_true")
     args = parser.parse_args()
 
     for name in experiment_names():
-        argv = ["experiment", name, "--out", f"{args.out}/{name}",
-                "--workers", str(args.workers)]
+        argv = ["experiment", name, "--out", f"{args.out}/{name}"]
         if args.quick:
             argv += QUICK_OVERRIDES[name]
         t0 = time.time()

@@ -28,12 +28,11 @@ from .jumpsim import (
     IQRecord,
     TruthTrace,
     qp_generation_rate,
-    qp_relaxation_rate,
+    relaxation_rate,
     simulate_joint,
     snr_separation,
     synthesize_iq,
     thermal_decay_constant,
-    thermal_excitation_rate,
     thermal_transient,
 )
 from .analysis import (

@@ -217,10 +217,7 @@ def cmd_experiment(args) -> int:
         raise ConfigError(
             f"unknown experiment {args.name!r}; available: {names}"
         ) from None
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-    outputs, counts = experiments.run_experiment(
-        args.name, config, args.out, workers=args.workers)
+    outputs, counts = experiments.run_experiment(args.name, config, args.out)
     _finish_manifest(args, config, outputs, counts, t0)
     return 0
 
@@ -290,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="one of: " + ", ".join(experiments.experiment_names()))
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a configuration key (repeatable)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for the recovery preset's pulse chunks")
     p.set_defaults(func=cmd_experiment)
 
     return parser

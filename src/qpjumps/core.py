@@ -11,7 +11,7 @@ Conventions used throughout the package:
   that instruments display.
 
 All parameter types are frozen dataclasses: they validate on construction
-and are safe to share between concurrent workers.
+and are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -314,7 +314,7 @@ _SCHEDULE = "pulse_schedule"
 
 @dataclass(frozen=True)
 class _Key:
-    kind: str  # unit table name, "int"/"seed" for integers, or "schedule"
+    kind: str  # unit table name, "int" for integers, or "schedule"
     target: str
     doc: str
 
@@ -328,7 +328,7 @@ class _Key:
 
 
 CONFIG_SCHEMA: dict[str, _Key] = {
-    "rng_seed": _Key("seed", "rng_seed", "unsigned 64-bit seed for all random draws"),
+    "rng_seed": _Key("int", "rng_seed", "unsigned 64-bit seed for all random draws"),
     "duration": _Key("time", "duration", "total simulated time (s)"),
     # qubit
     "f_ge": _Key("freq", "qubit.f_ge", "qubit transition frequency (Hz)"),
@@ -413,7 +413,7 @@ def _parse_number(key: str, kind: str, text: str) -> float:
         value = float(num)
     except ValueError:
         raise ConfigError(f"{key}: not a number: {num!r}") from None
-    if kind in ("int", "seed"):
+    if kind == "int":
         if suffix:
             raise ConfigError(f"{key}: integer keys take no unit suffix")
         if value != int(value):
@@ -550,7 +550,6 @@ def config_reference() -> str:
         "mass": "mass (g; suffixes g, mg)",
         "plain": "number (no suffix)",
         "int": "integer",
-        "seed": "integer",
         "schedule": "comma list of `start:length:count` (times with suffixes "
                     "s, ms, us, ns; integer count)",
     }

@@ -17,7 +17,8 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -367,7 +368,7 @@ def _write_alternation_outputs(out_dir, report: WindowedReport,
     return outputs
 
 
-def _alternation_driver(config, out_dir, workers):
+def _alternation_driver(config, out_dir):
     truth, record = simulate_record(config, with_q=False)
     report = run_stats(record, snr_separation(config.meas))
     outputs = _write_alternation_outputs(out_dir, report, record.t_meas)
@@ -412,9 +413,15 @@ def write_recovery_fit(fit_path, resid_path, fit: RecoveryFit, times, tau_e,
 # ---------------------------------------------------------------------------
 
 def recovery_bin_edges(config: ScenarioConfig) -> np.ndarray:
-    """Log-spaced bins after each injection; the last ends at the next pulse."""
+    """Log-spaced bins after each injection; the last ends at the next pulse.
+
+    A pulse_wait that reaches the next pulse leaves no bin: ValueError.
+    """
     lo = max(config.pulse_wait, 1e-7)
     hi = config.pulse_periodic.period - config.pulse_periodic.length
+    if lo >= hi:
+        raise ValueError(f"pulse_wait = {config.pulse_wait:g} s must be shorter than "
+                         f"the {hi:g} s readout window from a pulse's end to the next")
     n = int(math.ceil(math.log10(hi / lo) * RECOVERY_BINS_PER_DECADE))
     return np.minimum(lo * 10.0 ** (np.arange(n + 1) / RECOVERY_BINS_PER_DECADE), hi)
 
@@ -441,58 +448,45 @@ def recovery_chunk_stats(
     return exposure, counts, t_sum
 
 
-def _recovery_chunk(args):
-    config, seed_seq = args
-    truth = simulate_joint(config, *np.random.default_rng(seed_seq).spawn(3))
-    stats = recovery_chunk_stats(truth, config, recovery_bin_edges(config))
-    return stats + (truth.event_counts(),)
-
-
-def run_recovery(config: ScenarioConfig, workers: int = 1):
+def run_recovery(config: ScenarioConfig):
     """Post-injection lifetime profile and its exponential-recovery fit.
 
-    The pulse train is split into fixed-size chunks simulated with spawned
-    seeds (results are identical for any worker count).  Each chunk keeps
+    The pulse train is split into chunks of RECOVERY_CHUNK_CYCLES cycles,
+    simulated one after another, each from its own seed spawned from the
+    config's, so memory stays bounded at any pulse count.  Each chunk keeps
     the train's first pulse start and ends with its last readout window.
     The mean excited dwell per log-spaced time bin is estimated as
     exposure / jump count (bins with fewer than MIN_JUMPS jumps are
     dropped), and the density recovery is fitted through the
-    relaxation-rate inversion.  Returns
+    relaxation-rate inversion.  A pulse_wait that leaves no readout window
+    raises ValueError before any chunk is simulated.  Returns
     (times, tau_e, jump counts, fit, event counts summed over the chunks).
     """
     train = config.pulse_periodic
     if train is None:
         raise ValueError("recovery needs a periodic pulse train")
+    edges = recovery_bin_edges(config)
     n_chunks = max(1, math.ceil(train.count / RECOVERY_CHUNK_CYCLES))
-    jobs = []
+    stats, events = [], Counter()
     for k, seed in enumerate(np.random.SeedSequence(config.rng_seed).spawn(n_chunks)):
         cycles = min(RECOVERY_CHUNK_CYCLES, train.count - k * RECOVERY_CHUNK_CYCLES)
-        chunk_config = replace(config, duration=train.first + cycles * train.period,
-                               pulse_periodic=replace(train, count=cycles))
-        jobs.append((chunk_config, seed))
-
-    # a forked pool starts all its workers at once: no more than the chunks
-    workers = min(workers, n_chunks)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_recovery_chunk, jobs))
-    else:
-        results = [_recovery_chunk(job) for job in jobs]
-
-    exposure = np.sum([r[0] for r in results], axis=0)
-    counts = np.sum([r[1] for r in results], axis=0)
-    t_sum = np.sum([r[2] for r in results], axis=0)
-    events = {key: sum(r[3][key] for r in results) for key in results[0][3]}
+        chunk = replace(config, duration=train.first + cycles * train.period,
+                        pulse_periodic=replace(train, count=cycles))
+        truth = simulate_joint(chunk, *np.random.default_rng(seed).spawn(3))
+        stats.append(recovery_chunk_stats(truth, chunk, edges))
+        events.update(truth.event_counts())
+        del truth  # freed before the next chunk is simulated
+    exposure, counts, t_sum = np.sum(stats, axis=0)
 
     good = counts >= MIN_JUMPS
     times = t_sum[good] / counts[good]
     tau_e = exposure[good] / counts[good]
     fit = fit_recovery(times, tau_e, config.qubit)
-    return times, tau_e, counts[good], fit, events
+    return times, tau_e, counts[good], fit, dict(events)
 
 
-def _recovery_driver(config, out_dir, workers):
-    times, tau_e, n_jumps, fit, events = run_recovery(config, workers=workers)
+def _recovery_driver(config, out_dir):
+    times, tau_e, n_jumps, fit, events = run_recovery(config)
 
     tau_path = os.path.join(out_dir, "tau_e.csv")
     lines = ["t_s,tau_e_s,n_jumps"]
@@ -508,7 +502,7 @@ def _recovery_driver(config, out_dir, workers):
     return [tau_path, resid_path, fit_path], counts
 
 
-def _psd_driver(config, out_dir, workers):
+def _psd_driver(config, out_dir):
     truth, record = simulate_record(config, with_q=False)
     report = run_stats(record, snr_separation(config.meas), window=PSD_WINDOW)
 
@@ -544,6 +538,11 @@ _DRIVERS = {
 
 
 def run_experiment(name: str, config: ScenarioConfig, out_dir, workers: int = 1):
-    """Run a named experiment; returns (output paths, record counts)."""
+    """Run a named experiment into out_dir, serially; returns (output
+    paths, record counts).  workers takes only 1 (ValueError otherwise)."""
+    # kept for the benchmark's workloads, which pass workers=1; the
+    # benchmark's next edit (ROADMAP item 1) drops them and this keyword
+    if workers != 1:
+        raise ValueError(f"experiments run serially: workers must be 1, got {workers}")
     os.makedirs(out_dir, exist_ok=True)
-    return _DRIVERS[name](config, out_dir, workers)
+    return _DRIVERS[name](config, out_dir)

@@ -242,9 +242,9 @@ class RecoveryFit:
 def invert_relaxation(tau_excited, qubit: QubitParams) -> np.ndarray:
     """QP density from measured mean excited-state dwell times.
 
-    Inverts jumpsim.qp_relaxation_rate, 1/tau = gamma_scale * (x *
-    coefficient + gamma_background); dwells slower than the scaled
-    background rate allow no consistent density.
+    Inverts jumpsim.relaxation_rate, the law the sampler runs: 1/tau =
+    gamma_scale * (x * coefficient + gamma_background); dwells slower than
+    the scaled background rate allow no consistent density.
     """
     tau_excited = np.asarray(tau_excited, dtype=float)
     if np.any(tau_excited <= 0):

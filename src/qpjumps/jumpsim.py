@@ -69,26 +69,13 @@ def qp_rate_coefficient(qubit: QubitParams) -> float:
     return math.sqrt(2.0 * qubit.f_gap / qubit.f_ge) * 4.0 * math.pi**2 * qubit.f_inductive
 
 
-def qp_relaxation_rate(n_qp: float, kinetics: QpKineticsParams, qubit: QubitParams) -> float:
-    """Excited-to-ground rate for n_qp quasiparticles in the array (1/s):
-    gamma_scale * (x * qp_rate_coefficient + gamma_background)."""
-    if n_qp < 0:
-        raise ValueError("n_qp must be non-negative")
-    x = n_qp / kinetics.n_pairs
-    return qubit.gamma_scale * (x * qp_rate_coefficient(qubit) + qubit.gamma_background)
-
-
-def thermal_excitation_rate(
-    n_qp: float,
-    kinetics: QpKineticsParams,
-    qubit: QubitParams,
-    temperature: float,
-) -> float:
-    """Ground-to-excited rate: detailed balance at the given temperature."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    boltzmann_ratio = math.exp(-PLANCK * qubit.f_ge / (BOLTZMANN * temperature))
-    return qp_relaxation_rate(n_qp, kinetics, qubit) * boltzmann_ratio
+def relaxation_rate(n, kinetics: QpKineticsParams, qubit: QubitParams):
+    """Excited-to-ground rate for n quasiparticles in the array (1/s),
+    elementwise: gamma_scale * (n / n_pairs * qp_rate_coefficient +
+    gamma_background).  The sampler runs this law, and
+    fitting.invert_relaxation inverts it."""
+    per_qp = qubit.gamma_scale * qp_rate_coefficient(qubit) / kinetics.n_pairs
+    return n * per_qp + qubit.gamma_scale * qubit.gamma_background
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +367,7 @@ def _qubit_flips(config: ScenarioConfig, knot_t: np.ndarray, knot_n: np.ndarray,
     U_i < boltz(t_i).  Candidates are handled _BLOCK at a time, carrying the
     running sum and the last state across blocks.
     """
-    qubit = config.qubit
-    per_qp = qubit.gamma_scale * qp_rate_coefficient(qubit) / config.kinetics.n_pairs
-    rate = knot_n * per_qp + qubit.gamma_scale * qubit.gamma_background
+    rate = relaxation_rate(knot_n, config.kinetics, config.qubit)
     hazard = np.concatenate(([0.0], np.cumsum(rate * np.diff(knot_t, append=config.duration))))
     h_end = hazard[-1]
 

@@ -5,9 +5,9 @@ integrator for the QP density rate equation, a scalar loop over the
 sampler's qubit candidates, and an exact oracle for the joint (modulator,
 qubit, QP number) Markov chain sampled by jumpsim.simulate_joint.
 
-The oracle is built from the model's rate definitions (the public rate
-functions and the kinetics coefficients), not from the sampler's loop, so
-the two agree only if the sampler realizes the model.
+The oracle is built from the model's rate definitions (the scalar rate
+functions below and the kinetics coefficients), not from the sampler's
+loop, so the two agree only if the sampler realizes the model.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from qpjumps.core import (
     BOLTZMANN,
     PLANCK,
     MeasurementParams,
+    QubitParams,
     ScenarioConfig,
     temperature_to_polarization,
 )
@@ -45,10 +46,8 @@ from qpjumps.jumpsim import (
     excited_time_at,
     occupancy_blocks,
     qp_rate_coefficient,
-    qp_relaxation_rate,
     sample_count,
     snr_separation,
-    thermal_excitation_rate,
     thermal_transient,
 )
 
@@ -299,6 +298,29 @@ def iteration_capped(optimize_module, maxiter: int):
 # modulation), qubit q (0 ground, 1 excited), QP number N.  Pulses and the
 # thermal transient are outside the stationary model, so configs passed
 # here must have neither.
+
+
+def qp_relaxation_rate(n_qp: float, kinetics: QpKineticsParams,
+                       qubit: QubitParams) -> float:
+    """Excited-to-ground rate for n_qp quasiparticles in the array (1/s):
+    gamma_scale * (x * qp_rate_coefficient + gamma_background)."""
+    if n_qp < 0:
+        raise ValueError("n_qp must be non-negative")
+    x = n_qp / kinetics.n_pairs
+    return qubit.gamma_scale * (x * qp_rate_coefficient(qubit) + qubit.gamma_background)
+
+
+def thermal_excitation_rate(
+    n_qp: float,
+    kinetics: QpKineticsParams,
+    qubit: QubitParams,
+    temperature: float,
+) -> float:
+    """Ground-to-excited rate: detailed balance at the given temperature."""
+    if temperature <= 0:
+        raise ValueError("temperature must be positive")
+    boltzmann_ratio = math.exp(-PLANCK * qubit.f_ge / (BOLTZMANN * temperature))
+    return qp_relaxation_rate(n_qp, kinetics, qubit) * boltzmann_ratio
 
 
 def modulator_states(config: ScenarioConfig) -> tuple[int, ...]:

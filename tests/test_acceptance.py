@@ -111,7 +111,7 @@ def test_05_recovery_round_trip():
     kin = config.kinetics
     tau_true = relaxation_time(kin, steady_state(kin))
     x_true = steady_state(kin)
-    times, tau_e, n_jumps, fit, events = run_recovery(config, workers=1)
+    times, tau_e, n_jumps, fit, events = run_recovery(config)
     tau_dev = abs(fit.tau - tau_true) / tau_true
     x_dev = abs(fit.x_steady - x_true) / x_true
     ok = fit.status == "converged" and tau_dev <= 0.10 and x_dev <= 0.25

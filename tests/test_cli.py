@@ -65,6 +65,7 @@ class TestParser:
     @pytest.mark.parametrize("argv", [
         ["experiment", "quiet-noisy", "--config", "x.cfg"],
         ["simulate", "--config", "x.cfg", "--workers", "2"],
+        ["experiment", "recovery", "--workers", "2"],
         ["fit-psd", "--input", "s.csv", "--bootstrap", "8"],
         ["filter", "--record", "r.iq", "--emit-truth"],
         ["snr", "--out", "o"],
@@ -431,13 +432,18 @@ class TestExperiment:
                       for line in (out / "recovery_fit.csv").read_text().splitlines())
         assert report["status"] == "converged"
 
-    @pytest.mark.parametrize("workers", ["0", "-2"])
-    def test_workers_below_one_is_a_configuration_error(self, tmp_path, workers, capsys):
+    def test_recovery_wait_past_the_readout_window_exits_2(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def no_simulation(*args):
+            raise AssertionError("a chunk was simulated")
+
+        monkeypatch.setattr(experiments, "simulate_joint", no_simulation)
         out = tmp_path / "exp"
         assert main(["experiment", "recovery", "--out", str(out),
-                     "--workers", workers]) == 2
-        assert "--workers" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+                     "--set", "pulse_wait=0.02", "--set", "pulse_count=600",
+                     "--set", "duration=6.063"]) == 2
+        assert "pulse_wait" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     # bootstrap errors need two refits: one gave zero errors, none NaN
     @pytest.mark.parametrize("boot", ["0", "1"])

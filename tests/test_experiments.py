@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import threading
 import time
@@ -118,48 +119,43 @@ class TestRecoveryMachinery:
     def test_small_run_fits(self):
         config = preset_config("recovery", {"pulse_count": "600",
                                             "duration": "6.063"})
-        times, tau_e, n_jumps, fit, events = run_recovery(config, workers=1)
+        times, tau_e, n_jumps, fit, events = run_recovery(config)
         assert len(times) >= 5
         assert np.all(n_jumps >= 25)
         assert fit.status == "converged"
         # loose bounds at 600 cycles; the acceptance suite runs 1e4
         assert fit.tau == pytest.approx(125e-6, rel=0.35)
 
-    def test_worker_count_does_not_change_results(self):
+    def test_chunked_output_is_pinned(self):
+        # 600 cycles are two chunks; the pins hold each chunk's spawned
+        # seed and the order in which the chunks are summed
         config = preset_config("recovery", {"pulse_count": "600",
                                             "duration": "6.063"})
-        serial = run_recovery(config, workers=1)
-        parallel = run_recovery(config, workers=3)
-        assert np.array_equal(serial[0], parallel[0])
-        assert np.array_equal(serial[1], parallel[1])
-        assert serial[3].tau == parallel[3].tau
+        times, tau_e, n_jumps, fit, events = run_recovery(config)
+        digests = [hashlib.sha256(a.tobytes()).hexdigest() for a in (times, tau_e, n_jumps)]
+        assert digests == [
+            "0b56e553f7f219a47aee0f75e278bc009045def369467bfc9357af6854b24f3d",
+            "bc5e77972adc0a2dde46b69c706fe93986dc99ab9bcb37576ab267775f4553dd",
+            "6dc528d9c87f8dc29f80cb7a34055b71cf677f55909c46f42ea03d59b5ec7904",
+        ]
+        assert events == {"events": 156183, "qp_events": 115589, "qubit_flips": 40594}
 
-    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
-        # a forked pool starts all its workers at once; the recorder in its
-        # place starts none and runs the chunks in this process
-        sizes = []
+    def test_wait_past_the_readout_window_fails_before_any_chunk(self, monkeypatch):
+        def no_simulation(*args):
+            raise AssertionError("a chunk was simulated")
 
-        class Recorder:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        monkeypatch.setattr(experiments, "simulate_joint", no_simulation)
+        config = preset_config("recovery", {"pulse_wait": "0.02", "pulse_count": "600",
+                                            "duration": "6.063"})
+        with pytest.raises(ValueError, match="pulse_wait"):
+            run_recovery(config)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
+    def test_experiments_take_one_worker_only(self, tmp_path):
         config = preset_config("recovery", {"pulse_count": "600",
                                             "duration": "6.063"})
-        serial = run_recovery(config, workers=1)
-        assert sizes == []
-        pooled = run_recovery(config, workers=64)
-        assert sizes == [2]  # 600 cycles are two chunks
-        assert np.array_equal(serial[1], pooled[1])
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment("recovery", config, tmp_path / "exp", workers=2)
+        assert not (tmp_path / "exp").exists()
 
 
 def test_pulses_suppress_and_traps_extend_quiet_windows():
@@ -480,7 +476,7 @@ class TestSynthesizedRecord:
         monkeypatch.setattr(threading.Thread, "start", counted)
         run_simulation(preset_config("quiet-noisy", {"duration": "0.5"}))
         run_recovery(preset_config("recovery", {"pulse_count": "600",
-                                                "duration": "6.063"}), workers=1)
+                                                "duration": "6.063"}))
         assert started == []
         run_stats(self.record(with_q=False), 5.0)
         assert len(started) == 1  # one worker for the loop's four ranges

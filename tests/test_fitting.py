@@ -20,7 +20,7 @@ from qpjumps.fitting import (
     invert_relaxation,
     periodogram,
 )
-from qpjumps.jumpsim import qp_rate_coefficient, qp_relaxation_rate
+from qpjumps.jumpsim import qp_rate_coefficient, relaxation_rate
 from qpjumps.kinetics import QpKineticsParams
 
 from support import iteration_capped, power_law_series, telegraph_series
@@ -322,7 +322,7 @@ def test_invert_relaxation_undoes_the_scaled_rate(n):
     # must take it off again to give back the density
     kin = QpKineticsParams()
     qubit = QubitParams(gamma_background=300.0, gamma_scale=0.5)
-    tau = 1.0 / qp_relaxation_rate(n, kin, qubit)
+    tau = 1.0 / relaxation_rate(n, kin, qubit)
     x = invert_relaxation([tau], qubit)
     assert x[0] == pytest.approx(n / kin.n_pairs, rel=1e-12, abs=1e-20)
 

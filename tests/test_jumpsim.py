@@ -34,23 +34,24 @@ from qpjumps.jumpsim import (
     TruthTrace,
     occupancy_blocks,
     qp_generation_rate,
-    qp_relaxation_rate,
     relaxation_jump_times,
+    relaxation_rate,
     run_starts,
     sample_count,
     simulate_joint,
     snr_separation,
     synthesize_iq,
     thermal_decay_constant,
-    thermal_excitation_rate,
     thermal_transient,
 )
 
 from support import (
     noiseless_iq,
     occupancy_chi2,
+    qp_relaxation_rate,
     scalar_qubit_layer,
     stationary_qn,
+    thermal_excitation_rate,
     transition_rate_chi2,
     whole_record_iq,
 )
@@ -112,13 +113,13 @@ class TestSnrSeparation:
 
 class TestRates:
     def test_no_qps_no_background(self):
-        assert qp_relaxation_rate(0, KIN, QUBIT) == 0.0
+        assert relaxation_rate(0, KIN, QUBIT) == 0.0
 
     def test_reference_density_gives_105_us(self):
         # sqrt(2*48.4e9/665e6) * 4 pi^2 * 0.5e9 * 4e-8, evaluated directly
         expected = math.sqrt(2 * 48.4e9 / 665e6) * 4 * math.pi**2 * 0.5e9 * 4e-8
         n = 4e-8 * KIN.n_pairs
-        rate = qp_relaxation_rate(n, KIN, QUBIT)
+        rate = relaxation_rate(n, KIN, QUBIT)
         assert rate == pytest.approx(expected, rel=1e-12)
         assert rate == pytest.approx(9.53e3, rel=5e-3)
         assert 1.0 / rate == pytest.approx(105e-6, rel=5e-3)
@@ -126,16 +127,24 @@ class TestRates:
     def test_linear_in_count(self):
         q = QubitParams(gamma_background=123.0)
         for n in (1, 3, 17):
-            lo = qp_relaxation_rate(n, KIN, q) - q.gamma_background
-            hi = qp_relaxation_rate(2 * n, KIN, q) - q.gamma_background
+            lo = relaxation_rate(n, KIN, q) - q.gamma_background
+            hi = relaxation_rate(2 * n, KIN, q) - q.gamma_background
             assert hi == pytest.approx(2 * lo, rel=1e-12)
 
     def test_injection_scales_qp_term_exactly(self):
         q = QubitParams(gamma_background=55.0)
         n, n_inj = 4, 9
-        before = qp_relaxation_rate(n, KIN, q) - q.gamma_background
-        after = qp_relaxation_rate(n + n_inj, KIN, q) - q.gamma_background
+        before = relaxation_rate(n, KIN, q) - q.gamma_background
+        after = relaxation_rate(n + n_inj, KIN, q) - q.gamma_background
         assert after / before == pytest.approx((n + n_inj) / n, rel=1e-12)
+
+    def test_elementwise_law_matches_the_scalar_reference(self):
+        q = QubitParams(gamma_background=300.0, gamma_scale=0.5)
+        n = np.array([0, 1, 7, 40])
+        rates = relaxation_rate(n, KIN, q)
+        assert rates.shape == n.shape
+        for k, rate in zip(n, rates):
+            assert rate == pytest.approx(qp_relaxation_rate(k, KIN, q), rel=1e-12)
 
     def test_excitation_freezes_out(self):
         assert thermal_excitation_rate(2, KIN, QUBIT, 1e-4) == pytest.approx(0.0, abs=1e-120)
