@@ -45,7 +45,7 @@ def main():
     power = junction_power(280e-9, 0.4e-3)
     print(f"pulse power               I_c * V_gap = {power:.3e} W")
     print(f"QP generation rate        P/(2 Delta) = {qp_generation_rate(1e-10, 0.4e-3) * 1e-6:.3e} /us")
-    delta_t = thermal_transient(ThermalParams(power=1e-10), 100e-6).delta_temperature
+    delta_t = thermal_transient(ThermalParams(power=1e-10), 100e-6)
     print(f"temperature step          dT(100 us pulse) = {delta_t * 1e3:.2f} mK")
     tau_th = thermal_decay_constant(1e-11, 3e-3, 0.1, 6e-5, 2.5e-6)
     print(f"substrate decay constant  tau_th = {tau_th * 1e6:.1f} us")
@@ -59,7 +59,6 @@ def main():
 
     if args.out:
         out = pathlib.Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         grid = np.linspace(0.0, 10 * tau_ss, 200)
         io.write_ode_csv(out / "recovery_ode.csv", grid,
                          evolve_ode(10 * x_bar, kin, grid))

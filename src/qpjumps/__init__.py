@@ -10,7 +10,6 @@ from .core import (
     QubitParams,
     ScenarioConfig,
     ThermalParams,
-    gap_frequency,
     junction_power,
     polarization_to_temperature,
     serialize_config,

@@ -77,15 +77,14 @@ def _finish_manifest(args, config, outputs, counts, t0, inputs=()):
 def cmd_snr(args) -> int:
     sep = snr_separation(load_config(args.config).meas if args.config
                          else MeasurementParams())
-    print(f"i_over_sigma = {sep:.9g}")
-    print(f"peak_separation_2i = {2 * sep:.9g}")
+    print(f"i_over_sigma = {io._fmt(sep)}")
+    print(f"peak_separation_2i = {io._fmt(2 * sep)}")
     return 0
 
 
 def cmd_simulate(args) -> int:
     t0 = time.monotonic()
     config = _scenario(args)
-    os.makedirs(args.out, exist_ok=True)
     truth, record = experiments.simulate_record(config)
     record_path = os.path.join(args.out, "record.iq")
     io.write_iq(record_path, record)
@@ -114,7 +113,6 @@ def cmd_filter(args) -> int:
     record = _read_record(args.record)
     sep = args.separation if args.separation is not None else snr_separation(
         config.meas if config else MeasurementParams())
-    os.makedirs(args.out, exist_ok=True)
     states_path = os.path.join(args.out, "states.csv")
     io.write_states_csv(states_path, experiments.filter_blocks(record, sep))
     _finish_manifest(args, config, [states_path],
@@ -129,7 +127,6 @@ def cmd_stats(args) -> int:
     sep = args.separation if args.separation is not None else snr_separation(
         config.meas if config else MeasurementParams())
     report = experiments.run_stats(record, sep, args.window, args.bins_per_decade)
-    os.makedirs(args.out, exist_ok=True)
 
     report_path = os.path.join(args.out, "report.csv")
     io.write_report_csv(report_path, report)
@@ -155,7 +152,6 @@ def cmd_fit_psd(args) -> int:
     dt = float(np.median(np.diff(times)))
     freqs, power = periodogram(values, dt, n_segments=args.segments)
     fit = fit_power_law(freqs, power)
-    os.makedirs(args.out, exist_ok=True)
     psd_path = os.path.join(args.out, "psd.csv")
     io.write_series_csv(psd_path, freqs, power, "power")
     fit_path = os.path.join(args.out, "fit.csv")
@@ -172,7 +168,6 @@ def cmd_fit_recovery(args) -> int:
     qubit = config.qubit if config else QubitParams()
     times, tau_e = io.read_series_csv(args.input)
     fit = fit_recovery(times, tau_e, qubit, n_boot=args.bootstrap, seed=args.seed or 0)
-    os.makedirs(args.out, exist_ok=True)
     fit_path = os.path.join(args.out, "fit.csv")
     resid_path = os.path.join(args.out, "residuals.csv")
     experiments.write_recovery_fit(fit_path, resid_path, fit, times, tau_e, qubit)
@@ -186,7 +181,6 @@ def cmd_fit_thermal(args) -> int:
     config = _scenario(args, require_file=False)
     times, temps = io.read_series_csv(args.input)
     fit = fit_thermal(times, temps, n_boot=args.bootstrap, seed=args.seed or 0)
-    os.makedirs(args.out, exist_ok=True)
     fit_path = os.path.join(args.out, "fit.csv")
     io.write_fit_report_csv(fit_path, {
         "t_base_k": fit.t_base, "t_base_err_k": fit.t_base_err,

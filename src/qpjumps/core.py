@@ -261,11 +261,6 @@ def temperature_to_polarization(temperature: float, f_ge: float) -> float:
     return boltzmann_ratio / (1.0 + boltzmann_ratio)
 
 
-def gap_frequency(v_gap: float) -> float:
-    """Gap as a frequency Delta/h from the junction gap voltage 2Delta/e."""
-    return ELEMENTARY_CHARGE * v_gap / (2.0 * PLANCK)
-
-
 def junction_power(i_critical: float, v_gap: float) -> float:
     """Power dissipated by a junction driven into the resistive branch."""
     return i_critical * v_gap

@@ -50,7 +50,6 @@ from .jumpsim import (
     IQRecord,
     STATE_EXCITED,
     STATE_GROUND,
-    STREAM_BLOCK,
     TruthTrace,
     excited_time_at,
     relaxation_jump_times,
@@ -240,14 +239,14 @@ def filter_blocks(record, separation: float, size: int | None = None,
     """The hysteresis estimate of a record, one block at a time.
 
     record has t_meas, len() and blocks(bounds).  Blocks of size samples
-    (STREAM_BLOCK by default) are read in order from 0; the block that
+    (io.STREAM_BLOCK by default) are read in order from 0; the block that
     reaches stop (by default the record's end) runs on to the end.  Each
     is filtered with the state carried in from the block before, so the
     yielded StateEstimates join into the whole record's estimate; only the
     block in hand is held.  Closing this generator closes the record's.
     """
     n = len(record)
-    size = STREAM_BLOCK if size is None else size
+    size = io.STREAM_BLOCK if size is None else size
     stop = n if stop is None else stop
     carry = None
     with contextlib.closing(record.blocks([*range(0, stop, size), n])) as blocks:
@@ -268,7 +267,7 @@ def run_stats(
 
     record has t_meas, len() and blocks(bounds): an IQRecord, a
     SynthesizedRecord or an io.IQFile.  filter_blocks reads it in blocks
-    of STREAM_BLOCK samples rounded down to whole windows, at least one.
+    of io.STREAM_BLOCK samples rounded down to whole windows, at least one.
     The last block also holds the partial window at the end, which is
     dropped as split_windows drops it.  Each block's estimate is reported
     on window by window, so the report equals the whole record's byte for
@@ -283,7 +282,7 @@ def run_stats(
         raise ValueError("record shorter than one window")
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be at least 1")
-    size = max(1, STREAM_BLOCK // per) * per
+    size = max(1, io.STREAM_BLOCK // per) * per
     # closed as run_stats returns or raises, so the record's reads end here
     with contextlib.closing(filter_blocks(record, separation, size,
                                           n_windows * per)) as blocks:
@@ -489,11 +488,8 @@ def _recovery_driver(config, out_dir):
     times, tau_e, n_jumps, fit, events = run_recovery(config)
 
     tau_path = os.path.join(out_dir, "tau_e.csv")
-    lines = ["t_s,tau_e_s,n_jumps"]
-    lines += [
-        f"{t:.9g},{tau:.9g},{int(n)}" for t, tau, n in zip(times, tau_e, n_jumps)
-    ]
-    io.atomic_write_text(tau_path, "\n".join(lines) + "\n")
+    io.write_csv(tau_path, "t_s,tau_e_s,n_jumps",
+                 [(times, tau_e, n_jumps.astype(np.int64))])
 
     resid_path = os.path.join(out_dir, "residuals.csv")
     fit_path = os.path.join(out_dir, "recovery_fit.csv")
@@ -539,10 +535,11 @@ _DRIVERS = {
 
 def run_experiment(name: str, config: ScenarioConfig, out_dir, workers: int = 1):
     """Run a named experiment into out_dir, serially; returns (output
-    paths, record counts).  workers takes only 1 (ValueError otherwise)."""
+    paths, record counts).  out_dir is made with the first file written,
+    so an experiment that fails before it leaves no directory.  workers
+    takes only 1 (ValueError otherwise)."""
     # kept for the benchmark's workloads, which pass workers=1; the
     # benchmark's next edit (ROADMAP item 1) drops them and this keyword
     if workers != 1:
         raise ValueError(f"experiments run serially: workers must be 1, got {workers}")
-    os.makedirs(out_dir, exist_ok=True)
     return _DRIVERS[name](config, out_dir)

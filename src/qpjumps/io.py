@@ -1,13 +1,15 @@
 """File formats: binary quadrature records, CSV exports, run manifests.
 
-All floating-point CSV values are written with 9 significant digits; the
-binary record format is little-endian with a fixed 24-byte header.  Records
-stream through this module: write_iq reads its record as consecutive
-ranges through blocks(bounds), read_iq checks a file's header and size
-and returns an IQFile that reads ranges on demand, and write_states_csv
-and write_truth_csv write their rows block by block.  Every file is
-written atomically (temp file + rename) so partially written outputs never
-appear under their final name.
+Every CSV goes through one row writer, write_csv: floats with 9
+significant digits (_fmt), ints and strings as they are, _BLOCK rows at a
+time.  The binary record format is little-endian with a fixed 24-byte
+header.  Records stream through this module: write_iq reads its record as
+consecutive ranges through blocks(bounds), read_iq checks a file's header
+and size and returns an IQFile that reads ranges on demand, and
+write_states_csv writes its runs block by block.  Every file is written
+atomically (temp file + rename) so partially written outputs never appear
+under their final name, and the file's directory is made as the file is:
+a command that fails before its first file leaves no output directory.
 """
 
 from __future__ import annotations
@@ -25,33 +27,35 @@ import numpy as np
 
 from .analysis import DwellHistogram, WindowedReport
 from .core import ScenarioConfig, serialize_config
-from .jumpsim import (
-    _BLOCK,
-    IQRecord,
-    STATE_EXCITED,
-    STREAM_BLOCK,
-    TruthTrace,
-    run_starts,
-)
+from .jumpsim import _BLOCK, IQRecord, TruthTrace, run_starts
 
 try:
     TOOL_VERSION = importlib.metadata.version("qpjumps")
 except importlib.metadata.PackageNotFoundError:  # running from a source tree
     TOOL_VERSION = "0.0.0+local"
 
+# samples per range in which a record is streamed through its
+# blocks(bounds): synthesized and written to a file, read back and
+# filtered.  experiments.run_stats rounds it down to whole windows (at
+# least one).  A synthesized record's worker draws the next range's noise
+# while the caller works on this one, so two ranges are in flight: with
+# their states and scratch, about 20 MB whatever the duration
+STREAM_BLOCK = 1 << 19
+
 IQ_MAGIC = b"QJIQ"
 IQ_VERSION = 1
 _HEADER = struct.Struct("<4sIdQ")  # magic, version, t_meas, sample count
 
 STATE_CHARS = ("g", "e")
+_STATE_LABELS = np.array(STATE_CHARS)  # a state column's labels, indexed by state
 
 
 class DataFormatError(ValueError):
     """Raised for malformed binary records or CSV inputs."""
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.9g}"
+# the one float format of the CSVs and the printed numbers: 9 significant digits
+_fmt = "{:.9g}".format
 
 
 @contextlib.contextmanager
@@ -59,6 +63,7 @@ def _atomic_file(path):
     """Binary file handle on a temp file that replaces path on success."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -70,13 +75,9 @@ def _atomic_file(path):
         raise
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    with _atomic_file(path) as fh:
-        fh.write(data)
-
-
 def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    with _atomic_file(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -187,38 +188,65 @@ def read_iq(path) -> IQFile:
 # CSV exports
 # ---------------------------------------------------------------------------
 
-def write_truth_csv(path, truth: TruthTrace) -> None:
-    """One row per knot of the trace: time, qubit state and QP count,
-    written _BLOCK knots at a time."""
+def _cells(column) -> list[str]:
+    """A column's values as text: floats with _fmt, ints and strings with
+    str.  An array takes one formatter, from its dtype; a list, such as a
+    fit report's mixed values, takes one per value."""
+    if isinstance(column, np.ndarray):
+        return list(map(_fmt if column.dtype.kind == "f" else str, column.tolist()))
+    return [_fmt(v) if isinstance(v, float) else str(v) for v in column]
+
+
+def write_csv(path, header: str, blocks) -> None:
+    """The CSV row writer every CSV goes through: the header line, then a
+    row per index of each block, a tuple of equal-length columns.
+
+    Rows are formatted and written _BLOCK at a time, column by column, so
+    a writer that yields its blocks as it reads them holds one block of
+    rows.
+    """
     with _atomic_file(path) as fh:
-        fh.write(b"time_s,state,N\n")
-        for lo in range(0, len(truth.times), _BLOCK):
-            knots = (truth.times[lo:lo + _BLOCK].tolist(),
-                     truth.states[lo:lo + _BLOCK].tolist(),
-                     truth.counts[lo:lo + _BLOCK].tolist())
-            fh.write("".join(f"{_fmt(ti)},{STATE_CHARS[si]},{ni}\n"
-                             for ti, si, ni in zip(*knots)).encode("utf-8"))
+        fh.write(f"{header}\n".encode("utf-8"))
+        for columns in blocks:
+            for lo in range(0, len(columns[0]), _BLOCK):
+                rows = zip(*(_cells(c[lo:lo + _BLOCK]) for c in columns))
+                fh.write(("\n".join(map(",".join, rows)) + "\n").encode("utf-8"))
+
+
+def write_truth_csv(path, truth: TruthTrace) -> None:
+    """One row per knot of the trace: time, qubit state and QP count."""
+    write_csv(path, "time_s,state,N",
+              [(truth.times, _STATE_LABELS[truth.states], truth.counts)])
 
 
 def write_qp_trace_csv(path, truth: TruthTrace) -> None:
     """QP-count marginal: the initial count at t=0, then a row per change of N."""
     first = run_starts(truth.counts)
-    lines = ["time_s,N"]
-    lines += [f"{_fmt(ti)},{ni}" for ti, ni in zip(truth.times[first], truth.counts[first])]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, "time_s,N", [(truth.times[first], truth.counts[first])])
 
 
 def write_ode_csv(path, times, densities) -> None:
-    lines = ["time_s,x_qp"]
-    lines += [f"{_fmt(t)},{_fmt(x)}" for t, x in zip(times, densities)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, "time_s,x_qp", [(times, densities)])
 
 
-def _run_rows(starts, states, samples, t_meas: float) -> bytes:
-    return "".join(
-        f"{_fmt(k * t_meas)},{STATE_CHARS[int(s == STATE_EXCITED)]},{n}\n"
-        for k, s, n in zip(starts.tolist(), states.tolist(), samples.tolist())
-    ).encode("utf-8")
+def _runs(blocks):
+    """The runs of equal states in the StateEstimates of consecutive ranges
+    of one record, as blocks of (start time, state, length in samples)
+    columns: for each range the runs it closes, then the run left open."""
+    # the run still open: its first sample and its state
+    start, state = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
+    end = 0
+    for est in blocks:
+        first = run_starts(est.states)
+        if len(state) and est.states[0] == state[0]:
+            first = first[1:]  # the open run goes on
+        starts = np.concatenate((start, end + first))
+        states = np.concatenate((state, est.states[first]))
+        end += len(est)
+        yield starts[:-1] * est.t_meas, _STATE_LABELS[states[:-1]], np.diff(starts)
+        start, state, t_meas = starts[-1:], states[-1:], est.t_meas
+    if len(start):
+        yield start * t_meas, _STATE_LABELS[state], end - start
 
 
 def write_states_csv(path, blocks) -> None:
@@ -226,57 +254,26 @@ def write_states_csv(path, blocks) -> None:
 
     blocks are the StateEstimates of consecutive ranges of one record from
     its first sample, as experiments.filter_blocks yields them.  A run that
-    crosses from one block into the next is one row.  Each block's runs are
-    written once the next run has started, so the writer holds one block's
-    runs and the one still open, not the record's.
+    crosses from one block into the next is one row.  Each block's runs go
+    to write_csv once the next run has started, so the writer holds one
+    block's runs and the one still open, not the record's.
     """
-    # the run still open: its first sample and its state
-    start, state = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
-    end = 0
-    with _atomic_file(path) as fh:
-        fh.write(b"start_s,state,samples\n")
-        for est in blocks:
-            first = run_starts(est.states)
-            if len(state) and est.states[0] == state[0]:
-                first = first[1:]  # the open run goes on
-            starts = np.concatenate((start, end + first))
-            states = np.concatenate((state, est.states[first]))
-            end += len(est)
-            fh.write(_run_rows(starts[:-1], states[:-1], np.diff(starts), est.t_meas))
-            start, state, t_meas = starts[-1:], states[-1:], est.t_meas
-        if len(start):
-            fh.write(_run_rows(start, state, end - start, t_meas))
+    write_csv(path, "start_s,state,samples", _runs(blocks))
 
 
 def write_histogram_csv(path, hist: DwellHistogram, predicted) -> None:
-    lines = ["bin_lo_s,bin_hi_s,M,P"]
-    lines += [
-        f"{_fmt(lo)},{_fmt(hi)},{_fmt(m)},{_fmt(p)}"
-        for lo, hi, m, p in zip(hist.edges[:-1], hist.edges[1:], hist.counts, predicted)
-    ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, "bin_lo_s,bin_hi_s,M,P",
+              [(hist.edges[:-1], hist.edges[1:], hist.counts, predicted)])
 
 
 def write_report_csv(path, report: WindowedReport) -> None:
-    lines = ["t_s,tau_g_s,tau_e_s,F,one_minus_F,sigma_z"]
-    for i in range(len(report)):
-        f = report.fidelity_ground[i]
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    report.t_start[i], report.tau_ground[i], report.tau_excited[i],
-                    f, 1.0 - f, report.sigma_z[i],
-                )
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, "t_s,tau_g_s,tau_e_s,F,one_minus_F,sigma_z",
+              [(report.t_start, report.tau_ground, report.tau_excited,
+                report.fidelity_ground, report.one_minus_fidelity, report.sigma_z)])
 
 
 def write_series_csv(path, times, values, value_name: str = "value") -> None:
-    lines = [f"t_s,{value_name}"]
-    lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(times, values)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, f"t_s,{value_name}", [(times, values)])
 
 
 def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -306,19 +303,11 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_fit_report_csv(path, pairs: dict) -> None:
-    lines = ["key,value"]
-    for key, value in pairs.items():
-        text = _fmt(value) if isinstance(value, float) else str(value)
-        lines.append(f"{key},{text}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, "key,value", [(list(pairs), list(pairs.values()))])
 
 
 def write_residuals_csv(path, inputs, model, residuals) -> None:
-    lines = ["input,model,residual"]
-    lines += [
-        f"{_fmt(a)},{_fmt(b)},{_fmt(c)}" for a, b, c in zip(inputs, model, residuals)
-    ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, "input,model,residual", [(inputs, model, residuals)])
 
 
 # ---------------------------------------------------------------------------

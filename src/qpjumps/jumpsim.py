@@ -44,13 +44,6 @@ _RNG_BUF = 1 << 16
 # samples per block of the record pipeline, and qubit candidates per block
 # of the sampler: their scratch arrays stay in cache
 _BLOCK = 1 << 16
-# samples per range in which a record is streamed through its
-# blocks(bounds): synthesized and written to a file, read back and
-# filtered.  experiments.run_stats rounds it down to whole windows (at
-# least one).  A synthesized record's worker draws the next range's noise
-# while the caller works on this one, so two ranges are in flight: with
-# their states and scratch, about 20 MB whatever the duration
-STREAM_BLOCK = 1 << 19
 
 
 def snr_separation(meas: MeasurementParams) -> float:
@@ -82,25 +75,13 @@ def relaxation_rate(n, kinetics: QpKineticsParams, qubit: QubitParams):
 # pulse energetics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThermalTransient:
-    """Temperature step after a pulse and its exponential decay."""
-
-    delta_temperature: float  # K
-    tau: float  # s
-
-    def offset(self, t) -> np.ndarray:
-        """Temperature excess over the base at time t after the pulse."""
-        return self.delta_temperature * np.exp(-np.asarray(t, dtype=float) / self.tau)
-
-
-def thermal_transient(thermal: ThermalParams, t_pulse: float) -> ThermalTransient:
-    """Temperature rise from a pulse of length t_pulse dumped into the substrate."""
+def thermal_transient(thermal: ThermalParams, t_pulse: float) -> float:
+    """Temperature step (K) from a pulse of length t_pulse dumped into the
+    substrate; it decays with thermal.tau_thermal."""
     if t_pulse < 0:
         raise ValueError("pulse length must be non-negative")
     delta_e = thermal.power * t_pulse
-    delta_t = delta_e / (thermal.specific_heat * thermal.mass)
-    return ThermalTransient(delta_temperature=delta_t, tau=thermal.tau_thermal)
+    return delta_e / (thermal.specific_heat * thermal.mass)
 
 
 def qp_generation_rate(power: float, v_gap: float) -> float:
@@ -345,7 +326,7 @@ def _boltzmann_factor(config: ScenarioConfig):
     amp = np.zeros(len(ends))
     for k, p in enumerate(config.pulses, start=1):
         amp[k] = (amp[k - 1] * math.exp(-(ends[k] - ends[k - 1]) / tau)
-                  + thermal_transient(config.thermal, p.length).delta_temperature)
+                  + thermal_transient(config.thermal, p.length))
 
     def boltz(t: np.ndarray) -> np.ndarray:
         k = np.searchsorted(ends, t, side="right") - 1

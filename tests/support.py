@@ -217,7 +217,7 @@ def scalar_qubit_layer(config: ScenarioConfig, truth: TruthTrace,
         t = knot_t[j] + (h - hazard[j]) / rate[j]
         while k < len(pulses) and pulses[k].end <= t:
             amp = (amp * math.exp(-(pulses[k].end - amp_end) / config.thermal.tau_thermal)
-                   + thermal_transient(config.thermal, pulses[k].length).delta_temperature)
+                   + thermal_transient(config.thermal, pulses[k].length))
             amp_end = pulses[k].end
             k += 1
         offset = amp * math.exp(-(t - amp_end) / config.thermal.tau_thermal) if k else 0.0

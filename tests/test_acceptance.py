@@ -76,7 +76,7 @@ def test_03_thermal_energetics():
     rate = qp_generation_rate(1e-10, 0.4e-3) * 1e-6  # per microsecond
     delta_t = thermal_transient(
         ThermalParams(power=1e-10, specific_heat=1e-11, mass=0.1), 100e-6
-    ).delta_temperature
+    )
     tau_th = thermal_decay_constant(
         specific_heat=1e-11, length=3e-3, mass=0.1, conductivity=6e-5, area=2.5e-6
     )

@@ -21,7 +21,6 @@ from qpjumps.core import (
     ScenarioConfig,
     ThermalParams,
     config_reference,
-    gap_frequency,
     junction_power,
     polarization_to_temperature,
     serialize_config,
@@ -101,8 +100,7 @@ def test_angular_frequency_pin():
     assert TWO_PI * 4.7e6 == kappa
 
 
-def test_gap_frequency_and_power_from_junction_values():
-    assert gap_frequency(0.4e-3) == pytest.approx(48.36e9, rel=1e-3)
+def test_power_from_junction_values():
     assert junction_power(280e-9, 0.4e-3) == pytest.approx(1.12e-10, rel=1e-12)
 
 

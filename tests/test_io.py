@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from qpjumps import io
-from qpjumps.analysis import StateEstimate, log_histogram, poisson_prediction
+from qpjumps.analysis import (
+    DwellHistogram,
+    StateEstimate,
+    WindowedReport,
+    log_histogram,
+    poisson_prediction,
+)
 from qpjumps.core import MeasurementParams, validate_config
 from qpjumps.experiments import SynthesizedRecord
 from qpjumps.jumpsim import _BLOCK, IQRecord, TruthTrace
@@ -295,6 +301,75 @@ class TestCsvWriters:
         path = tmp_path / "st.csv"
         io.write_states_csv(path, [])
         assert path.read_text() == "start_s,state,samples\n"
+
+
+# values the row format has to keep: NaN, +-inf, signed zeros, negatives,
+# two that round at the ninth digit (one of them up to 3) and 1e300
+ODD = np.array([math.nan, math.inf, -math.inf, -2.5e-7, 0.1234567895, 1.0 / 3.0,
+                0.0, -0.0, 2.99999999996, 1e300])
+BIG = 1_234_567_891  # over 1e9: str writes 1234567891, the float format 1.23456789e+09
+
+
+def _pinned_qp_trace(path):
+    io.write_qp_trace_csv(path, TruthTrace(
+        duration=1.0, times=np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
+        states=np.array([0, 1, 1, 0, 0, 1], dtype=np.uint8),
+        counts=np.array([3, 3, BIG, BIG, 4, 7], dtype=np.int64)))
+
+
+def _pinned_histogram(path):
+    hist = DwellHistogram(edges=np.array([1e-6, 2.1e-6, 4.4e-6, 9.999999995e-6, 2e-5]),
+                          log_width=0.3, counts=np.array([0.0, 3.0, float(BIG), 5.0]),
+                          total=float(BIG + 8), tau_mean=1e-5)
+    io.write_histogram_csv(path, hist, np.array([math.nan, -1.5, 1.23456789e9, math.inf]))
+
+
+def _pinned_report(path):
+    n = len(ODD)
+    io.write_report_csv(path, WindowedReport(
+        window=0.5, t_start=np.arange(n) * 0.5, tau_ground=ODD, tau_excited=-ODD,
+        fidelity_ground=np.array([0.5, math.nan, 1.0, 0.9999999996, -0.2, 2.0,
+                                  math.inf, 0.3, 0.1234567895, 0.0]),
+        sigma_z=np.linspace(-1, 1, n), dwells=[]))
+
+
+def _pinned_states(path):
+    # runs of 1 to 8 samples, cut into blocks so that runs cross the cuts;
+    # t_meas has ten significant digits, so the start times round
+    rng = np.random.default_rng(11)
+    states = np.repeat(rng.integers(0, 2, 400).astype(np.uint8), rng.integers(1, 9, 400))
+    cuts = [1, 2, 50, 51, 300, 777, len(states) - 1]
+    io.write_states_csv(path, [StateEstimate(t_meas=5.00000001e-6, states=part)
+                               for part in np.split(states, cuts)])
+
+
+class TestWriterPins:
+    # each digest was taken when every writer joined its own rows
+    @pytest.mark.parametrize("write, digest", [
+        (_pinned_qp_trace,
+         "2eac7191b1e412ef41d285d6ed8888a078715252ec1601fc67feb217077e1998"),
+        (lambda path: io.write_ode_csv(path, ODD, -ODD[::-1]),
+         "c095c4dccb740ad8fb27612d1329961b913912fdc880ce65d53e4aa9a44faeb6"),
+        (_pinned_histogram,
+         "54cdccc7d4b4d1c2657d260d40006c39d4417a6b111f453833fe502cfa3e89f3"),
+        (_pinned_report,
+         "7a2c00cd10399026721339f2c8647415bab469e4098c97e8130ce4a72c2019c1"),
+        (lambda path: io.write_series_csv(path, ODD, 3 * ODD[::-1], "tau_g_s"),
+         "9afc615846c9e37b2916a9cd0fa77ac231e4d5bf3ee3ba6a26cc64e8891bc403"),
+        (lambda path: io.write_fit_report_csv(path, {
+            "a": 0.1234567895, "nan": math.nan, "inf": -math.inf, "neg": -3.0,
+            "big": BIG, "count": 7, "status": "converged"}),
+         "9b42de4d6324ebf2a4925149c419bde2055403c6092c81d6f5d736dc3eae0090"),
+        (lambda path: io.write_residuals_csv(path, ODD, ODD[::-1], -ODD),
+         "4db39a6564bc059a3036e7ce2d4fbeef976dfdcb972e8f6eaf658bfb4e012937"),
+        (_pinned_states,
+         "2ba390ff79ac9e25673024502259ff6dda069a5cf9df5c1b3e7a9c1cd6cbf44b"),
+    ], ids=["qp_trace", "ode", "histogram", "report", "series", "fit_report",
+            "residuals", "states"])
+    def test_bytes_are_pinned(self, tmp_path, write, digest):
+        path = tmp_path / "out.csv"
+        write(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestManifest:

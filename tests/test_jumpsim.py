@@ -166,16 +166,10 @@ class TestRates:
 class TestPulseEnergetics:
     def test_temperature_step_10_mk(self):
         th = ThermalParams(power=1e-10, specific_heat=1e-11, mass=0.1)
-        tr = thermal_transient(th, 100e-6)
-        assert tr.delta_temperature == pytest.approx(10e-3, rel=1e-9)
+        assert thermal_transient(th, 100e-6) == pytest.approx(10e-3, rel=1e-9)
 
     def test_zero_length_pulse(self):
-        assert thermal_transient(ThermalParams(), 0.0).delta_temperature == 0.0
-
-    def test_decay_profile(self):
-        tr = thermal_transient(ThermalParams(power=1e-10, tau_thermal=2e-3), 100e-6)
-        assert tr.offset(0.0) == pytest.approx(tr.delta_temperature)
-        assert tr.offset(5 * tr.tau) == pytest.approx(tr.delta_temperature * math.exp(-5))
+        assert thermal_transient(ThermalParams(), 0.0) == 0.0
 
     def test_generation_rate_about_1e6_per_us(self):
         rate = qp_generation_rate(1e-10, 0.4e-3)
@@ -294,8 +288,8 @@ class TestSimulateJoint:
         # rate right after the pulse matches the decaying-temperature model
         thermal = ThermalParams(power=1e-10, specific_heat=2e-13, mass=0.1,
                                 tau_thermal=2e-3)
-        tr = thermal_transient(thermal, 100e-6)
-        assert tr.delta_temperature == pytest.approx(0.5)
+        delta_t = thermal_transient(thermal, 100e-6)
+        assert delta_t == pytest.approx(0.5)
         train = validate_config(
             "rng_seed = 0\nduration = 1\n"
             "pulse_first = 0\npulse_period = 10e-3\npulse_length = 100us\n"
@@ -330,7 +324,7 @@ class TestSimulateJoint:
             jumps += int(np.sum((jt >= lo) & (jt < hi)))
 
         def rate(u):
-            temp = t_base + tr.delta_temperature * math.exp(-u / thermal.tau_thermal)
+            temp = t_base + delta_t * math.exp(-u / thermal.tau_thermal)
             return gamma_down * math.exp(-hf_kb / temp)
 
         # occupancy-weighted mean rate ~ plain time average (occupancy varies little)
