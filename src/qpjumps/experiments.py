@@ -52,6 +52,7 @@ from .jumpsim import (
     STATE_GROUND,
     TruthTrace,
     excited_time_at,
+    occupancy_blocks,
     relaxation_jump_times,
     sample_count,
     simulate_joint,
@@ -162,8 +163,10 @@ class SynthesizedRecord:
     blocks(bounds) yields samples bounds[k] to bounds[k + 1] - 1 as an
     IQRecord for each k: I, and Q when q_rng is given.  Each quadrature's
     noise comes from one stream drawn in order, so bounds start at 0, and
-    the ranges hold the whole record bit for bit.  The caller draws the
-    first range; while it works on a range, one worker thread fills the
+    the ranges hold the whole record bit for bit.  One occupancy_blocks
+    pass over the trace, cut at the bounds, serves the whole loop: each
+    range takes its blocks from it, so no range sums a prefix of the
+    trace again.  The caller draws the first range; while it works on a range, one worker thread fills the
     next range's noise, in arrays allocated on the caller's thread.  The
     worker lives as long as the generator: it is joined when the loop
     ends, raises or closes the generator, and a failed draw raises in the
@@ -187,9 +190,7 @@ class SynthesizedRecord:
             raise ValueError(f"ranges from sample {bounds[0]}: a synthesized "
                              "record is read from sample 0")
         streams = [rng for rng in (self.i_rng, self.q_rng) if rng is not None]
-        # the occupancy's table of the trace, built before any range is,
-        # so that its temporaries are not on top of two ranges in flight
-        self.truth.excited_cumulative
+        occupancy = occupancy_blocks(self.truth, self.meas.t_meas, bounds)
 
         def fill(noise):
             for rng, out in zip(streams, noise):
@@ -208,7 +209,7 @@ class SynthesizedRecord:
                 if k + 2 < len(bounds):
                     ahead = worker.submit(fill, empty(k + 1))
                 yield synthesize_iq(self.truth, self.meas, i, q[0] if q else None,
-                                    bounds[k])
+                                    occupancy)
 
 
 def simulate_record(config: ScenarioConfig,
@@ -262,8 +263,12 @@ def run_stats(
     separation: float,
     window: float = DEFAULT_WINDOW,
     bins_per_decade: int = DEFAULT_BINS_PER_DECADE,
+    dwells: bool = True,
 ) -> WindowedReport:
-    """Windowed report of a record, each window's dwells included.
+    """Windowed report of a record, with each window's dwells when dwells
+    is True, for the callers that write dwell histograms (stats and the
+    alternation presets).  With dwells False (psd) report.dwells is empty,
+    and each block's dwells are dropped as the block is reported on.
 
     record has t_meas, len() and blocks(bounds): an IQRecord, a
     SynthesizedRecord or an io.IQFile.  filter_blocks reads it in blocks
@@ -286,7 +291,10 @@ def run_stats(
     # closed as run_stats returns or raises, so the record's reads end here
     with contextlib.closing(filter_blocks(record, separation, size,
                                           n_windows * per)) as blocks:
-        reports = [windowed_report(est, window, bins_per_decade) for est in blocks]
+        reports = []
+        for est in blocks:
+            report = windowed_report(est, window, bins_per_decade)
+            reports.append(report if dwells else replace(report, dwells=[]))
 
     def joined(column):
         return np.concatenate([getattr(r, column) for r in reports])
@@ -500,7 +508,9 @@ def _recovery_driver(config, out_dir):
 
 def _psd_driver(config, out_dir):
     truth, record = simulate_record(config, with_q=False)
-    report = run_stats(record, snr_separation(config.meas), window=PSD_WINDOW)
+    # no histogram is written, so no dwells are kept
+    report = run_stats(record, snr_separation(config.meas), window=PSD_WINDOW,
+                       dwells=False)
 
     outputs = []
     series_path = os.path.join(out_dir, "series.csv")

@@ -60,18 +60,34 @@ _fmt = "{:.9g}".format
 
 @contextlib.contextmanager
 def _atomic_file(path):
-    """Binary file handle on a temp file that replaces path on success."""
+    """Binary file handle on a temp file that replaces path on success.
+
+    The file's missing directories are made first; if the write fails,
+    those this call made are removed again while they are empty, so a
+    failed first file leaves no directory and a later one keeps the
+    directory that holds the files before it."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    made = []  # the directories this call makes, deepest first
+    parent = os.path.abspath(directory)
+    while not os.path.exists(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
         with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        for made_dir in made:
+            try:
+                os.rmdir(made_dir)
+            except OSError:  # not empty: it holds another writer's file
+                break
         raise
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -118,7 +117,10 @@ class TruthTrace:
     counts[i] hold from times[i] until the next knot (or duration).  Every
     knot after the first is an event that changes the qubit state or the
     count (temperature and modulator moves are not recorded), so len()
-    counts events, one fewer than the knots.
+    counts events, one fewer than the knots.  The trace holds these three
+    arrays and nothing derived from them: occupancy_blocks sums the
+    excited seconds block by block, and excited_time_at builds its table
+    per call, so a record keeps 17 B per knot.
     """
 
     duration: float
@@ -147,80 +149,89 @@ class TruthTrace:
         starts = self.times[first]
         return starts, np.append(starts[1:], self.duration) - starts, self.states[first]
 
-    @cached_property
-    def excited_cumulative(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(t, excited, cum): the knot times with the duration appended,
-        whether each knot's segment is excited, and the excited seconds
-        before each knot.  Built on first use and kept, so a record
-        synthesized in ranges builds it once."""
-        t = np.concatenate((self.times, [self.duration]))
-        excited = self.states == STATE_EXCITED
-        cum = np.concatenate(([0.0], np.cumsum(np.diff(t) * excited)))
-        return t, excited, cum
-
 
 def excited_time_at(truth: TruthTrace, times) -> np.ndarray:
-    """Cumulative seconds spent excited in [0, t) for each query time."""
-    t, excited, cum = truth.excited_cumulative
+    """Cumulative seconds spent excited in [0, t) for each query time.
+
+    Builds its table of the trace (the excited seconds before each knot)
+    on each call and drops it on return."""
+    t = np.append(truth.times, truth.duration)
+    excited = truth.states == STATE_EXCITED
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(t) * excited)))
     times = np.asarray(times, dtype=float)
     idx = np.searchsorted(t, times, side="right") - 1
     idx = np.clip(idx, 0, len(excited) - 1)
     return cum[idx] + (times - t[idx]) * excited[idx]
 
 
-def occupancy_blocks(truth: TruthTrace, t_meas: float, start: int = 0,
-                     stop: int | None = None):
+def occupancy_blocks(truth: TruthTrace, t_meas: float, bounds=None):
     """Fraction of each readout bin spent excited, in consecutive blocks.
 
-    Bin k spans the edges float(k) * t_meas and float(k + 1) * t_meas; the
-    blocks cover bins start to stop - 1, by default all
-    sample_count(duration, t_meas) bins of the record.  Each yielded array
-    covers the next _BLOCK bins (fewer in the last block) and is scratch
-    space: the caller may overwrite it, and the next block does.  The
-    values equal diff(excited_time_at(truth, edges)) / diff(edges) bit for
-    bit, whatever the range, but the knot under each edge comes from one
-    pass over the block's knots, not a search per edge, so the cost is
-    O(knots + bins) over a record read in any number of ranges.
+    Bin k spans the edges float(k) * t_meas and float(k + 1) * t_meas.
+    bounds are the bounds of consecutive ranges of bins from bin 0, by
+    default the one range of all sample_count(duration, t_meas) bins of
+    the record; bounds that do not start at 0 raise ValueError.  The blocks
+    cover bins 0 to bounds[-1] - 1 in order, at most _BLOCK bins each, and
+    each range starts a new block, so a range's blocks end at its bound.
+    Each yielded array is scratch space: the caller may overwrite it, and
+    the next block does.  The values equal diff(excited_time_at(truth,
+    edges)) / diff(edges) bit for bit, whatever the bounds: the excited
+    seconds before each knot are summed over each block's knots alone,
+    from the sum carried out of the block before, and np.cumsum adds in
+    the order of one running sum over the trace.  The knot under each
+    edge comes from one pass over the block's knots, not a search per
+    edge, so the cost is O(knots + bins), and nothing the length of the
+    trace is built.
     """
-    t, excited, cum = truth.excited_cumulative
-    last = len(excited) - 1
-    if stop is None:
-        stop = sample_count(truth.duration, t_meas)
-    size = min(_BLOCK, stop - start)
+    if bounds is None:
+        bounds = [0, sample_count(truth.duration, t_meas)]
+    if bounds[0] != 0:
+        raise ValueError(f"ranges from bin {bounds[0]}: the occupancy is read from bin 0")
+    times = truth.times
+    size = min(_BLOCK, bounds[-1])
     steps = np.arange(size + 1, dtype=float)
     edges = np.empty(size + 1)
     at = np.empty(size + 1)
     part = np.empty(size + 1)
-    for lo in range(start, stop, _BLOCK):
-        m = min(_BLOCK, stop - lo)
-        e, c, d = edges[:m + 1], at[:m + 1], part[:m + 1]
-        np.add(steps[:m + 1], lo, out=e)
-        e *= t_meas
-        # knot under each edge, as searchsorted(t, e, "right") - 1: knot
-        # j0 - 1 is under the first edge, and knots j0 to j1 - 1 lie after
-        # it and at or before the last.  Each of those is under the edges
-        # from the first at or after it, min{k : float(k) * t_meas >= t_j}:
-        # a ceil, corrected with the same products that make the edges
-        j0, j1 = np.searchsorted(t, (e[0], e[m]), side="right")
-        tj = t[j0:j1]
-        first = np.ceil(tj / t_meas)
-        first -= (first - 1.0) * t_meas >= tj
-        first += first * t_meas < tj
-        runs = np.diff(np.concatenate(([lo], first.astype(np.int64), [lo + m + 1])))
-        k = np.repeat(np.clip(np.arange(j0 - 1, j1), 0, last), runs)
-        # excited seconds before each edge: cum[k] + (e - t[k]) * excited[k]
-        # (k is in range; mode="clip" only spares take() a buffered copy)
-        np.take(t, k, out=d, mode="clip")
-        np.subtract(e, d, out=d)
-        d *= excited[k]
-        np.take(cum, k, out=c, mode="clip")
-        c += d
-        # diff(c) / diff(e), reusing d for the fraction and c for the width
-        frac, width = d[:m], c[:m]
-        np.subtract(c[1:], c[:-1], out=frac)
-        np.subtract(e[1:], e[:-1], out=width)
-        frac /= width
-        yield frac
+    # the knot under the block's first edge, and the excited seconds before it
+    j, carry = 0, 0.0
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        for lo in range(start, stop, _BLOCK):
+            m = min(_BLOCK, stop - lo)
+            e, c, d = edges[:m + 1], at[:m + 1], part[:m + 1]
+            np.add(steps[:m + 1], lo, out=e)
+            e *= t_meas
+            # knots j to j1 - 1 are under the block's edges: j under the
+            # first, and each later one under the edges from the first at
+            # or after it, min{k : float(k) * t_meas >= t_j}: a ceil,
+            # corrected with the same products that make the edges
+            j1 = int(np.searchsorted(times, e[m], side="right"))
+            t = times[j:j1]
+            excited = truth.states[j:j1] == STATE_EXCITED
+            cum = np.empty(len(t))
+            cum[0] = carry
+            np.multiply(np.diff(t), excited[:-1], out=cum[1:])
+            np.cumsum(cum, out=cum)
+            first = np.ceil(t[1:] / t_meas)
+            first -= (first - 1.0) * t_meas >= t[1:]
+            first += first * t_meas < t[1:]
+            runs = np.diff(np.concatenate(([lo], first.astype(np.int64), [lo + m + 1])))
+            # the knot under each edge, counted from knot j
+            k = np.repeat(np.arange(len(t)), runs)
+            # excited seconds before each edge: cum[k] + (e - t[k]) * excited[k]
+            # (k is in range; mode="clip" only spares take() a buffered copy)
+            np.take(t, k, out=d, mode="clip")
+            np.subtract(e, d, out=d)
+            d *= excited[k]
+            np.take(cum, k, out=c, mode="clip")
+            c += d
+            # diff(c) / diff(e), reusing d for the fraction and c for the width
+            frac, width = d[:m], c[:m]
+            np.subtract(c[1:], c[:-1], out=frac)
+            np.subtract(e[1:], e[:-1], out=width)
+            frac /= width
+            j, carry = j1 - 1, cum[-1]
+            yield frac
 
 
 def relaxation_jump_times(truth: TruthTrace) -> np.ndarray:
@@ -240,8 +251,9 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator) -> tuple[np.ndar
     every change of N.  The cumulative propensities of a count are computed
     the first time the chain reaches it in a modulator state and are looked
     up after that, one cache per state, so the caches hold no more entries
-    than the counts reached.  Knots are collected in lists and become
-    arrays on return.
+    than the counts reached.  Knots are collected in lists, which become
+    an array chunk at each refill of the buffers, so the lists hold one
+    buffer's knots; the chunks are joined on return.
     """
     kin = config.kinetics
     ncp = kin.n_pairs
@@ -262,8 +274,11 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator) -> tuple[np.ndar
     edges.append((config.duration, 0))
 
     n = config.initial_count()
+    # the knots since the last refill of the draws, and those before it
+    # as arrays, a chunk per refill
     times = [0.0]
     counts = [n]
+    chunks_t, chunks_n = [], []
     # (c_loss, c_rec, total) by count, one dict per modulator state
     caches = ({}, {})
     cache = caches[m_state]
@@ -271,7 +286,7 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator) -> tuple[np.ndar
     t = 0.0
     k = 0
     t_edge, inject = edges[0]
-    while True:
+    while k < len(edges):
         for e, u in zip(rng.standard_exponential(_RNG_BUF).tolist(),
                         rng.random(_RNG_BUF).tolist()):
             try:
@@ -290,7 +305,7 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator) -> tuple[np.ndar
                     counts.append(n)
                 k += 1
                 if k == len(edges):
-                    return np.array(times, dtype=float), np.array(counts, dtype=np.int64)
+                    break
                 t_edge, inject = edges[k]
                 continue
             t = t_next
@@ -308,6 +323,11 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator) -> tuple[np.ndar
                 continue
             times.append(t)
             counts.append(n)
+        chunks_t.append(np.array(times, dtype=float))
+        chunks_n.append(np.array(counts, dtype=np.int64))
+        times.clear()
+        counts.clear()
+    return np.concatenate(chunks_t), np.concatenate(chunks_n)
 
 
 def _boltzmann_factor(config: ScenarioConfig):
@@ -398,7 +418,10 @@ def simulate_joint(config: ScenarioConfig, qp_rng: np.random.Generator,
     follows the thermal transients of the pulses.  It is sampled by
     uniformization: candidate times from candidate_rng, acceptance uniforms
     (and the initial state) from uniform_rng.  The two layers' knots are
-    merged into one trace.  The trace does not depend on _BLOCK.
+    merged into one trace with no int64 scratch of its length: each QP
+    count is repeated over its knot and the flips after it, and the states
+    are the parity of a uint8 running count of flips.  The trace does not
+    depend on _BLOCK.
     """
     qubit = config.qubit
     knot_t, knot_n = _qp_layer(config, qp_rng)
@@ -406,18 +429,29 @@ def simulate_joint(config: ScenarioConfig, qp_rng: np.random.Generator,
         qubit.temperature, qubit.f_ge) else STATE_GROUND
     flips = _qubit_flips(config, knot_t, knot_n, q0, candidate_rng, uniform_rng)
 
-    # flip k goes after the QP knots at or before it and the k flips before it
-    is_flip = np.zeros(len(knot_t) + len(flips), dtype=bool)
-    is_flip[np.searchsorted(knot_t, flips, side="right") + np.arange(len(flips))] = True
-    times = np.empty(len(is_flip))
+    # flip k goes after the QP knots at or before it (pos[k] of them, at
+    # least the one at t = 0) and the k flips before it.  Each temporary
+    # is dropped before the next array of the trace's length is made
+    pos = np.searchsorted(knot_t, flips, side="right")
+    per_knot = np.bincount(pos, minlength=len(knot_t) + 1)[1:]
+    per_knot += 1  # each QP knot's count holds at it and the flips after it
+    counts = np.repeat(knot_n, per_knot)
+    del knot_n, per_knot
+    is_flip = np.zeros(len(counts), dtype=bool)
+    pos += np.arange(len(flips))
+    is_flip[pos] = True
+    del pos
+    times = np.empty(len(counts))
     times[is_flip] = flips
+    del flips
     times[~is_flip] = knot_t
-    return TruthTrace(
-        duration=config.duration,
-        times=times,
-        states=((q0 + np.cumsum(is_flip)) & 1).astype(np.uint8),
-        counts=knot_n[np.cumsum(~is_flip) - 1],
-    )
+    del knot_t
+    # the parity of the flips so far; a uint8 sum wraps, keeping it
+    states = np.cumsum(is_flip, dtype=np.uint8)
+    del is_flip
+    states += q0
+    states &= 1
+    return TruthTrace(duration=config.duration, times=times, states=states, counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -466,24 +500,30 @@ def synthesize_iq(
     meas: MeasurementParams,
     i: np.ndarray,
     q: np.ndarray | None = None,
-    start: int = 0,
+    occupancy=None,
 ) -> IQRecord:
-    """Dispersive readout record for bins start to start + len(i) - 1 of a
-    trajectory, from their noise.
+    """Dispersive readout record for len(i) bins of a trajectory, from
+    their noise.
 
     Each bin of length t_meas gets I = (f_g - f_e) * separation + noise and
     Q = noise, with f_g/f_e the exact fractions of the bin spent in each
-    state (ground maps to +I).  i holds the bins' I noise, and the levels
-    are added to it in place, block by block: it becomes the record's I.
-    q, Q's noise, is the record's Q as it is; None gives a record without
-    Q.  Drawing the noise is left to the caller, so a range's draws can be
-    made ahead of its occupancy; normal draws do not depend on how a
-    stream is split, so consecutive ranges of one stream give the whole
-    record bit for bit.
+    state (ground maps to +I).  The bins are 0 to len(i) - 1, or, when
+    occupancy is given, the next len(i) bins of that occupancy_blocks pass
+    over the trace: a pass whose bounds hold this range, at its first bin,
+    so consecutive ranges share one pass and none sums a prefix again.  i
+    holds the bins' I noise, and the levels are added to it in place,
+    block by block: it becomes the record's I.  q, Q's noise, is the
+    record's Q as it is; None gives a record without Q.  Drawing the noise
+    is left to the caller, so a range's draws can be made ahead of its
+    occupancy; normal draws do not depend on how a stream is split, so
+    consecutive ranges of one stream give the whole record bit for bit.
     """
+    if occupancy is None:
+        occupancy = occupancy_blocks(truth, meas.t_meas, [0, len(i)])
     sep = snr_separation(meas)
     lo = 0
-    for f_e in occupancy_blocks(truth, meas.t_meas, start, start + len(i)):
+    while lo < len(i):
+        f_e = next(occupancy)
         hi = lo + len(f_e)
         # noise + (1 - 2 f_e) * sep, in place
         f_e *= 2.0

@@ -235,15 +235,25 @@ class TestStreamedPresets:
         if block == "3 windows + 7":
             block = 3 * per + 7
         monkeypatch.setattr(io, "STREAM_BLOCK", block)
-        ranges = []
+        ranges, passes = [], set()
 
-        def recorded(truth, meas, i, q=None, start=0):
+        def recorded(truth, meas, i, q=None, occupancy=None):
             assert q is None
-            ranges.append((start, start + len(i)))
-            return synthesize(truth, meas, i, q, start)
+            lo = ranges[-1][1] if ranges else 0
+            ranges.append((lo, lo + len(i)))
+            passes.add(occupancy)
+            return synthesize(truth, meas, i, q, occupancy)
 
         synthesize = experiments.synthesize_iq
         monkeypatch.setattr(experiments, "synthesize_iq", recorded)
+        reports = []
+
+        def reported(*args, **kwargs):
+            reports.append(stats(*args, **kwargs))
+            return reports[-1]
+
+        stats = experiments.run_stats
+        monkeypatch.setattr(experiments, "run_stats", reported)
         _, counts = run_experiment(name, config, tmp_path)
 
         got = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -256,8 +266,13 @@ class TestStreamedPresets:
         size = max(1, block // per) * per
         assert counts["samples"] == n and n % per > 0
         assert [lo for lo, _ in ranges] == list(range(0, n // per * per, size))
-        assert [hi for _, hi in ranges[:-1]] == [lo for lo, _ in ranges[1:]]
         assert ranges[-1][1] == n
+        # one occupancy pass for the whole loop
+        assert len(passes) == 1 and None not in passes
+        # psd writes no histogram and keeps no dwells; the alternation
+        # presets keep every window's for their example histograms
+        report, = reports
+        assert len(report.dwells) == (0 if name == "psd" else len(report))
 
     @pytest.mark.parametrize("name, keys, message", [
         ("quiet-noisy", {"duration": "0.5"}, "record shorter than one window"),
@@ -276,13 +291,15 @@ class TestStreamedPresets:
         with pytest.raises(ValueError, match=message):
             run_experiment(name, preset_config(name, keys), tmp_path)
 
-    def test_memory_grows_by_under_2_5_bytes_per_sample(self, tmp_path):
+    def test_memory_grows_by_under_1_4_bytes_per_sample(self, tmp_path):
         # numpy reports its buffers to tracemalloc.  Holding the whole I/Q
         # record grew the traced peak by 18.1 B per added sample, and
         # keeping 1 B of states per sample beside the stream by 2.66 B.
-        # With only the dwells kept it grows by 1.87 B, a margin of 0.63 B
-        # under the bound: the trajectory, its tables and the dwells, which
-        # grow with the events rather than the samples
+        # With only the dwells kept it grew by 1.88 B, and with the
+        # trajectory's occupancy table and the sampler's whole-length
+        # scratch gone by 1.04 B, a margin of 0.36 B under the bound: the
+        # trajectory and the dwells, which grow with the events rather
+        # than the samples
         peaks = {}
         for duration in (40, 80):
             config = preset_config("quiet-noisy", {"duration": str(duration)})
@@ -294,7 +311,7 @@ class TestStreamedPresets:
                 tracemalloc.stop()
         t_meas = config.meas.t_meas
         added = sample_count(80, t_meas) - sample_count(40, t_meas)
-        assert (peaks[80] - peaks[40]) / added < 2.5
+        assert (peaks[80] - peaks[40]) / added < 1.4
 
 
 class SlowStream:
@@ -463,7 +480,6 @@ class TestSynthesizedRecord:
         for with_q, read in ((True, lambda r: io.write_iq(tmp_path / "r.iq", r)),
                              (False, lambda r: run_stats(r, 5.0))):
             truth, record = simulate_record(config, with_q)
-            truth.excited_cumulative  # the trace's table is not the loop's
             tracemalloc.start()
             try:
                 read(record)

@@ -393,3 +393,20 @@ class TestManifest:
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         io.atomic_write_text(tmp_path / "out.txt", "hello")
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_write_removes_only_the_directories_it_made(self, tmp_path):
+        def failing(rows):
+            yield rows
+            raise OSError("write failed")
+
+        rows = [(np.arange(3.0),)]
+        # the first file of a new nested directory: nothing is left
+        with pytest.raises(OSError, match="write failed"):
+            io.write_csv(tmp_path / "a" / "b" / "x.csv", "x", failing(rows[0]))
+        assert list(tmp_path.iterdir()) == []
+        # a later file keeps the directory that holds the ones before it,
+        # and drops the empty one it made below
+        io.write_csv(tmp_path / "a" / "x.csv", "x", rows)
+        with pytest.raises(OSError, match="write failed"):
+            io.write_csv(tmp_path / "a" / "b" / "y.csv", "x", failing(rows[0]))
+        assert [p.name for p in (tmp_path / "a").iterdir()] == ["x.csv"]

@@ -766,16 +766,27 @@ class TestRecordRanges:
         ranges = list(zip(bounds[:-1], bounds[1:]))
         # each yielded block is scratch that the next one overwrites
         whole = [block.copy() for block in occupancy_blocks(truth, meas.t_meas)]
-        pieces = [block.copy() for lo, hi in ranges
-                  for block in occupancy_blocks(truth, meas.t_meas, lo, hi)]
+        pieces = [block.copy() for block in occupancy_blocks(truth, meas.t_meas, bounds)]
         assert np.concatenate(pieces).tobytes() == np.concatenate(whole).tobytes()
+        # a block ends at every range bound
+        assert set(bounds) <= {0, *np.cumsum([len(p) for p in pieces]).tolist()}
 
         want = whole_record_iq(truth, meas, *np.random.default_rng(seed).spawn(2))
         i_rng = np.random.default_rng(seed).spawn(2)[0]
-        got = [synthesize_iq(truth, meas, i_rng.standard_normal(hi - lo), None, lo)
+        occupancy = occupancy_blocks(truth, meas.t_meas, bounds)
+        got = [synthesize_iq(truth, meas, i_rng.standard_normal(hi - lo), None, occupancy)
                for lo, hi in ranges]
         assert all(block.q is None for block in got)
+        assert [len(block) for block in got] == [hi - lo for lo, hi in ranges]
         assert np.concatenate([block.i for block in got]).tobytes() == want.i.tobytes()
+
+    def test_ranges_not_from_bin_0_are_refused(self):
+        # the running sum of excited seconds starts at bin 0
+        truth = TruthTrace(duration=10.0, times=np.array([0.0, 4.0]),
+                           states=np.array([STATE_GROUND, STATE_EXCITED], dtype=np.uint8),
+                           counts=np.zeros(2, dtype=np.int64))
+        with pytest.raises(ValueError, match="ranges from bin 5: "):
+            next(occupancy_blocks(truth, 1.0, [5, 10]))
 
     def test_q_is_checked_only_when_present(self):
         assert len(jumpsim.IQRecord(t_meas=1.0, i=np.zeros(3), q=None)) == 3
