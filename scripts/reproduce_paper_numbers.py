@@ -20,7 +20,7 @@ from qpjumps.core import (
 )
 from qpjumps.jumpsim import (
     qp_generation_rate,
-    simulate_joint,
+    simulate_segments,
     snr_separation,
     thermal_decay_constant,
     thermal_transient,
@@ -63,8 +63,8 @@ def main():
         io.write_ode_csv(out / "recovery_ode.csv", grid,
                          evolve_ode(10 * x_bar, kin, grid))
         config = ScenarioConfig(duration=5e-3, rng_seed=7, kinetics=kin, n_initial=15)
-        truth = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
-        io.write_qp_trace_csv(out / "qp_events.csv", truth)
+        segments = simulate_segments(config, *np.random.default_rng(config.rng_seed).spawn(3))
+        io.write_qp_trace_csv(out / "qp_events.csv", segments)
         print(f"wrote {out / 'recovery_ode.csv'} and {out / 'qp_events.csv'}")
 
 

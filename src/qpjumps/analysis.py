@@ -221,7 +221,8 @@ class WindowedReport:
 
     Entries are NaN where a window had no interior dwells of the needed
     state, or too few ground dwells for a meaningful fidelity.  dwells[w]
-    holds window w's dwells, which the histogram writers read.
+    holds window w's dwells, which the histogram writers read, for the
+    windows whose dwells were kept (every window's from windowed_report).
     """
 
     window: float
@@ -230,7 +231,7 @@ class WindowedReport:
     tau_excited: np.ndarray
     fidelity_ground: np.ndarray
     sigma_z: np.ndarray
-    dwells: list[DwellSet]
+    dwells: dict[int, DwellSet]
 
     @property
     def one_minus_fidelity(self) -> np.ndarray:
@@ -298,5 +299,5 @@ def windowed_report(
         tau_excited=tau_e,
         fidelity_ground=fid,
         sigma_z=sig,
-        dwells=found,
+        dwells=dict(enumerate(found)),
     )

@@ -85,16 +85,18 @@ def cmd_snr(args) -> int:
 def cmd_simulate(args) -> int:
     t0 = time.monotonic()
     config = _scenario(args)
-    truth, record = experiments.simulate_record(config)
+    record = experiments.simulate_record(config)
     record_path = os.path.join(args.out, "record.iq")
     io.write_iq(record_path, record)
     outputs = [record_path]
     if args.emit_truth:
+        # the record read its trajectory once; the sampler runs again from
+        # the same streams rather than hold it
         truth_path = os.path.join(args.out, "record.truth")
-        io.write_truth_csv(truth_path, truth)
+        io.write_truth_csv(truth_path, experiments.trajectory(config))
         outputs.append(truth_path)
     _finish_manifest(args, config, outputs,
-                     {**truth.event_counts(), "samples": len(record)}, t0)
+                     {**record.events, "samples": len(record)}, t0)
     return 0
 
 
@@ -131,7 +133,7 @@ def cmd_stats(args) -> int:
     report_path = os.path.join(args.out, "report.csv")
     io.write_report_csv(report_path, report)
     histograms = []
-    for w, dwells in enumerate(report.dwells):
+    for w, dwells in report.dwells.items():
         histograms += experiments.write_dwell_histograms(
             args.out, f"hist_{w:04d}", dwells, record.t_meas, args.bins_per_decade)
 

@@ -8,8 +8,9 @@ same seed reproduces an experiment's outputs byte for byte.  No record is
 held whole: every record is read as consecutive ranges from sample 0,
 through its blocks(bounds), and run_stats and filter_blocks read any
 record that way.  A SynthesizedRecord synthesizes each range as it is
-read, while one worker thread draws the next range's noise.  Q, which no
-preset reads, is not drawn for a preset.
+read, from the trajectory's segments as the sampler yields them, while
+one worker thread draws the next range's noise.  Q, which no preset
+reads, is not drawn for a preset.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import contextlib
 import math
 import os
 from collections import Counter
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,8 +58,10 @@ from .jumpsim import (
     relaxation_jump_times,
     sample_count,
     simulate_joint,
+    simulate_segments,
     snr_separation,
     synthesize_iq,
+    tally_events,
 )
 
 DEFAULT_WINDOW = 1.0
@@ -160,37 +164,46 @@ def experiment_names() -> tuple[str, ...]:
 class SynthesizedRecord:
     """The record of a simulated trajectory, synthesized a range at a time.
 
-    blocks(bounds) yields samples bounds[k] to bounds[k + 1] - 1 as an
-    IQRecord for each k: I, and Q when q_rng is given.  Each quadrature's
-    noise comes from one stream drawn in order, so bounds start at 0, and
-    the ranges hold the whole record bit for bit.  One occupancy_blocks
-    pass over the trace, cut at the bounds, serves the whole loop: each
-    range takes its blocks from it, so no range sums a prefix of the
-    trace again.  The caller draws the first range; while it works on a range, one worker thread fills the
+    trajectory is a TruthTrace or its consecutive segments, which the
+    record reads once, as its ranges reach them; duration is the
+    trajectory's.  blocks(bounds) yields samples bounds[k] to
+    bounds[k + 1] - 1 as an IQRecord for each k: I, and Q when q_rng is
+    given.  Each quadrature's noise comes from one stream drawn in order,
+    so bounds start at 0, and the ranges hold the whole record bit for
+    bit.  One occupancy_blocks pass over the trajectory, cut at the bounds,
+    serves the whole loop: each range takes its blocks from it, so no
+    range sums a prefix of the trajectory again.  events fills with the
+    trajectory's event counts as its segments pass; after the last range
+    the segments left, whose knots lie past the last whole bin, are read
+    too, so it is whole once the loop has ended.  The caller draws the
+    first range; while it works on a range, one worker thread fills the
     next range's noise, in arrays allocated on the caller's thread.  The
     worker lives as long as the generator: it is joined when the loop
     ends, raises or closes the generator, and a failed draw raises in the
     caller.  A one-range loop starts no thread.
     """
 
-    truth: TruthTrace
+    trajectory: TruthTrace | Iterable[TruthTrace]
+    duration: float
     meas: MeasurementParams
     i_rng: np.random.Generator
     q_rng: np.random.Generator | None = None
+    events: dict = field(default_factory=dict, init=False)
 
     @property
     def t_meas(self) -> float:
         return self.meas.t_meas
 
     def __len__(self) -> int:
-        return sample_count(self.truth.duration, self.meas.t_meas)
+        return sample_count(self.duration, self.meas.t_meas)
 
     def blocks(self, bounds):
         if bounds[0] != 0:
             raise ValueError(f"ranges from sample {bounds[0]}: a synthesized "
                              "record is read from sample 0")
         streams = [rng for rng in (self.i_rng, self.q_rng) if rng is not None]
-        occupancy = occupancy_blocks(self.truth, self.meas.t_meas, bounds)
+        segments = tally_events(self.trajectory, self.events)
+        occupancy = occupancy_blocks(segments, self.meas.t_meas, bounds)
 
         def fill(noise):
             for rng, out in zip(streams, noise):
@@ -208,29 +221,41 @@ class SynthesizedRecord:
                 i, *q = ahead.result() if ahead else fill(empty(k))
                 if k + 2 < len(bounds):
                     ahead = worker.submit(fill, empty(k + 1))
-                yield synthesize_iq(self.truth, self.meas, i, q[0] if q else None,
-                                    occupancy)
+                yield synthesize_iq(occupancy, self.meas, i, q[0] if q else None)
+        # the knots past the last whole bin still count as events
+        for _ in segments:
+            pass
 
 
-def simulate_record(config: ScenarioConfig,
-                    with_q: bool = True) -> tuple[TruthTrace, SynthesizedRecord]:
-    """Trajectory of one scenario, and its record to be synthesized as it
-    is read; without Q when with_q is False.
+def _streams(config: ScenarioConfig) -> list[np.random.Generator]:
+    """The streams spawned from the seed, one per stage: the QP layer, the
+    qubit candidates, the acceptance uniforms, I noise and Q noise."""
+    return np.random.default_rng(config.rng_seed).spawn(5)
 
-    Each stage draws from its own stream spawned from the seed: the QP
-    layer, the qubit candidates, the acceptance uniforms, I noise, Q noise.
-    """
-    qp, candidates, uniforms, noise_i, noise_q = np.random.default_rng(
-        config.rng_seed).spawn(5)
-    truth = simulate_joint(config, qp, candidates, uniforms)
-    return truth, SynthesizedRecord(truth, config.meas, noise_i,
-                                    noise_q if with_q else None)
+
+def trajectory(config: ScenarioConfig):
+    """The trajectory of one scenario as consecutive segments, sampled from
+    the streams that simulate_record samples it from."""
+    qp, candidates, uniforms, _, _ = _streams(config)
+    return simulate_segments(config, qp, candidates, uniforms)
+
+
+def simulate_record(config: ScenarioConfig, with_q: bool = True) -> SynthesizedRecord:
+    """The record of one scenario, its trajectory sampled and its record
+    synthesized as it is read; without Q when with_q is False.  No whole
+    trajectory is held: the record's events hold its event counts."""
+    noise_i, noise_q = _streams(config)[3:]
+    return SynthesizedRecord(trajectory(config), config.duration, config.meas,
+                             noise_i, noise_q if with_q else None)
 
 
 def run_simulation(config: ScenarioConfig) -> tuple[TruthTrace, IQRecord]:
-    """Trajectory plus the whole synthesized measurement record, I and Q,
-    for one scenario."""
-    truth, record = simulate_record(config)
+    """The whole trajectory and the whole synthesized measurement record,
+    I and Q, for one scenario: simulate_record's, with the trajectory
+    joined by simulate_joint and the record synthesized in one range."""
+    qp, candidates, uniforms, noise_i, noise_q = _streams(config)
+    truth = simulate_joint(config, qp, candidates, uniforms)
+    record = SynthesizedRecord(truth, truth.duration, config.meas, noise_i, noise_q)
     whole, = record.blocks([0, len(record)])
     return truth, whole
 
@@ -263,12 +288,17 @@ def run_stats(
     separation: float,
     window: float = DEFAULT_WINDOW,
     bins_per_decade: int = DEFAULT_BINS_PER_DECADE,
-    dwells: bool = True,
+    dwells: str = "all",
 ) -> WindowedReport:
-    """Windowed report of a record, with each window's dwells when dwells
-    is True, for the callers that write dwell histograms (stats and the
-    alternation presets).  With dwells False (psd) report.dwells is empty,
-    and each block's dwells are dropped as the block is reported on.
+    """Windowed report of a record, with the dwells of the windows its
+    caller writes histograms of.
+
+    report.dwells maps a window's index to its dwells, for every window
+    when dwells is "all" (stats), for the examples when it is "examples"
+    (the alternation presets: the first window of the largest and the
+    first of the smallest fidelity, np.nanargmax and np.nanargmin of
+    fidelity_ground), and for none when it is "none" (psd).  Every other
+    window's dwells are dropped as its block is reported on.
 
     record has t_meas, len() and blocks(bounds): an IQRecord, a
     SynthesizedRecord or an io.IQFile.  filter_blocks reads it in blocks
@@ -277,9 +307,11 @@ def run_stats(
     dropped as split_windows drops it.  Each block's estimate is reported
     on window by window, so the report equals the whole record's byte for
     byte; no state outlives its block.  A window under 100 samples, a
-    record shorter than one window or bins_per_decade under 1 raises
-    ValueError before any block is read.
+    record shorter than one window, bins_per_decade under 1 or another
+    dwells raises ValueError before any block is read.
     """
+    if dwells not in ("all", "examples", "none"):
+        raise ValueError(f"dwells must be all, examples or none, got {dwells!r}")
     n = len(record)
     per = window_samples(window, record.t_meas)
     n_windows = n // per
@@ -288,13 +320,26 @@ def run_stats(
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be at least 1")
     size = max(1, io.STREAM_BLOCK // per) * per
+    reports, kept = [], {}
+    first = 0  # the block's first window
+    # (F, window, dwells) of the example windows so far, by the side of F
+    # they are on; a later window takes the place only with a better F
+    examples = {}
     # closed as run_stats returns or raises, so the record's reads end here
     with contextlib.closing(filter_blocks(record, separation, size,
                                           n_windows * per)) as blocks:
-        reports = []
         for est in blocks:
             report = windowed_report(est, window, bins_per_decade)
-            reports.append(report if dwells else replace(report, dwells=[]))
+            f = report.fidelity_ground
+            if dwells == "all":
+                kept.update((first + w, d) for w, d in report.dwells.items())
+            elif dwells == "examples" and np.isfinite(f).any():
+                for side, w in ((np.greater, np.nanargmax(f)), (np.less, np.nanargmin(f))):
+                    if side not in examples or side(f[w], examples[side][0]):
+                        examples[side] = f[w], first + w, report.dwells[w]
+            reports.append(replace(report, dwells={}))
+            first += len(report)
+    kept.update((w, d) for _, w, d in examples.values())
 
     def joined(column):
         return np.concatenate([getattr(r, column) for r in reports])
@@ -307,7 +352,7 @@ def run_stats(
         tau_excited=joined("tau_excited"),
         fidelity_ground=joined("fidelity_ground"),
         sigma_z=joined("sigma_z"),
-        dwells=[d for r in reports for d in r.dwells],
+        dwells=kept,
     )
 
 
@@ -376,10 +421,10 @@ def _write_alternation_outputs(out_dir, report: WindowedReport,
 
 
 def _alternation_driver(config, out_dir):
-    truth, record = simulate_record(config, with_q=False)
-    report = run_stats(record, snr_separation(config.meas))
+    record = simulate_record(config, with_q=False)
+    report = run_stats(record, snr_separation(config.meas), dwells="examples")
     outputs = _write_alternation_outputs(out_dir, report, record.t_meas)
-    counts = {**truth.event_counts(), "samples": len(record), "windows": len(report)}
+    counts = {**record.events, "samples": len(record), "windows": len(report)}
     return outputs, counts
 
 
@@ -507,10 +552,10 @@ def _recovery_driver(config, out_dir):
 
 
 def _psd_driver(config, out_dir):
-    truth, record = simulate_record(config, with_q=False)
+    record = simulate_record(config, with_q=False)
     # no histogram is written, so no dwells are kept
     report = run_stats(record, snr_separation(config.meas), window=PSD_WINDOW,
-                       dwells=False)
+                       dwells="none")
 
     outputs = []
     series_path = os.path.join(out_dir, "series.csv")
@@ -529,7 +574,7 @@ def _psd_driver(config, out_dir):
     write_psd_fit(fit_path, resid_path, fit, freqs, power)
     outputs += [fit_path, resid_path]
 
-    counts = {**truth.event_counts(), "samples": len(record), "windows": len(report),
+    counts = {**record.events, "samples": len(record), "windows": len(report),
               "frequencies": len(freqs)}
     return outputs, counts
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .analysis import DwellHistogram, WindowedReport
 from .core import ScenarioConfig, serialize_config
-from .jumpsim import _BLOCK, IQRecord, TruthTrace, run_starts
+from .jumpsim import _BLOCK, IQRecord, run_starts, segments_of
 
 try:
     TOOL_VERSION = importlib.metadata.version("qpjumps")
@@ -229,16 +229,30 @@ def write_csv(path, header: str, blocks) -> None:
                 fh.write(("\n".join(map(",".join, rows)) + "\n").encode("utf-8"))
 
 
-def write_truth_csv(path, truth: TruthTrace) -> None:
-    """One row per knot of the trace: time, qubit state and QP count."""
+def write_truth_csv(path, trajectory) -> None:
+    """One row per knot of a trajectory, a TruthTrace or its consecutive
+    segments, written a segment at a time: time, qubit state and QP count."""
     write_csv(path, "time_s,state,N",
-              [(truth.times, _STATE_LABELS[truth.states], truth.counts)])
+              ((s.times, _STATE_LABELS[s.states], s.counts) for s in segments_of(trajectory)))
 
 
-def write_qp_trace_csv(path, truth: TruthTrace) -> None:
-    """QP-count marginal: the initial count at t=0, then a row per change of N."""
-    first = run_starts(truth.counts)
-    write_csv(path, "time_s,N", [(truth.times[first], truth.counts[first])])
+def _qp_changes(trajectory):
+    """The knots of a trajectory where N changes, the first included, as
+    blocks of (time, N) columns, one per segment: a segment's first knot
+    is a change only if N differs from the last knot before it."""
+    last = None
+    for segment in segments_of(trajectory):
+        first = run_starts(segment.counts)
+        if last is not None and segment.counts[0] == last:
+            first = first[1:]
+        last = segment.counts[-1]
+        yield segment.times[first], segment.counts[first]
+
+
+def write_qp_trace_csv(path, trajectory) -> None:
+    """QP-count marginal of a trajectory, a TruthTrace or its consecutive
+    segments: the initial count at t=0, then a row per change of N."""
+    write_csv(path, "time_s,N", _qp_changes(trajectory))
 
 
 def write_ode_csv(path, times, densities) -> None:

@@ -12,6 +12,8 @@ piecewise-constant relaxation rate, sampled by uniformization in vectorized
 blocks: candidate times at the relaxation rate, each one relaxing an excited
 qubit and exciting a ground one with the Boltzmann factor of the moment.
 
+The sampler yields the trajectory in time segments, and the record
+pipeline reads them as it goes, so no whole-record trajectory need exist.
 The dispersive measurement record is synthesized per integration bin from
 the exact fraction of the bin spent in each state, at the separation set by
 the readout parameters.
@@ -40,9 +42,13 @@ STATE_GROUND = 0
 STATE_EXCITED = 1
 
 _RNG_BUF = 1 << 16
-# samples per block of the record pipeline, and qubit candidates per block
-# of the sampler: their scratch arrays stay in cache
+# samples per block of the record pipeline: its scratch arrays stay in cache
 _BLOCK = 1 << 16
+# QP-layer steps per segment of the trajectory, and qubit candidates drawn
+# at a time.  Whole-refill segments (_RNG_BUF steps) put the sampler's
+# working set on top of the record pipeline's and raise the presets' peak
+_SEGMENT = 1 << 13
+_CANDIDATES = 1 << 13
 
 
 def snr_separation(meas: MeasurementParams) -> float:
@@ -118,9 +124,14 @@ class TruthTrace:
     knot after the first is an event that changes the qubit state or the
     count (temperature and modulator moves are not recorded), so len()
     counts events, one fewer than the knots.  The trace holds these three
-    arrays and nothing derived from them: occupancy_blocks sums the
-    excited seconds block by block, and excited_time_at builds its table
-    per call, so a record keeps 17 B per knot.
+    arrays and nothing derived from them, 17 B per knot.
+
+    A trajectory also comes as consecutive segments, each a TruthTrace
+    whose knots follow the segment before's: its times[0] is where it
+    starts, and its duration is where the next one starts (the record's
+    duration for the last).  simulate_segments yields a trajectory so, and
+    its readers (occupancy_blocks, tally_events and the io truth writers)
+    take a trajectory in either form, so a record need never hold it whole.
     """
 
     duration: float
@@ -133,21 +144,39 @@ class TruthTrace:
 
     def event_counts(self) -> dict[str, int]:
         """Events, and of them the QP-number changes and the qubit flips."""
-        return {
-            "events": len(self),
-            "qp_events": len(run_starts(self.counts)) - 1,
-            "qubit_flips": len(run_starts(self.states)) - 1,
-        }
+        counts = {}
+        for _ in tally_events(self, counts):
+            pass
+        return counts
 
-    def qubit_intervals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Maximal constant-qubit-state intervals as (start, duration, state).
 
-        Includes the boundary intervals at the start and end of the record;
-        callers doing dwell statistics should drop the first and last.
-        """
-        first = run_starts(self.states)
-        starts = self.times[first]
-        return starts, np.append(starts[1:], self.duration) - starts, self.states[first]
+def segments_of(trajectory):
+    """The consecutive segments of a trajectory given as one TruthTrace or
+    as an iterable of its segments."""
+    return (trajectory,) if isinstance(trajectory, TruthTrace) else trajectory
+
+
+def _changes(values: np.ndarray, before) -> int:
+    """Changes from each value to the next, and from before to the first
+    unless before is None."""
+    changed = int(np.count_nonzero(values[1:] != values[:-1]))
+    return changed + int(before is not None and values[0] != before)
+
+
+def tally_events(trajectory, counts: dict):
+    """Yield the segments of a trajectory as they come, adding their events
+    into counts: "events", and of them "qp_events" (changes of N) and
+    "qubit_flips" (changes of the state), counted across segment edges
+    too.  Once the last segment has passed, counts holds the whole
+    trajectory's event_counts()."""
+    counts.update(events=-1, qp_events=0, qubit_flips=0)
+    state = count = None  # the last knot before the segment
+    for segment in segments_of(trajectory):
+        counts["events"] += len(segment.times)
+        counts["qp_events"] += _changes(segment.counts, count)
+        counts["qubit_flips"] += _changes(segment.states, state)
+        state, count = segment.states[-1], segment.counts[-1]
+        yield segment
 
 
 def excited_time_at(truth: TruthTrace, times) -> np.ndarray:
@@ -164,50 +193,62 @@ def excited_time_at(truth: TruthTrace, times) -> np.ndarray:
     return cum[idx] + (times - t[idx]) * excited[idx]
 
 
-def occupancy_blocks(truth: TruthTrace, t_meas: float, bounds=None):
+def occupancy_blocks(trajectory, t_meas: float, bounds):
     """Fraction of each readout bin spent excited, in consecutive blocks.
 
-    Bin k spans the edges float(k) * t_meas and float(k + 1) * t_meas.
-    bounds are the bounds of consecutive ranges of bins from bin 0, by
-    default the one range of all sample_count(duration, t_meas) bins of
-    the record; bounds that do not start at 0 raise ValueError.  The blocks
-    cover bins 0 to bounds[-1] - 1 in order, at most _BLOCK bins each, and
-    each range starts a new block, so a range's blocks end at its bound.
-    Each yielded array is scratch space: the caller may overwrite it, and
-    the next block does.  The values equal diff(excited_time_at(truth,
-    edges)) / diff(edges) bit for bit, whatever the bounds: the excited
-    seconds before each knot are summed over each block's knots alone,
-    from the sum carried out of the block before, and np.cumsum adds in
-    the order of one running sum over the trace.  The knot under each
-    edge comes from one pass over the block's knots, not a search per
-    edge, so the cost is O(knots + bins), and nothing the length of the
-    trace is built.
+    trajectory is a TruthTrace or its consecutive segments.  Bin k spans
+    the edges float(k) * t_meas and float(k + 1) * t_meas.  bounds are the
+    bounds of consecutive ranges of bins from bin 0; bounds that do not
+    start at 0 raise ValueError.  The blocks cover bins 0 to bounds[-1] - 1
+    in order, at most _BLOCK bins each, and each range starts a new block,
+    so a range's blocks end at its bound.  Each yielded array is scratch
+    space: the caller may overwrite it, and the next block does.  The
+    values equal diff(excited_time_at(truth, edges)) / diff(edges) of the
+    whole trace bit for bit, whatever the bounds and the segments: the
+    excited seconds before each knot are summed over each block's knots
+    alone, from the sum carried out of the block before, and np.cumsum
+    adds in the order of one running sum over the trace.  The knot under
+    each edge comes from one pass over the block's knots, not a search per
+    edge, so the cost is O(knots + bins).  Segments are pulled as the
+    edges reach them, and only the knots from the one under the block's
+    first edge to the end of the last segment pulled are held.
     """
-    if bounds is None:
-        bounds = [0, sample_count(truth.duration, t_meas)]
     if bounds[0] != 0:
         raise ValueError(f"ranges from bin {bounds[0]}: the occupancy is read from bin 0")
-    times = truth.times
+    segments = iter(segments_of(trajectory))
     size = min(_BLOCK, bounds[-1])
     steps = np.arange(size + 1, dtype=float)
     edges = np.empty(size + 1)
     at = np.empty(size + 1)
     part = np.empty(size + 1)
-    # the knot under the block's first edge, and the excited seconds before it
-    j, carry = 0, 0.0
+    # the knots pulled from the one under the block's first edge, the end
+    # of the last segment pulled, and the excited seconds before the first
+    times, states = np.empty(0), np.empty(0, dtype=np.uint8)
+    end, carry = -math.inf, 0.0
     for start, stop in zip(bounds[:-1], bounds[1:]):
         for lo in range(start, stop, _BLOCK):
             m = min(_BLOCK, stop - lo)
             e, c, d = edges[:m + 1], at[:m + 1], part[:m + 1]
             np.add(steps[:m + 1], lo, out=e)
             e *= t_meas
-            # knots j to j1 - 1 are under the block's edges: j under the
-            # first, and each later one under the edges from the first at
-            # or after it, min{k : float(k) * t_meas >= t_j}: a ceil,
-            # corrected with the same products that make the edges
+            if end <= e[m]:
+                # the segments that start at or before the block's last edge
+                pulled = [(times, states)]
+                for segment in segments:
+                    pulled.append((segment.times, segment.states))
+                    end = segment.duration
+                    if end > e[m]:
+                        break
+                times = np.concatenate([t for t, _ in pulled])
+                states = np.concatenate([s for _, s in pulled])
+                del pulled
+            # knots 0 to j1 - 1 are under the block's edges: the first
+            # under the first, and each later one under the edges from the
+            # first at or after it, min{k : float(k) * t_meas >= t_j}: a
+            # ceil, corrected with the same products that make the edges
             j1 = int(np.searchsorted(times, e[m], side="right"))
-            t = times[j:j1]
-            excited = truth.states[j:j1] == STATE_EXCITED
+            t = times[:j1]
+            excited = states[:j1] == STATE_EXCITED
             cum = np.empty(len(t))
             cum[0] = carry
             np.multiply(np.diff(t), excited[:-1], out=cum[1:])
@@ -216,7 +257,7 @@ def occupancy_blocks(truth: TruthTrace, t_meas: float, bounds=None):
             first -= (first - 1.0) * t_meas >= t[1:]
             first += first * t_meas < t[1:]
             runs = np.diff(np.concatenate(([lo], first.astype(np.int64), [lo + m + 1])))
-            # the knot under each edge, counted from knot j
+            # the knot under each edge
             k = np.repeat(np.arange(len(t)), runs)
             # excited seconds before each edge: cum[k] + (e - t[k]) * excited[k]
             # (k is in range; mode="clip" only spares take() a buffered copy)
@@ -230,7 +271,7 @@ def occupancy_blocks(truth: TruthTrace, t_meas: float, bounds=None):
             np.subtract(c[1:], c[:-1], out=frac)
             np.subtract(e[1:], e[:-1], out=width)
             frac /= width
-            j, carry = j1 - 1, cum[-1]
+            times, states, carry = times[j1 - 1:], states[j1 - 1:], cum[-1]
             yield frac
 
 
@@ -240,20 +281,24 @@ def relaxation_jump_times(truth: TruthTrace) -> np.ndarray:
     return truth.times[flips[truth.states[flips] == STATE_GROUND]]
 
 
-def _qp_layer(config: ScenarioConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Knot times and QP counts of the (modulator, N) chain.
+def _qp_layer(config: ScenarioConfig, rng: np.random.Generator):
+    """Knot times and QP counts of the (modulator, N) chain, as a stream
+    of array chunks.
 
     Exact-jump sampling of generation, trapping, recombination and modulator
     switches; each pulse end before the duration injects its QPs.  Every
     step takes one unit exponential and one uniform from buffers drawn
-    _RNG_BUF at a time; a step that would cross the next pulse end (or the
-    duration) stops there and its draws are dropped.  Knots are t = 0 and
-    every change of N.  The cumulative propensities of a count are computed
-    the first time the chain reaches it in a modulator state and are looked
-    up after that, one cache per state, so the caches hold no more entries
-    than the counts reached.  Knots are collected in lists, which become
-    an array chunk at each refill of the buffers, so the lists hold one
-    buffer's knots; the chunks are joined on return.
+    _RNG_BUF at a time, the exponentials first; a step that would cross the
+    next pulse end (or the duration) stops there and its draws are
+    dropped.  Knots are t = 0 and every change of N.  The cumulative
+    propensities of a count are computed the first time the chain reaches
+    it in a modulator state and are looked up after that, one cache per
+    state, so the caches hold no more entries than the counts reached.
+    The buffers are walked in slices of _SEGMENT steps, each slice's draws
+    made Python floats as it starts, and the knots of each slice, collected
+    in lists, are yielded as a chunk (a slice of modulator switches alone
+    yields none), so the draws do not depend on _SEGMENT and the lists hold
+    one slice's draws and knots.
     """
     kin = config.kinetics
     ncp = kin.n_pairs
@@ -274,11 +319,9 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator) -> tuple[np.ndar
     edges.append((config.duration, 0))
 
     n = config.initial_count()
-    # the knots since the last refill of the draws, and those before it
-    # as arrays, a chunk per refill
+    # the knots of the slice in hand
     times = [0.0]
     counts = [n]
-    chunks_t, chunks_n = [], []
     # (c_loss, c_rec, total) by count, one dict per modulator state
     caches = ({}, {})
     cache = caches[m_state]
@@ -287,47 +330,51 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator) -> tuple[np.ndar
     k = 0
     t_edge, inject = edges[0]
     while k < len(edges):
-        for e, u in zip(rng.standard_exponential(_RNG_BUF).tolist(),
-                        rng.random(_RNG_BUF).tolist()):
-            try:
-                c_loss, c_rec, total = cache[n]
-            except KeyError:
-                c_loss = a_gen + trapping * n
-                c_rec = c_loss + pair_rate * n * (n - 1)
-                total = c_rec + a_switch
-                cache[n] = c_loss, c_rec, total
-            t_next = t + e / total if total > 0.0 else math.inf
-            if t_next >= t_edge:
-                t = t_edge
-                if inject > 0:
-                    n += inject
-                    times.append(t)
-                    counts.append(n)
-                k += 1
-                if k == len(edges):
-                    break
-                t_edge, inject = edges[k]
-                continue
-            t = t_next
-            u *= total
-            if u < a_gen:
-                n += 2
-            elif u < c_loss:
-                n -= 1
-            elif u < c_rec:
-                n -= 2
-            else:
-                m_state = 1 - m_state
-                cache = caches[m_state]
-                a_gen, a_switch = props[m_state]
-                continue
-            times.append(t)
-            counts.append(n)
-        chunks_t.append(np.array(times, dtype=float))
-        chunks_n.append(np.array(counts, dtype=np.int64))
-        times.clear()
-        counts.clear()
-    return np.concatenate(chunks_t), np.concatenate(chunks_n)
+        exponentials = rng.standard_exponential(_RNG_BUF)
+        uniforms = rng.random(_RNG_BUF)
+        for lo in range(0, _RNG_BUF, _SEGMENT):
+            for e, u in zip(exponentials[lo:lo + _SEGMENT].tolist(),
+                            uniforms[lo:lo + _SEGMENT].tolist()):
+                try:
+                    c_loss, c_rec, total = cache[n]
+                except KeyError:
+                    c_loss = a_gen + trapping * n
+                    c_rec = c_loss + pair_rate * n * (n - 1)
+                    total = c_rec + a_switch
+                    cache[n] = c_loss, c_rec, total
+                t_next = t + e / total if total > 0.0 else math.inf
+                if t_next >= t_edge:
+                    t = t_edge
+                    if inject > 0:
+                        n += inject
+                        times.append(t)
+                        counts.append(n)
+                    k += 1
+                    if k == len(edges):
+                        break
+                    t_edge, inject = edges[k]
+                    continue
+                t = t_next
+                u *= total
+                if u < a_gen:
+                    n += 2
+                elif u < c_loss:
+                    n -= 1
+                elif u < c_rec:
+                    n -= 2
+                else:
+                    m_state = 1 - m_state
+                    cache = caches[m_state]
+                    a_gen, a_switch = props[m_state]
+                    continue
+                times.append(t)
+                counts.append(n)
+            if times:
+                yield np.array(times, dtype=float), np.array(counts, dtype=np.int64)
+                times.clear()
+                counts.clear()
+            if k == len(edges):
+                break
 
 
 def _boltzmann_factor(config: ScenarioConfig):
@@ -356,102 +403,168 @@ def _boltzmann_factor(config: ScenarioConfig):
     return boltz
 
 
-def _qubit_flips(config: ScenarioConfig, knot_t: np.ndarray, knot_n: np.ndarray,
-                 q0: int, candidate_rng: np.random.Generator,
-                 uniform_rng: np.random.Generator) -> np.ndarray:
-    """Flip times of the qubit on the QP path, by uniformization.
+def _flip_times(t: np.ndarray, accept: np.ndarray, state: int) -> tuple[np.ndarray, int]:
+    """The flip times among consecutive candidates at times t, and the
+    state after the last, for a qubit in state before the first.
 
-    Candidates come at the relaxation rate relax(N(t)), which is constant
-    between knots, so its integral H(t) is piecewise linear: candidate i is
-    at H^-1(E_i), with E_i the running sum of unit exponentials.  An excited
-    qubit relaxes at every candidate; a ground one is excited where
-    U_i < boltz(t_i).  Candidates are handled _BLOCK at a time, carrying the
-    running sum and the last state across blocks.
-    """
-    rate = relaxation_rate(knot_n, config.kinetics, config.qubit)
-    hazard = np.concatenate(([0.0], np.cumsum(rate * np.diff(knot_t, append=config.duration))))
-    h_end = hazard[-1]
-
-    boltz = _boltzmann_factor(config)
-
-    flips = [np.empty(0)]
-    h_carry = 0.0
-    state = q0
-    while True:
-        e = candidate_rng.standard_exponential(_BLOCK)
-        e[0] += h_carry
-        np.cumsum(e, out=e)
-        h_carry = e[-1]
-        u = uniform_rng.random(_BLOCK)
-        m = int(np.searchsorted(e, h_end))
-        if m == 0:
-            break
-        e, u = e[:m], u[:m]
-        # the knot whose segment holds each candidate; zero-rate segments
-        # have no width in H and are never chosen
-        j = np.searchsorted(hazard, e, side="right") - 1
-        t = knot_t[j] + (e - hazard[j]) / rate[j]
-        accept = u < boltz(t)
-        # s_i = accept_i and not s_(i-1): the states alternate inside each
-        # run of accepts, starting excited after a reject; an excited state
-        # carried in acts as an accept just before the block
-        idx = np.arange(m)
-        last_reject = np.maximum.accumulate(np.where(accept, state - 1, idx))
-        s = accept & ((idx - last_reject) & 1 == 1)
-        # a flip wherever s changes, with the carried state standing before it
-        flips.append(t[run_starts(np.concatenate(([state != 0], s)))[1:] - 1])
-        state = int(s[-1])
-        if m < _BLOCK:
-            break
-    return np.concatenate(flips)
+    s_i = accept_i and not s_(i-1): the states alternate inside each run of
+    accepts, starting excited after a reject; an excited state carried in
+    acts as an accept just before the first candidate."""
+    idx = np.arange(len(t))
+    last_reject = np.maximum.accumulate(np.where(accept, state - 1, idx))
+    s = accept & ((idx - last_reject) & 1 == 1)
+    # a flip wherever s changes, with the carried state standing before it
+    return t[run_starts(np.concatenate(([state != 0], s)))[1:] - 1], int(s[-1])
 
 
-def simulate_joint(config: ScenarioConfig, qp_rng: np.random.Generator,
-                   candidate_rng: np.random.Generator,
-                   uniform_rng: np.random.Generator) -> TruthTrace:
-    """Sample the coupled (qubit, QP number) chain in two layers.
+def _merge(knot_t: np.ndarray, knot_n: np.ndarray, flips: np.ndarray,
+           before: tuple[int, int], end: float) -> TruthTrace:
+    """The segment up to end of QP knots and qubit flips, merged in the
+    order of one trace: a flip goes after the QP knots at or before it.
+    before holds the count and the qubit state in force before the
+    segment's first knot.
 
-    The QP number drives the qubit and never the reverse, so the (modulator,
-    N) chain is sampled alone from qp_rng, by exact jumps.  The qubit is then
-    a two-state chain with the known piecewise-constant relaxation rate
-    relax(N(t)) and excitation rate relax(N(t)) * boltz(t), where boltz
-    follows the thermal transients of the pulses.  It is sampled by
-    uniformization: candidate times from candidate_rng, acceptance uniforms
-    (and the initial state) from uniform_rng.  The two layers' knots are
-    merged into one trace with no int64 scratch of its length: each QP
-    count is repeated over its knot and the flips after it, and the states
-    are the parity of a uint8 running count of flips.  The trace does not
-    depend on _BLOCK.
-    """
-    qubit = config.qubit
-    knot_t, knot_n = _qp_layer(config, qp_rng)
-    q0 = STATE_EXCITED if uniform_rng.random() < temperature_to_polarization(
-        qubit.temperature, qubit.f_ge) else STATE_GROUND
-    flips = _qubit_flips(config, knot_t, knot_n, q0, candidate_rng, uniform_rng)
-
-    # flip k goes after the QP knots at or before it (pos[k] of them, at
-    # least the one at t = 0) and the k flips before it.  Each temporary
-    # is dropped before the next array of the trace's length is made
+    No int64 scratch of the segment's length is made: each count is
+    repeated over its QP knot and the flips after it, and the states are
+    the parity of a uint8 running count of flips.  Each temporary is
+    dropped before the next array of the segment's length is made."""
+    count, state = before
+    # flip k goes after the QP knots at or before it (pos[k] of them) and
+    # the k flips before it
     pos = np.searchsorted(knot_t, flips, side="right")
-    per_knot = np.bincount(pos, minlength=len(knot_t) + 1)[1:]
-    per_knot += 1  # each QP knot's count holds at it and the flips after it
-    counts = np.repeat(knot_n, per_knot)
-    del knot_n, per_knot
+    per_knot = np.bincount(pos, minlength=len(knot_t) + 1)
+    per_knot[1:] += 1  # each QP knot's count holds at it and the flips after it
+    counts = np.repeat(np.concatenate(([count], knot_n)), per_knot)
+    del per_knot
     is_flip = np.zeros(len(counts), dtype=bool)
     pos += np.arange(len(flips))
     is_flip[pos] = True
     del pos
     times = np.empty(len(counts))
     times[is_flip] = flips
-    del flips
     times[~is_flip] = knot_t
-    del knot_t
     # the parity of the flips so far; a uint8 sum wraps, keeping it
     states = np.cumsum(is_flip, dtype=np.uint8)
     del is_flip
-    states += q0
+    states += state
     states &= 1
-    return TruthTrace(duration=config.duration, times=times, states=states, counts=counts)
+    return TruthTrace(duration=end, times=times, states=states, counts=counts)
+
+
+def simulate_segments(config: ScenarioConfig, qp_rng: np.random.Generator,
+                      candidate_rng: np.random.Generator,
+                      uniform_rng: np.random.Generator):
+    """Sample the coupled (qubit, QP number) chain in two layers, and yield
+    its trace as consecutive segments.
+
+    The QP number drives the qubit and never the reverse, so the (modulator,
+    N) chain is sampled alone from qp_rng, by exact jumps.  The qubit is then
+    a two-state chain with the known piecewise-constant relaxation rate
+    relax(N(t)) and excitation rate relax(N(t)) * boltz(t), where boltz
+    follows the thermal transients of the pulses.  It is sampled by
+    uniformization: candidates at the rate relax(N(t)), whose integral H(t)
+    is piecewise linear, so candidate i is at H^-1(E_i), with E_i the
+    running sum of unit exponentials from candidate_rng.  An excited qubit
+    relaxes at every candidate; a ground one is excited where the uniform
+    U_i < boltz(t_i).  The uniforms, and the initial state, come from
+    uniform_rng.
+
+    The layers run one QP chunk (_SEGMENT steps) at a time.  Each chunk's
+    last knot is held back, because the rate before it needs the next
+    knot's time: a segment ends there, and the flips that round to or past
+    it go into the next segment.  Candidates are drawn _CANDIDATES at a
+    time, and each time a block runs out a segment also ends, at the last
+    flip before the held-back knot, so a segment holds at most one chunk's
+    QP knots and about one block's flips, however rare the QP events.  The
+    running sums E_i, the block of candidates in hand, H at the held-back
+    knot, the qubit state and the parity of the flips are carried across
+    segments, and np.cumsum adds in the order of one running sum, so the
+    segments join into the same trace bit for bit whatever _SEGMENT and
+    _CANDIDATES are.  A segment holds at least one knot.
+    """
+    qubit = config.qubit
+    state = STATE_EXCITED if uniform_rng.random() < temperature_to_polarization(
+        qubit.temperature, qubit.f_ge) else STATE_GROUND
+    boltz = _boltzmann_factor(config)
+    # the QP knots not yet in a chunk's hazard, the held-back one first,
+    # and H there
+    knot_t, knot_n, h_start = np.empty(0), np.empty(0, dtype=np.int64), 0.0
+    # the candidates in hand, E from candidates[used] on, their uniforms,
+    # and E at the last candidate drawn
+    candidates = uniforms = np.empty(0)
+    used, e_carry = 0, 0.0
+    flips = np.empty(0)  # the flips not yet in a segment
+    # the count and the state before the next segment's first knot; the
+    # first segment starts at the QP knot at t = 0, so its count is unused
+    before = (0, state)
+    chunks = _qp_layer(config, qp_rng)
+    final = False
+    while not final:
+        chunk = next(chunks, None)
+        final = chunk is None
+        if not final:
+            knot_t = np.concatenate((knot_t, chunk[0]))
+            knot_n = np.concatenate((knot_n, chunk[1]))
+            if len(knot_t) < 2:
+                continue
+        if final:  # the last chunk runs to the duration
+            end, seg_t, seg_n = config.duration, knot_t, knot_n
+        else:
+            end, seg_t, seg_n = knot_t[-1], knot_t[:-1], knot_n[:-1]
+        rate = relaxation_rate(seg_n, config.kinetics, qubit)
+        hazard = np.empty(len(seg_t) + 1)
+        hazard[0] = h_start
+        np.multiply(rate, np.diff(seg_t, append=end), out=hazard[1:])
+        np.cumsum(hazard, out=hazard)
+        h_start = hazard[-1]
+        qp = 0  # the chunk's QP knots from qp on are not yet in a segment
+        while True:
+            if used == len(candidates):
+                # a segment up to the last flip before end, if there is one
+                cut = int(np.searchsorted(flips, end)) - 1
+                if cut >= 0:
+                    hi = int(np.searchsorted(seg_t, flips[cut], side="right"))
+                    if cut > 0 or hi > qp:
+                        segment = _merge(seg_t[qp:hi], seg_n[qp:hi], flips[:cut], before,
+                                         flips[cut])
+                        before = segment.counts[-1], segment.states[-1]
+                        yield segment
+                        qp, flips = hi, flips[cut:]
+                candidates = candidate_rng.standard_exponential(_CANDIDATES)
+                candidates[0] += e_carry
+                np.cumsum(candidates, out=candidates)
+                e_carry = candidates[-1]
+                uniforms = uniform_rng.random(_CANDIDATES)
+                used = 0
+            stop = used + int(np.searchsorted(candidates[used:], h_start))
+            if stop > used:
+                e = candidates[used:stop]
+                # the knot whose interval holds each candidate; zero-rate
+                # intervals have no width in H and are never chosen
+                j = np.searchsorted(hazard, e, side="right") - 1
+                t = seg_t[j] + (e - hazard[j]) / rate[j]
+                t, state = _flip_times(t, uniforms[used:stop] < boltz(t), state)
+                flips = np.concatenate((flips, t))
+                used = stop
+            if used < len(candidates):
+                break
+        cut = len(flips) if final else int(np.searchsorted(flips, end))
+        segment = _merge(seg_t[qp:], seg_n[qp:], flips[:cut], before, end)
+        before = segment.counts[-1], segment.states[-1]
+        yield segment
+        flips = flips[cut:]
+        knot_t, knot_n = knot_t[-1:], knot_n[-1:]
+
+
+def simulate_joint(config: ScenarioConfig, qp_rng: np.random.Generator,
+                   candidate_rng: np.random.Generator,
+                   uniform_rng: np.random.Generator) -> TruthTrace:
+    """The whole trace of simulate_segments: its segments joined."""
+    segments = list(simulate_segments(config, qp_rng, candidate_rng, uniform_rng))
+    return TruthTrace(duration=config.duration,
+                      times=np.concatenate([s.times for s in segments]),
+                      states=np.concatenate([s.states for s in segments]),
+                      counts=np.concatenate([s.counts for s in segments]))
 
 
 # ---------------------------------------------------------------------------
@@ -496,30 +609,26 @@ def sample_count(duration: float, t_meas: float) -> int:
 
 
 def synthesize_iq(
-    truth: TruthTrace,
+    occupancy,
     meas: MeasurementParams,
     i: np.ndarray,
     q: np.ndarray | None = None,
-    occupancy=None,
 ) -> IQRecord:
-    """Dispersive readout record for len(i) bins of a trajectory, from
-    their noise.
+    """Dispersive readout record for the next len(i) bins of an
+    occupancy_blocks pass over a trajectory, from their noise.
 
     Each bin of length t_meas gets I = (f_g - f_e) * separation + noise and
     Q = noise, with f_g/f_e the exact fractions of the bin spent in each
-    state (ground maps to +I).  The bins are 0 to len(i) - 1, or, when
-    occupancy is given, the next len(i) bins of that occupancy_blocks pass
-    over the trace: a pass whose bounds hold this range, at its first bin,
-    so consecutive ranges share one pass and none sums a prefix again.  i
-    holds the bins' I noise, and the levels are added to it in place,
-    block by block: it becomes the record's I.  q, Q's noise, is the
-    record's Q as it is; None gives a record without Q.  Drawing the noise
-    is left to the caller, so a range's draws can be made ahead of its
-    occupancy; normal draws do not depend on how a stream is split, so
-    consecutive ranges of one stream give the whole record bit for bit.
+    state (ground maps to +I).  occupancy is at the range's first bin and
+    its bounds hold the range, so consecutive ranges share one pass and
+    none sums a prefix again.  i holds the bins' I noise, and the levels
+    are added to it in place, block by block: it becomes the record's I.
+    q, Q's noise, is the record's Q as it is; None gives a record without
+    Q.  Drawing the noise is left to the caller, so a range's draws can be
+    made ahead of its occupancy; normal draws do not depend on how a
+    stream is split, so consecutive ranges of one stream give the whole
+    record bit for bit.
     """
-    if occupancy is None:
-        occupancy = occupancy_blocks(truth, meas.t_meas, [0, len(i)])
     sep = snr_separation(meas)
     lo = 0
     while lo < len(i):

@@ -2,7 +2,8 @@
 record, whole-array oracles for the blocked record pipeline and for the
 presets that stream their record, an RK4
 integrator for the QP density rate equation, a scalar loop over the
-sampler's qubit candidates, and an exact oracle for the joint (modulator,
+sampler's qubit candidates, the qubit intervals of a trace, a trace cut
+into segments, and an exact oracle for the joint (modulator,
 qubit, QP number) Markov chain sampled by jumpsim.simulate_joint.
 
 The oracle is built from the model's rate definitions (the scalar rate
@@ -46,6 +47,7 @@ from qpjumps.jumpsim import (
     excited_time_at,
     occupancy_blocks,
     qp_rate_coefficient,
+    run_starts,
     sample_count,
     snr_separation,
     thermal_transient,
@@ -105,12 +107,36 @@ def telegraph_series(
     return np.asarray(values)[(parity + start) % 2]
 
 
+def qubit_intervals(truth: TruthTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal constant-qubit-state intervals as (start, duration, state).
+
+    Includes the boundary intervals at the start and end of the record;
+    callers doing dwell statistics should drop the first and last.
+    """
+    first = run_starts(truth.states)
+    starts = truth.times[first]
+    return starts, np.append(starts[1:], truth.duration) - starts, truth.states[first]
+
+
+def split_trace(truth: TruthTrace, cuts) -> list[TruthTrace]:
+    """truth as consecutive segments, cut before each knot index in cuts
+    (0 and repeats are dropped): each runs to the next one's first knot
+    time, the last to the duration."""
+    first = sorted({0, *(k for k in cuts if 0 < k < len(truth.times))})
+    last = first[1:] + [len(truth.times)]
+    return [TruthTrace(duration=float(truth.times[hi]) if hi < len(truth.times)
+                       else truth.duration, times=truth.times[lo:hi],
+                       states=truth.states[lo:hi], counts=truth.counts[lo:hi])
+            for lo, hi in zip(first, last)]
+
+
 def noiseless_iq(truth: TruthTrace, meas: MeasurementParams) -> IQRecord:
     """The mean of jumpsim.synthesize_iq's record: I = (f_g - f_e) *
     separation per bin and Q = 0, with no noise drawn."""
-    f_e = np.empty(sample_count(truth.duration, meas.t_meas))
+    n = sample_count(truth.duration, meas.t_meas)
+    f_e = np.empty(n)
     lo = 0
-    for block in occupancy_blocks(truth, meas.t_meas):
+    for block in occupancy_blocks(truth, meas.t_meas, [0, n]):
         f_e[lo:lo + len(block)] = block
         lo += len(block)
     return IQRecord(t_meas=meas.t_meas, i=(1.0 - 2.0 * f_e) * snr_separation(meas),

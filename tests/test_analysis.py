@@ -28,7 +28,7 @@ from qpjumps.jumpsim import (
     snr_separation,
 )
 
-from support import noiseless_iq, whole_record_filter
+from support import noiseless_iq, qubit_intervals, whole_record_filter
 
 TM = 5e-6
 
@@ -424,7 +424,7 @@ class TestNoiseFreePipeline:
         iq = noiseless_iq(truth, meas)
         est = two_point_filter(iq, separation=snr_separation(meas))
         d = extract_dwells(est)
-        _, true_durations, true_states = truth.qubit_intervals()
+        _, true_durations, true_states = qubit_intervals(truth)
         for state, got in ((STATE_GROUND, d.ground), (STATE_EXCITED, d.excited)):
             want = np.sort(true_durations[1:-1][true_states[1:-1] == state])
             got = np.sort(got)

@@ -1,14 +1,16 @@
 import hashlib
+import json
 import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qpjumps import cli, experiments, io
-from qpjumps.core import ConfigError, PeriodicPulses, ScenarioConfig
+from qpjumps import cli, experiments, io, jumpsim
+from qpjumps.core import ConfigError, PeriodicPulses, ScenarioConfig, serialize_config
 from qpjumps.experiments import (
     preset_config,
     recovery_bin_edges,
@@ -26,6 +28,7 @@ from qpjumps.jumpsim import (
     IQRecord,
     TruthTrace,
     sample_count,
+    simulate_joint,
     snr_separation,
 )
 
@@ -237,12 +240,12 @@ class TestStreamedPresets:
         monkeypatch.setattr(io, "STREAM_BLOCK", block)
         ranges, passes = [], set()
 
-        def recorded(truth, meas, i, q=None, occupancy=None):
+        def recorded(occupancy, meas, i, q=None):
             assert q is None
             lo = ranges[-1][1] if ranges else 0
             ranges.append((lo, lo + len(i)))
             passes.add(occupancy)
-            return synthesize(truth, meas, i, q, occupancy)
+            return synthesize(occupancy, meas, i, q)
 
         synthesize = experiments.synthesize_iq
         monkeypatch.setattr(experiments, "synthesize_iq", recorded)
@@ -268,11 +271,13 @@ class TestStreamedPresets:
         assert [lo for lo, _ in ranges] == list(range(0, n // per * per, size))
         assert ranges[-1][1] == n
         # one occupancy pass for the whole loop
-        assert len(passes) == 1 and None not in passes
+        assert len(passes) == 1
         # psd writes no histogram and keeps no dwells; the alternation
-        # presets keep every window's for their example histograms
+        # presets keep the two example windows' for their histograms
         report, = reports
-        assert len(report.dwells) == (0 if name == "psd" else len(report))
+        f = report.fidelity_ground
+        assert set(report.dwells) == (
+            set() if name == "psd" else {np.nanargmax(f), np.nanargmin(f)})
 
     @pytest.mark.parametrize("name, keys, message", [
         ("quiet-noisy", {"duration": "0.5"}, "record shorter than one window"),
@@ -291,15 +296,16 @@ class TestStreamedPresets:
         with pytest.raises(ValueError, match=message):
             run_experiment(name, preset_config(name, keys), tmp_path)
 
-    def test_memory_grows_by_under_1_4_bytes_per_sample(self, tmp_path):
+    def test_memory_grows_by_under_0_2_bytes_per_sample(self, tmp_path):
         # numpy reports its buffers to tracemalloc.  Holding the whole I/Q
         # record grew the traced peak by 18.1 B per added sample, and
         # keeping 1 B of states per sample beside the stream by 2.66 B.
         # With only the dwells kept it grew by 1.88 B, and with the
         # trajectory's occupancy table and the sampler's whole-length
-        # scratch gone by 1.04 B, a margin of 0.36 B under the bound: the
-        # trajectory and the dwells, which grow with the events rather
-        # than the samples
+        # scratch gone by 1.04 B: the whole trajectory and every window's
+        # dwells, which grow with the events.  With the trajectory read a
+        # segment at a time and two windows' dwells kept, nothing grows
+        # with the record
         peaks = {}
         for duration in (40, 80):
             config = preset_config("quiet-noisy", {"duration": str(duration)})
@@ -311,7 +317,26 @@ class TestStreamedPresets:
                 tracemalloc.stop()
         t_meas = config.meas.t_meas
         added = sample_count(80, t_meas) - sample_count(40, t_meas)
-        assert (peaks[80] - peaks[40]) / added < 1.4
+        assert (peaks[80] - peaks[40]) / added < 0.2
+
+    def test_event_counts_include_the_tail(self, tmp_path, monkeypatch):
+        # 2.0099 s at 10 ms samples: 200 bins, then 9.9 ms of knots past the
+        # last one.  Segments of 7 QP steps leave whole segments in the
+        # tail, which the occupancy never reads
+        monkeypatch.setattr(jumpsim, "_SEGMENT", 7)
+        config = preset_config("quiet-noisy", {"duration": "2.0099", "t_meas": "0.01"})
+        truth = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
+        n = sample_count(config.duration, config.meas.t_meas)
+        assert n == 200 and np.count_nonzero(truth.times > n * config.meas.t_meas) > 10
+        want = truth.event_counts()
+
+        _, counts = run_experiment("quiet-noisy", config, tmp_path / "exp")
+        assert {key: counts[key] for key in want} == want
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(serialize_config(config))
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
+        assert {key: manifest["record_counts"][key] for key in want} == want
 
 
 class SlowStream:
@@ -362,8 +387,9 @@ class TestSynthesizedRecord:
         return run_simulation(self.CONFIG)
 
     def record(self, cls=experiments.SynthesizedRecord, with_q=True):
-        truth, record = simulate_record(self.CONFIG, with_q)
-        return cls(truth, record.meas, record.i_rng, record.q_rng)
+        record = simulate_record(self.CONFIG, with_q)
+        return cls(record.trajectory, record.duration, record.meas, record.i_rng,
+                   record.q_rng)
 
     @pytest.mark.parametrize("cuts", [
         [0, 10, 20, 30],                 # equal ranges
@@ -403,8 +429,8 @@ class TestSynthesizedRecord:
                     reads.append((lo, hi, block.i.tobytes()))
                     yield block
 
-        _, record = simulate_record(config, with_q=False)
-        got = run_stats(Recorded(truth, record.meas, record.i_rng),
+        record = simulate_record(config, with_q=False)
+        got = run_stats(Recorded(truth, config.duration, record.meas, record.i_rng),
                         snr_separation(config.meas))
         want = run_stats(IQRecord(t_meas=whole.t_meas, i=whole.i, q=None),
                          snr_separation(config.meas))
@@ -471,15 +497,18 @@ class TestSynthesizedRecord:
 
     def test_two_ranges_in_flight(self, tmp_path, monkeypatch):
         # the range in hand and the one the worker fills, with their
-        # scratch: 2.3 and 2.5 ranges' bytes.  A loop that held on to the
-        # range before would add a third (3.3 and 3.5).  16 s: 3.2 M
-        # samples in four ranges of 10^6 (five windows)
+        # scratch: 2.3 and 2.7 ranges' bytes.  A loop that held on to the
+        # range before would add a third (3.3 and 3.7).  16 s: 3.2 M
+        # samples in four ranges of 10^6 (five windows).  The trajectory
+        # is sampled beforehand, so that the sampler's working set (about
+        # 2.4 MB, 0.3 of a range of I) is not counted as a range
         size = 10**6
         config = preset_config("quiet-noisy", {"duration": "16"})
+        truth = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         monkeypatch.setattr(io, "STREAM_BLOCK", size)
         for with_q, read in ((True, lambda r: io.write_iq(tmp_path / "r.iq", r)),
                              (False, lambda r: run_stats(r, 5.0))):
-            truth, record = simulate_record(config, with_q)
+            record = replace(simulate_record(config, with_q), trajectory=truth)
             tracemalloc.start()
             try:
                 read(record)

@@ -17,6 +17,8 @@ from qpjumps.core import MeasurementParams, validate_config
 from qpjumps.experiments import SynthesizedRecord
 from qpjumps.jumpsim import _BLOCK, IQRecord, TruthTrace
 
+from support import split_trace
+
 
 def make_record(n=100, seed=0, t_meas=5e-6):
     rng = np.random.default_rng(seed)
@@ -130,7 +132,8 @@ class TestIqFormat:
                                states=np.zeros(1, dtype=np.uint8),
                                counts=np.zeros(1, dtype=np.int64))
             for record in (IQRecord(t_meas=meas.t_meas, i=np.zeros(n), q=None),
-                           SynthesizedRecord(truth, meas, np.random.default_rng(0))):
+                           SynthesizedRecord(truth, truth.duration, meas,
+                                             np.random.default_rng(0))):
                 assert len(record) == n
                 path = tmp_path / "r.iq"
                 with pytest.raises(ValueError, match=str(path)):
@@ -229,6 +232,18 @@ class TestCsvWriters:
         path = tmp_path / "qp.csv"
         io.write_qp_trace_csv(path, truth)
         assert path.read_text().splitlines() == ["time_s,N", "0,3", "0.2,5", "0.4,4"]
+
+    # cut before a knot whose N equals the one before (1, 3), before a
+    # change of N (2, 4), and into one-knot segments
+    @pytest.mark.parametrize("cuts", [[1, 3], [2, 4], [1, 2, 3, 4, 5]])
+    def test_trajectory_writers_read_segments(self, tmp_path, cuts):
+        truth = TruthTrace(duration=1.0, times=np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
+                           states=np.array([0, 1, 1, 0, 0, 1], dtype=np.uint8),
+                           counts=np.array([3, 3, 5, 5, 4, 7], dtype=np.int64))
+        for write in (io.write_truth_csv, io.write_qp_trace_csv):
+            write(tmp_path / "whole.csv", truth)
+            write(tmp_path / "cut.csv", split_trace(truth, cuts))
+            assert (tmp_path / "cut.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_ode_csv(self, tmp_path):
         path = tmp_path / "ode.csv"

@@ -39,6 +39,7 @@ from qpjumps.jumpsim import (
     run_starts,
     sample_count,
     simulate_joint,
+    simulate_segments,
     snr_separation,
     synthesize_iq,
     thermal_decay_constant,
@@ -49,7 +50,9 @@ from support import (
     noiseless_iq,
     occupancy_chi2,
     qp_relaxation_rate,
+    qubit_intervals,
     scalar_qubit_layer,
+    split_trace,
     stationary_qn,
     thermal_excitation_rate,
     transition_rate_chi2,
@@ -191,7 +194,7 @@ class TestSimulateJoint:
         assert trace.counts[0] == 0
         assert trace.states[0] in (STATE_GROUND, STATE_EXCITED)
         # occupancy helpers still work on an event-free trace
-        assert next(occupancy_blocks(trace, 1.0))[0] in (0.0, 1.0)
+        assert next(occupancy_blocks(trace, 1.0, [0, 1]))[0] in (0.0, 1.0)
 
     def test_frozen_population_dwells_are_exponential(self):
         config = frozen_config(2, duration=4.0, seed=21)
@@ -199,7 +202,7 @@ class TestSimulateJoint:
         gamma_down = qp_relaxation_rate(2, KIN, config.qubit)
         gamma_up = thermal_excitation_rate(2, KIN, config.qubit, config.qubit.temperature)
 
-        starts, durations, states = trace.qubit_intervals()
+        starts, durations, states = qubit_intervals(trace)
         interior = slice(1, -1)
         d_e = durations[interior][states[interior] == STATE_EXCITED]
         d_g = durations[interior][states[interior] == STATE_GROUND]
@@ -521,14 +524,14 @@ QUBIT_LAYER_CASES = {
 
 class TestQubitLayerOracle:
     """The vectorized qubit layer against a scalar loop over the same
-    candidates and uniforms (tests/support.py), at a block size of 7 and
-    at the default one."""
+    candidates and uniforms (tests/support.py), with candidates drawn 7 at
+    a time and _BLOCK (eight times the default) at a time."""
 
     @pytest.mark.parametrize("block", [7, _BLOCK])
     @pytest.mark.parametrize("case", sorted(QUBIT_LAYER_CASES))
     def test_flips_equal_scalar_loop_bit_for_bit(self, case, block, monkeypatch):
         config = QUBIT_LAYER_CASES[case]
-        monkeypatch.setattr(jumpsim, "_BLOCK", block)
+        monkeypatch.setattr(jumpsim, "_CANDIDATES", block)
         truth = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         _, candidates, uniforms = np.random.default_rng(config.rng_seed).spawn(3)
         initial, flips, accepts = scalar_qubit_layer(config, truth, candidates, uniforms)
@@ -560,7 +563,7 @@ class TestQubitLayerOracle:
                 "pulse_length = 100us\npulse_inject = 4\npulse_count = 19"),
         )
         whole = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
-        monkeypatch.setattr(jumpsim, "_BLOCK", 7)
+        monkeypatch.setattr(jumpsim, "_CANDIDATES", 7)
         blocked = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         assert len(whole) > 1000
         for field in ("times", "states", "counts"):
@@ -615,13 +618,39 @@ DETERMINISM_DIGESTS = {
 }
 
 
+def _trace_digests(truth):
+    return tuple(hashlib.sha256(getattr(truth, field).tobytes()).hexdigest()
+                 for field in ("times", "states", "counts"))
+
+
 @pytest.mark.parametrize("case", sorted(DETERMINISM_CASES))
 def test_trace_bytes_are_pinned(case):
     config = DETERMINISM_CASES[case]
     truth = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
-    digests = tuple(hashlib.sha256(getattr(truth, field).tobytes()).hexdigest()
-                    for field in ("times", "states", "counts"))
-    assert digests == DETERMINISM_DIGESTS[case]
+    assert _trace_digests(truth) == DETERMINISM_DIGESTS[case]
+
+
+# (QP steps per segment, candidates drawn at a time): single steps and
+# candidates, 7 of each, and each at 1 with the other at its default
+SEGMENT_SIZES = [(1, 1), (7, 7), (1, None), (None, 1)]
+
+
+@pytest.mark.parametrize("segment, candidates", SEGMENT_SIZES)
+@pytest.mark.parametrize("case", sorted(DETERMINISM_CASES))
+def test_trace_does_not_depend_on_segment_size(case, segment, candidates, monkeypatch):
+    if segment is not None:
+        monkeypatch.setattr(jumpsim, "_SEGMENT", segment)
+    if candidates is not None:
+        monkeypatch.setattr(jumpsim, "_CANDIDATES", candidates)
+    config = DETERMINISM_CASES[case]
+    segments = list(simulate_segments(config, *np.random.default_rng(config.rng_seed).spawn(3)))
+    # each segment runs to the next one's first knot, the last to the duration
+    assert all(len(s.times) > 0 for s in segments)
+    assert [s.duration for s in segments] == [s.times[0] for s in segments[1:]] + [
+        config.duration]
+    joined = TruthTrace(config.duration, *(np.concatenate([getattr(s, field) for s in segments])
+                                           for field in ("times", "states", "counts")))
+    assert _trace_digests(joined) == DETERMINISM_DIGESTS[case]
 
 
 class TestSynthesizeIq:
@@ -730,7 +759,8 @@ class TestBlockedRecordOracle:
         truth, meas = case
         n = sample_count(truth.duration, meas.t_meas)
         i_rng, q_rng = np.random.default_rng(seed).spawn(2)
-        got = synthesize_iq(truth, meas, i_rng.standard_normal(n), q_rng.standard_normal(n))
+        got = synthesize_iq(occupancy_blocks(truth, meas.t_meas, [0, n]), meas,
+                            i_rng.standard_normal(n), q_rng.standard_normal(n))
         want = whole_record_iq(truth, meas, *np.random.default_rng(seed).spawn(2))
         assert got.i.tobytes() == want.i.tobytes()
         assert got.q.tobytes() == want.q.tobytes()
@@ -758,23 +788,27 @@ class TestRecordRanges:
 
     @settings(max_examples=40, deadline=None)
     @given(knotted_traces(), st.lists(st.floats(0.0, 1.0), max_size=6),
-           st.integers(0, 2**32 - 1))
-    def test_ranges_join_into_the_whole_record(self, case, cuts, seed):
+           st.lists(st.floats(0.0, 1.0), max_size=6), st.integers(0, 2**32 - 1))
+    def test_ranges_join_into_the_whole_record(self, case, cuts, knot_cuts, seed):
         truth, meas = case
         n = sample_count(truth.duration, meas.t_meas)
         bounds = sorted({0, n, *(int(c * n) for c in cuts)})
         ranges = list(zip(bounds[:-1], bounds[1:]))
+        # the trace as segments cut at knots, on bin edges among them
+        segments = split_trace(truth, [int(c * len(truth.times)) for c in knot_cuts])
         # each yielded block is scratch that the next one overwrites
-        whole = [block.copy() for block in occupancy_blocks(truth, meas.t_meas)]
+        whole = [block.copy() for block in occupancy_blocks(truth, meas.t_meas, [0, n])]
         pieces = [block.copy() for block in occupancy_blocks(truth, meas.t_meas, bounds)]
         assert np.concatenate(pieces).tobytes() == np.concatenate(whole).tobytes()
+        streamed = [block.copy() for block in occupancy_blocks(segments, meas.t_meas, bounds)]
+        assert np.concatenate(streamed).tobytes() == np.concatenate(whole).tobytes()
         # a block ends at every range bound
         assert set(bounds) <= {0, *np.cumsum([len(p) for p in pieces]).tolist()}
 
         want = whole_record_iq(truth, meas, *np.random.default_rng(seed).spawn(2))
         i_rng = np.random.default_rng(seed).spawn(2)[0]
-        occupancy = occupancy_blocks(truth, meas.t_meas, bounds)
-        got = [synthesize_iq(truth, meas, i_rng.standard_normal(hi - lo), None, occupancy)
+        occupancy = occupancy_blocks(iter(segments), meas.t_meas, bounds)
+        got = [synthesize_iq(occupancy, meas, i_rng.standard_normal(hi - lo))
                for lo, hi in ranges]
         assert all(block.q is None for block in got)
         assert [len(block) for block in got] == [hi - lo for lo, hi in ranges]
