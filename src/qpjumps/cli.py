@@ -151,6 +151,8 @@ def cmd_fit_psd(args) -> int:
     t0 = time.monotonic()
     config = _scenario(args, require_file=False)
     times, values = io.read_series_csv(args.input)
+    if len(times) < 2:  # checked before np.diff(times) is empty
+        raise ValueError(f"{args.input}: one row has no sample spacing")
     dt = float(np.median(np.diff(times)))
     freqs, power = periodogram(values, dt, n_segments=args.segments)
     fit = fit_power_law(freqs, power)

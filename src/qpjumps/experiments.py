@@ -10,7 +10,8 @@ through its blocks(bounds), and run_stats and filter_blocks read any
 record that way.  A SynthesizedRecord synthesizes each range as it is
 read, from the trajectory's segments as the sampler yields them, while
 one worker thread draws the next range's noise.  Q, which no preset
-reads, is not drawn for a preset.
+reads, is not drawn for a preset.  The recovery preset reads each chunk's
+trajectory as the sampler yields its segments, and holds none whole.
 """
 
 from __future__ import annotations
@@ -49,14 +50,15 @@ from .fitting import (
     periodogram,
 )
 from .jumpsim import (
+    _BLOCK,
     IQRecord,
     STATE_EXCITED,
     STATE_GROUND,
     TruthTrace,
-    excited_time_at,
     occupancy_blocks,
-    relaxation_jump_times,
+    run_starts,
     sample_count,
+    segments_of,
     simulate_joint,
     simulate_segments,
     snr_separation,
@@ -70,6 +72,13 @@ RECOVERY_CHUNK_CYCLES = 500
 RECOVERY_BINS_PER_DECADE = 8
 # post-injection bins with fewer relaxation jumps are left out of the fit
 MIN_JUMPS = 25
+# samples per block of run_stats, rounded down to whole windows: one 1 s
+# window, or 13 of psd's 0.1 s ones.  Larger than _BLOCK, the block of
+# every other streamed path, because each block has a fixed cost (the
+# filter's scratch, the window report, the handoff of the noise drawn
+# ahead): at _BLOCK, psd's 0.1 s windows made 60,000-sample blocks and
+# its wall time rose by about a third
+STATS_BLOCK = 1 << 18
 
 # preset scenario overrides; everything else takes the documented defaults.
 #
@@ -170,9 +179,12 @@ class SynthesizedRecord:
     bounds[k + 1] - 1 as an IQRecord for each k: I, and Q when q_rng is
     given.  Each quadrature's noise comes from one stream drawn in order,
     so bounds start at 0, and the ranges hold the whole record bit for
-    bit.  One occupancy_blocks pass over the trajectory, cut at the bounds,
-    serves the whole loop: each range takes its blocks from it, so no
-    range sums a prefix of the trajectory again.  events fills with the
+    bit.  The trajectory's segments and the streams are used up by one
+    read, so the record is read once: a second blocks(...) loop raises
+    ValueError before it draws anything.  One occupancy_blocks pass over
+    the trajectory, cut at the bounds, serves the whole loop: each range
+    takes its blocks from it, so no range sums a prefix of the trajectory
+    again.  events fills with the
     trajectory's event counts as its segments pass; after the last range
     the segments left, whose knots lie past the last whole bin, are read
     too, so it is whole once the loop has ended.  The caller draws the
@@ -189,6 +201,7 @@ class SynthesizedRecord:
     i_rng: np.random.Generator
     q_rng: np.random.Generator | None = None
     events: dict = field(default_factory=dict, init=False)
+    _read: bool = field(default=False, init=False, repr=False)
 
     @property
     def t_meas(self) -> float:
@@ -201,6 +214,10 @@ class SynthesizedRecord:
         if bounds[0] != 0:
             raise ValueError(f"ranges from sample {bounds[0]}: a synthesized "
                              "record is read from sample 0")
+        if self._read:
+            raise ValueError("a synthesized record is read once: its trajectory "
+                             "and noise streams were used up by the first read")
+        self._read = True
         streams = [rng for rng in (self.i_rng, self.q_rng) if rng is not None]
         segments = tally_events(self.trajectory, self.events)
         occupancy = occupancy_blocks(segments, self.meas.t_meas, bounds)
@@ -265,14 +282,14 @@ def filter_blocks(record, separation: float, size: int | None = None,
     """The hysteresis estimate of a record, one block at a time.
 
     record has t_meas, len() and blocks(bounds).  Blocks of size samples
-    (io.STREAM_BLOCK by default) are read in order from 0; the block that
+    (_BLOCK by default) are read in order from 0; the block that
     reaches stop (by default the record's end) runs on to the end.  Each
     is filtered with the state carried in from the block before, so the
     yielded StateEstimates join into the whole record's estimate; only the
     block in hand is held.  Closing this generator closes the record's.
     """
     n = len(record)
-    size = io.STREAM_BLOCK if size is None else size
+    size = _BLOCK if size is None else size
     stop = n if stop is None else stop
     carry = None
     with contextlib.closing(record.blocks([*range(0, stop, size), n])) as blocks:
@@ -302,7 +319,7 @@ def run_stats(
 
     record has t_meas, len() and blocks(bounds): an IQRecord, a
     SynthesizedRecord or an io.IQFile.  filter_blocks reads it in blocks
-    of io.STREAM_BLOCK samples rounded down to whole windows, at least one.
+    of STATS_BLOCK samples rounded down to whole windows, at least one.
     The last block also holds the partial window at the end, which is
     dropped as split_windows drops it.  Each block's estimate is reported
     on window by window, so the report equals the whole record's byte for
@@ -319,7 +336,7 @@ def run_stats(
         raise ValueError("record shorter than one window")
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be at least 1")
-    size = max(1, io.STREAM_BLOCK // per) * per
+    size = max(1, STATS_BLOCK // per) * per
     reports, kept = [], {}
     first = 0  # the block's first window
     # (F, window, dwells) of the example windows so far, by the side of F
@@ -479,24 +496,63 @@ def recovery_bin_edges(config: ScenarioConfig) -> np.ndarray:
 
 
 def recovery_chunk_stats(
-    truth: TruthTrace, config: ScenarioConfig, rel_edges: np.ndarray
+    trajectory, config: ScenarioConfig, rel_edges: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(excited exposure, jump count, jump-time sum) per post-injection bin
     of the config's periodic train; a jump's time counts from the end of
-    the pulse before it."""
+    the pulse before it.
+
+    trajectory is a TruthTrace or its consecutive segments, read in one
+    pass.  The excited seconds before each knot are summed from the sum
+    carried out of the segment before, so np.cumsum adds in the order of
+    one running sum over the trace, and each bin edge takes the knot at or
+    before it.  The edges rise from pulse to pulse, so each segment's are
+    the next ones before its end, and those past the last segment take its
+    last knot.  The qubit state is carried across segments, so a
+    relaxation on a segment's first knot counts.  The jumps' times and
+    bins are collected over the whole pass and binned at once, so the sums
+    add in trace order.  The results equal the whole trace's bit for bit,
+    whatever the segments.
+    """
     pulse_ends = np.array([p.end for p in config.pulses])
     abs_edges = (pulse_ends[:, None] + rel_edges[None, :]).ravel()
-    cum = excited_time_at(truth, abs_edges).reshape(len(pulse_ends), len(rel_edges))
-    exposure = np.diff(cum, axis=1).sum(axis=0)
+    period = config.pulse_periodic.period
+    cum = np.empty(len(abs_edges))  # excited seconds before each edge
+    rels, bins = [], []  # each segment's binned jumps: time after the pulse, bin
+    done = 0  # the edges before the segment in hand
+    carry, state = 0.0, None  # excited seconds and qubit state before it
+    for segment in segments_of(trajectory):
+        times = segment.times
+        excited = segment.states == STATE_EXCITED
+        # the excited seconds before each knot, and before the segment's end
+        before = np.empty(len(times) + 1)
+        before[0] = carry
+        np.multiply(np.diff(times, append=segment.duration), excited, out=before[1:])
+        np.cumsum(before, out=before)
+        hi = int(np.searchsorted(abs_edges, segment.duration))
+        edges = abs_edges[done:hi]
+        k = np.searchsorted(times, edges, side="right") - 1
+        cum[done:hi] = before[k] + (edges - times[k]) * excited[k]
+        done, carry = hi, before[-1]
 
-    jumps = relaxation_jump_times(truth)
-    rel = (jumps - pulse_ends[0]) % config.pulse_periodic.period
-    idx = np.searchsorted(rel_edges, rel, side="right") - 1
-    ok = (idx >= 0) & (idx < len(rel_edges) - 1) & (jumps >= pulse_ends[0])
-    idx = idx[ok]
+        flips = run_starts(segment.states)
+        if state is None or segment.states[0] == state:
+            flips = flips[1:]  # the first knot is no flip
+        state = segment.states[-1]
+        jumps = times[flips[segment.states[flips] == STATE_GROUND]]
+        rel = (jumps - pulse_ends[0]) % period
+        idx = np.searchsorted(rel_edges, rel, side="right") - 1
+        ok = (idx >= 0) & (idx < len(rel_edges) - 1) & (jumps >= pulse_ends[0])
+        rels.append(rel[ok])
+        bins.append(idx[ok])
+    edges = abs_edges[done:]
+    cum[done:] = before[-2] + (edges - times[-1]) * excited[-1]
+
+    exposure = np.diff(cum.reshape(len(pulse_ends), len(rel_edges)), axis=1).sum(axis=0)
+    idx = np.concatenate(bins)
     nbins = len(rel_edges) - 1
     counts = np.bincount(idx, minlength=nbins).astype(float)
-    t_sum = np.bincount(idx, weights=rel[ok], minlength=nbins)
+    t_sum = np.bincount(idx, weights=np.concatenate(rels), minlength=nbins)
     return exposure, counts, t_sum
 
 
@@ -507,9 +563,11 @@ def run_recovery(config: ScenarioConfig):
     simulated one after another, each from its own seed spawned from the
     config's, so memory stays bounded at any pulse count.  Each chunk keeps
     the train's first pulse start and ends with its last readout window.
-    The mean excited dwell per log-spaced time bin is estimated as
-    exposure / jump count (bins with fewer than MIN_JUMPS jumps are
-    dropped), and the density recovery is fitted through the
+    A chunk's trajectory is read as the sampler yields its segments, its
+    events tallied as they pass, by recovery_chunk_stats, so no chunk's
+    trace is held whole.  The mean excited dwell per log-spaced time bin is
+    estimated as exposure / jump count (bins with fewer than MIN_JUMPS
+    jumps are dropped), and the density recovery is fitted through the
     relaxation-rate inversion.  A pulse_wait that leaves no readout window
     raises ValueError before any chunk is simulated.  Returns
     (times, tau_e, jump counts, fit, event counts summed over the chunks).
@@ -524,10 +582,10 @@ def run_recovery(config: ScenarioConfig):
         cycles = min(RECOVERY_CHUNK_CYCLES, train.count - k * RECOVERY_CHUNK_CYCLES)
         chunk = replace(config, duration=train.first + cycles * train.period,
                         pulse_periodic=replace(train, count=cycles))
-        truth = simulate_joint(chunk, *np.random.default_rng(seed).spawn(3))
-        stats.append(recovery_chunk_stats(truth, chunk, edges))
-        events.update(truth.event_counts())
-        del truth  # freed before the next chunk is simulated
+        counts = {}
+        segments = simulate_segments(chunk, *np.random.default_rng(seed).spawn(3))
+        stats.append(recovery_chunk_stats(tally_events(segments, counts), chunk, edges))
+        events.update(counts)
     exposure, counts, t_sum = np.sum(stats, axis=0)
 
     good = counts >= MIN_JUMPS

@@ -4,9 +4,14 @@ Every CSV goes through one row writer, write_csv: floats with 9
 significant digits (_fmt), ints and strings as they are, _BLOCK rows at a
 time.  The binary record format is little-endian with a fixed 24-byte
 header.  Records stream through this module: write_iq reads its record as
-consecutive ranges through blocks(bounds), read_iq checks a file's header
-and size and returns an IQFile that reads ranges on demand, and
-write_states_csv writes its runs block by block.  Every file is written
+consecutive ranges of _BLOCK samples through blocks(bounds), read_iq
+checks a file's header and size and returns an IQFile that reads ranges
+on demand, and write_states_csv writes its runs block by block.  A
+synthesized record draws the next range while the writer works on one,
+so two ranges of I and Q and the pairs buffer, 3 MB, are in flight.
+Traced peaks at 20 s of quiet-noisy, whatever the duration: `simulate
+--emit-truth` 7.9 MiB (with the sampler's working set and the occupancy's
+scratch), `stats` 4.9 MiB and `filter` 2.4 MiB.  Every file is written
 atomically (temp file + rename) so partially written outputs never appear
 under their final name, and the file's directory is made as the file is:
 a command that fails before its first file leaves no output directory.
@@ -33,14 +38,6 @@ try:
     TOOL_VERSION = importlib.metadata.version("qpjumps")
 except importlib.metadata.PackageNotFoundError:  # running from a source tree
     TOOL_VERSION = "0.0.0+local"
-
-# samples per range in which a record is streamed through its
-# blocks(bounds): synthesized and written to a file, read back and
-# filtered.  experiments.run_stats rounds it down to whole windows (at
-# least one).  A synthesized record's worker draws the next range's noise
-# while the caller works on this one, so two ranges are in flight: with
-# their states and scratch, about 20 MB whatever the duration
-STREAM_BLOCK = 1 << 19
 
 IQ_MAGIC = b"QJIQ"
 IQ_VERSION = 1
@@ -100,31 +97,20 @@ def atomic_write_text(path, text: str) -> None:
 # binary quadrature records
 # ---------------------------------------------------------------------------
 
-def _write_pairs(fh, block: IQRecord, pairs: np.ndarray) -> None:
-    """Write a block's (I, Q) pairs, interleaved through the pairs buffer
-    one bufferful at a time."""
-    room = len(pairs) // 2
-    for lo in range(0, len(block), room):
-        out = pairs[:2 * min(room, len(block) - lo)]
-        out[0::2] = block.i[lo:lo + room]
-        out[1::2] = block.q[lo:lo + room]
-        fh.write(out)
-
-
 def write_iq(path, record) -> None:
     """Header, then (I, Q) pairs.
 
     record has t_meas, len() and blocks(bounds), which yields consecutive
     ranges of it as IQRecords: an IQRecord itself, a synthesized record
-    with Q or a record file.  It is read in ranges of STREAM_BLOCK
-    samples, and each range is interleaved _BLOCK pairs at a time, so the
-    writer holds one range (a synthesized record also draws the next).
-    The first range is read before any file is made, and a record without
-    Q is refused there.
+    with Q or a record file.  It is read in ranges of _BLOCK samples, and
+    each range is interleaved into one pairs buffer of that size and
+    written, so the writer holds that buffer and one range (a synthesized
+    record also draws the next).  The first range is read before any file
+    is made, and a record without Q is refused there.
     """
     n = len(record)
     # an empty record gives one empty range, whose Q shows all the same
-    bounds = [*range(0, max(n, 1), STREAM_BLOCK), n]
+    bounds = [*range(0, max(n, 1), _BLOCK), n]
     pairs = np.empty(2 * min(max(n, 1), _BLOCK), dtype="<f8")
     with contextlib.closing(record.blocks(bounds)) as blocks:
         block = next(blocks)
@@ -133,7 +119,10 @@ def write_iq(path, record) -> None:
         with _atomic_file(path) as fh:
             fh.write(_HEADER.pack(IQ_MAGIC, IQ_VERSION, record.t_meas, n))
             while block is not None:
-                _write_pairs(fh, block, pairs)
+                out = pairs[:2 * len(block)]
+                out[0::2] = block.i
+                out[1::2] = block.q
+                fh.write(out)
                 del block  # freed before the range after the next is allocated
                 block = next(blocks, None)
 

@@ -179,20 +179,6 @@ def tally_events(trajectory, counts: dict):
         yield segment
 
 
-def excited_time_at(truth: TruthTrace, times) -> np.ndarray:
-    """Cumulative seconds spent excited in [0, t) for each query time.
-
-    Builds its table of the trace (the excited seconds before each knot)
-    on each call and drops it on return."""
-    t = np.append(truth.times, truth.duration)
-    excited = truth.states == STATE_EXCITED
-    cum = np.concatenate(([0.0], np.cumsum(np.diff(t) * excited)))
-    times = np.asarray(times, dtype=float)
-    idx = np.searchsorted(t, times, side="right") - 1
-    idx = np.clip(idx, 0, len(excited) - 1)
-    return cum[idx] + (times - t[idx]) * excited[idx]
-
-
 def occupancy_blocks(trajectory, t_meas: float, bounds):
     """Fraction of each readout bin spent excited, in consecutive blocks.
 
@@ -202,16 +188,17 @@ def occupancy_blocks(trajectory, t_meas: float, bounds):
     start at 0 raise ValueError.  The blocks cover bins 0 to bounds[-1] - 1
     in order, at most _BLOCK bins each, and each range starts a new block,
     so a range's blocks end at its bound.  Each yielded array is scratch
-    space: the caller may overwrite it, and the next block does.  The
-    values equal diff(excited_time_at(truth, edges)) / diff(edges) of the
-    whole trace bit for bit, whatever the bounds and the segments: the
-    excited seconds before each knot are summed over each block's knots
-    alone, from the sum carried out of the block before, and np.cumsum
-    adds in the order of one running sum over the trace.  The knot under
-    each edge comes from one pass over the block's knots, not a search per
-    edge, so the cost is O(knots + bins).  Segments are pulled as the
-    edges reach them, and only the knots from the one under the block's
-    first edge to the end of the last segment pulled are held.
+    space: the caller may overwrite it, and the next block does.  A bin's
+    value is the difference of the excited seconds before its two edges,
+    over its width, and the values are the same bit for bit whatever the
+    bounds and the segments: the excited seconds before each knot are
+    summed over each block's knots alone, from the sum carried out of the
+    block before, and np.cumsum adds in the order of one running sum over
+    the trace.  The knot under each edge comes from one pass over the
+    block's knots, not a search per edge, so the cost is O(knots + bins).
+    Segments are pulled as the edges reach them, and only the knots from
+    the one under the block's first edge to the end of the last segment
+    pulled are held.
     """
     if bounds[0] != 0:
         raise ValueError(f"ranges from bin {bounds[0]}: the occupancy is read from bin 0")
@@ -273,12 +260,6 @@ def occupancy_blocks(trajectory, t_meas: float, bounds):
             frac /= width
             times, states, carry = times[j1 - 1:], states[j1 - 1:], cum[-1]
             yield frac
-
-
-def relaxation_jump_times(truth: TruthTrace) -> np.ndarray:
-    """Times of excited-to-ground transitions in the trajectory."""
-    flips = run_starts(truth.states)[1:]
-    return truth.times[flips[truth.states[flips] == STATE_GROUND]]
 
 
 def _qp_layer(config: ScenarioConfig, rng: np.random.Generator):

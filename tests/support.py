@@ -1,6 +1,7 @@
 """Test-only helpers: synthetic spectral series, the noiseless readout
-record, whole-array oracles for the blocked record pipeline and for the
-presets that stream their record, an RK4
+record, whole-array oracles for the blocked record pipeline, for the
+presets that stream their record and for the recovery statistics that
+read a chunk's segments, an RK4
 integrator for the QP density rate equation, a scalar loop over the
 sampler's qubit candidates, the qubit intervals of a trace, a trace cut
 into segments, and an exact oracle for the joint (modulator,
@@ -44,7 +45,6 @@ from qpjumps.jumpsim import (
     STATE_GROUND,
     IQRecord,
     TruthTrace,
-    excited_time_at,
     occupancy_blocks,
     qp_rate_coefficient,
     run_starts,
@@ -105,6 +105,44 @@ def telegraph_series(
     parity = np.searchsorted(switch_times, t, side="right") % 2
     start = int(rng.integers(0, 2))
     return np.asarray(values)[(parity + start) % 2]
+
+
+def excited_time_at(truth: TruthTrace, times) -> np.ndarray:
+    """Cumulative seconds spent excited in [0, t) for each query time,
+    from one table of the whole trace: the excited seconds before each
+    knot."""
+    t = np.append(truth.times, truth.duration)
+    excited = truth.states == STATE_EXCITED
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(t) * excited)))
+    times = np.asarray(times, dtype=float)
+    idx = np.searchsorted(t, times, side="right") - 1
+    idx = np.clip(idx, 0, len(excited) - 1)
+    return cum[idx] + (times - t[idx]) * excited[idx]
+
+
+def relaxation_jump_times(truth: TruthTrace) -> np.ndarray:
+    """Times of excited-to-ground transitions in the trajectory."""
+    flips = run_starts(truth.states)[1:]
+    return truth.times[flips[truth.states[flips] == STATE_GROUND]]
+
+
+def whole_trace_chunk_stats(truth: TruthTrace, config: ScenarioConfig,
+                            rel_edges: np.ndarray):
+    """experiments.recovery_chunk_stats over the whole trace at once: the
+    exposure from excited_time_at at every bin edge, and the jumps from
+    relaxation_jump_times."""
+    pulse_ends = np.array([p.end for p in config.pulses])
+    abs_edges = (pulse_ends[:, None] + rel_edges[None, :]).ravel()
+    cum = excited_time_at(truth, abs_edges).reshape(len(pulse_ends), len(rel_edges))
+    exposure = np.diff(cum, axis=1).sum(axis=0)
+    jumps = relaxation_jump_times(truth)
+    rel = (jumps - pulse_ends[0]) % config.pulse_periodic.period
+    idx = np.searchsorted(rel_edges, rel, side="right") - 1
+    ok = (idx >= 0) & (idx < len(rel_edges) - 1) & (jumps >= pulse_ends[0])
+    nbins = len(rel_edges) - 1
+    counts = np.bincount(idx[ok], minlength=nbins).astype(float)
+    t_sum = np.bincount(idx[ok], weights=rel[ok], minlength=nbins)
+    return exposure, counts, t_sum
 
 
 def qubit_intervals(truth: TruthTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

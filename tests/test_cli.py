@@ -3,6 +3,7 @@ import json
 import pathlib
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -122,13 +123,14 @@ class TestSimulate:
                        "qp_trapping = 0\nqp_recombination = 1e10\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
-    # simulate pulls its record from the synthesis in ranges of
-    # STREAM_BLOCK samples; they join into run_simulation's whole record
+    # simulate pulls its record from the synthesis in ranges of io's
+    # _BLOCK samples; they join into run_simulation's whole record.  At
+    # _BLOCK + 1 they cut the occupancy's blocks off their edges
     @pytest.mark.parametrize("stream_block", [7777, _BLOCK + 1])
     def test_record_file_holds_the_whole_record(self, tmp_path, monkeypatch, stream_block):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("rng_seed = 5\nduration = 0.7\n")
-        monkeypatch.setattr(io, "STREAM_BLOCK", stream_block)
+        monkeypatch.setattr(io, "_BLOCK", stream_block)
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         _, iq = run_simulation(load_config(cfg))
@@ -230,7 +232,7 @@ class TestFilterAndStats:
             return real_filter(iq, separation, initial)
 
         monkeypatch.setattr(experiments, "two_point_filter", recorded)
-        monkeypatch.setattr(io, "STREAM_BLOCK", block)
+        monkeypatch.setattr(experiments, "_BLOCK", block)
         out = tmp_path / "out"
         assert main(["filter", "--record", str(path), "--separation", str(sep),
                      "--out", str(out)]) == 0
@@ -394,6 +396,21 @@ class TestFitCommands:
         assert main(["fit-psd", "--input", str(series), "--out",
                      str(tmp_path / "psd")]) == 4
 
+    # one row has no spacing: its median used to warn twice ("Mean of empty
+    # slice") before the length was checked; two rows are too short too
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_fit_psd_on_too_few_rows_prints_one_line(self, tmp_path, capsys, rows):
+        series = tmp_path / "series.csv"
+        io.write_series_csv(series, np.arange(float(rows)), np.ones(rows), "tau_g_s")
+        out = tmp_path / "psd"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fit-psd", "--input", str(series), "--out", str(out)]) == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
 
 class TestManifestProvenance:
     """A command run without --config records no configuration hash, and
@@ -453,7 +470,7 @@ class TestExperiment:
         def no_simulation(*args):
             raise AssertionError("a chunk was simulated")
 
-        monkeypatch.setattr(experiments, "simulate_joint", no_simulation)
+        monkeypatch.setattr(experiments, "simulate_segments", no_simulation)
         out = tmp_path / "exp"
         assert main(["experiment", "recovery", "--out", str(out),
                      "--set", "pulse_wait=0.02", "--set", "pulse_count=600",
@@ -589,7 +606,10 @@ def test_record_commands_grow_by_under_2_5_bytes_per_sample(tmp_path):
     # also grew by 0.39 B, for the whole trajectory it kept.  With the
     # trajectory read a segment at a time it grows by 0.14 B, as its
     # largest segment grows from 6,104 to 8,037 knots, near the most a
-    # segment holds; stats and filter do not read it
+    # segment holds; stats and filter do not read it.  The traced peaks at
+    # 20 s are bounded too.  With ranges of 2^19 samples they were 21.9,
+    # 8.4 and 10.7 MiB; with write_iq and filter at _BLOCK samples a range
+    # and run_stats at one 1 s window a block, they are 7.9, 4.9 and 2.4
     peaks = {}
     for duration in (20, 40):
         config = preset_config("quiet-noisy", {"duration": str(duration)})
@@ -610,6 +630,8 @@ def test_record_commands_grow_by_under_2_5_bytes_per_sample(tmp_path):
                 tracemalloc.stop()
     t_meas = config.meas.t_meas
     added = sample_count(40, t_meas) - sample_count(20, t_meas)
-    for command, bound in (("simulate", 0.2), ("stats", 2.5), ("filter", 2.5)):
+    for command, bound, mib in (("simulate", 0.2, 12), ("stats", 2.5, 7),
+                                ("filter", 2.5, 5)):
         growth = (peaks[command, 40] - peaks[command, 20]) / added
         assert growth < bound, (command, growth)
+        assert peaks[command, 20] < mib * 2**20, (command, peaks[command, 20])

@@ -32,7 +32,11 @@ from qpjumps.jumpsim import (
     snr_separation,
 )
 
-from support import whole_record_experiment
+from support import split_trace, whole_record_experiment, whole_trace_chunk_stats
+
+
+def joined_trace(*args):
+    raise AssertionError("a whole trace was joined")
 
 
 class TestPresetConfigs:
@@ -128,9 +132,12 @@ class TestRecoveryMachinery:
         # loose bounds at 600 cycles; the acceptance suite runs 1e4
         assert fit.tau == pytest.approx(125e-6, rel=0.35)
 
-    def test_chunked_output_is_pinned(self):
+    def test_chunked_output_is_pinned(self, monkeypatch):
         # 600 cycles are two chunks; the pins hold each chunk's spawned
-        # seed and the order in which the chunks are summed
+        # seed and the order in which the chunks are summed.  They were
+        # taken when each chunk's trace was joined whole: read as segments,
+        # the chunks must give the same bytes
+        monkeypatch.setattr(experiments, "simulate_joint", joined_trace)
         config = preset_config("recovery", {"pulse_count": "600",
                                             "duration": "6.063"})
         times, tau_e, n_jumps, fit, events = run_recovery(config)
@@ -142,10 +149,11 @@ class TestRecoveryMachinery:
         ]
         assert events == {"events": 156183, "qp_events": 115589, "qubit_flips": 40594}
 
-    def test_tau_e_csv_is_pinned(self, tmp_path):
+    def test_tau_e_csv_is_pinned(self, tmp_path, monkeypatch):
         # the digest was taken when the recovery driver joined the rows of
         # tau_e.csv itself; the fit's files are left out, as they rest on
         # the optimizer's last bits
+        monkeypatch.setattr(experiments, "simulate_joint", joined_trace)
         config = preset_config("recovery", {"pulse_count": "600",
                                             "duration": "6.063"})
         run_experiment("recovery", config, tmp_path)
@@ -156,7 +164,7 @@ class TestRecoveryMachinery:
         def no_simulation(*args):
             raise AssertionError("a chunk was simulated")
 
-        monkeypatch.setattr(experiments, "simulate_joint", no_simulation)
+        monkeypatch.setattr(experiments, "simulate_segments", no_simulation)
         config = preset_config("recovery", {"pulse_wait": "0.02", "pulse_count": "600",
                                             "duration": "6.063"})
         with pytest.raises(ValueError, match="pulse_wait"):
@@ -168,6 +176,49 @@ class TestRecoveryMachinery:
         with pytest.raises(ValueError, match="workers"):
             run_experiment("recovery", config, tmp_path / "exp", workers=2)
         assert not (tmp_path / "exp").exists()
+
+
+class TestRecoveryChunkStats:
+    """recovery_chunk_stats reads a trajectory's segments in one pass; its
+    bytes equal those of the whole-trace oracle (tests/support.py) however
+    the trace is cut."""
+
+    @pytest.fixture(scope="class")
+    def chunk(self):
+        """40 cycles of the recovery preset, with a knot added exactly on a
+        bin edge (the state and count in force there, repeated), and the
+        index of that knot."""
+        config = preset_config("recovery", {"pulse_count": "40", "duration": "0.4042"})
+        truth = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
+        rel_edges = recovery_bin_edges(config)
+        edge = config.pulses[3].end + rel_edges[5]
+        j = int(np.searchsorted(truth.times, edge))
+        assert truth.times[j - 1] < edge < truth.times[j]
+        truth = TruthTrace(duration=truth.duration,
+                           times=np.insert(truth.times, j, edge),
+                           states=np.insert(truth.states, j, truth.states[j - 1]),
+                           counts=np.insert(truth.counts, j, truth.counts[j - 1]))
+        return config, rel_edges, truth, j
+
+    # the whole trace (None), and cuts at random knots, on the knot at a
+    # bin edge, on a relaxation (e -> g) and on the knot after it, so one
+    # segment holds a single knot
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_segments_equal_the_whole_trace(self, chunk, seed):
+        config, rel_edges, truth, at_edge = chunk
+        want = whole_trace_chunk_stats(truth, config, rel_edges)
+        assert want[1].sum() > 100 and want[0].sum() > 0
+        if seed is None:
+            trajectory = truth
+        else:
+            rng = np.random.default_rng(seed)
+            relax = np.flatnonzero((truth.states[:-1] == STATE_EXCITED)
+                                   & (truth.states[1:] == STATE_GROUND)) + 1
+            flip = int(rng.choice(relax))
+            cuts = [at_edge, flip, flip + 1, *rng.integers(1, len(truth.times), 30)]
+            trajectory = iter(split_trace(truth, cuts))
+        got = recovery_chunk_stats(trajectory, config, rel_edges)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_pulses_suppress_and_traps_extend_quiet_windows():
@@ -225,7 +276,7 @@ class TestStreamedPresets:
     files must equal the whole-record path's byte for byte, whatever the
     block size."""
 
-    # STREAM_BLOCK values: under one window (so one window a block), three
+    # STATS_BLOCK values: under one window (so one window a block), three
     # windows and 7 samples (three windows a block, not a multiple of
     # jumpsim's _BLOCK), and more than the record (one block)
     @pytest.mark.parametrize("block", [1, "3 windows + 7", 10**9])
@@ -237,7 +288,7 @@ class TestStreamedPresets:
         per = round(window / config.meas.t_meas)
         if block == "3 windows + 7":
             block = 3 * per + 7
-        monkeypatch.setattr(io, "STREAM_BLOCK", block)
+        monkeypatch.setattr(experiments, "STATS_BLOCK", block)
         ranges, passes = [], set()
 
         def recorded(occupancy, meas, i, q=None):
@@ -378,8 +429,9 @@ class TestSynthesizedRecord:
     """The record draws the next range's noise on one worker thread while
     the caller works on the range in hand."""
 
-    # 8 s: 1.6 M samples, four ranges of run_stats (two 1 s windows each)
-    # and of write_iq, so the third read leaves a range to draw
+    # 8 s: 1.6 M samples, eight ranges of run_stats (one 1 s window each)
+    # and 25 of write_iq (_BLOCK samples each), so the third read leaves a
+    # range to draw
     CONFIG = preset_config("quiet-noisy", {"duration": "8"})
 
     @pytest.fixture(scope="class")
@@ -405,6 +457,22 @@ class TestSynthesizedRecord:
             assert block.i.tobytes() == whole[1].i[lo:hi].tobytes()
             assert block.q.tobytes() == whole[1].q[lo:hi].tobytes()
 
+    def test_a_second_read_is_refused_before_any_draw(self, whole):
+        # the first read uses up the trajectory's segments and the noise
+        # streams; a second would have read no segment (an IndexError deep
+        # in the occupancy) or other noise
+        record = self.record()
+        bounds = [0, 300, 700]
+        first = list(record.blocks(bounds))
+        got = [(block.i.tobytes(), block.q.tobytes()) for block in first]
+        drawn = [rng.bit_generator.state for rng in (record.i_rng, record.q_rng)]
+        with pytest.raises(ValueError, match="a synthesized record is read once"):
+            next(record.blocks(bounds))
+        assert [rng.bit_generator.state for rng in (record.i_rng, record.q_rng)] == drawn
+        assert [(block.i.tobytes(), block.q.tobytes()) for block in first] == got
+        assert b"".join(i for i, _ in got) == whole[1].i[:700].tobytes()
+        assert b"".join(q for _, q in got) == whole[1].q[:700].tobytes()
+
     def test_ranges_not_from_sample_0_are_refused(self):
         # the streams are drawn from sample 0: a range from elsewhere
         # would get other samples' noise
@@ -412,15 +480,20 @@ class TestSynthesizedRecord:
             next(self.record().blocks([100, 150]))
 
     # the last block of run_stats runs on to the record's end: longer than
-    # the others (whole blocks then a partial window) or shorter; either
-    # way the worker draws it ahead at its own length
+    # the others (whole blocks then a partial window) or shorter (one
+    # window of a two-window block, then a partial one); either way the
+    # worker draws it ahead at its own length.  0.56 s windows put two in
+    # a block, so that the last block can be shorter: 4.5 s holds 8
+    # windows and 5.5 s holds 9
     @pytest.mark.parametrize("duration, last", [("4.5", "longer"), ("5.5", "shorter")])
     def test_run_stats_last_block_against_the_range_drawn_ahead(self, duration, last):
         config = preset_config("quiet-noisy", {"duration": duration})
         truth, whole = run_simulation(config)
         n = len(whole)
-        per = round(experiments.DEFAULT_WINDOW / config.meas.t_meas)
-        size = io.STREAM_BLOCK // per * per
+        window = 0.56
+        per = round(window / config.meas.t_meas)
+        size = experiments.STATS_BLOCK // per * per
+        assert size == 2 * per
         reads = []
 
         class Recorded(experiments.SynthesizedRecord):
@@ -431,9 +504,9 @@ class TestSynthesizedRecord:
 
         record = simulate_record(config, with_q=False)
         got = run_stats(Recorded(truth, config.duration, record.meas, record.i_rng),
-                        snr_separation(config.meas))
+                        snr_separation(config.meas), window)
         want = run_stats(IQRecord(t_meas=whole.t_meas, i=whole.i, q=None),
-                         snr_separation(config.meas))
+                         snr_separation(config.meas), window)
         assert [(lo, hi) for lo, hi, _ in reads[:-1]] == [
             (lo, lo + size) for lo in range(0, reads[-1][0], size)]
         lo, hi = reads[-1][:2]
@@ -476,7 +549,7 @@ class TestSynthesizedRecord:
         before = threading.active_count()
         io.write_iq(tmp_path / "r.iq", self.record())
         assert threading.active_count() == before
-        # the third of four ranges fails
+        # the third of 25 ranges fails
         record = self.record(ThirdReadFails)
         with pytest.raises(OSError, match="third read"):
             io.write_iq(tmp_path / "s.iq", record)
@@ -497,15 +570,19 @@ class TestSynthesizedRecord:
 
     def test_two_ranges_in_flight(self, tmp_path, monkeypatch):
         # the range in hand and the one the worker fills, with their
-        # scratch: 2.3 and 2.7 ranges' bytes.  A loop that held on to the
-        # range before would add a third (3.3 and 3.7).  16 s: 3.2 M
-        # samples in four ranges of 10^6 (five windows).  The trajectory
-        # is sampled beforehand, so that the sampler's working set (about
-        # 2.4 MB, 0.3 of a range of I) is not counted as a range
+        # scratch: 2.2 and 2.7 ranges' bytes.  A loop that held on to the
+        # range before would add a third (3.2 and 3.7).  16 s: 3.2 M
+        # samples in four ranges of 10^6 (five windows), write_iq's and
+        # run_stats' blocks both patched to that size.  write_iq's pairs
+        # buffer, one range of I and Q interleaved, is not a range in
+        # flight and is not counted.  The trajectory is sampled
+        # beforehand, so that the sampler's working set (about 2.4 MB,
+        # 0.3 of a range of I) is not counted as a range
         size = 10**6
         config = preset_config("quiet-noisy", {"duration": "16"})
         truth = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
-        monkeypatch.setattr(io, "STREAM_BLOCK", size)
+        monkeypatch.setattr(io, "_BLOCK", size)
+        monkeypatch.setattr(experiments, "STATS_BLOCK", size)
         for with_q, read in ((True, lambda r: io.write_iq(tmp_path / "r.iq", r)),
                              (False, lambda r: run_stats(r, 5.0))):
             record = replace(simulate_record(config, with_q), trajectory=truth)
@@ -515,7 +592,9 @@ class TestSynthesizedRecord:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            ranges = peak / (8 * size * (2 if with_q else 1))
+            range_bytes = 8 * size * (2 if with_q else 1)
+            pairs = range_bytes if with_q else 0
+            ranges = (peak - pairs) / range_bytes
             assert ranges < 3, (with_q, ranges)
 
     def test_one_range_and_recovery_start_no_thread(self, monkeypatch):
@@ -532,7 +611,7 @@ class TestSynthesizedRecord:
                                                 "duration": "6.063"}))
         assert started == []
         run_stats(self.record(with_q=False), 5.0)
-        assert len(started) == 1  # one worker for the loop's four ranges
+        assert len(started) == 1  # one worker for the loop's eight ranges
 
     def test_records_read_side_by_side_under_fast_switching(self, whole):
         # three callers and their workers on two cores, switching threads

@@ -69,8 +69,9 @@ class TestIqFormat:
         assert np.array_equal(back.i, record.i)
         assert np.array_equal(back.q, record.q)
 
-    # write_iq pulls ranges of STREAM_BLOCK samples: at 7 they cut the
-    # record off _BLOCK's edges, at _BLOCK + 1 one range spans two of them
+    # write_iq pulls ranges of io's _BLOCK samples, patched here apart from
+    # jumpsim's: at 7 they cut the record off jumpsim._BLOCK's edges, at
+    # _BLOCK + 1 one range spans two of them
     @pytest.mark.parametrize("stream_block", [7, _BLOCK + 1])
     def test_record_is_pulled_in_ranges(self, tmp_path, monkeypatch, stream_block):
         record = make_record(2 * _BLOCK + 17)
@@ -89,7 +90,7 @@ class TestIqFormat:
 
         whole = tmp_path / "whole.iq"
         io.write_iq(whole, record)
-        monkeypatch.setattr(io, "STREAM_BLOCK", stream_block)
+        monkeypatch.setattr(io, "_BLOCK", stream_block)
         path = tmp_path / "r.iq"
         io.write_iq(path, Pulled())
         assert path.read_bytes() == whole.read_bytes()

@@ -34,7 +34,6 @@ from qpjumps.jumpsim import (
     TruthTrace,
     occupancy_blocks,
     qp_generation_rate,
-    relaxation_jump_times,
     relaxation_rate,
     run_starts,
     sample_count,
@@ -51,6 +50,7 @@ from support import (
     occupancy_chi2,
     qp_relaxation_rate,
     qubit_intervals,
+    relaxation_jump_times,
     scalar_qubit_layer,
     split_trace,
     stationary_qn,
