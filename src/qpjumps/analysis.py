@@ -74,8 +74,9 @@ def two_point_filter(iq: IQRecord, separation: float,
     filtered in blocks, so that the blocks' estimates join into the
     whole record's.  By default it is the sign of the first sample.
     """
-    if separation <= 1.0:
-        raise ValueError("separation must exceed 1 for distinct thresholds")
+    if not 1.0 < separation < math.inf:  # NaN fails it too
+        raise ValueError(f"separation must be finite and exceed 1 for distinct "
+                         f"thresholds, got {separation}")
     to_excited = -separation + 0.5
     to_ground = separation - 0.5
     i = np.asarray(iq.i, dtype=float)
@@ -243,7 +244,10 @@ class WindowedReport:
 
 def window_samples(window: float, t_meas: float) -> int:
     """Samples in a window of `window` seconds, round(window / t_meas);
-    windows shorter than 100 samples are refused."""
+    windows that are not finite or are shorter than 100 samples are
+    refused."""
+    if not math.isfinite(window):
+        raise ValueError(f"window must be a finite number of seconds, got {window}")
     if window < 100 * t_meas:
         raise ValueError("window must cover at least 100 samples")
     return int(round(window / t_meas))

@@ -55,10 +55,10 @@ from .jumpsim import (
     STATE_EXCITED,
     STATE_GROUND,
     TruthTrace,
+    excited_seconds,
     occupancy_blocks,
     run_starts,
     sample_count,
-    segments_of,
     simulate_joint,
     simulate_segments,
     snr_separation,
@@ -173,29 +173,28 @@ def experiment_names() -> tuple[str, ...]:
 class SynthesizedRecord:
     """The record of a simulated trajectory, synthesized a range at a time.
 
-    trajectory is a TruthTrace or its consecutive segments, which the
-    record reads once, as its ranges reach them; duration is the
-    trajectory's.  blocks(bounds) yields samples bounds[k] to
-    bounds[k + 1] - 1 as an IQRecord for each k: I, and Q when q_rng is
-    given.  Each quadrature's noise comes from one stream drawn in order,
-    so bounds start at 0, and the ranges hold the whole record bit for
-    bit.  The trajectory's segments and the streams are used up by one
-    read, so the record is read once: a second blocks(...) loop raises
-    ValueError before it draws anything.  One occupancy_blocks pass over
-    the trajectory, cut at the bounds, serves the whole loop: each range
-    takes its blocks from it, so no range sums a prefix of the trajectory
-    again.  events fills with the
-    trajectory's event counts as its segments pass; after the last range
-    the segments left, whose knots lie past the last whole bin, are read
-    too, so it is whole once the loop has ended.  The caller draws the
-    first range; while it works on a range, one worker thread fills the
-    next range's noise, in arrays allocated on the caller's thread.  The
-    worker lives as long as the generator: it is joined when the loop
-    ends, raises or closes the generator, and a failed draw raises in the
-    caller.  A one-range loop starts no thread.
+    trajectory is an iterable of consecutive segments, which the record
+    reads once, as its ranges reach them; duration is the trajectory's.
+    blocks(bounds) yields samples bounds[k] to bounds[k + 1] - 1 as an
+    IQRecord for each k: I, and Q when q_rng is given.  Each quadrature's
+    noise comes from one stream drawn in order, so bounds start at 0, and
+    the ranges hold the whole record bit for bit.  The trajectory's
+    segments and the streams are used up by one read, so the record is
+    read once: a second blocks(...) loop raises ValueError before it
+    draws anything.  One occupancy_blocks pass over the trajectory, cut
+    at the bounds, serves the whole loop: each range takes its blocks from
+    it, so no range sums a prefix of the trajectory again.  events fills
+    with the trajectory's event counts as its segments pass; after the
+    last range the segments left, whose knots lie past the last whole
+    bin, are read too, so it is whole once the loop has ended.  The
+    caller draws the first range; while it works on a range, one worker
+    thread fills the next range's noise, in arrays allocated on the
+    caller's thread.  The worker lives as long as the generator: it is
+    joined when the loop ends, raises or closes the generator, and a
+    failed draw raises in the caller.  A one-range loop starts no thread.
     """
 
-    trajectory: TruthTrace | Iterable[TruthTrace]
+    trajectory: Iterable[TruthTrace]
     duration: float
     meas: MeasurementParams
     i_rng: np.random.Generator
@@ -272,7 +271,7 @@ def run_simulation(config: ScenarioConfig) -> tuple[TruthTrace, IQRecord]:
     joined by simulate_joint and the record synthesized in one range."""
     qp, candidates, uniforms, noise_i, noise_q = _streams(config)
     truth = simulate_joint(config, qp, candidates, uniforms)
-    record = SynthesizedRecord(truth, truth.duration, config.meas, noise_i, noise_q)
+    record = SynthesizedRecord([truth], truth.duration, config.meas, noise_i, noise_q)
     whole, = record.blocks([0, len(record)])
     return truth, whole
 
@@ -502,42 +501,38 @@ def recovery_chunk_stats(
     of the config's periodic train; a jump's time counts from the end of
     the pulse before it.
 
-    trajectory is a TruthTrace or its consecutive segments, read in one
-    pass.  The excited seconds before each knot are summed from the sum
-    carried out of the segment before, so np.cumsum adds in the order of
-    one running sum over the trace, and each bin edge takes the knot at or
-    before it.  The edges rise from pulse to pulse, so each segment's are
-    the next ones before its end, and those past the last segment take its
-    last knot.  The qubit state is carried across segments, so a
-    relaxation on a segment's first knot counts.  The jumps' times and
-    bins are collected over the whole pass and binned at once, so the sums
-    add in trace order.  The results equal the whole trace's bit for bit,
-    whatever the segments.
+    trajectory is an iterable of consecutive segments, read in one pass.
+    The excited seconds before the bin edges come from excited_seconds,
+    called once per segment on the edges before its end with the sum
+    carried out of the segment before, so they add in the order of one
+    running sum over the trace.  The edges rise from pulse to pulse, so
+    each segment's are the next ones before its end, and those past the
+    last segment take its last knot.  The qubit state is carried across
+    segments, so a relaxation on a segment's first knot counts.  The
+    jumps' times and bins are collected over the whole pass and binned at
+    once, so the sums add in trace order.  The results equal the whole
+    trace's bit for bit, whatever the segments.
     """
     pulse_ends = np.array([p.end for p in config.pulses])
     abs_edges = (pulse_ends[:, None] + rel_edges[None, :]).ravel()
     period = config.pulse_periodic.period
     cum = np.empty(len(abs_edges))  # excited seconds before each edge
+    scratch = np.empty(len(abs_edges))
     rels, bins = [], []  # each segment's binned jumps: time after the pulse, bin
     done = 0  # the edges before the segment in hand
-    carry, state = 0.0, None  # excited seconds and qubit state before it
-    for segment in segments_of(trajectory):
+    # excited seconds and qubit state before it: ground before the trace,
+    # so its first knot is never a relaxation
+    carry, state = 0.0, STATE_GROUND
+    for segment in trajectory:
         times = segment.times
         excited = segment.states == STATE_EXCITED
-        # the excited seconds before each knot, and before the segment's end
-        before = np.empty(len(times) + 1)
-        before[0] = carry
-        np.multiply(np.diff(times, append=segment.duration), excited, out=before[1:])
-        np.cumsum(before, out=before)
         hi = int(np.searchsorted(abs_edges, segment.duration))
-        edges = abs_edges[done:hi]
-        k = np.searchsorted(times, edges, side="right") - 1
-        cum[done:hi] = before[k] + (edges - times[k]) * excited[k]
-        done, carry = hi, before[-1]
+        at_knots = excited_seconds(times, excited, carry, abs_edges[done:hi],
+                                   cum[done:hi], scratch[done:hi])
+        done = hi
+        carry = at_knots[-1] + (segment.duration - times[-1]) * excited[-1]
 
-        flips = run_starts(segment.states)
-        if state is None or segment.states[0] == state:
-            flips = flips[1:]  # the first knot is no flip
+        flips = run_starts(segment.states, state)
         state = segment.states[-1]
         jumps = times[flips[segment.states[flips] == STATE_GROUND]]
         rel = (jumps - pulse_ends[0]) % period
@@ -545,8 +540,8 @@ def recovery_chunk_stats(
         ok = (idx >= 0) & (idx < len(rel_edges) - 1) & (jumps >= pulse_ends[0])
         rels.append(rel[ok])
         bins.append(idx[ok])
-    edges = abs_edges[done:]
-    cum[done:] = before[-2] + (edges - times[-1]) * excited[-1]
+    excited_seconds(times[-1:], excited[-1:], at_knots[-1], abs_edges[done:],
+                    cum[done:], scratch[done:])
 
     exposure = np.diff(cum.reshape(len(pulse_ends), len(rel_edges)), axis=1).sum(axis=0)
     idx = np.concatenate(bins)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .analysis import DwellHistogram, WindowedReport
 from .core import ScenarioConfig, serialize_config
-from .jumpsim import _BLOCK, IQRecord, run_starts, segments_of
+from .jumpsim import _BLOCK, IQRecord, run_starts
 
 try:
     TOOL_VERSION = importlib.metadata.version("qpjumps")
@@ -219,28 +219,25 @@ def write_csv(path, header: str, blocks) -> None:
 
 
 def write_truth_csv(path, trajectory) -> None:
-    """One row per knot of a trajectory, a TruthTrace or its consecutive
-    segments, written a segment at a time: time, qubit state and QP count."""
+    """One row per knot of a trajectory's consecutive segments, written a
+    segment at a time: time, qubit state and QP count."""
     write_csv(path, "time_s,state,N",
-              ((s.times, _STATE_LABELS[s.states], s.counts) for s in segments_of(trajectory)))
+              ((s.times, _STATE_LABELS[s.states], s.counts) for s in trajectory))
 
 
 def _qp_changes(trajectory):
     """The knots of a trajectory where N changes, the first included, as
-    blocks of (time, N) columns, one per segment: a segment's first knot
-    is a change only if N differs from the last knot before it."""
-    last = None
-    for segment in segments_of(trajectory):
-        first = run_starts(segment.counts)
-        if last is not None and segment.counts[0] == last:
-            first = first[1:]
+    blocks of (time, N) columns, one per segment."""
+    last = None  # N before the segment
+    for segment in trajectory:
+        first = run_starts(segment.counts, last)
         last = segment.counts[-1]
         yield segment.times[first], segment.counts[first]
 
 
 def write_qp_trace_csv(path, trajectory) -> None:
-    """QP-count marginal of a trajectory, a TruthTrace or its consecutive
-    segments: the initial count at t=0, then a row per change of N."""
+    """QP-count marginal of a trajectory's consecutive segments: the
+    initial count at t=0, then a row per change of N."""
     write_csv(path, "time_s,N", _qp_changes(trajectory))
 
 
@@ -256,9 +253,8 @@ def _runs(blocks):
     start, state = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
     end = 0
     for est in blocks:
-        first = run_starts(est.states)
-        if len(state) and est.states[0] == state[0]:
-            first = first[1:]  # the open run goes on
+        # the open run goes on into the block if its state does
+        first = run_starts(est.states, state[0] if len(state) else None)
         starts = np.concatenate((start, end + first))
         states = np.concatenate((state, est.states[first]))
         end += len(est)

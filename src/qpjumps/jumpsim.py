@@ -105,12 +105,16 @@ def thermal_decay_constant(
 # joint trajectory
 # ---------------------------------------------------------------------------
 
-def run_starts(values) -> np.ndarray:
-    """Index of the first element and of every element that differs from
-    the one before it: where each maximal run of equal values starts."""
+def run_starts(values, before=None) -> np.ndarray:
+    """Index of every element that starts a maximal run of equal values:
+    each one that differs from the one before it, and the first unless it
+    equals before, the value standing just before values (None: nothing
+    stands there, so the first always starts a run).  A piece read with
+    the last value of the piece before as before gives the starts of the
+    runs that the whole, read at once, starts inside that piece."""
     values = np.asarray(values)
     starts = np.empty(len(values), dtype=bool)
-    starts[:1] = True
+    starts[:1] = before is None or values[:1] != before
     np.not_equal(values[1:], values[:-1], out=starts[1:])
     return np.flatnonzero(starts)
 
@@ -126,12 +130,13 @@ class TruthTrace:
     counts events, one fewer than the knots.  The trace holds these three
     arrays and nothing derived from them, 17 B per knot.
 
-    A trajectory also comes as consecutive segments, each a TruthTrace
-    whose knots follow the segment before's: its times[0] is where it
-    starts, and its duration is where the next one starts (the record's
-    duration for the last).  simulate_segments yields a trajectory so, and
-    its readers (occupancy_blocks, tally_events and the io truth writers)
-    take a trajectory in either form, so a record need never hold it whole.
+    The readers of a trajectory (occupancy_blocks, tally_events,
+    experiments.recovery_chunk_stats and the io truth writers) take it as
+    an iterable of consecutive segments, each a TruthTrace whose knots
+    follow the segment before's: its times[0] is where it starts, and its
+    duration is where the next one starts (the record's duration for the
+    last).  simulate_segments yields a trajectory so, and a whole trace is
+    the one segment [trace], so a record need never hold it whole.
     """
 
     duration: float
@@ -142,67 +147,74 @@ class TruthTrace:
     def __len__(self) -> int:
         return len(self.times) - 1
 
-    def event_counts(self) -> dict[str, int]:
-        """Events, and of them the QP-number changes and the qubit flips."""
-        counts = {}
-        for _ in tally_events(self, counts):
-            pass
-        return counts
-
-
-def segments_of(trajectory):
-    """The consecutive segments of a trajectory given as one TruthTrace or
-    as an iterable of its segments."""
-    return (trajectory,) if isinstance(trajectory, TruthTrace) else trajectory
-
-
-def _changes(values: np.ndarray, before) -> int:
-    """Changes from each value to the next, and from before to the first
-    unless before is None."""
-    changed = int(np.count_nonzero(values[1:] != values[:-1]))
-    return changed + int(before is not None and values[0] != before)
-
 
 def tally_events(trajectory, counts: dict):
     """Yield the segments of a trajectory as they come, adding their events
     into counts: "events", and of them "qp_events" (changes of N) and
     "qubit_flips" (changes of the state), counted across segment edges
-    too.  Once the last segment has passed, counts holds the whole
-    trajectory's event_counts()."""
-    counts.update(events=-1, qp_events=0, qubit_flips=0)
+    too: each counts knots, or run starts, less the first, so it starts
+    at -1.  Once the last segment has passed, counts holds the whole
+    trajectory's."""
+    counts.update(events=-1, qp_events=-1, qubit_flips=-1)
     state = count = None  # the last knot before the segment
-    for segment in segments_of(trajectory):
+    for segment in trajectory:
         counts["events"] += len(segment.times)
-        counts["qp_events"] += _changes(segment.counts, count)
-        counts["qubit_flips"] += _changes(segment.states, state)
+        counts["qp_events"] += len(run_starts(segment.counts, count))
+        counts["qubit_flips"] += len(run_starts(segment.states, state))
         state, count = segment.states[-1], segment.counts[-1]
         yield segment
+
+
+def excited_seconds(t, excited, carry, edges, out, scratch) -> np.ndarray:
+    """Excited seconds before each of the rising edges, into out; returns
+    the excited seconds before each knot.
+
+    The knots are at times t, excited where excited is True, with carry
+    excited seconds before t[0]; each edge is at or after t[0] and takes
+    the knot at or before it (the last knot for every edge past it), so
+    out = cum[k] + (edges - t[k]) * excited[k].  np.cumsum adds from carry
+    in the order of one running sum, so consecutive pieces of a trace,
+    each given the sum carried out of the piece before, give the whole
+    trace's sums bit for bit.  The knot under each edge comes from one
+    search per knot, not one per edge: knot j is under the edges from the
+    first at or after t[j] to the first at or after t[j + 1].  scratch,
+    as long as edges, is overwritten.
+    """
+    cum = np.empty(len(t))
+    cum[0] = carry
+    np.multiply(np.diff(t), excited[:-1], out=cum[1:])
+    np.cumsum(cum, out=cum)
+    runs = np.diff(np.concatenate(([0], np.searchsorted(edges, t[1:]), [len(edges)])))
+    k = np.repeat(np.arange(len(t)), runs)
+    # (k is in range; mode="clip" only spares take() a buffered copy)
+    np.take(t, k, out=scratch, mode="clip")
+    np.subtract(edges, scratch, out=scratch)
+    scratch *= excited[k]
+    np.take(cum, k, out=out, mode="clip")
+    out += scratch
+    return cum
 
 
 def occupancy_blocks(trajectory, t_meas: float, bounds):
     """Fraction of each readout bin spent excited, in consecutive blocks.
 
-    trajectory is a TruthTrace or its consecutive segments.  Bin k spans
-    the edges float(k) * t_meas and float(k + 1) * t_meas.  bounds are the
+    trajectory is an iterable of consecutive segments.  Bin k spans the
+    edges float(k) * t_meas and float(k + 1) * t_meas.  bounds are the
     bounds of consecutive ranges of bins from bin 0; bounds that do not
     start at 0 raise ValueError.  The blocks cover bins 0 to bounds[-1] - 1
     in order, at most _BLOCK bins each, and each range starts a new block,
     so a range's blocks end at its bound.  Each yielded array is scratch
     space: the caller may overwrite it, and the next block does.  A bin's
     value is the difference of the excited seconds before its two edges,
-    over its width, and the values are the same bit for bit whatever the
-    bounds and the segments: the excited seconds before each knot are
-    summed over each block's knots alone, from the sum carried out of the
-    block before, and np.cumsum adds in the order of one running sum over
-    the trace.  The knot under each edge comes from one pass over the
-    block's knots, not a search per edge, so the cost is O(knots + bins).
-    Segments are pulled as the edges reach them, and only the knots from
-    the one under the block's first edge to the end of the last segment
-    pulled are held.
+    over its width, from excited_seconds over the block's knots and the
+    sum carried out of the block before, so the values are the same bit
+    for bit whatever the bounds and the segments.  Segments are pulled as
+    the edges reach them, and only the knots from the one under the
+    block's first edge to the end of the last segment pulled are held.
     """
     if bounds[0] != 0:
         raise ValueError(f"ranges from bin {bounds[0]}: the occupancy is read from bin 0")
-    segments = iter(segments_of(trajectory))
+    segments = iter(trajectory)
     size = min(_BLOCK, bounds[-1])
     steps = np.arange(size + 1, dtype=float)
     edges = np.empty(size + 1)
@@ -229,30 +241,9 @@ def occupancy_blocks(trajectory, t_meas: float, bounds):
                 times = np.concatenate([t for t, _ in pulled])
                 states = np.concatenate([s for _, s in pulled])
                 del pulled
-            # knots 0 to j1 - 1 are under the block's edges: the first
-            # under the first, and each later one under the edges from the
-            # first at or after it, min{k : float(k) * t_meas >= t_j}: a
-            # ceil, corrected with the same products that make the edges
+            # knots 0 to j1 - 1 are under the block's edges
             j1 = int(np.searchsorted(times, e[m], side="right"))
-            t = times[:j1]
-            excited = states[:j1] == STATE_EXCITED
-            cum = np.empty(len(t))
-            cum[0] = carry
-            np.multiply(np.diff(t), excited[:-1], out=cum[1:])
-            np.cumsum(cum, out=cum)
-            first = np.ceil(t[1:] / t_meas)
-            first -= (first - 1.0) * t_meas >= t[1:]
-            first += first * t_meas < t[1:]
-            runs = np.diff(np.concatenate(([lo], first.astype(np.int64), [lo + m + 1])))
-            # the knot under each edge
-            k = np.repeat(np.arange(len(t)), runs)
-            # excited seconds before each edge: cum[k] + (e - t[k]) * excited[k]
-            # (k is in range; mode="clip" only spares take() a buffered copy)
-            np.take(t, k, out=d, mode="clip")
-            np.subtract(e, d, out=d)
-            d *= excited[k]
-            np.take(cum, k, out=c, mode="clip")
-            c += d
+            cum = excited_seconds(times[:j1], states[:j1] == STATE_EXCITED, carry, e, c, d)
             # diff(c) / diff(e), reusing d for the fraction and c for the width
             frac, width = d[:m], c[:m]
             np.subtract(c[1:], c[:-1], out=frac)
@@ -395,7 +386,7 @@ def _flip_times(t: np.ndarray, accept: np.ndarray, state: int) -> tuple[np.ndarr
     last_reject = np.maximum.accumulate(np.where(accept, state - 1, idx))
     s = accept & ((idx - last_reject) & 1 == 1)
     # a flip wherever s changes, with the carried state standing before it
-    return t[run_starts(np.concatenate(([state != 0], s)))[1:] - 1], int(s[-1])
+    return t[run_starts(s, state != 0)], int(s[-1])
 
 
 def _merge(knot_t: np.ndarray, knot_n: np.ndarray, flips: np.ndarray,

@@ -8,8 +8,8 @@ pairs) follows
 with all three coefficients in 1/s and x dimensionless.  The discrete
 counterpart, a birth-death chain on the QP number N in which QPs are created
 and recombine in pairs (broken/reformed Cooper pairs) while trapping removes
-them one at a time, is sampled jointly with the qubit by
-jumpsim.simulate_joint.
+them one at a time, is the first layer of jumpsim.simulate_segments, which
+samples it alone and then the qubit it drives.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Test-only helpers: synthetic spectral series, the noiseless readout
 record, whole-array oracles for the blocked record pipeline, for the
 presets that stream their record and for the recovery statistics that
-read a chunk's segments, an RK4
-integrator for the QP density rate equation, a scalar loop over the
-sampler's qubit candidates, the qubit intervals of a trace, a trace cut
-into segments, and an exact oracle for the joint (modulator,
-qubit, QP number) Markov chain sampled by jumpsim.simulate_joint.
+read a chunk's segments, an RK4 integrator for the QP density rate
+equation, a scalar loop over the sampler's qubit candidates, the qubit
+intervals and event counts of a trace, a trace cut into segments, and an
+exact oracle for the joint (modulator, qubit, QP number) Markov chain
+sampled by jumpsim.simulate_joint.
 
 The oracle is built from the model's rate definitions (the scalar rate
 functions below and the kinetics coefficients), not from the sampler's
@@ -120,6 +120,15 @@ def excited_time_at(truth: TruthTrace, times) -> np.ndarray:
     return cum[idx] + (times - t[idx]) * excited[idx]
 
 
+def event_counts(truth: TruthTrace) -> dict[str, int]:
+    """The events of a whole trace, as jumpsim.tally_events counts them:
+    knots after the first, and of them the changes of N and of the qubit
+    state."""
+    return {"events": len(truth),
+            "qp_events": int(np.count_nonzero(np.diff(truth.counts))),
+            "qubit_flips": int(np.count_nonzero(np.diff(truth.states)))}
+
+
 def relaxation_jump_times(truth: TruthTrace) -> np.ndarray:
     """Times of excited-to-ground transitions in the trajectory."""
     flips = run_starts(truth.states)[1:]
@@ -174,7 +183,7 @@ def noiseless_iq(truth: TruthTrace, meas: MeasurementParams) -> IQRecord:
     n = sample_count(truth.duration, meas.t_meas)
     f_e = np.empty(n)
     lo = 0
-    for block in occupancy_blocks(truth, meas.t_meas, [0, n]):
+    for block in occupancy_blocks([truth], meas.t_meas, [0, n]):
         f_e[lo:lo + len(block)] = block
         lo += len(block)
     return IQRecord(t_meas=meas.t_meas, i=(1.0 - 2.0 * f_e) * snr_separation(meas),

@@ -16,6 +16,7 @@ from qpjumps.analysis import (
     polarization,
     split_windows,
     two_point_filter,
+    window_samples,
     windowed_report,
 )
 from qpjumps.core import MeasurementParams, polarization_to_temperature
@@ -72,6 +73,11 @@ class TestTwoPointFilter:
     def test_requires_separated_thresholds(self):
         with pytest.raises(ValueError):
             two_point_filter(record([1.0, 2.0]), separation=1.0)
+
+    @pytest.mark.parametrize("separation", [math.nan, math.inf])
+    def test_refuses_a_separation_that_is_not_finite(self, separation):
+        with pytest.raises(ValueError, match="separation must be finite"):
+            two_point_filter(record([1.0, 2.0]), separation=separation)
 
     @given(st.lists(st.floats(min_value=-6, max_value=6), min_size=1, max_size=200))
     def test_sign_flip_swaps_labels(self, values):
@@ -360,6 +366,11 @@ class TestWindowedReport:
     def test_window_must_cover_enough_samples(self):
         with pytest.raises(ValueError):
             windowed_report(estimate(np.zeros(1000, dtype=np.uint8)), window=50 * TM)
+
+    @pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf])
+    def test_window_must_be_finite(self, window):
+        with pytest.raises(ValueError, match="window must be a finite number of seconds"):
+            window_samples(window, TM)
 
     def test_split_windows_are_the_report_windows(self):
         states = markov_states(1050, 0.05, 0.05, np.random.default_rng(3))

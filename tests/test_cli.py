@@ -304,6 +304,35 @@ class TestFilterAndStats:
         assert main(["filter", "--record", str(out / "record.iq"),
                      "--separation", "0.5", "--out", str(out)]) == 2
 
+    @staticmethod
+    def _noise_record(tmp_path):
+        """A 0.5 s record of unit noise, 100,000 samples."""
+        path = tmp_path / "noise.iq"
+        rng = np.random.default_rng(0)
+        io.write_iq(path, IQRecord(t_meas=5e-6, i=rng.standard_normal(100_000),
+                                   q=rng.standard_normal(100_000)))
+        return str(path)
+
+    @pytest.mark.parametrize("separation", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["filter", "stats"])
+    def test_separation_that_is_not_finite_exits_2(self, tmp_path, command, separation,
+                                                    capsys):
+        out = tmp_path / "out"
+        window = ["--window", "0.05"] if command == "stats" else []
+        assert main([command, "--record", self._noise_record(tmp_path), *window,
+                     "--separation", separation, "--out", str(out)]) == 2
+        assert "separation must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("window", ["nan", "inf"])
+    def test_window_that_is_not_finite_exits_2(self, tmp_path, window, capsys):
+        out = tmp_path / "out"
+        assert main(["stats", "--record", self._noise_record(tmp_path),
+                     "--window", window, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"invalid input: window must be a finite number of seconds, got {window}\n"
+        assert not out.exists()
+
 
 class TestFitCommands:
     def test_fit_thermal_round_trip(self, tmp_path):

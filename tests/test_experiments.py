@@ -32,7 +32,12 @@ from qpjumps.jumpsim import (
     snr_separation,
 )
 
-from support import split_trace, whole_record_experiment, whole_trace_chunk_stats
+from support import (
+    event_counts,
+    split_trace,
+    whole_record_experiment,
+    whole_trace_chunk_stats,
+)
 
 
 def joined_trace(*args):
@@ -88,7 +93,7 @@ class TestRecoveryMachinery:
             states=np.array([STATE_EXCITED, STATE_GROUND], dtype=np.uint8),
             counts=np.zeros(2, dtype=np.int64),
         )
-        exposure, counts, t_sum = recovery_chunk_stats(truth, config, edges)
+        exposure, counts, t_sum = recovery_chunk_stats([truth], config, edges)
         k = np.searchsorted(edges, t_rel, side="right") - 1
         assert counts.sum() == 1 and counts[k] == 1
         assert t_sum[k] == pytest.approx(t_rel, rel=1e-9)
@@ -114,7 +119,7 @@ class TestRecoveryMachinery:
             states=np.array([STATE_EXCITED, STATE_GROUND], dtype=np.uint8),
             counts=np.zeros(2, dtype=np.int64),
         )
-        exposure, counts, t_sum = recovery_chunk_stats(truth, config, edges)
+        exposure, counts, t_sum = recovery_chunk_stats([truth], config, edges)
         assert counts.sum() == 0 and t_sum.sum() == 0
         # every bin is excited after the first pulse only, and the last one
         # stops where the second pulse starts
@@ -209,7 +214,7 @@ class TestRecoveryChunkStats:
         want = whole_trace_chunk_stats(truth, config, rel_edges)
         assert want[1].sum() > 100 and want[0].sum() > 0
         if seed is None:
-            trajectory = truth
+            trajectory = [truth]
         else:
             rng = np.random.default_rng(seed)
             relax = np.flatnonzero((truth.states[:-1] == STATE_EXCITED)
@@ -379,7 +384,7 @@ class TestStreamedPresets:
         truth = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         n = sample_count(config.duration, config.meas.t_meas)
         assert n == 200 and np.count_nonzero(truth.times > n * config.meas.t_meas) > 10
-        want = truth.event_counts()
+        want = event_counts(truth)
 
         _, counts = run_experiment("quiet-noisy", config, tmp_path / "exp")
         assert {key: counts[key] for key in want} == want
@@ -503,7 +508,7 @@ class TestSynthesizedRecord:
                     yield block
 
         record = simulate_record(config, with_q=False)
-        got = run_stats(Recorded(truth, config.duration, record.meas, record.i_rng),
+        got = run_stats(Recorded([truth], config.duration, record.meas, record.i_rng),
                         snr_separation(config.meas), window)
         want = run_stats(IQRecord(t_meas=whole.t_meas, i=whole.i, q=None),
                          snr_separation(config.meas), window)
@@ -585,7 +590,7 @@ class TestSynthesizedRecord:
         monkeypatch.setattr(experiments, "STATS_BLOCK", size)
         for with_q, read in ((True, lambda r: io.write_iq(tmp_path / "r.iq", r)),
                              (False, lambda r: run_stats(r, 5.0))):
-            record = replace(simulate_record(config, with_q), trajectory=truth)
+            record = replace(simulate_record(config, with_q), trajectory=[truth])
             tracemalloc.start()
             try:
                 read(record)

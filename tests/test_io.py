@@ -133,7 +133,7 @@ class TestIqFormat:
                                states=np.zeros(1, dtype=np.uint8),
                                counts=np.zeros(1, dtype=np.int64))
             for record in (IQRecord(t_meas=meas.t_meas, i=np.zeros(n), q=None),
-                           SynthesizedRecord(truth, truth.duration, meas,
+                           SynthesizedRecord([truth], truth.duration, meas,
                                              np.random.default_rng(0))):
                 assert len(record) == n
                 path = tmp_path / "r.iq"
@@ -199,7 +199,7 @@ class TestCsvWriters:
             counts=np.array([2, 2, 3], dtype=np.int64),
         )
         path = tmp_path / "t.csv"
-        io.write_truth_csv(path, truth)
+        io.write_truth_csv(path, [truth])
         lines = path.read_text().splitlines()
         assert lines[0] == "time_s,state,N"
         assert lines[1] == "0,g,2"
@@ -216,7 +216,7 @@ class TestCsvWriters:
                            states=rng.integers(0, 2, n).astype(np.uint8),
                            counts=rng.integers(0, 5000, n))
         path = tmp_path / "t.csv"
-        io.write_truth_csv(path, truth)
+        io.write_truth_csv(path, [truth])
         blob = path.read_bytes()
         assert blob.count(b"\n") == n + 1
         assert hashlib.sha256(blob).hexdigest() == (
@@ -231,7 +231,7 @@ class TestCsvWriters:
             counts=np.array([3, 3, 5, 5, 4], dtype=np.int64),
         )
         path = tmp_path / "qp.csv"
-        io.write_qp_trace_csv(path, truth)
+        io.write_qp_trace_csv(path, [truth])
         assert path.read_text().splitlines() == ["time_s,N", "0,3", "0.2,5", "0.4,4"]
 
     # cut before a knot whose N equals the one before (1, 3), before a
@@ -242,7 +242,7 @@ class TestCsvWriters:
                            states=np.array([0, 1, 1, 0, 0, 1], dtype=np.uint8),
                            counts=np.array([3, 3, 5, 5, 4, 7], dtype=np.int64))
         for write in (io.write_truth_csv, io.write_qp_trace_csv):
-            write(tmp_path / "whole.csv", truth)
+            write(tmp_path / "whole.csv", [truth])
             write(tmp_path / "cut.csv", split_trace(truth, cuts))
             assert (tmp_path / "cut.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
@@ -327,10 +327,10 @@ BIG = 1_234_567_891  # over 1e9: str writes 1234567891, the float format 1.23456
 
 
 def _pinned_qp_trace(path):
-    io.write_qp_trace_csv(path, TruthTrace(
+    io.write_qp_trace_csv(path, [TruthTrace(
         duration=1.0, times=np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
         states=np.array([0, 1, 1, 0, 0, 1], dtype=np.uint8),
-        counts=np.array([3, 3, BIG, BIG, 4, 7], dtype=np.int64)))
+        counts=np.array([3, 3, BIG, BIG, 4, 7], dtype=np.int64))])
 
 
 def _pinned_histogram(path):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.optimize import curve_fit
@@ -32,6 +32,7 @@ from qpjumps.jumpsim import (
     STATE_EXCITED,
     STATE_GROUND,
     TruthTrace,
+    excited_seconds,
     occupancy_blocks,
     qp_generation_rate,
     relaxation_rate,
@@ -46,6 +47,8 @@ from qpjumps.jumpsim import (
 )
 
 from support import (
+    event_counts,
+    excited_time_at,
     noiseless_iq,
     occupancy_chi2,
     qp_relaxation_rate,
@@ -194,7 +197,7 @@ class TestSimulateJoint:
         assert trace.counts[0] == 0
         assert trace.states[0] in (STATE_GROUND, STATE_EXCITED)
         # occupancy helpers still work on an event-free trace
-        assert next(occupancy_blocks(trace, 1.0, [0, 1]))[0] in (0.0, 1.0)
+        assert next(occupancy_blocks([trace], 1.0, [0, 1]))[0] in (0.0, 1.0)
 
     def test_frozen_population_dwells_are_exponential(self):
         config = frozen_config(2, duration=4.0, seed=21)
@@ -266,7 +269,7 @@ class TestSimulateJoint:
         assert config.pulses[0].end == config.duration
         trace = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         assert trace.times.tolist() == [0.0]
-        assert trace.event_counts()["events"] == 0
+        assert event_counts(trace)["events"] == 0
 
     def test_replaced_train_simulates_what_serializes(self):
         # a train replaced after parsing must not keep the parsed pulses
@@ -759,7 +762,7 @@ class TestBlockedRecordOracle:
         truth, meas = case
         n = sample_count(truth.duration, meas.t_meas)
         i_rng, q_rng = np.random.default_rng(seed).spawn(2)
-        got = synthesize_iq(occupancy_blocks(truth, meas.t_meas, [0, n]), meas,
+        got = synthesize_iq(occupancy_blocks([truth], meas.t_meas, [0, n]), meas,
                             i_rng.standard_normal(n), q_rng.standard_normal(n))
         want = whole_record_iq(truth, meas, *np.random.default_rng(seed).spawn(2))
         assert got.i.tobytes() == want.i.tobytes()
@@ -797,8 +800,8 @@ class TestRecordRanges:
         # the trace as segments cut at knots, on bin edges among them
         segments = split_trace(truth, [int(c * len(truth.times)) for c in knot_cuts])
         # each yielded block is scratch that the next one overwrites
-        whole = [block.copy() for block in occupancy_blocks(truth, meas.t_meas, [0, n])]
-        pieces = [block.copy() for block in occupancy_blocks(truth, meas.t_meas, bounds)]
+        whole = [block.copy() for block in occupancy_blocks([truth], meas.t_meas, [0, n])]
+        pieces = [block.copy() for block in occupancy_blocks([truth], meas.t_meas, bounds)]
         assert np.concatenate(pieces).tobytes() == np.concatenate(whole).tobytes()
         streamed = [block.copy() for block in occupancy_blocks(segments, meas.t_meas, bounds)]
         assert np.concatenate(streamed).tobytes() == np.concatenate(whole).tobytes()
@@ -820,7 +823,7 @@ class TestRecordRanges:
                            states=np.array([STATE_GROUND, STATE_EXCITED], dtype=np.uint8),
                            counts=np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError, match="ranges from bin 5: "):
-            next(occupancy_blocks(truth, 1.0, [5, 10]))
+            next(occupancy_blocks([truth], 1.0, [5, 10]))
 
     def test_q_is_checked_only_when_present(self):
         assert len(jumpsim.IQRecord(t_meas=1.0, i=np.zeros(3), q=None)) == 3
@@ -852,12 +855,62 @@ def runs_of_values(draw):
 
 
 class TestRunStarts:
+    # nothing before the values, their first value, and a value unlike any
+    # of them (runs_of_values draws 0 to 2); the empty array with each
+    @pytest.mark.parametrize("before", ["none", "first", "other"])
     @settings(max_examples=200, deadline=None)
     @given(runs_of_values())
-    def test_runs_rebuild_the_input_and_are_maximal(self, values):
-        starts = run_starts(values)
-        lengths = np.diff(starts, append=len(values))
-        assert np.array_equal(np.repeat(values[starts], lengths), values)
-        assert np.all(lengths >= 1)
-        assert np.all(values[starts][1:] != values[starts][:-1])
-        assert starts[:1].tolist() == [0][:len(values)]
+    @example(np.empty(0, dtype=np.uint8))
+    def test_runs_rebuild_the_input_and_are_maximal(self, before, values):
+        b = {"none": None, "first": values[0] if len(values) else 0, "other": 3}[before]
+        starts = run_starts(values, b)
+        if b is None:
+            lengths = np.diff(starts, append=len(values))
+            assert np.array_equal(np.repeat(values[starts], lengths), values)
+            assert np.all(lengths >= 1)
+            assert np.all(values[starts][1:] != values[starts][:-1])
+            assert starts[:1].tolist() == [0][:len(values)]
+        else:
+            # the starts inside values of the runs of b followed by values
+            joined = run_starts(np.concatenate((np.array([b], dtype=values.dtype), values)))
+            assert starts.tolist() == (joined[1:] - 1).tolist()
+            assert (0 in starts) == (before == "other" and len(values) > 0)
+
+
+class TestExcitedSeconds:
+    """excited_seconds over a trace cut at random knots, each piece given
+    the sum carried out of the piece before, against the whole-trace table
+    of support.excited_time_at."""
+
+    @pytest.mark.parametrize("t_meas, seed", [(5e-6, 0), (3.7e-6, 1), (1e-3, 2), (3.7e-6, 3)])
+    def test_pieces_equal_the_whole_trace(self, t_meas, seed):
+        rng = np.random.default_rng(seed)
+        n = 3000
+        # knots exactly on bin edges float(k) * t_meas, one ulp either side
+        # of them, and at random
+        on_edges = rng.integers(1, n, size=500).astype(float) * t_meas
+        times = np.unique(np.concatenate((
+            [0.0], on_edges, np.nextafter(on_edges, -np.inf), np.nextafter(on_edges, np.inf),
+            rng.uniform(0.0, n * t_meas, size=500))))
+        truth = TruthTrace(duration=n * t_meas, times=times,
+                           states=rng.integers(0, 2, len(times)).astype(np.uint8),
+                           counts=np.zeros(len(times), dtype=np.int64))
+        edges = np.arange(n + 1, dtype=float) * t_meas
+        pieces = split_trace(truth, rng.integers(1, len(times), size=40))
+        assert len(pieces) > 30
+        # each piece takes the edges before the next piece's first knot,
+        # the last piece all the edges left
+        ends = np.searchsorted(edges, [p.duration for p in pieces[:-1]] + [math.inf])
+        got, scratch = np.empty(n + 1), np.empty(n + 1)
+        at_knots = []
+        carry, done = 0.0, 0
+        for piece, hi in zip(pieces, ends):
+            excited = piece.states == STATE_EXCITED
+            cum = excited_seconds(piece.times, excited, carry, edges[done:hi], got[done:hi],
+                                  scratch[done:hi])
+            at_knots.append(cum)
+            carry = cum[-1] + (piece.duration - piece.times[-1]) * excited[-1]
+            done = hi
+        assert done == n + 1
+        assert got.tobytes() == excited_time_at(truth, edges).tobytes()
+        assert np.concatenate(at_knots).tobytes() == excited_time_at(truth, times).tobytes()
