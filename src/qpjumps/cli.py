@@ -86,6 +86,9 @@ def cmd_simulate(args) -> int:
     t0 = time.monotonic()
     config = _scenario(args)
     record = experiments.simulate_record(config)
+    if len(record) == 0:
+        raise ConfigError(f"duration = {config.duration:g} s is shorter than one t_meas = "
+                          f"{config.meas.t_meas:g} s bin: the record would hold no samples")
     record_path = os.path.join(args.out, "record.iq")
     io.write_iq(record_path, record)
     outputs = [record_path]

@@ -183,7 +183,7 @@ class SynthesizedRecord:
     read once: a second blocks(...) loop raises ValueError before it
     draws anything.  One occupancy_blocks pass over the trajectory, cut
     at the bounds, serves the whole loop: each range takes its blocks from
-    it, so no range sums a prefix of the trajectory again.  events fills
+    it, so the segments are read once, as the bins reach them.  events fills
     with the trajectory's event counts as its segments pass; after the
     last range the segments left, whose knots lie past the last whole
     bin, are read too, so it is whole once the loop has ended.  The
@@ -517,7 +517,6 @@ def recovery_chunk_stats(
     abs_edges = (pulse_ends[:, None] + rel_edges[None, :]).ravel()
     period = config.pulse_periodic.period
     cum = np.empty(len(abs_edges))  # excited seconds before each edge
-    scratch = np.empty(len(abs_edges))
     rels, bins = [], []  # each segment's binned jumps: time after the pulse, bin
     done = 0  # the edges before the segment in hand
     # excited seconds and qubit state before it: ground before the trace,
@@ -527,8 +526,7 @@ def recovery_chunk_stats(
         times = segment.times
         excited = segment.states == STATE_EXCITED
         hi = int(np.searchsorted(abs_edges, segment.duration))
-        at_knots = excited_seconds(times, excited, carry, abs_edges[done:hi],
-                                   cum[done:hi], scratch[done:hi])
+        at_knots = excited_seconds(times, excited, carry, abs_edges[done:hi], cum[done:hi])
         done = hi
         carry = at_knots[-1] + (segment.duration - times[-1]) * excited[-1]
 
@@ -540,8 +538,7 @@ def recovery_chunk_stats(
         ok = (idx >= 0) & (idx < len(rel_edges) - 1) & (jumps >= pulse_ends[0])
         rels.append(rel[ok])
         bins.append(idx[ok])
-    excited_seconds(times[-1:], excited[-1:], at_knots[-1], abs_edges[done:],
-                    cum[done:], scratch[done:])
+    excited_seconds(times[-1:], excited[-1:], at_knots[-1], abs_edges[done:], cum[done:])
 
     exposure = np.diff(cum.reshape(len(pulse_ends), len(rel_edges)), axis=1).sum(axis=0)
     idx = np.concatenate(bins)

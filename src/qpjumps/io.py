@@ -10,8 +10,8 @@ on demand, and write_states_csv writes its runs block by block.  A
 synthesized record draws the next range while the writer works on one,
 so two ranges of I and Q and the pairs buffer, 3 MB, are in flight.
 Traced peaks at 20 s of quiet-noisy, whatever the duration: `simulate
---emit-truth` 7.9 MiB (with the sampler's working set and the occupancy's
-scratch), `stats` 4.9 MiB and `filter` 2.4 MiB.  Every file is written
+--emit-truth` 5.7 MiB (with the sampler's working set and the occupancy's
+block buffer), `stats` 4.9 MiB and `filter` 2.4 MiB.  Every file is written
 atomically (temp file + rename) so partially written outputs never appear
 under their final name, and the file's directory is made as the file is:
 a command that fails before its first file leaves no output directory.

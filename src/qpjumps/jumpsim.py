@@ -105,6 +105,15 @@ def thermal_decay_constant(
 # joint trajectory
 # ---------------------------------------------------------------------------
 
+def _run_start_mask(values, before=None) -> np.ndarray:
+    """run_starts as a mask over values: True where a run starts."""
+    values = np.asarray(values)
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = before is None or values[:1] != before
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
 def run_starts(values, before=None) -> np.ndarray:
     """Index of every element that starts a maximal run of equal values:
     each one that differs from the one before it, and the first unless it
@@ -112,11 +121,7 @@ def run_starts(values, before=None) -> np.ndarray:
     stands there, so the first always starts a run).  A piece read with
     the last value of the piece before as before gives the starts of the
     runs that the whole, read at once, starts inside that piece."""
-    values = np.asarray(values)
-    starts = np.empty(len(values), dtype=bool)
-    starts[:1] = before is None or values[:1] != before
-    np.not_equal(values[1:], values[:-1], out=starts[1:])
-    return np.flatnonzero(starts)
+    return np.flatnonzero(_run_start_mask(values, before))
 
 
 @dataclass(frozen=True)
@@ -131,12 +136,13 @@ class TruthTrace:
     arrays and nothing derived from them, 17 B per knot.
 
     The readers of a trajectory (occupancy_blocks, tally_events,
-    experiments.recovery_chunk_stats and the io truth writers) take it as
-    an iterable of consecutive segments, each a TruthTrace whose knots
-    follow the segment before's: its times[0] is where it starts, and its
-    duration is where the next one starts (the record's duration for the
-    last).  simulate_segments yields a trajectory so, and a whole trace is
-    the one segment [trace], so a record need never hold it whole.
+    experiments.recovery_chunk_stats and the io truth writers) read it in
+    one pass, as an iterable of consecutive segments, each a TruthTrace
+    whose knots follow the segment before's: its times[0] is where it
+    starts, and its duration is where the next one starts (the record's
+    duration for the last).  simulate_segments yields a trajectory so, and
+    a whole trace is the one segment [trace], so a record need never hold
+    it whole.
     """
 
     duration: float
@@ -159,39 +165,29 @@ def tally_events(trajectory, counts: dict):
     state = count = None  # the last knot before the segment
     for segment in trajectory:
         counts["events"] += len(segment.times)
-        counts["qp_events"] += len(run_starts(segment.counts, count))
-        counts["qubit_flips"] += len(run_starts(segment.states, state))
+        counts["qp_events"] += int(np.count_nonzero(_run_start_mask(segment.counts, count)))
+        counts["qubit_flips"] += int(np.count_nonzero(_run_start_mask(segment.states, state)))
         state, count = segment.states[-1], segment.counts[-1]
         yield segment
 
 
-def excited_seconds(t, excited, carry, edges, out, scratch) -> np.ndarray:
-    """Excited seconds before each of the rising edges, into out; returns
-    the excited seconds before each knot.
+def excited_seconds(t, excited, carry, edges, out) -> np.ndarray:
+    """Excited seconds before each of the edges, into out; returns the
+    excited seconds before each knot.
 
     The knots are at times t, excited where excited is True, with carry
-    excited seconds before t[0]; each edge is at or after t[0] and takes
-    the knot at or before it (the last knot for every edge past it), so
-    out = cum[k] + (edges - t[k]) * excited[k].  np.cumsum adds from carry
-    in the order of one running sum, so consecutive pieces of a trace,
-    each given the sum carried out of the piece before, give the whole
-    trace's sums bit for bit.  The knot under each edge comes from one
-    search per knot, not one per edge: knot j is under the edges from the
-    first at or after t[j] to the first at or after t[j + 1].  scratch,
-    as long as edges, is overwritten.
+    excited seconds before t[0].  Each edge, at or after t[0], takes k, the
+    last knot at or before it: out = cum[k] + (edges - t[k]) * excited[k].
+    np.cumsum adds from carry in the order of one running sum, so pieces
+    of a trace, each given the sum carried out of the piece before, give
+    the whole trace's sums bit for bit.
     """
     cum = np.empty(len(t))
     cum[0] = carry
     np.multiply(np.diff(t), excited[:-1], out=cum[1:])
     np.cumsum(cum, out=cum)
-    runs = np.diff(np.concatenate(([0], np.searchsorted(edges, t[1:]), [len(edges)])))
-    k = np.repeat(np.arange(len(t)), runs)
-    # (k is in range; mode="clip" only spares take() a buffered copy)
-    np.take(t, k, out=scratch, mode="clip")
-    np.subtract(edges, scratch, out=scratch)
-    scratch *= excited[k]
-    np.take(cum, k, out=out, mode="clip")
-    out += scratch
+    k = np.searchsorted(t, edges, side="right") - 1
+    np.add(cum[k], (edges - t[k]) * excited[k], out=out)
     return cum
 
 
@@ -200,57 +196,60 @@ def occupancy_blocks(trajectory, t_meas: float, bounds):
 
     trajectory is an iterable of consecutive segments.  Bin k spans the
     edges float(k) * t_meas and float(k + 1) * t_meas.  bounds are the
-    bounds of consecutive ranges of bins from bin 0; bounds that do not
-    start at 0 raise ValueError.  The blocks cover bins 0 to bounds[-1] - 1
-    in order, at most _BLOCK bins each, and each range starts a new block,
-    so a range's blocks end at its bound.  Each yielded array is scratch
-    space: the caller may overwrite it, and the next block does.  A bin's
-    value is the difference of the excited seconds before its two edges,
-    over its width, from excited_seconds over the block's knots and the
-    sum carried out of the block before, so the values are the same bit
-    for bit whatever the bounds and the segments.  Segments are pulled as
-    the edges reach them, and only the knots from the one under the
-    block's first edge to the end of the last segment pulled are held.
+    bounds of consecutive ranges of bins, from any bin; the blocks cover
+    them in order, at most _BLOCK bins each, and each range starts a new
+    block.  Each yielded array is scratch: the caller may overwrite it,
+    and the next block does.  A bin without a flip is x0, the state at its
+    first edge, exactly.  A bin of width w whose flips are the knots j
+    after that edge and at or before the next, e, with a state x_j unlike
+    the knot before's, is (x0 * w + c_1 + c_2 + ...) / w, each c_j =
+    (x_j - x_(j-1)) * (e - t_j) added in knot order, so no value depends on
+    the bounds or the segments.  A flip's e is from ceil(t_j / t_meas),
+    corrected by one step against the edges' own products.  Segments are
+    pulled as the edges reach them; after a pass's first block, only the
+    knots from the one under the block's first edge on are held.
     """
-    if bounds[0] != 0:
-        raise ValueError(f"ranges from bin {bounds[0]}: the occupancy is read from bin 0")
     segments = iter(trajectory)
-    size = min(_BLOCK, bounds[-1])
-    steps = np.arange(size + 1, dtype=float)
-    edges = np.empty(size + 1)
-    at = np.empty(size + 1)
-    part = np.empty(size + 1)
-    # the knots pulled from the one under the block's first edge, the end
-    # of the last segment pulled, and the excited seconds before the first
+    out = np.empty(min(_BLOCK, bounds[-1] - bounds[0]))
+    # the knots from the one under the block's first edge, and the end of
+    # the last segment pulled
     times, states = np.empty(0), np.empty(0, dtype=np.uint8)
-    end, carry = -math.inf, 0.0
+    end = -math.inf
     for start, stop in zip(bounds[:-1], bounds[1:]):
         for lo in range(start, stop, _BLOCK):
             m = min(_BLOCK, stop - lo)
-            e, c, d = edges[:m + 1], at[:m + 1], part[:m + 1]
-            np.add(steps[:m + 1], lo, out=e)
-            e *= t_meas
-            if end <= e[m]:
-                # the segments that start at or before the block's last edge
+            first, last = lo * t_meas, (lo + m) * t_meas
+            if end <= last:
                 pulled = [(times, states)]
                 for segment in segments:
                     pulled.append((segment.times, segment.states))
                     end = segment.duration
-                    if end > e[m]:
+                    if end > last:
                         break
                 times = np.concatenate([t for t, _ in pulled])
                 states = np.concatenate([s for _, s in pulled])
                 del pulled
-            # knots 0 to j1 - 1 are under the block's edges
-            j1 = int(np.searchsorted(times, e[m], side="right"))
-            cum = excited_seconds(times[:j1], states[:j1] == STATE_EXCITED, carry, e, c, d)
-            # diff(c) / diff(e), reusing d for the fraction and c for the width
-            frac, width = d[:m], c[:m]
-            np.subtract(c[1:], c[:-1], out=frac)
-            np.subtract(e[1:], e[:-1], out=width)
-            frac /= width
-            times, states, carry = times[j1 - 1:], states[j1 - 1:], cum[-1]
-            yield frac
+            # of the knots from the one under the first edge to the last
+            # edge: the first, x0, and each flip, in bin k - 1
+            j0 = int(np.searchsorted(times, first, side="right")) - 1
+            j1 = int(np.searchsorted(times, last, side="right"))
+            run = _run_start_mask(states[j0:j1])
+            x, t = states[j0:j1][run], times[j0:j1][run][1:]
+            k = np.ceil(t / t_meas)
+            k -= (k - 1.0) * t_meas >= t
+            k += k * t_meas < t
+            b = k.astype(np.intp) - (lo + 1)
+            # each edge's state, then each flip's bin (its flips write one value)
+            f = out[:m]
+            f[:] = np.repeat(x, np.diff(b, prepend=-1, append=m - 1))
+            e = k * t_meas
+            c = np.where(x[1:] == STATE_EXCITED, e - t, t - e)
+            w = e - (k - 1.0) * t_meas
+            f[b] *= w
+            np.add.at(f, b, c)
+            f[b] /= w
+            times, states = times[j1 - 1:], states[j1 - 1:]
+            yield f
 
 
 def _qp_layer(config: ScenarioConfig, rng: np.random.Generator):
@@ -590,16 +589,16 @@ def synthesize_iq(
     occupancy_blocks pass over a trajectory, from their noise.
 
     Each bin of length t_meas gets I = (f_g - f_e) * separation + noise and
-    Q = noise, with f_g/f_e the exact fractions of the bin spent in each
-    state (ground maps to +I).  occupancy is at the range's first bin and
-    its bounds hold the range, so consecutive ranges share one pass and
-    none sums a prefix again.  i holds the bins' I noise, and the levels
-    are added to it in place, block by block: it becomes the record's I.
-    q, Q's noise, is the record's Q as it is; None gives a record without
-    Q.  Drawing the noise is left to the caller, so a range's draws can be
-    made ahead of its occupancy; normal draws do not depend on how a
-    stream is split, so consecutive ranges of one stream give the whole
-    record bit for bit.
+    Q = noise, with f_g/f_e the fractions of the bin spent in each state
+    (ground maps to +I), as occupancy_blocks gives them: a bin without a
+    flip is in one state exactly.  occupancy is at the range's first bin
+    and its bounds hold the range, so consecutive ranges share one pass.
+    i holds the bins' I noise, and the levels are added to it in place,
+    block by block: it becomes the record's I.  q, Q's noise, is the
+    record's Q as it is; None gives a record without Q.  Drawing the noise
+    is left to the caller, so a range's draws can be made ahead of its
+    occupancy; normal draws do not depend on how a stream is split, so
+    consecutive ranges of one stream give the whole record bit for bit.
     """
     sep = snr_separation(meas)
     lo = 0

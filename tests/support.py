@@ -190,13 +190,37 @@ def noiseless_iq(truth: TruthTrace, meas: MeasurementParams) -> IQRecord:
                     q=np.zeros(len(f_e)))
 
 
+def bin_occupancy(truth: TruthTrace, t_meas: float, n: int) -> np.ndarray:
+    """The excited fraction of bins 0 to n - 1, bin b spanning the edges
+    e_b = float(b) * t_meas and e_(b+1), as a loop over each bin's flips:
+    x0, the state of the last knot at or before e_b, times the width w,
+    plus (x_j - x_(j-1)) * (e_(b+1) - t_j) for each knot j after e_b and
+    at or before e_(b+1) whose state differs from the knot before, added
+    in knot order, over w.  The knots' bins come from a search in the edge
+    array, and a bin without a flip is x0."""
+    edges = np.arange(n + 1, dtype=float) * t_meas
+    x = truth.states.astype(float)
+    f_e = x[np.searchsorted(truth.times, edges[:-1], side="right") - 1]
+    flips = run_starts(truth.states)[1:]
+    bins = {}
+    for j, b in zip(flips, np.searchsorted(edges, truth.times[flips]) - 1):
+        if 0 <= b < n:
+            bins.setdefault(b, []).append(j)
+    for b, knots in bins.items():
+        w = edges[b + 1] - edges[b]
+        acc = f_e[b] * w
+        for j in knots:
+            acc += (x[j] - x[j - 1]) * (edges[b + 1] - truth.times[j])
+        f_e[b] = acc / w
+    return f_e
+
+
 def whole_record_iq(truth: TruthTrace, meas: MeasurementParams,
                     i_rng: np.random.Generator, q_rng: np.random.Generator) -> IQRecord:
     """synthesize_iq's record computed over the whole array at once: the
-    occupancy from a search per bin edge, and all I noise in one draw."""
+    occupancy from bin_occupancy, and all I noise in one draw."""
     n = sample_count(truth.duration, meas.t_meas)
-    edges = np.arange(n + 1, dtype=float) * meas.t_meas
-    f_e = np.diff(excited_time_at(truth, edges)) / np.diff(edges)
+    f_e = bin_occupancy(truth, meas.t_meas, n)
     i = (1.0 - 2.0 * f_e) * snr_separation(meas) + i_rng.standard_normal(n)
     return IQRecord(t_meas=meas.t_meas, i=i, q=q_rng.standard_normal(n))
 

@@ -109,6 +109,18 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(io.read_iq(out / "record.iq")) == 200
 
+    @pytest.mark.parametrize("flags", [[], ["--emit-truth"]])
+    def test_duration_under_one_bin_exits_2(self, tmp_path, flags, capsys):
+        # 2 us at t_meas = 5 us: no whole bin, so no record
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("rng_seed = 1\nduration = 2e-6\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: duration = 2e-06 s is shorter than one t_meas = 5e-06 s "
+            "bin: the record would hold no samples\n")
+        assert not out.exists()
+
     def test_seed_flag_overrides(self, tmp_path, config_file):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
         main(["simulate", "--config", str(config_file), "--out", str(a)])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -817,18 +818,88 @@ class TestRecordRanges:
         assert [len(block) for block in got] == [hi - lo for lo, hi in ranges]
         assert np.concatenate([block.i for block in got]).tobytes() == want.i.tobytes()
 
-    def test_ranges_not_from_bin_0_are_refused(self):
-        # the running sum of excited seconds starts at bin 0
-        truth = TruthTrace(duration=10.0, times=np.array([0.0, 4.0]),
-                           states=np.array([STATE_GROUND, STATE_EXCITED], dtype=np.uint8),
-                           counts=np.zeros(2, dtype=np.int64))
-        with pytest.raises(ValueError, match="ranges from bin 5: "):
-            next(occupancy_blocks([truth], 1.0, [5, 10]))
+    @settings(max_examples=40, deadline=None)
+    @given(knotted_traces(), st.floats(0.0, 1.0), st.lists(st.floats(0.0, 1.0), max_size=4),
+           st.lists(st.floats(0.0, 1.0), max_size=6))
+    def test_ranges_from_any_bin_equal_the_whole_pass(self, case, start, cuts, knot_cuts):
+        # a pass from bin lo holds no sum carried from bin 0
+        truth, meas = case
+        n = sample_count(truth.duration, meas.t_meas)
+        lo = int(start * n)
+        bounds = sorted({lo, n, *(lo + int(c * (n - lo)) for c in cuts)})
+        segments = split_trace(truth, [int(c * len(truth.times)) for c in knot_cuts])
+        whole = np.concatenate([block.copy() for block in
+                                occupancy_blocks([truth], meas.t_meas, [0, n])])
+        part = [block.copy() for block in occupancy_blocks(segments, meas.t_meas, bounds)]
+        assert np.concatenate(part + [np.empty(0)]).tobytes() == whole[lo:].tobytes()
 
     def test_q_is_checked_only_when_present(self):
         assert len(jumpsim.IQRecord(t_meas=1.0, i=np.zeros(3), q=None)) == 3
         with pytest.raises(ValueError, match="equal length"):
             jumpsim.IQRecord(t_meas=1.0, i=np.zeros(3), q=np.zeros(2))
+
+
+class TestOccupancy:
+    """Each bin's excited fraction from its first edge's state and its
+    flips."""
+
+    def test_within_a_few_ulps_of_the_exact_overlap(self):
+        # 300 small traces with knots on the edges float(k) * t_meas, one
+        # ulp either side of them and at random, against the exact overlap
+        # of the excited intervals with each bin, in Fractions of the
+        # floats.  The width e1 - e0 is exact, each e1 - t_j is off by at
+        # most 2^-53 w and each addition and the division round once, so a
+        # bin with f flips is within (f + 1) 2^-52 of the exact fraction;
+        # a bin without flips is its first edge's state exactly
+        rng = np.random.default_rng(12)
+        ulp = Fraction(1, 2**52)
+        worst = Fraction(0)
+        for case in range(300):
+            t_meas = float(rng.choice([5e-6, 3.7e-6, 1e-3, 0.1, 1.0 / 3.0]))
+            n = int(rng.integers(1, 12))
+            on_edges = rng.integers(0, n + 1, size=int(rng.integers(0, 8))) * t_meas
+            times = np.unique(np.concatenate((
+                [0.0], on_edges, np.nextafter(on_edges, -np.inf),
+                np.nextafter(on_edges, np.inf),
+                rng.uniform(0.0, n * t_meas, size=int(rng.integers(0, 12))))))
+            times = times[(times >= 0.0) & (times <= n * t_meas)]
+            states = rng.integers(0, 2, size=len(times)).astype(np.uint8)
+            truth = TruthTrace(duration=n * t_meas, times=times, states=states,
+                               counts=np.zeros(len(times), dtype=np.int64))
+            got = np.concatenate([b.copy() for b in occupancy_blocks([truth], t_meas, [0, n])])
+            knots = [Fraction(t) for t in times] + [Fraction(n * t_meas)]
+            for b in range(n):
+                e0, e1 = Fraction(float(b) * t_meas), Fraction(float(b + 1) * t_meas)
+                excited = sum((min(knots[j + 1], e1) - max(knots[j], e0)
+                               for j in range(len(times))
+                               if states[j] and knots[j + 1] > e0 and knots[j] < e1),
+                              Fraction(0))
+                flips = sum(1 for j in range(1, len(times))
+                            if e0 < knots[j] <= e1 and states[j] != states[j - 1])
+                error = abs(Fraction(got[b]) - excited / (e1 - e0))
+                if flips == 0:
+                    assert error == 0, (case, b)
+                assert error <= (flips + 1) * ulp, (case, b)
+                worst = max(worst, error)
+        assert worst > 0  # the bound is met by rounded values, not by no flips
+
+    def test_simulated_bins_without_a_flip_are_exactly_0_or_1(self):
+        # two blocks of a quiet-noisy record, its trajectory as the
+        # sampler's segments
+        config = preset_config("quiet-noisy", {"duration": "0.5"})
+        n = sample_count(config.duration, config.meas.t_meas)
+        truth = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
+        segments = simulate_segments(config, *np.random.default_rng(config.rng_seed).spawn(3))
+        f_e = np.concatenate([b.copy() for b in
+                              occupancy_blocks(segments, config.meas.t_meas, [0, n])])
+        edges = np.arange(n + 1, dtype=float) * config.meas.t_meas
+        flips = run_starts(truth.states)[1:]
+        with_flips = np.zeros(n, dtype=bool)
+        b = np.searchsorted(edges, truth.times[flips]) - 1
+        with_flips[b[b < n]] = True
+        assert 100 < np.count_nonzero(with_flips) < n - 100
+        state = truth.states[np.searchsorted(truth.times, edges[:-1], side="right") - 1]
+        assert f_e[~with_flips].tolist() == state[~with_flips].astype(float).tolist()
 
 
 def test_relaxation_jump_times():
@@ -901,13 +972,12 @@ class TestExcitedSeconds:
         # each piece takes the edges before the next piece's first knot,
         # the last piece all the edges left
         ends = np.searchsorted(edges, [p.duration for p in pieces[:-1]] + [math.inf])
-        got, scratch = np.empty(n + 1), np.empty(n + 1)
+        got = np.empty(n + 1)
         at_knots = []
         carry, done = 0.0, 0
         for piece, hi in zip(pieces, ends):
             excited = piece.states == STATE_EXCITED
-            cum = excited_seconds(piece.times, excited, carry, edges[done:hi], got[done:hi],
-                                  scratch[done:hi])
+            cum = excited_seconds(piece.times, excited, carry, edges[done:hi], got[done:hi])
             at_knots.append(cum)
             carry = cum[-1] + (piece.duration - piece.times[-1]) * excited[-1]
             done = hi
