@@ -156,6 +156,8 @@ def cmd_fit_psd(args) -> int:
     times, values = io.read_series_csv(args.input)
     if len(times) < 2:  # checked before np.diff(times) is empty
         raise ValueError(f"{args.input}: one row has no sample spacing")
+    if not np.isfinite(times).all():  # NaN values mark missing windows; times have none
+        raise FitInputError(f"{args.input}: times must be finite")
     dt = float(np.median(np.diff(times)))
     freqs, power = periodogram(values, dt, n_segments=args.segments)
     fit = fit_power_law(freqs, power)

@@ -450,9 +450,10 @@ def _parse_pulse_schedule(text: str) -> tuple[Pulse, ...]:
 def validate_config(text: str) -> ScenarioConfig:
     """Parse and validate flat key-value configuration text.
 
-    Unknown keys, bad numbers, invariant violations and a group key given
-    without a required partner raise ConfigError naming the keys; keys left
-    out take their parameter type's default.
+    Unknown keys, bad numbers, invariant violations, a group key given
+    without a required partner and a duration / t_meas that is not finite
+    or does not fit an int64 sample count raise ConfigError naming the
+    keys; keys left out take their parameter type's default.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -498,7 +499,12 @@ def validate_config(text: str) -> ScenarioConfig:
             scenario[group] = build(group)
     if _SCHEDULE in raw:
         scenario[_SCHEDULE] = _parse_pulse_schedule(raw[_SCHEDULE])
-    return build("")
+    config = build("")
+    # the record's sample count, jumpsim.sample_count, is an int64
+    if not config.duration / config.meas.t_meas * (1.0 + 1e-12) < 2.0**63:
+        raise ConfigError(f"duration = {config.duration:g} s over t_meas = "
+                          f"{config.meas.t_meas:g} s gives no sample count that fits an int64")
+    return config
 
 
 def serialize_config(config: ScenarioConfig) -> str:

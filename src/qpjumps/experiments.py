@@ -11,7 +11,8 @@ record that way.  A SynthesizedRecord synthesizes each range as it is
 read, from the trajectory's segments as the sampler yields them, while
 one worker thread draws the next range's noise.  Q, which no preset
 reads, is not drawn for a preset.  The recovery preset reads each chunk's
-trajectory as the sampler yields its segments, and holds none whole.
+trajectory as the sampler yields its segments and keeps only the qubit's
+flips, from which every post-injection bin's exposure and jumps come.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .jumpsim import (
     STATE_EXCITED,
     STATE_GROUND,
     TruthTrace,
-    excited_seconds,
     occupancy_blocks,
     run_starts,
     sample_count,
@@ -323,8 +323,10 @@ def run_stats(
     dropped as split_windows drops it.  Each block's estimate is reported
     on window by window, so the report equals the whole record's byte for
     byte; no state outlives its block.  A window under 100 samples, a
-    record shorter than one window, bins_per_decade under 1 or another
-    dwells raises ValueError before any block is read.
+    record shorter than one window, bins_per_decade under 1 or so large
+    that a window's log grid, bins_per_decade * log10(samples) + 1 bins,
+    has more bins than samples, or another dwells raises ValueError before
+    any block is read.
     """
     if dwells not in ("all", "examples", "none"):
         raise ValueError(f"dwells must be all, examples or none, got {dwells!r}")
@@ -335,6 +337,10 @@ def run_stats(
         raise ValueError("record shorter than one window")
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be at least 1")
+    # the log grid of a window's dwells, at most per samples long
+    if bins_per_decade * math.log10(per) + 1 > per:
+        raise ValueError(f"bins_per_decade = {bins_per_decade} gives a window's dwell "
+                         f"histogram more bins than its {per} samples")
     size = max(1, STATS_BLOCK // per) * per
     reports, kept = [], {}
     first = 0  # the block's first window
@@ -498,53 +504,45 @@ def recovery_chunk_stats(
     trajectory, config: ScenarioConfig, rel_edges: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(excited exposure, jump count, jump-time sum) per post-injection bin
-    of the config's periodic train; a jump's time counts from the end of
-    the pulse before it.
+    of the config's periodic train, from the qubit's flips alone.
 
     trajectory is an iterable of consecutive segments, read in one pass.
-    The excited seconds before the bin edges come from excited_seconds,
-    called once per segment on the edges before its end with the sum
-    carried out of the segment before, so they add in the order of one
-    running sum over the trace.  The edges rise from pulse to pulse, so
-    each segment's are the next ones before its end, and those past the
-    last segment take its last knot.  The qubit state is carried across
-    segments, so a relaxation on a segment's first knot counts.  The
-    jumps' times and bins are collected over the whole pass and binned at
-    once, so the sums add in trace order.  The results equal the whole
-    trace's bit for bit, whatever the segments.
+    The state is carried across segments, ground before the trace, so a
+    flip on a segment's first knot counts.  The flips are collected over
+    the pass and binned at once, so nothing depends on the segments.  A
+    flip at t is in cycle q and at r after its pulse's end, (q, r) =
+    divmod(t - first pulse end, period), and in the bin [e_k, e_(k+1)) of
+    rel_edges that holds r, if q is one of the train's pulses.  Bin k's
+    exposure is w_k * X_k plus, for each of its flips in time order,
+    +-(e_(k+1) - r), + for a flip to excited, as occupancy_blocks adds a
+    readout bin's.  X_k, the pulses excited at edge k, is X_0 plus the net
+    flips in the bins before k.  X_0, the pulses excited just before their
+    first edge, sums each flip's sign times the number of first edges
+    after it; a flip on a first edge is in bin 0, not before the edge.
+    The jumps are the flips to ground, and their time is r.
     """
-    pulse_ends = np.array([p.end for p in config.pulses])
-    abs_edges = (pulse_ends[:, None] + rel_edges[None, :]).ravel()
-    period = config.pulse_periodic.period
-    cum = np.empty(len(abs_edges))  # excited seconds before each edge
-    rels, bins = [], []  # each segment's binned jumps: time after the pulse, bin
-    done = 0  # the edges before the segment in hand
-    # excited seconds and qubit state before it: ground before the trace,
-    # so its first knot is never a relaxation
-    carry, state = 0.0, STATE_GROUND
+    first, n = config.pulses[0].end, len(config.pulses)
+    times, states = [], []
+    state = STATE_GROUND
     for segment in trajectory:
-        times = segment.times
-        excited = segment.states == STATE_EXCITED
-        hi = int(np.searchsorted(abs_edges, segment.duration))
-        at_knots = excited_seconds(times, excited, carry, abs_edges[done:hi], cum[done:hi])
-        done = hi
-        carry = at_knots[-1] + (segment.duration - times[-1]) * excited[-1]
-
         flips = run_starts(segment.states, state)
         state = segment.states[-1]
-        jumps = times[flips[segment.states[flips] == STATE_GROUND]]
-        rel = (jumps - pulse_ends[0]) % period
-        idx = np.searchsorted(rel_edges, rel, side="right") - 1
-        ok = (idx >= 0) & (idx < len(rel_edges) - 1) & (jumps >= pulse_ends[0])
-        rels.append(rel[ok])
-        bins.append(idx[ok])
-    excited_seconds(times[-1:], excited[-1:], at_knots[-1], abs_edges[done:], cum[done:])
+        times.append(segment.times[flips])
+        states.append(segment.states[flips])
+    cycle, rel = np.divmod(np.concatenate(times) - first, config.pulse_periodic.period)
+    sign = np.where(np.concatenate(states) == STATE_EXCITED, 1.0, -1.0)
+    idx = np.searchsorted(rel_edges, rel, side="right") - 1
+    x0 = np.sum(sign * (n - np.clip(cycle + (idx >= 0), 0, n)))
 
-    exposure = np.diff(cum.reshape(len(pulse_ends), len(rel_edges)), axis=1).sum(axis=0)
-    idx = np.concatenate(bins)
     nbins = len(rel_edges) - 1
-    counts = np.bincount(idx, minlength=nbins).astype(float)
-    t_sum = np.bincount(idx, weights=np.concatenate(rels), minlength=nbins)
+    ok = (idx >= 0) & (idx < nbins) & (cycle >= 0) & (cycle < n)
+    idx, rel, sign = idx[ok], rel[ok], sign[ok]
+    net = np.bincount(idx, weights=sign, minlength=nbins)
+    exposure = np.diff(rel_edges) * (x0 + np.cumsum(net) - net)
+    np.add.at(exposure, idx, sign * (rel_edges[idx + 1] - rel))
+    jump = sign < 0
+    counts = np.bincount(idx[jump], minlength=nbins).astype(float)
+    t_sum = np.bincount(idx[jump], weights=rel[jump], minlength=nbins)
     return exposure, counts, t_sum
 
 
@@ -556,11 +554,11 @@ def run_recovery(config: ScenarioConfig):
     config's, so memory stays bounded at any pulse count.  Each chunk keeps
     the train's first pulse start and ends with its last readout window.
     A chunk's trajectory is read as the sampler yields its segments, its
-    events tallied as they pass, by recovery_chunk_stats, so no chunk's
-    trace is held whole.  The mean excited dwell per log-spaced time bin is
-    estimated as exposure / jump count (bins with fewer than MIN_JUMPS
-    jumps are dropped), and the density recovery is fitted through the
-    relaxation-rate inversion.  A pulse_wait that leaves no readout window
+    events tallied and its flips kept as they pass, by
+    recovery_chunk_stats, so no chunk's trace is held whole.  The mean
+    excited dwell per log-spaced time bin is estimated as exposure / jump
+    count (bins with fewer than MIN_JUMPS jumps are dropped), and the
+    density recovery is fitted through the relaxation-rate inversion.  A pulse_wait that leaves no readout window
     raises ValueError before any chunk is simulated.  Returns
     (times, tau_e, jump counts, fit, event counts summed over the chunks).
     """

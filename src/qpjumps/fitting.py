@@ -263,6 +263,15 @@ def _decay_time(log_tau: float) -> float:
     return math.exp(min(max(log_tau, -500.0), 500.0))
 
 
+def _check_series(times, values) -> None:
+    """FitInputError for a time or value that is not finite, or for times
+    that span no time."""
+    if not (np.isfinite(times).all() and np.isfinite(values).all()):
+        raise FitInputError("times and values must be finite")
+    if times.max() == times.min():
+        raise FitInputError("the times span no time")
+
+
 def _exp_fit(t, y, n_boot, seed):
     """Shared bounded least-squares for y = base + amp*exp(-t/tau).
 
@@ -332,10 +341,13 @@ def fit_recovery(
     through the relaxation-rate relation, then
     x_steady + (x0 - x_steady)*exp(-t/tau) is fitted.  A constant series is
     returned with tau = NaN and a warned status (nothing to recover).
+    Fewer than 5 bins, a time or dwell that is not finite, or times that
+    span no time raise FitInputError.
     """
     times = np.asarray(times, dtype=float)
     if len(times) < 5:
         raise FitInputError("need at least 5 time bins")
+    _check_series(times, np.asarray(tau_excited, dtype=float))
     x = invert_relaxation(tau_excited, qubit)
     (base, amp, tau), (base_err, amp_err, tau_err), rnorm, status = _exp_fit(
         times, x, n_boot, seed
@@ -375,16 +387,19 @@ class ThermalFit:
 
 
 def fit_thermal(times, temperatures, n_boot: int = N_BOOTSTRAP, seed: int = 0) -> ThermalFit:
-    """Fit an exponential temperature decay to at least 4 points.
+    """Fit an exponential temperature decay to at least 4 finite points
+    over a nonzero time span (FitInputError otherwise).
 
     Data without a dominant decay (less than half the variance explained)
     is returned with a warned status rather than rejected.
     """
     times = np.asarray(times, dtype=float)
+    temperatures = np.asarray(temperatures, dtype=float)
     if len(times) < 4:
         raise FitInputError("need at least 4 points")
+    _check_series(times, temperatures)
     (base, amp, tau), (base_err, amp_err, tau_err), rnorm, status = _exp_fit(
-        times, np.asarray(temperatures, dtype=float), n_boot, seed
+        times, temperatures, n_boot, seed
     )
     return ThermalFit(
         t_base=base, delta_t=amp, tau=tau,

@@ -136,13 +136,13 @@ class TruthTrace:
     arrays and nothing derived from them, 17 B per knot.
 
     The readers of a trajectory (occupancy_blocks, tally_events,
-    experiments.recovery_chunk_stats and the io truth writers) read it in
-    one pass, as an iterable of consecutive segments, each a TruthTrace
-    whose knots follow the segment before's: its times[0] is where it
-    starts, and its duration is where the next one starts (the record's
-    duration for the last).  simulate_segments yields a trajectory so, and
-    a whole trace is the one segment [trace], so a record need never hold
-    it whole.
+    experiments.recovery_chunk_stats, which keeps only the qubit's flips,
+    and the io truth writers) read it in one pass, as an iterable of
+    consecutive segments, each a TruthTrace whose knots follow the
+    segment before's: its times[0] is where it starts, and its duration
+    is where the next one starts (the record's duration for the last).
+    simulate_segments yields a trajectory so, and a whole trace is the one
+    segment [trace], so a record need never hold it whole.
     """
 
     duration: float
@@ -169,26 +169,6 @@ def tally_events(trajectory, counts: dict):
         counts["qubit_flips"] += int(np.count_nonzero(_run_start_mask(segment.states, state)))
         state, count = segment.states[-1], segment.counts[-1]
         yield segment
-
-
-def excited_seconds(t, excited, carry, edges, out) -> np.ndarray:
-    """Excited seconds before each of the edges, into out; returns the
-    excited seconds before each knot.
-
-    The knots are at times t, excited where excited is True, with carry
-    excited seconds before t[0].  Each edge, at or after t[0], takes k, the
-    last knot at or before it: out = cum[k] + (edges - t[k]) * excited[k].
-    np.cumsum adds from carry in the order of one running sum, so pieces
-    of a trace, each given the sum carried out of the piece before, give
-    the whole trace's sums bit for bit.
-    """
-    cum = np.empty(len(t))
-    cum[0] = carry
-    np.multiply(np.diff(t), excited[:-1], out=cum[1:])
-    np.cumsum(cum, out=cum)
-    k = np.searchsorted(t, edges, side="right") - 1
-    np.add(cum[k], (edges - t[k]) * excited[k], out=out)
-    return cum
 
 
 def occupancy_blocks(trajectory, t_meas: float, bounds):

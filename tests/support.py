@@ -3,9 +3,10 @@ record, whole-array oracles for the blocked record pipeline, for the
 presets that stream their record and for the recovery statistics that
 read a chunk's segments, an RK4 integrator for the QP density rate
 equation, a scalar loop over the sampler's qubit candidates, the qubit
-intervals and event counts of a trace, a trace cut into segments, and an
-exact oracle for the joint (modulator, qubit, QP number) Markov chain
-sampled by jumpsim.simulate_joint.
+intervals and event counts of a trace, a trace cut into segments, a
+child process under an address-space limit, and an exact oracle for the
+joint (modulator, qubit, QP number) Markov chain sampled by
+jumpsim.simulate_joint.
 
 The oracle is built from the model's rate definitions (the scalar rate
 functions below and the kinetics coefficients), not from the sampler's
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import resource
 from types import SimpleNamespace
 
 import numpy as np
@@ -107,19 +110,6 @@ def telegraph_series(
     return np.asarray(values)[(parity + start) % 2]
 
 
-def excited_time_at(truth: TruthTrace, times) -> np.ndarray:
-    """Cumulative seconds spent excited in [0, t) for each query time,
-    from one table of the whole trace: the excited seconds before each
-    knot."""
-    t = np.append(truth.times, truth.duration)
-    excited = truth.states == STATE_EXCITED
-    cum = np.concatenate(([0.0], np.cumsum(np.diff(t) * excited)))
-    times = np.asarray(times, dtype=float)
-    idx = np.searchsorted(t, times, side="right") - 1
-    idx = np.clip(idx, 0, len(excited) - 1)
-    return cum[idx] + (times - t[idx]) * excited[idx]
-
-
 def event_counts(truth: TruthTrace) -> dict[str, int]:
     """The events of a whole trace, as jumpsim.tally_events counts them:
     knots after the first, and of them the changes of N and of the qubit
@@ -137,20 +127,37 @@ def relaxation_jump_times(truth: TruthTrace) -> np.ndarray:
 
 def whole_trace_chunk_stats(truth: TruthTrace, config: ScenarioConfig,
                             rel_edges: np.ndarray):
-    """experiments.recovery_chunk_stats over the whole trace at once: the
-    exposure from excited_time_at at every bin edge, and the jumps from
-    relaxation_jump_times."""
-    pulse_ends = np.array([p.end for p in config.pulses])
-    abs_edges = (pulse_ends[:, None] + rel_edges[None, :]).ravel()
-    cum = excited_time_at(truth, abs_edges).reshape(len(pulse_ends), len(rel_edges))
-    exposure = np.diff(cum, axis=1).sum(axis=0)
-    jumps = relaxation_jump_times(truth)
-    rel = (jumps - pulse_ends[0]) % config.pulse_periodic.period
+    """experiments.recovery_chunk_stats over the whole trace at once, bin
+    by bin.  Each flip (from ground before the trace) has its cycle and
+    time after the pulse's end, (q, r) = divmod(t - first pulse end,
+    period), and is in the bin of r if q is a pulse of the train.  X, the
+    pulses excited at a bin's first edge, starts as the states of the last
+    flips before each pulse's first edge, (q, r) < (pulse, e_0).  A bin's
+    exposure is w * X, then +-(e_(k+1) - r) added for each of its flips in
+    time order, and its net flips move X on to the next bin."""
+    flips = run_starts(truth.states, STATE_GROUND)
+    x = truth.states[flips].astype(int)
+    n = len(config.pulses)
+    cycle, rel = np.divmod(truth.times[flips] - config.pulses[0].end,
+                           config.pulse_periodic.period)
     idx = np.searchsorted(rel_edges, rel, side="right") - 1
-    ok = (idx >= 0) & (idx < len(rel_edges) - 1) & (jumps >= pulse_ends[0])
+    state = 0
+    for pulse in range(n):
+        before = np.count_nonzero((cycle < pulse) | ((cycle == pulse) & (rel < rel_edges[0])))
+        state += x[before - 1] if before else 0
     nbins = len(rel_edges) - 1
-    counts = np.bincount(idx[ok], minlength=nbins).astype(float)
-    t_sum = np.bincount(idx[ok], weights=rel[ok], minlength=nbins)
+    ok = (idx >= 0) & (idx < nbins) & (cycle >= 0) & (cycle < n)
+    exposure = np.empty(nbins)
+    for k in range(nbins):
+        acc = (rel_edges[k + 1] - rel_edges[k]) * state
+        for j in np.flatnonzero(ok & (idx == k)):
+            sign = 1 if x[j] else -1
+            acc += sign * (rel_edges[k + 1] - rel[j])
+            state += sign
+        exposure[k] = acc
+    jumps = ok & (x == 0)
+    counts = np.bincount(idx[jumps], minlength=nbins).astype(float)
+    t_sum = np.bincount(idx[jumps], weights=rel[jumps], minlength=nbins)
     return exposure, counts, t_sum
 
 
@@ -374,6 +381,34 @@ def rk4_evolve_ode(x0: float, params: QpKineticsParams, t_grid) -> np.ndarray:
         t = float(t_grid[i])
         out[i] = x
     return out
+
+
+def run_with_address_limit(fn, *args, limit: int = 1 << 30):
+    """fn(*args) in one forked child whose address space may grow by at
+    most limit bytes (RLIMIT_AS over its size at the fork), so a runaway
+    allocation raises a fast MemoryError there instead of taking the
+    machine's memory.  Returns ("returned", value), or (exception type
+    name, message) for what fn raised."""
+    size = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into the caller
+        try:
+            os.close(read)
+            resource.setrlimit(resource.RLIMIT_AS, (size + limit, size + limit))
+            try:
+                result = ("returned", fn(*args))
+            except BaseException as exc:
+                result = (type(exc).__name__, str(exc))
+            with os.fdopen(write, "wb") as fh:
+                pickle.dump(result, fh)
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read, "rb") as fh:
+        data = fh.read()
+    os.waitpid(pid, 0)
+    return pickle.loads(data)
 
 
 def iteration_capped(optimize_module, maxiter: int):

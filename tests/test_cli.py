@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io as io_module
 import json
 import pathlib
 import re
@@ -22,7 +24,7 @@ from qpjumps.jumpsim import (
     snr_separation,
 )
 
-from support import iteration_capped, power_law_series
+from support import iteration_capped, power_law_series, run_with_address_limit
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -121,6 +123,18 @@ class TestSimulate:
             "bin: the record would hold no samples\n")
         assert not out.exists()
 
+    # duration / t_meas past an int64 count, or infinite: int() of it
+    # overflowed in sample_count
+    @pytest.mark.parametrize("key", ["duration=1e308", "duration=1e999", "duration=1e15",
+                                     "t_meas=1e-320"])
+    def test_sample_count_past_int64_exits_2(self, tmp_path, key, capsys):
+        out = tmp_path / "o"
+        assert main(["experiment", "quiet-noisy", "--out", str(out), "--set", key]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: duration = ") and err.count("\n") == 1
+        assert "fits an int64" in err
+        assert not out.exists()
+
     def test_seed_flag_overrides(self, tmp_path, config_file):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
         main(["simulate", "--config", str(config_file), "--out", str(a)])
@@ -180,6 +194,28 @@ class TestFilterAndStats:
         assert expanded.tolist() == want.tolist()
         assert lengths.sum() == samples == 50_000
         assert starts[0] == "0"
+
+    def test_bins_per_decade_past_a_window_exits_2(self, tmp_path, config_file):
+        # 10^8 bins per decade used to allocate a histogram of hundreds of
+        # millions of bins; run only in a child whose address space may
+        # grow by 1 GiB, where such an allocation fails fast
+        out = tmp_path / "run"
+        main(["simulate", "--config", str(config_file), "--out", str(out)])
+
+        def stats():
+            err = io_module.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["stats", "--record", str(out / "record.iq"),
+                             "--out", str(out / "stats"), "--window", "0.05",
+                             "--bins-per-decade", "100000000"])
+            return code, err.getvalue()
+
+        status, result = run_with_address_limit(stats)
+        assert status == "returned", result
+        code, err = result
+        assert code == 2 and err.count("\n") == 1, err
+        assert "bins_per_decade = 100000000" in err
+        assert not (out / "stats").exists()
 
     def test_stats_outputs(self, tmp_path, config_file):
         out = tmp_path / "run"
@@ -450,6 +486,40 @@ class TestFitCommands:
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert err.startswith("invalid input: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
+    # series no fit can use: a time or value that is not finite (NaN
+    # values excepted for fit-psd, where they mark missing windows), or
+    # times that span no time
+    @pytest.mark.parametrize("command, column, bad", [
+        ("fit-recovery", "value", "inf"), ("fit-recovery", "value", "nan"),
+        ("fit-recovery", "time", "inf"), ("fit-recovery", "same", None),
+        ("fit-thermal", "value", "inf"), ("fit-thermal", "time", "nan"),
+        ("fit-thermal", "same", None),
+        ("fit-psd", "time", "inf"), ("fit-psd", "time", "nan"),
+    ])
+    def test_unusable_series_exits_4(self, tmp_path, capsys, command, column, bad):
+        if command == "fit-psd":  # the series of test_fit_psd_on_synthetic_series
+            t = np.arange(1024.0)
+            values = power_law_series(1024, 1.0, 1.4, amplitude=1.0, floor=2e-2,
+                                      rng=np.random.default_rng(5))
+        else:
+            t = np.arange(1.0, 65.0) * 1e-4
+            values = (1e-4 if command == "fit-recovery" else 0.045) * (1.0 + np.exp(-t / 2e-3))
+        rows = [[repr(float(a)), repr(float(b))] for a, b in zip(t, values)]
+        if column == "same":
+            rows = [["1e-3", b] for _, b in rows]
+        else:
+            rows[5][column == "value"] = bad
+        series = tmp_path / "series.csv"
+        series.write_text("t_s,value\n" + "".join(f"{a},{b}\n" for a, b in rows))
+        out = tmp_path / "fit"
+        flags = [] if command == "fit-psd" else ["--bootstrap", "2"]
+        assert main([command, "--input", str(series), "--out", str(out), *flags]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("fit error: ") and err.count("\n") == 1, err
+        assert ("span no time" if column == "same" else "must be finite") in err
         assert not out.exists()
 
 

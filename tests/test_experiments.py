@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from qpjumps.jumpsim import (
     STATE_GROUND,
     IQRecord,
     TruthTrace,
+    run_starts,
     sample_count,
     simulate_joint,
     snr_separation,
@@ -149,7 +151,7 @@ class TestRecoveryMachinery:
         digests = [hashlib.sha256(a.tobytes()).hexdigest() for a in (times, tau_e, n_jumps)]
         assert digests == [
             "0b56e553f7f219a47aee0f75e278bc009045def369467bfc9357af6854b24f3d",
-            "bc5e77972adc0a2dde46b69c706fe93986dc99ab9bcb37576ab267775f4553dd",
+            "4c1019f172f48966b9d3dfc6f4939abe089278b3f2feb5a35c70a4056dccff94",
             "6dc528d9c87f8dc29f80cb7a34055b71cf677f55909c46f42ea03d59b5ec7904",
         ]
         assert events == {"events": 156183, "qp_events": 115589, "qubit_flips": 40594}
@@ -224,6 +226,87 @@ class TestRecoveryChunkStats:
             trajectory = iter(split_trace(truth, cuts))
         got = recovery_chunk_stats(trajectory, config, rel_edges)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    # a train whose pulse ends and t - first end are exact (dyadic times),
+    # and the recovery preset's
+    @pytest.mark.parametrize("first, period, length, wait", [
+        (2.0**-8, 2.0**-6, 2.0**-12, 2.0**-14), (0.0, 10.105e-3, 100e-6, 5e-6)],
+        ids=["dyadic", "recovery"])
+    def test_within_a_few_ulps_of_the_exact_overlap(self, first, period, length, wait):
+        # 100 small traces with knots on first edges and interior edges
+        # (pulse end + rel edge, in floats), one ulp either side and at
+        # random, against the exact overlap of the excited intervals with
+        # each pulse's bin, in Fractions of the floats.  A flip at t sits at
+        # P_q + r in the bins' frame, (q, r) = divmod(t - P_0, period):
+        # off its time by d = |P_q + r - t|, from the rounding of t - P_0
+        # and P_q against P_0 + q * period, 0 for the dyadic train.  Moving
+        # a flip by d moves a bin's overlap by at most d, and only where
+        # the move meets one of the bin's windows.  In the frame, w * X has
+        # w and the product rounded once each, each e - r is off by at most
+        # 2^-53 w, and each of the f additions rounds once on a partial sum
+        # that stays within [0, n w], as each of the n pulses adds between
+        # 0 and w; so a bin is within (f + 2) n w 2^-52 plus the d of each
+        # flip whose move meets its windows
+        rng = np.random.default_rng(26)
+        ulp = Fraction(1, 2**52)
+        worst = Fraction(0)
+        for case in range(100):
+            n = int(rng.integers(1, 6))
+            train = PeriodicPulses(first=first, period=period, length=length, inject=0,
+                                   count=n)
+            config = ScenarioConfig(duration=first + n * period, rng_seed=0,
+                                    pulse_periodic=train, pulse_wait=wait)
+            rel_edges = recovery_bin_edges(config)
+            ends = np.array([p.end for p in config.pulses])
+            on_edges = np.concatenate((
+                rng.choice(ends + rel_edges[0], size=int(rng.integers(0, 4))),
+                rng.choice((ends[:, None] + rel_edges[None, :]).ravel(),
+                           size=int(rng.integers(0, 8)))))
+            times = np.unique(np.concatenate((
+                [0.0], on_edges, np.nextafter(on_edges, -np.inf),
+                np.nextafter(on_edges, np.inf),
+                rng.uniform(0.0, config.duration, size=int(rng.integers(0, 30))))))
+            states = rng.integers(0, 2, size=len(times)).astype(np.uint8)
+            truth = TruthTrace(duration=config.duration, times=times, states=states,
+                               counts=np.zeros(len(times), dtype=np.int64))
+            exposure = recovery_chunk_stats([truth], config, rel_edges)[0]
+
+            # excited seconds before T, exactly
+            knots = [Fraction(t) for t in times] + [Fraction(config.duration)]
+            before = [Fraction(0)]
+            for j, x in enumerate(states):
+                before.append(before[-1] + x * (knots[j + 1] - knots[j]))
+
+            def excited_before(t):
+                j = int(np.searchsorted(times, t, side="right")) - 1
+                return before[j] + states[j] * (t - knots[j])
+
+            edges = [Fraction(e) for e in rel_edges]
+            pulse_ends = [Fraction(p) for p in ends]
+            # the flips in the frame: the bins they meet moving, their d
+            flips = run_starts(states, STATE_GROUND)
+            cycle, rel = np.divmod(times[flips] - ends[0], period)
+            idx = np.searchsorted(rel_edges, rel, side="right") - 1
+            moves = [Fraction(0)] * (len(edges) - 1)
+            binned = [0] * (len(edges) - 1)
+            for t, q, r, k in zip(times[flips], cycle.astype(int), rel, idx):
+                if not 0 <= q < n:
+                    continue
+                if 0 <= k < len(binned):
+                    binned[k] += 1
+                t, moved = Fraction(t), pulse_ends[q] + Fraction(r)
+                lo, hi = min(t, moved) - pulse_ends[q], max(t, moved) - pulse_ends[q]
+                for b in range(len(moves)):
+                    if lo <= edges[b + 1] and hi >= edges[b]:
+                        moves[b] += hi - lo
+            for b in range(len(edges) - 1):
+                exact = sum((excited_before(p + edges[b + 1]) - excited_before(p + edges[b])
+                             for p in pulse_ends), Fraction(0))
+                error = abs(Fraction(exposure[b]) - exact)
+                w = edges[b + 1] - edges[b]
+                assert error <= (binned[b] + 2) * n * w * ulp + moves[b], (case, b)
+                worst = max(worst, error / (n * w))
+        assert worst > 0  # the bound is met by rounded values, not by exact ones
 
 
 def test_pulses_suppress_and_traps_extend_quiet_windows():

@@ -33,7 +33,6 @@ from qpjumps.jumpsim import (
     STATE_EXCITED,
     STATE_GROUND,
     TruthTrace,
-    excited_seconds,
     occupancy_blocks,
     qp_generation_rate,
     relaxation_rate,
@@ -49,7 +48,6 @@ from qpjumps.jumpsim import (
 
 from support import (
     event_counts,
-    excited_time_at,
     noiseless_iq,
     occupancy_chi2,
     qp_relaxation_rate,
@@ -946,41 +944,3 @@ class TestRunStarts:
             joined = run_starts(np.concatenate((np.array([b], dtype=values.dtype), values)))
             assert starts.tolist() == (joined[1:] - 1).tolist()
             assert (0 in starts) == (before == "other" and len(values) > 0)
-
-
-class TestExcitedSeconds:
-    """excited_seconds over a trace cut at random knots, each piece given
-    the sum carried out of the piece before, against the whole-trace table
-    of support.excited_time_at."""
-
-    @pytest.mark.parametrize("t_meas, seed", [(5e-6, 0), (3.7e-6, 1), (1e-3, 2), (3.7e-6, 3)])
-    def test_pieces_equal_the_whole_trace(self, t_meas, seed):
-        rng = np.random.default_rng(seed)
-        n = 3000
-        # knots exactly on bin edges float(k) * t_meas, one ulp either side
-        # of them, and at random
-        on_edges = rng.integers(1, n, size=500).astype(float) * t_meas
-        times = np.unique(np.concatenate((
-            [0.0], on_edges, np.nextafter(on_edges, -np.inf), np.nextafter(on_edges, np.inf),
-            rng.uniform(0.0, n * t_meas, size=500))))
-        truth = TruthTrace(duration=n * t_meas, times=times,
-                           states=rng.integers(0, 2, len(times)).astype(np.uint8),
-                           counts=np.zeros(len(times), dtype=np.int64))
-        edges = np.arange(n + 1, dtype=float) * t_meas
-        pieces = split_trace(truth, rng.integers(1, len(times), size=40))
-        assert len(pieces) > 30
-        # each piece takes the edges before the next piece's first knot,
-        # the last piece all the edges left
-        ends = np.searchsorted(edges, [p.duration for p in pieces[:-1]] + [math.inf])
-        got = np.empty(n + 1)
-        at_knots = []
-        carry, done = 0.0, 0
-        for piece, hi in zip(pieces, ends):
-            excited = piece.states == STATE_EXCITED
-            cum = excited_seconds(piece.times, excited, carry, edges[done:hi], got[done:hi])
-            at_knots.append(cum)
-            carry = cum[-1] + (piece.duration - piece.times[-1]) * excited[-1]
-            done = hi
-        assert done == n + 1
-        assert got.tobytes() == excited_time_at(truth, edges).tobytes()
-        assert np.concatenate(at_knots).tobytes() == excited_time_at(truth, times).tobytes()
