@@ -29,6 +29,7 @@ from .jumpsim import (
     qp_generation_rate,
     relaxation_rate,
     simulate_joint,
+    simulate_layers,
     simulate_segments,
     snr_separation,
     synthesize_iq,

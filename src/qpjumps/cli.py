@@ -27,6 +27,8 @@ from .analysis import (  # noqa: F401
 )
 from .core import ConfigError, MeasurementParams, QubitParams, ScenarioConfig, load_config
 from .fitting import (
+    N_BOOTSTRAP,
+    N_BOOTSTRAP_MAX,
     FitConvergenceError,
     FitInputError,
     fit_power_law,
@@ -48,7 +50,11 @@ def _add_seed_and_out(p: argparse.ArgumentParser) -> None:
 
 def _scenario(args, require_file: bool = True) -> ScenarioConfig | None:
     """The --config scenario with --seed applied; None without --config,
-    where the command reads the default parameters."""
+    where the command reads the default parameters.  A --seed outside
+    the unsigned 64-bit range of rng_seed is a ConfigError, with or
+    without --config."""
+    if args.seed is not None and not 0 <= args.seed < 2**64:
+        raise ConfigError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
     if not args.config:
         if require_file:
             raise ConfigError("this command needs --config")
@@ -273,16 +279,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config(p)
     _add_seed_and_out(p)
     p.add_argument("--input", required=True, help="CSV of t_s,tau_e_s")
-    p.add_argument("--bootstrap", type=int, default=200,
-                   help="residual-bootstrap resamples for standard errors (at least 2)")
+    p.add_argument("--bootstrap", type=int, default=N_BOOTSTRAP,
+                   help="residual-bootstrap resamples for standard errors "
+                        f"(2 to {N_BOOTSTRAP_MAX})")
     p.set_defaults(func=cmd_fit_recovery)
 
     p = sub.add_parser("fit-thermal", help="exponential temperature decay fit")
     _add_config(p)
     _add_seed_and_out(p)
     p.add_argument("--input", required=True, help="CSV of t_s,temperature_K")
-    p.add_argument("--bootstrap", type=int, default=200,
-                   help="residual-bootstrap resamples for standard errors (at least 2)")
+    p.add_argument("--bootstrap", type=int, default=N_BOOTSTRAP,
+                   help="residual-bootstrap resamples for standard errors "
+                        f"(2 to {N_BOOTSTRAP_MAX})")
     p.set_defaults(func=cmd_fit_thermal)
 
     p = sub.add_parser("experiment", help="run a named experiment preset")

@@ -57,9 +57,9 @@ from .jumpsim import (
     STATE_GROUND,
     TruthTrace,
     occupancy_blocks,
-    run_starts,
     sample_count,
     simulate_joint,
+    simulate_layers,
     simulate_segments,
     snr_separation,
     synthesize_iq,
@@ -501,36 +501,37 @@ def recovery_bin_edges(config: ScenarioConfig) -> np.ndarray:
 
 
 def recovery_chunk_stats(
-    trajectory, config: ScenarioConfig, rel_edges: np.ndarray
+    layers, config: ScenarioConfig, rel_edges: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(excited exposure, jump count, jump-time sum) per post-injection bin
     of the config's periodic train, from the qubit's flips alone.
 
-    trajectory is an iterable of consecutive segments, read in one pass.
-    The state is carried across segments, ground before the trace, so a
-    flip on a segment's first knot counts.  The flips are collected over
-    the pass and binned at once, so nothing depends on the segments.  A
-    flip at t is in cycle q and at r after its pulse's end, (q, r) =
-    divmod(t - first pulse end, period), and in the bin [e_k, e_(k+1)) of
-    rel_edges that holds r, if q is one of the train's pulses.  Bin k's
-    exposure is w_k * X_k plus, for each of its flips in time order,
-    +-(e_(k+1) - r), + for a flip to excited, as occupancy_blocks adds a
-    readout bin's.  X_k, the pulses excited at edge k, is X_0 plus the net
-    flips in the bins before k.  X_0, the pulses excited just before their
-    first edge, sums each flip's sign times the number of first edges
-    after it; a flip on a first edge is in bin 0, not before the edge.
-    The jumps are the flips to ground, and their time is r.
+    layers is an iterable of consecutive jumpsim.SegmentLayers, as
+    simulate_layers yields them, read in one pass for their flips; the
+    QP knots are not read.  The state alternates at the flips from the
+    first segment's before state, and an excited start counts as a flip
+    at t = 0, so the flips go ground to excited first.  The flips are
+    collected over the pass and binned at once, so nothing depends on
+    the segments.  A flip at t is in cycle q and at r after its pulse's
+    end, (q, r) = divmod(t - first pulse end, period), and in the bin
+    [e_k, e_(k+1)) of rel_edges that holds r, if q is one of the train's
+    pulses.  Bin k's exposure is w_k * X_k plus, for each of its flips in
+    time order, +-(e_(k+1) - r), + for a flip to excited, as
+    occupancy_blocks adds a readout bin's.  X_k, the pulses excited at
+    edge k, is X_0 plus the net flips in the bins before k.  X_0, the
+    pulses excited just before their first edge, sums each flip's sign
+    times the number of first edges after it; a flip on a first edge is
+    in bin 0, not before the edge.  The jumps are the flips to ground,
+    and their time is r.
     """
     first, n = config.pulses[0].end, len(config.pulses)
-    times, states = [], []
-    state = STATE_GROUND
-    for segment in trajectory:
-        flips = run_starts(segment.states, state)
-        state = segment.states[-1]
-        times.append(segment.times[flips])
-        states.append(segment.states[flips])
+    segments = iter(layers)
+    first_segment = next(segments)
+    times = [np.zeros(int(first_segment.before[1] == STATE_EXCITED)), first_segment.flips]
+    times += [segment.flips for segment in segments]
     cycle, rel = np.divmod(np.concatenate(times) - first, config.pulse_periodic.period)
-    sign = np.where(np.concatenate(states) == STATE_EXCITED, 1.0, -1.0)
+    sign = np.ones(len(rel))
+    sign[1::2] = -1.0
     idx = np.searchsorted(rel_edges, rel, side="right") - 1
     x0 = np.sum(sign * (n - np.clip(cycle + (idx >= 0), 0, n)))
 
@@ -546,6 +547,17 @@ def recovery_chunk_stats(
     return exposure, counts, t_sum
 
 
+def _tally_layers(layers, counts: Counter):
+    """Yield the layers as they come, adding their events into counts as
+    jumpsim.tally_events counts a trajectory's: every QP knot after the
+    first and every flip is an event, by construction."""
+    counts.update(events=-1, qp_events=-1)
+    for segment in layers:
+        counts.update(events=len(segment.knot_t) + len(segment.flips),
+                      qp_events=len(segment.knot_t), qubit_flips=len(segment.flips))
+        yield segment
+
+
 def run_recovery(config: ScenarioConfig):
     """Post-injection lifetime profile and its exponential-recovery fit.
 
@@ -553,14 +565,15 @@ def run_recovery(config: ScenarioConfig):
     simulated one after another, each from its own seed spawned from the
     config's, so memory stays bounded at any pulse count.  Each chunk keeps
     the train's first pulse start and ends with its last readout window.
-    A chunk's trajectory is read as the sampler yields its segments, its
-    events tallied and its flips kept as they pass, by
+    A chunk's trajectory is read as simulate_layers yields its layers,
+    unmerged: their lengths are counted as events and their flips kept by
     recovery_chunk_stats, so no chunk's trace is held whole.  The mean
     excited dwell per log-spaced time bin is estimated as exposure / jump
     count (bins with fewer than MIN_JUMPS jumps are dropped), and the
-    density recovery is fitted through the relaxation-rate inversion.  A pulse_wait that leaves no readout window
-    raises ValueError before any chunk is simulated.  Returns
-    (times, tau_e, jump counts, fit, event counts summed over the chunks).
+    density recovery is fitted through the relaxation-rate inversion.  A
+    pulse_wait that leaves no readout window raises ValueError before any
+    chunk is simulated.  Returns (times, tau_e, jump counts, fit, event
+    counts summed over the chunks).
     """
     train = config.pulse_periodic
     if train is None:
@@ -572,10 +585,8 @@ def run_recovery(config: ScenarioConfig):
         cycles = min(RECOVERY_CHUNK_CYCLES, train.count - k * RECOVERY_CHUNK_CYCLES)
         chunk = replace(config, duration=train.first + cycles * train.period,
                         pulse_periodic=replace(train, count=cycles))
-        counts = {}
-        segments = simulate_segments(chunk, *np.random.default_rng(seed).spawn(3))
-        stats.append(recovery_chunk_stats(tally_events(segments, counts), chunk, edges))
-        events.update(counts)
+        layers = simulate_layers(chunk, *np.random.default_rng(seed).spawn(3))
+        stats.append(recovery_chunk_stats(_tally_layers(layers, events), chunk, edges))
     exposure, counts, t_sum = np.sum(stats, axis=0)
 
     good = counts >= MIN_JUMPS

@@ -5,8 +5,10 @@ A / (B + (2 pi f)^alpha) + C for the slow lifetime fluctuations, an
 exponential recovery of the QP density after an injection pulse, and an
 exponential temperature decay.  The spectrum is fitted by Whittle
 likelihood, the periodogram's own noise model, with errors from the
-observed information; the exponential models use least squares from a
-small grid of time-constant seeds, with seeded residual-bootstrap errors.
+observed information; the exponential models use Levenberg-Marquardt
+least squares with their exact Jacobian from a small grid of
+time-constant seeds, with seeded residual-bootstrap errors of at most
+N_BOOTSTRAP_MAX refits.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from .kinetics import exponential_relaxation
 
 ALPHA_MIN, ALPHA_MAX = 0.5, 3.0
 N_BOOTSTRAP = 200
+# the most residual-bootstrap refits an exponential fit takes, 50 times
+# the default: each refit is a least-squares run and a row of the spread
+N_BOOTSTRAP_MAX = 10_000
 CHI2_3_Q99 = 11.3449  # 0.99 quantile of chi-square with 3 degrees of freedom
 
 
@@ -257,10 +262,36 @@ def invert_relaxation(tau_excited, qubit: QubitParams) -> np.ndarray:
     return rate / qp_rate_coefficient(qubit)
 
 
+# |ln tau| past which _decay_time holds tau at e^+-500 s
+LOG_TAU_CLIP = 500.0
+
+
 def _decay_time(log_tau: float) -> float:
     """exp(log_tau), clipped to e^+-500 s, far outside any real fit: Levenberg-
     Marquardt is unbounded, and near-flat data drive tau up until exp overflows."""
-    return math.exp(min(max(log_tau, -500.0), 500.0))
+    return math.exp(min(max(log_tau, -LOG_TAU_CLIP), LOG_TAU_CLIP))
+
+
+def _exp_residual(theta, t, target):
+    """base + amp * exp(-t / tau) - target at theta = (base, amp, ln tau)."""
+    base, amp, log_tau = theta
+    return base + amp * np.exp(-t / _decay_time(log_tau)) - target
+
+
+def _exp_jacobian(theta, t, target):
+    """The exact Jacobian of _exp_residual in (base, amp, ln tau): columns
+    1, exp(-t / tau) and amp * exp(-t / tau) * t / tau.  The ln tau column
+    is 0 where _decay_time's clip binds, as tau does not move there."""
+    amp, log_tau = theta[1], theta[2]
+    tau = _decay_time(log_tau)
+    jac = np.empty((len(t), 3))
+    jac[:, 0] = 1.0
+    jac[:, 1] = np.exp(-t / tau)
+    if abs(log_tau) > LOG_TAU_CLIP:
+        jac[:, 2] = 0.0
+    else:
+        jac[:, 2] = amp * jac[:, 1] * (t / tau)
+    return jac
 
 
 def _check_series(times, values) -> None:
@@ -273,12 +304,18 @@ def _check_series(times, values) -> None:
 
 
 def _exp_fit(t, y, n_boot, seed):
-    """Shared bounded least-squares for y = base + amp*exp(-t/tau).
+    """Shared least-squares fit of y = base + amp*exp(-t/tau).
 
-    The errors are the spread of n_boot residual-bootstrap refits, so
-    n_boot under 2 raises ValueError."""
+    Levenberg-Marquardt (MINPACK's, through least_squares) from 6 seeds of
+    tau over the time span, in (base, amp, ln tau), with the exact
+    Jacobian, _exp_jacobian, so no evaluation is spent on finite
+    differences.  The errors are the spread of n_boot residual-bootstrap
+    refits from the best fit, so n_boot under 2 or over N_BOOTSTRAP_MAX
+    raises ValueError before anything is fitted or allocated."""
     if n_boot < 2:
         raise ValueError(f"the bootstrap needs at least 2 refits, got {n_boot}")
+    if n_boot > N_BOOTSTRAP_MAX:
+        raise ValueError(f"the bootstrap takes at most {N_BOOTSTRAP_MAX} refits, got {n_boot}")
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     span = t.max() - t.min()
@@ -287,24 +324,20 @@ def _exp_fit(t, y, n_boot, seed):
     if spread <= 1e-12 * max(abs(y.mean()), 1e-300):
         return (y.mean(), 0.0, math.nan), (0.0, 0.0, math.nan), 0.0, "warned"
 
-    def resid(theta, target):
-        base, amp, log_tau = theta
-        return base + amp * np.exp(-t / _decay_time(log_tau)) - target
-
     n_tail = max(2, len(y) // 5)
     base0 = float(np.mean(y[np.argsort(t)[-n_tail:]]))
     amp0 = float(y[np.argmin(t)] - base0)
     best = None
     for tau0 in np.geomspace(span / 50.0, 2.0 * span, 6):
         res = optimize.least_squares(
-            resid, np.array([base0, amp0, math.log(tau0)]), args=(y,),
-            method="lm", max_nfev=2000,
+            _exp_residual, np.array([base0, amp0, math.log(tau0)]), jac=_exp_jacobian,
+            args=(t, y), method="lm", max_nfev=2000,
         )
         if best is None or res.cost < best.cost:
             best = res
 
     theta = best.x
-    model = resid(theta, 0.0)
+    model = _exp_residual(theta, t, 0.0)
     r = y - model
     rnorm = float(np.sqrt(r @ r))
     ss_tot = float(((y - y.mean()) ** 2).sum())
@@ -318,8 +351,8 @@ def _exp_fit(t, y, n_boot, seed):
     boot = np.empty((n_boot, 3))
     for i in range(n_boot):
         sample = model + rng.choice(r, size=len(r), replace=True)
-        rb = optimize.least_squares(resid, theta, args=(sample,), method="lm",
-                                    max_nfev=500)
+        rb = optimize.least_squares(_exp_residual, theta, jac=_exp_jacobian,
+                                    args=(t, sample), method="lm", max_nfev=500)
         boot[i] = rb.x
     errs = boot.std(axis=0)
     tau = _decay_time(theta[2])

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,14 +136,15 @@ class TruthTrace:
     counts events, one fewer than the knots.  The trace holds these three
     arrays and nothing derived from them, 17 B per knot.
 
-    The readers of a trajectory (occupancy_blocks, tally_events,
-    experiments.recovery_chunk_stats, which keeps only the qubit's flips,
+    The readers of a trajectory's knots (occupancy_blocks, tally_events
     and the io truth writers) read it in one pass, as an iterable of
     consecutive segments, each a TruthTrace whose knots follow the
     segment before's: its times[0] is where it starts, and its duration
     is where the next one starts (the record's duration for the last).
     simulate_segments yields a trajectory so, and a whole trace is the one
     segment [trace], so a record need never hold it whole.
+    experiments.recovery_chunk_stats, which needs only the qubit's flips,
+    reads the sampler's SegmentLayers instead.
     """
 
     duration: float
@@ -368,6 +370,27 @@ def _flip_times(t: np.ndarray, accept: np.ndarray, state: int) -> tuple[np.ndarr
     return t[run_starts(s, state != 0)], int(s[-1])
 
 
+class SegmentLayers(NamedTuple):
+    """One segment of a trajectory as the sampler's two layers, before
+    _merge makes them a TruthTrace: the QP knots (knot_t, knot_n), the
+    qubit flips, before, the (count, state) in force before the
+    segment's first knot, and end, where the next segment starts (the
+    duration for the last).  Every QP knot after the trajectory's first
+    changes N and every flip changes the state, so the layers' lengths
+    count the events."""
+
+    knot_t: np.ndarray
+    knot_n: np.ndarray
+    flips: np.ndarray
+    before: tuple[int, int]
+    end: float
+
+    def after(self) -> tuple[int, int]:
+        """The (count, state) in force at the segment's end."""
+        count = self.knot_n[-1] if len(self.knot_n) else self.before[0]
+        return count, (self.before[1] + len(self.flips)) & 1
+
+
 def _merge(knot_t: np.ndarray, knot_n: np.ndarray, flips: np.ndarray,
            before: tuple[int, int], end: float) -> TruthTrace:
     """The segment up to end of QP knots and qubit flips, merged in the
@@ -402,11 +425,11 @@ def _merge(knot_t: np.ndarray, knot_n: np.ndarray, flips: np.ndarray,
     return TruthTrace(duration=end, times=times, states=states, counts=counts)
 
 
-def simulate_segments(config: ScenarioConfig, qp_rng: np.random.Generator,
-                      candidate_rng: np.random.Generator,
-                      uniform_rng: np.random.Generator):
+def simulate_layers(config: ScenarioConfig, qp_rng: np.random.Generator,
+                    candidate_rng: np.random.Generator,
+                    uniform_rng: np.random.Generator):
     """Sample the coupled (qubit, QP number) chain in two layers, and yield
-    its trace as consecutive segments.
+    its trajectory as consecutive segments, each as its SegmentLayers.
 
     The QP number drives the qubit and never the reverse, so the (modulator,
     N) chain is sampled alone from qp_rng, by exact jumps.  The qubit is then
@@ -428,10 +451,11 @@ def simulate_segments(config: ScenarioConfig, qp_rng: np.random.Generator,
     flip before the held-back knot, so a segment holds at most one chunk's
     QP knots and about one block's flips, however rare the QP events.  The
     running sums E_i, the block of candidates in hand, H at the held-back
-    knot, the qubit state and the parity of the flips are carried across
-    segments, and np.cumsum adds in the order of one running sum, so the
-    segments join into the same trace bit for bit whatever _SEGMENT and
-    _CANDIDATES are.  A segment holds at least one knot.
+    knot and the qubit state are carried across segments, and np.cumsum
+    adds in the order of one running sum, so the segments join into the
+    same trace bit for bit whatever _SEGMENT and _CANDIDATES are.  A
+    segment holds at least one knot.  The first segment's first knot is
+    the QP knot at t = 0, and its before holds the initial state.
     """
     qubit = config.qubit
     state = STATE_EXCITED if uniform_rng.random() < temperature_to_polarization(
@@ -476,10 +500,10 @@ def simulate_segments(config: ScenarioConfig, qp_rng: np.random.Generator,
                 if cut >= 0:
                     hi = int(np.searchsorted(seg_t, flips[cut], side="right"))
                     if cut > 0 or hi > qp:
-                        segment = _merge(seg_t[qp:hi], seg_n[qp:hi], flips[:cut], before,
-                                         flips[cut])
-                        before = segment.counts[-1], segment.states[-1]
-                        yield segment
+                        layers = SegmentLayers(seg_t[qp:hi], seg_n[qp:hi], flips[:cut],
+                                               before, flips[cut])
+                        before = layers.after()
+                        yield layers
                         qp, flips = hi, flips[cut:]
                 candidates = candidate_rng.standard_exponential(_CANDIDATES)
                 candidates[0] += e_carry
@@ -500,11 +524,23 @@ def simulate_segments(config: ScenarioConfig, qp_rng: np.random.Generator,
             if used < len(candidates):
                 break
         cut = len(flips) if final else int(np.searchsorted(flips, end))
-        segment = _merge(seg_t[qp:], seg_n[qp:], flips[:cut], before, end)
-        before = segment.counts[-1], segment.states[-1]
-        yield segment
+        layers = SegmentLayers(seg_t[qp:], seg_n[qp:], flips[:cut], before, end)
+        before = layers.after()
+        yield layers
         flips = flips[cut:]
         knot_t, knot_n = knot_t[-1:], knot_n[-1:]
+
+
+def simulate_segments(config: ScenarioConfig, qp_rng: np.random.Generator,
+                      candidate_rng: np.random.Generator,
+                      uniform_rng: np.random.Generator):
+    """simulate_layers' trajectory as consecutive TruthTrace segments:
+    each segment's layers, merged by _merge.  The readers of knots
+    (occupancy_blocks, tally_events, the io truth writers and
+    simulate_joint) read these; experiments.recovery_chunk_stats, which
+    needs only the flips, reads the layers."""
+    for layers in simulate_layers(config, qp_rng, candidate_rng, uniform_rng):
+        yield _merge(*layers)
 
 
 def simulate_joint(config: ScenarioConfig, qp_rng: np.random.Generator,

@@ -8,7 +8,7 @@ pairs) follows
 with all three coefficients in 1/s and x dimensionless.  The discrete
 counterpart, a birth-death chain on the QP number N in which QPs are created
 and recombine in pairs (broken/reformed Cooper pairs) while trapping removes
-them one at a time, is the first layer of jumpsim.simulate_segments, which
+them one at a time, is the first layer of jumpsim.simulate_layers, which
 samples it alone and then the qubit it drives.
 """
 

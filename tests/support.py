@@ -1,12 +1,12 @@
 """Test-only helpers: synthetic spectral series, the noiseless readout
 record, whole-array oracles for the blocked record pipeline, for the
 presets that stream their record and for the recovery statistics that
-read a chunk's segments, an RK4 integrator for the QP density rate
+read a chunk's layers, an RK4 integrator for the QP density rate
 equation, a scalar loop over the sampler's qubit candidates, the qubit
-intervals and event counts of a trace, a trace cut into segments, a
-child process under an address-space limit, and an exact oracle for the
-joint (modulator, qubit, QP number) Markov chain sampled by
-jumpsim.simulate_joint.
+intervals and event counts of a trace, a trace cut into segments or
+into the sampler's layers, a child process under an address-space
+limit, and an exact oracle for the joint (modulator, qubit, QP number)
+Markov chain sampled by jumpsim.simulate_joint.
 
 The oracle is built from the model's rate definitions (the scalar rate
 functions below and the kinetics coefficients), not from the sampler's
@@ -47,6 +47,7 @@ from qpjumps.jumpsim import (
     STATE_EXCITED,
     STATE_GROUND,
     IQRecord,
+    SegmentLayers,
     TruthTrace,
     occupancy_blocks,
     qp_rate_coefficient,
@@ -182,6 +183,23 @@ def split_trace(truth: TruthTrace, cuts) -> list[TruthTrace]:
                        else truth.duration, times=truth.times[lo:hi],
                        states=truth.states[lo:hi], counts=truth.counts[lo:hi])
             for lo, hi in zip(first, last)]
+
+
+def trace_layers(truth: TruthTrace, cuts=()) -> list[SegmentLayers]:
+    """truth cut as split_trace cuts it, each segment as the sampler's
+    layers: a knot whose state differs from the one before is a flip, and
+    every other knot, the first included, is a QP knot.  Each before holds
+    the count and state at the knot before the segment, the first knot's
+    own for the first."""
+    layers = []
+    before = truth.counts[0], truth.states[0]
+    for segment in split_trace(truth, cuts):
+        flip = np.zeros(len(segment.times), dtype=bool)
+        flip[run_starts(segment.states, before[1])] = True
+        layers.append(SegmentLayers(segment.times[~flip], segment.counts[~flip],
+                                    segment.times[flip], before, segment.duration))
+        before = segment.counts[-1], segment.states[-1]
+    return layers
 
 
 def noiseless_iq(truth: TruthTrace, meas: MeasurementParams) -> IQRecord:

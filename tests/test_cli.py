@@ -2,13 +2,17 @@ import argparse
 import contextlib
 import io as io_module
 import json
+import math
 import pathlib
 import re
+import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from qpjumps import analysis, cli, experiments, fitting, io
@@ -414,9 +418,15 @@ class TestFitCommands:
         series = tmp_path / "temps.csv"
         io.write_series_csv(series, np.arange(8) / 7, temps, "temperature_K")
         out = tmp_path / "f"
-        assert main(["fit-thermal", "--input", str(series), "--out", str(out)]) == 1
+        # no RuntimeWarning either: an overflow on the way, in the fit or in
+        # the bootstrap's spread, is a defect even when the exit code holds
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fit-thermal", "--input", str(series), "--out", str(out)]) == 1
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         report = dict(line.split(",") for line in (out / "fit.csv").read_text().splitlines())
         assert report["status"] == "warned"
+        assert all(math.isfinite(float(v)) for k, v in report.items() if k.endswith("_err_k"))
 
     def test_fit_recovery_too_few_bins_exit(self, tmp_path):
         series = tmp_path / "tau.csv"
@@ -522,6 +532,92 @@ class TestFitCommands:
         assert ("span no time" if column == "same" else "must be finite") in err
         assert not out.exists()
 
+    def test_bootstrap_past_the_ceiling_exits_2_before_allocating(self, tmp_path):
+        # 10^9 refits once asked np.empty for 22.4 GiB before the first
+        # refit: run only in a child under an address-space limit, where
+        # that is a fast MemoryError
+        series = _fit_series("fit-thermal", tmp_path / "temps.csv")
+        out = tmp_path / "fit"
+        status, result = run_with_address_limit(
+            _main_with_stderr, ["fit-thermal", "--input", str(series), "--out", str(out),
+                                "--bootstrap", "1000000000"])
+        assert status == "returned", result
+        code, err = result
+        assert code == 2 and err.count("\n") == 1, err
+        assert err.startswith("invalid input: ") and "at most 10000 refits" in err
+        assert not out.exists()
+
+    # each fit command's numeric flags at 0, negative, huge and just past
+    # their ceilings: --bootstrap takes 2 to N_BOOTSTRAP_MAX, --segments 1
+    # to the segments of at least 16 samples the series has (64 here),
+    # --seed an unsigned 64-bit integer.  No large valid count is drawn: the
+    # only valid value is seed 0.  Every case runs in a child under an
+    # address-space limit, so a count that allocates before it is refused
+    # fails fast there
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_numeric_flags_are_refused_with_one_line(self, data):
+        command, flag = data.draw(st.sampled_from(FIT_FLAGS))
+        low, ceiling = FIT_FLAG_RANGES[flag]
+        value = data.draw(st.one_of(st.just(0), st.integers(max_value=-1),
+                                    st.integers(min_value=ceiling + 1),
+                                    st.just(ceiling + 1)))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            series = _fit_series(command, tmp / "series.csv")
+            out = tmp / "fit"
+            argv = [command, "--input", str(series), "--out", str(out)]
+            if command != "fit-psd" and flag != "--bootstrap":
+                argv += ["--bootstrap", "4"]
+            status, result = run_with_address_limit(_main_with_stderr,
+                                                    [*argv, flag, str(value)])
+            assert status == "returned", result
+            code, err = result
+            if low <= value <= ceiling:
+                assert (code, err) == (0, "")
+                assert (out / "fit.csv").exists()
+            else:
+                assert code == 2 and err.count("\n") == 1, err
+                assert err.startswith(("invalid input: ", "configuration error: ")), err
+                assert "Traceback" not in err
+                assert not out.exists()
+
+
+# the fit commands' numeric flags, and each flag's (least, most) valid value
+FIT_FLAGS = [("fit-recovery", "--bootstrap"), ("fit-thermal", "--bootstrap"),
+             ("fit-psd", "--segments"), ("fit-recovery", "--seed"),
+             ("fit-thermal", "--seed"), ("fit-psd", "--seed")]
+FIT_FLAG_RANGES = {"--bootstrap": (2, fitting.N_BOOTSTRAP_MAX), "--segments": (1, 64),
+                   "--seed": (0, 2**64 - 1)}
+
+
+def _fit_series(command: str, path):
+    """A series that command fits with exit 0, written to path: a recovery
+    from 2.6e-7 to 4e-8 as dwells, a temperature decay, or 1024 samples of
+    a power-law spectrum."""
+    if command == "fit-psd":
+        t = np.arange(1024.0)
+        values = power_law_series(1024, 1.0, 1.4, amplitude=1.0, floor=2e-2,
+                                  rng=np.random.default_rng(5))
+    else:
+        t = np.geomspace(5e-6, 9e-3, 25)
+        if command == "fit-recovery":
+            qubit = QubitParams()
+            x = 4e-8 + 2.6e-7 * np.exp(-t / 125e-6)
+            values = 1.0 / (x * qp_rate_coefficient(qubit) + qubit.gamma_background)
+        else:
+            values = 0.045 + 0.01 * np.exp(-t / 2.2e-3)
+    io.write_series_csv(path, t, values, "value")
+    return path
+
+
+def _main_with_stderr(argv):
+    """main(argv) and what it wrote to stderr."""
+    err = io_module.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
 
 class TestManifestProvenance:
     """A command run without --config records no configuration hash, and
@@ -581,7 +677,7 @@ class TestExperiment:
         def no_simulation(*args):
             raise AssertionError("a chunk was simulated")
 
-        monkeypatch.setattr(experiments, "simulate_segments", no_simulation)
+        monkeypatch.setattr(experiments, "simulate_layers", no_simulation)
         out = tmp_path / "exp"
         assert main(["experiment", "recovery", "--out", str(out),
                      "--set", "pulse_wait=0.02", "--set", "pulse_count=600",

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import sys
@@ -31,12 +32,13 @@ from qpjumps.jumpsim import (
     run_starts,
     sample_count,
     simulate_joint,
+    simulate_layers,
     snr_separation,
 )
 
 from support import (
     event_counts,
-    split_trace,
+    trace_layers,
     whole_record_experiment,
     whole_trace_chunk_stats,
 )
@@ -95,7 +97,7 @@ class TestRecoveryMachinery:
             states=np.array([STATE_EXCITED, STATE_GROUND], dtype=np.uint8),
             counts=np.zeros(2, dtype=np.int64),
         )
-        exposure, counts, t_sum = recovery_chunk_stats([truth], config, edges)
+        exposure, counts, t_sum = recovery_chunk_stats(trace_layers(truth), config, edges)
         k = np.searchsorted(edges, t_rel, side="right") - 1
         assert counts.sum() == 1 and counts[k] == 1
         assert t_sum[k] == pytest.approx(t_rel, rel=1e-9)
@@ -121,7 +123,7 @@ class TestRecoveryMachinery:
             states=np.array([STATE_EXCITED, STATE_GROUND], dtype=np.uint8),
             counts=np.zeros(2, dtype=np.int64),
         )
-        exposure, counts, t_sum = recovery_chunk_stats([truth], config, edges)
+        exposure, counts, t_sum = recovery_chunk_stats(trace_layers(truth), config, edges)
         assert counts.sum() == 0 and t_sum.sum() == 0
         # every bin is excited after the first pulse only, and the last one
         # stops where the second pulse starts
@@ -167,11 +169,31 @@ class TestRecoveryMachinery:
         assert hashlib.sha256((tmp_path / "tau_e.csv").read_bytes()).hexdigest() == (
             "128bf576a6a78440c45944eb6a9c9670bc088908d22099920e9ef53fc56df8e9")
 
+    def test_events_equal_those_of_the_merged_chunks(self, monkeypatch):
+        # two chunks: the events counted as layer lengths equal those of
+        # each chunk's trace, merged and joined whole from the same streams
+        calls = []
+
+        def recorded(chunk, *rngs):
+            calls.append((chunk, copy.deepcopy(rngs)))
+            return simulate_layers(chunk, *rngs)
+
+        monkeypatch.setattr(experiments, "simulate_layers", recorded)
+        config = preset_config("recovery", {"pulse_count": "600",
+                                            "duration": "6.063"})
+        events = run_recovery(config)[4]
+        assert len(calls) == 2
+        want = {}
+        for chunk, rngs in calls:
+            for key, value in event_counts(simulate_joint(chunk, *rngs)).items():
+                want[key] = want.get(key, 0) + value
+        assert events == want
+
     def test_wait_past_the_readout_window_fails_before_any_chunk(self, monkeypatch):
         def no_simulation(*args):
             raise AssertionError("a chunk was simulated")
 
-        monkeypatch.setattr(experiments, "simulate_segments", no_simulation)
+        monkeypatch.setattr(experiments, "simulate_layers", no_simulation)
         config = preset_config("recovery", {"pulse_wait": "0.02", "pulse_count": "600",
                                             "duration": "6.063"})
         with pytest.raises(ValueError, match="pulse_wait"):
@@ -186,9 +208,9 @@ class TestRecoveryMachinery:
 
 
 class TestRecoveryChunkStats:
-    """recovery_chunk_stats reads a trajectory's segments in one pass; its
+    """recovery_chunk_stats reads a trajectory's layers in one pass; its
     bytes equal those of the whole-trace oracle (tests/support.py) however
-    the trace is cut."""
+    the layers are cut."""
 
     @pytest.fixture(scope="class")
     def chunk(self):
@@ -207,24 +229,34 @@ class TestRecoveryChunkStats:
                            counts=np.insert(truth.counts, j, truth.counts[j - 1]))
         return config, rel_edges, truth, j
 
-    # the whole trace (None), and cuts at random knots, on the knot at a
-    # bin edge, on a relaxation (e -> g) and on the knot after it, so one
-    # segment holds a single knot
+    # the whole trace as one segment's layers (None), and cuts at random
+    # knots, on the knot at a bin edge, on a relaxation (e -> g) and on the
+    # knot after it, so one segment holds a single knot
     @pytest.mark.parametrize("seed", [None, 0, 1, 2])
     def test_segments_equal_the_whole_trace(self, chunk, seed):
         config, rel_edges, truth, at_edge = chunk
         want = whole_trace_chunk_stats(truth, config, rel_edges)
         assert want[1].sum() > 100 and want[0].sum() > 0
-        if seed is None:
-            trajectory = [truth]
-        else:
+        cuts = []
+        if seed is not None:
             rng = np.random.default_rng(seed)
             relax = np.flatnonzero((truth.states[:-1] == STATE_EXCITED)
                                    & (truth.states[1:] == STATE_GROUND)) + 1
             flip = int(rng.choice(relax))
             cuts = [at_edge, flip, flip + 1, *rng.integers(1, len(truth.times), 30)]
-            trajectory = iter(split_trace(truth, cuts))
-        got = recovery_chunk_stats(trajectory, config, rel_edges)
+        got = recovery_chunk_stats(iter(trace_layers(truth, cuts)), config, rel_edges)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    # the sampler's own layers against its merged trace, from a ground and
+    # from an excited start (an excited start is a flip at t = 0)
+    @pytest.mark.parametrize("seed", [104, 3])
+    def test_sampler_layers_equal_its_merged_trace(self, chunk, seed):
+        config, rel_edges = replace(chunk[0], rng_seed=seed), chunk[1]
+        truth = simulate_joint(config, *np.random.default_rng(seed).spawn(3))
+        assert truth.states[0] == (STATE_EXCITED if seed == 3 else STATE_GROUND)
+        want = whole_trace_chunk_stats(truth, config, rel_edges)
+        got = recovery_chunk_stats(
+            simulate_layers(config, *np.random.default_rng(seed).spawn(3)), config, rel_edges)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     # a train whose pulse ends and t - first end are exact (dyadic times),
@@ -269,7 +301,7 @@ class TestRecoveryChunkStats:
             states = rng.integers(0, 2, size=len(times)).astype(np.uint8)
             truth = TruthTrace(duration=config.duration, times=times, states=states,
                                counts=np.zeros(len(times), dtype=np.int64))
-            exposure = recovery_chunk_stats([truth], config, rel_edges)[0]
+            exposure = recovery_chunk_stats(trace_layers(truth), config, rel_edges)[0]
 
             # excited seconds before T, exactly
             knots = [Fraction(t) for t in times] + [Fraction(config.duration)]

@@ -281,6 +281,46 @@ class TestFitRecovery:
             fit_recovery([1e-3, 2e-3, 3e-3, 4e-3], [1e-4] * 4, QUBIT, n_boot=2)
 
 
+class TestExpJacobian:
+    """_exp_jacobian is the derivative of _exp_residual as the code computes
+    it, clip included."""
+
+    T = np.geomspace(5e-6, 9e-3, 27)
+
+    def _central(self, theta, j, h):
+        up, down = np.array(theta, dtype=float), np.array(theta, dtype=float)
+        up[j] += h
+        down[j] -= h
+        return (fitting._exp_residual(up, self.T, 0.0)
+                - fitting._exp_residual(down, self.T, 0.0)) / (up[j] - down[j])
+
+    def test_matches_central_differences(self):
+        # base and amp over nine decades of scale, tau from well inside to
+        # well past the time span; steps of 1e-6 of a parameter's size
+        # leave a rounding and truncation error far under 1e-6 of a column
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            scale = 10.0 ** rng.uniform(-9.0, 0.0)
+            theta = [scale * rng.uniform(-1.0, 1.0), scale * rng.uniform(-1.0, 1.0),
+                     math.log(rng.uniform(1e-6, 1e-1))]
+            jac = fitting._exp_jacobian(theta, self.T, 0.0)
+            assert jac.shape == (len(self.T), 3)
+            for j in range(3):
+                h = 1e-6 * max(abs(theta[j]), scale if j < 2 else 1.0)
+                want = self._central(theta, j, h)
+                np.testing.assert_allclose(jac[:, j], want, rtol=1e-6,
+                                           atol=1e-6 * np.abs(want).max())
+
+    @pytest.mark.parametrize("log_tau", [-600.0, 501.0, 800.0])
+    def test_log_tau_column_is_zero_where_the_clip_binds(self, log_tau):
+        theta = [0.05, 0.01, log_tau]
+        jac = fitting._exp_jacobian(theta, self.T, 0.0)
+        assert np.all(jac[:, 2] == 0.0)
+        assert np.all(self._central(theta, 2, 1e-3) == 0.0)
+        np.testing.assert_allclose(jac[:, 1], self._central(theta, 1, 1e-6), rtol=1e-6)
+        assert np.all(jac[:, 0] == 1.0)
+
+
 class TestFitThermal:
     def test_round_trip(self):
         t = np.linspace(0, 10e-3, 30)
