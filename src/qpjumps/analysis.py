@@ -244,13 +244,17 @@ class WindowedReport:
 
 def window_samples(window: float, t_meas: float) -> int:
     """Samples in a window of `window` seconds, round(window / t_meas);
-    windows that are not finite or are shorter than 100 samples are
-    refused."""
+    windows that are not finite, are shorter than 100 samples or hold a
+    count of samples that is not finite are refused."""
     if not math.isfinite(window):
         raise ValueError(f"window must be a finite number of seconds, got {window}")
     if window < 100 * t_meas:
         raise ValueError("window must cover at least 100 samples")
-    return int(round(window / t_meas))
+    samples = window / t_meas
+    if not math.isfinite(samples):
+        raise ValueError(f"window = {window:g} s at t_meas = {t_meas:g} s holds "
+                         f"{samples} samples, not a finite count")
+    return int(round(samples))
 
 
 def split_windows(est: StateEstimate, window: float) -> list[StateEstimate]:

@@ -337,8 +337,9 @@ def run_stats(
         raise ValueError("record shorter than one window")
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be at least 1")
-    # the log grid of a window's dwells, at most per samples long
-    if bins_per_decade * math.log10(per) + 1 > per:
+    # the log grid of a window's dwells, at most per samples long; a count
+    # past per fails first, so no int too large for a float is multiplied
+    if bins_per_decade > per or bins_per_decade * math.log10(per) + 1 > per:
         raise ValueError(f"bins_per_decade = {bins_per_decade} gives a window's dwell "
                          f"histogram more bins than its {per} samples")
     size = max(1, STATS_BLOCK // per) * per

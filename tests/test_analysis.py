@@ -372,6 +372,12 @@ class TestWindowedReport:
         with pytest.raises(ValueError, match="window must be a finite number of seconds"):
             window_samples(window, TM)
 
+    # 1e308 / 5e-6 overflows to inf, whose round() raised OverflowError
+    @pytest.mark.parametrize("window, t_meas", [(1e308, TM), (1e-3, 5e-324)])
+    def test_window_of_no_finite_sample_count_is_refused(self, window, t_meas):
+        with pytest.raises(ValueError, match="samples, not a finite count"):
+            window_samples(window, t_meas)
+
     def test_split_windows_are_the_report_windows(self):
         states = markov_states(1050, 0.05, 0.05, np.random.default_rng(3))
         est = estimate(states)

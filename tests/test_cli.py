@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io as io_module
 import json
 import math
@@ -107,6 +108,27 @@ class TestSimulate:
         assert manifest["record_counts"]["samples"] == 50_000
         config = validate_config(config_file.read_text())
         assert manifest["config_hash"] == io.config_hash(config)
+
+    # sha256 of the files of simulate --emit-truth and filter on 2 s of
+    # quiet-noisy at seed 101: the record, its trajectory and its runs
+    PINNED = {
+        "record.iq": "6b3b4e0621b0166242517b93090dc36cd84e00134514d3b8a18bb0b6424a3e63",
+        "record.truth": "cfcca1a270db429b3c1a089fc9a4ad560ef31827cef9ca8676c7ed039a24f068",
+        "states.csv": "c5dc3306a29d6dc44275b273389dcb5f60d704edd9b0e0d3bff60ba45f468793",
+    }
+
+    def test_record_truth_and_states_bytes_are_pinned(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(serialize_config(preset_config("quiet-noisy", {"duration": "2"},
+                                                      seed=101)))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--emit-truth"]) == 0
+        assert main(["filter", "--record", str(out / "record.iq"), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in self.PINNED}
+        assert got == self.PINNED
 
     def test_sample_arithmetic_small(self, tmp_path):
         cfg = tmp_path / "s.cfg"
@@ -384,6 +406,92 @@ class TestFilterAndStats:
         err = capsys.readouterr().err
         assert err == f"invalid input: window must be a finite number of seconds, got {window}\n"
         assert not out.exists()
+
+    def test_window_of_no_finite_sample_count_exits_2(self, tmp_path, capsys):
+        # 1e308 s over 5 us is inf samples: round() of it raised OverflowError
+        out = tmp_path / "out"
+        assert main(["stats", "--record", self._noise_record(tmp_path),
+                     "--window", "1e308", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("invalid input: window = 1e+308 s at t_meas = 5e-06 s holds inf "
+                       "samples, not a finite count\n")
+        assert not out.exists()
+
+    def test_bins_per_decade_past_a_float_exits_2(self, tmp_path, capsys):
+        # 10^400 times a float raised OverflowError before the grid was checked
+        out = tmp_path / "out"
+        assert main(["stats", "--record", self._noise_record(tmp_path), "--window", "0.05",
+                     f"--bins-per-decade={10**400}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: bins_per_decade = 1000") and err.count("\n") == 1
+        assert not out.exists()
+
+
+# the record commands' numeric flags as --flag=value texts, each drawn with
+# whether the flag alone lets the command run on a 0.5 s record at 5 us:
+# 0, negative, subnormal, huge, NaN and infinite values beside small valid
+# ones.  --separation must exceed 1; --window must hold 100 samples to the
+# record's 100,000 as a finite count; --bins-per-decade must be at least 1
+# and give a window's log grid no more bins than its samples (10^400, past
+# a float, raised OverflowError there)
+_REFUSED_FLOATS = st.sampled_from(["0", "-0.0", "5e-324", "nan", "inf", "-inf"])
+RECORD_FLAG_VALUES = {
+    "--separation": st.one_of(
+        st.tuples(st.one_of(_REFUSED_FLOATS, st.sampled_from(["1", "0.5"]),
+                            st.floats(max_value=0).map(repr)), st.just(False)),
+        st.tuples(st.one_of(st.sampled_from(["1e308", "2.59"]),
+                            st.floats(min_value=1, max_value=1e308, exclude_min=True)
+                            .map(repr)), st.just(True))),
+    "--window": st.one_of(
+        st.tuples(st.one_of(_REFUSED_FLOATS, st.sampled_from(["1e308", "1e300", "4.9e-4",
+                                                              "0.6"]),
+                            st.floats(max_value=0).map(repr)), st.just(False)),
+        st.tuples(st.sampled_from(["0.05", "0.1", "0.125", "0.25", "0.5"]),
+                  st.just(True))),
+    "--bins-per-decade": st.one_of(
+        st.tuples(st.one_of(st.integers(max_value=0), st.integers(min_value=10**5),
+                            st.sampled_from([10**308, 10**400])).map(str),
+                  st.just(False)),
+        st.tuples(st.integers(min_value=1, max_value=20).map(str), st.just(True))),
+}
+RECORD_FLAGS = {"filter": ["--separation"],
+                "stats": ["--separation", "--window", "--bins-per-decade"]}
+
+
+@pytest.fixture(scope="module")
+def noise_record(tmp_path_factory):
+    """TestFilterAndStats._noise_record, made once for the module."""
+    return TestFilterAndStats._noise_record(tmp_path_factory.mktemp("noise"))
+
+
+# every record-command flag drawn at once, each as --flag=value (a bare
+# -inf reads as an option).  A refused value gives exit 2 with one stderr
+# line and no --out directory; valid values give exit 0.  Each case runs
+# in a child under an address-space limit, so a value that allocates
+# before it is refused fails fast there
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_record_flags_are_refused_with_one_line(noise_record, data):
+    command = data.draw(st.sampled_from(sorted(RECORD_FLAGS)))
+    flags = {flag: data.draw(RECORD_FLAG_VALUES[flag], label=flag)
+             for flag in RECORD_FLAGS[command]}
+    if command == "stats" and "--window" not in flags:
+        flags["--window"] = ("0.05", True)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "out"
+        argv = [command, "--record", noise_record, "--out", str(out),
+                *(f"{flag}={text}" for flag, (text, _) in flags.items())]
+        status, result = run_with_address_limit(_main_with_stderr, argv)
+        assert status == "returned", result
+        code, err = result
+        if all(valid for _, valid in flags.values()):
+            assert (code, err) == (0, ""), argv
+            assert out.is_dir()
+        else:
+            assert code == 2 and err.count("\n") == 1, (argv, err)
+            assert err.startswith("invalid input: "), err
+            assert "Traceback" not in err
+            assert not out.exists()
 
 
 class TestFitCommands:

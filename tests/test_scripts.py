@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 import runpy
 import sys
@@ -17,6 +18,8 @@ def test_reproduce_paper_numbers_writes_csvs(tmp_path, monkeypatch, capsys):
     qp = (out / "qp_events.csv").read_text().splitlines()
     assert ode[0] == "time_s,x_qp" and len(ode) == 201
     assert qp[:2] == ["time_s,N", "0,15"] and len(qp) > 2
+    assert hashlib.sha256((out / "qp_events.csv").read_bytes()).hexdigest() == (
+        "97d4792993a657ebdf931a56fd5f88010ed423042c7b0322408e447f7625466b")
 
 
 def test_run_all_experiments_quick(tmp_path, monkeypatch):
