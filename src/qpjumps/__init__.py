@@ -30,7 +30,6 @@ from .jumpsim import (
     relaxation_rate,
     simulate_joint,
     simulate_layers,
-    simulate_segments,
     snr_separation,
     synthesize_iq,
     thermal_decay_constant,

@@ -7,12 +7,13 @@ individual CLI commands, so composing `simulate` and `stats` by hand on the
 same seed reproduces an experiment's outputs byte for byte.  No record is
 held whole: every record is read as consecutive ranges from sample 0,
 through its blocks(bounds), and run_stats and filter_blocks read any
-record that way.  A SynthesizedRecord synthesizes each range as it is
-read, from the trajectory's segments as the sampler yields them, while
-one worker thread draws the next range's noise.  Q, which no preset
-reads, is not drawn for a preset.  The recovery preset reads each chunk's
-trajectory as the sampler yields its segments and keeps only the qubit's
-flips, from which every post-injection bin's exposure and jumps come.
+record that way.  Every trajectory is read as the sampler yields its
+segments, each as its SegmentLayers, and both readers here need only the
+qubit's flips.  A SynthesizedRecord synthesizes each range as it is read,
+from the flips, while one worker thread draws the next range's noise.
+Q, which no preset reads, is not drawn for a preset.  The recovery
+preset keeps each chunk's flips, from which every post-injection bin's
+exposure and jumps come.
 """
 
 from __future__ import annotations
@@ -55,12 +56,12 @@ from .jumpsim import (
     IQRecord,
     STATE_EXCITED,
     STATE_GROUND,
+    SegmentLayers,
     TruthTrace,
     occupancy_blocks,
     sample_count,
     simulate_joint,
     simulate_layers,
-    simulate_segments,
     snr_separation,
     synthesize_iq,
     tally_events,
@@ -173,8 +174,9 @@ def experiment_names() -> tuple[str, ...]:
 class SynthesizedRecord:
     """The record of a simulated trajectory, synthesized a range at a time.
 
-    trajectory is an iterable of consecutive segments, which the record
-    reads once, as its ranges reach them; duration is the trajectory's.
+    trajectory is an iterable of its consecutive SegmentLayers, which the
+    record reads once, as its ranges reach them; duration is the
+    trajectory's.
     blocks(bounds) yields samples bounds[k] to bounds[k + 1] - 1 as an
     IQRecord for each k: I, and Q when q_rng is given.  Each quadrature's
     noise comes from one stream drawn in order, so bounds start at 0, and
@@ -183,10 +185,10 @@ class SynthesizedRecord:
     read once: a second blocks(...) loop raises ValueError before it
     draws anything.  One occupancy_blocks pass over the trajectory, cut
     at the bounds, serves the whole loop: each range takes its blocks from
-    it, so the segments are read once, as the bins reach them.  events fills
-    with the trajectory's event counts as its segments pass; after the
-    last range the segments left, whose knots lie past the last whole
-    bin, are read too, so it is whole once the loop has ended.  The
+    it, so the segments are read once, as the bins reach them.  events
+    fills with the trajectory's event counts (tally_events) as its
+    segments pass; after the last range the segments left, past the last
+    whole bin, are read too, so it is whole once the loop has ended.  The
     caller draws the first range; while it works on a range, one worker
     thread fills the next range's noise, in arrays allocated on the
     caller's thread.  The worker lives as long as the generator: it is
@@ -194,12 +196,12 @@ class SynthesizedRecord:
     failed draw raises in the caller.  A one-range loop starts no thread.
     """
 
-    trajectory: Iterable[TruthTrace]
+    trajectory: Iterable[SegmentLayers]
     duration: float
     meas: MeasurementParams
     i_rng: np.random.Generator
     q_rng: np.random.Generator | None = None
-    events: dict = field(default_factory=dict, init=False)
+    events: Counter = field(default_factory=Counter, init=False)
     _read: bool = field(default=False, init=False, repr=False)
 
     @property
@@ -238,7 +240,7 @@ class SynthesizedRecord:
                 if k + 2 < len(bounds):
                     ahead = worker.submit(fill, empty(k + 1))
                 yield synthesize_iq(occupancy, self.meas, i, q[0] if q else None)
-        # the knots past the last whole bin still count as events
+        # the segments past the last whole bin still count as events
         for _ in segments:
             pass
 
@@ -250,10 +252,10 @@ def _streams(config: ScenarioConfig) -> list[np.random.Generator]:
 
 
 def trajectory(config: ScenarioConfig):
-    """The trajectory of one scenario as consecutive segments, sampled from
-    the streams that simulate_record samples it from."""
+    """The trajectory of one scenario as its consecutive SegmentLayers,
+    sampled from the streams that simulate_record samples it from."""
     qp, candidates, uniforms, _, _ = _streams(config)
-    return simulate_segments(config, qp, candidates, uniforms)
+    return simulate_layers(config, qp, candidates, uniforms)
 
 
 def simulate_record(config: ScenarioConfig, with_q: bool = True) -> SynthesizedRecord:
@@ -267,11 +269,12 @@ def simulate_record(config: ScenarioConfig, with_q: bool = True) -> SynthesizedR
 
 def run_simulation(config: ScenarioConfig) -> tuple[TruthTrace, IQRecord]:
     """The whole trajectory and the whole synthesized measurement record,
-    I and Q, for one scenario: simulate_record's, with the trajectory
-    joined by simulate_joint and the record synthesized in one range."""
-    qp, candidates, uniforms, noise_i, noise_q = _streams(config)
+    I and Q, for one scenario: the trace joined by simulate_joint, and
+    simulate_record's record synthesized in one range, from the same
+    streams sampled again."""
+    qp, candidates, uniforms, _, _ = _streams(config)
     truth = simulate_joint(config, qp, candidates, uniforms)
-    record = SynthesizedRecord([truth], truth.duration, config.meas, noise_i, noise_q)
+    record = simulate_record(config)
     whole, = record.blocks([0, len(record)])
     return truth, whole
 
@@ -548,17 +551,6 @@ def recovery_chunk_stats(
     return exposure, counts, t_sum
 
 
-def _tally_layers(layers, counts: Counter):
-    """Yield the layers as they come, adding their events into counts as
-    jumpsim.tally_events counts a trajectory's: every QP knot after the
-    first and every flip is an event, by construction."""
-    counts.update(events=-1, qp_events=-1)
-    for segment in layers:
-        counts.update(events=len(segment.knot_t) + len(segment.flips),
-                      qp_events=len(segment.knot_t), qubit_flips=len(segment.flips))
-        yield segment
-
-
 def run_recovery(config: ScenarioConfig):
     """Post-injection lifetime profile and its exponential-recovery fit.
 
@@ -566,9 +558,9 @@ def run_recovery(config: ScenarioConfig):
     simulated one after another, each from its own seed spawned from the
     config's, so memory stays bounded at any pulse count.  Each chunk keeps
     the train's first pulse start and ends with its last readout window.
-    A chunk's trajectory is read as simulate_layers yields its layers,
-    unmerged: their lengths are counted as events and their flips kept by
-    recovery_chunk_stats, so no chunk's trace is held whole.  The mean
+    A chunk's trajectory is read as simulate_layers yields its layers:
+    tally_events counts their lengths as events and recovery_chunk_stats
+    keeps their flips, so no chunk's trace is held whole.  The mean
     excited dwell per log-spaced time bin is estimated as exposure / jump
     count (bins with fewer than MIN_JUMPS jumps are dropped), and the
     density recovery is fitted through the relaxation-rate inversion.  A
@@ -587,7 +579,7 @@ def run_recovery(config: ScenarioConfig):
         chunk = replace(config, duration=train.first + cycles * train.period,
                         pulse_periodic=replace(train, count=cycles))
         layers = simulate_layers(chunk, *np.random.default_rng(seed).spawn(3))
-        stats.append(recovery_chunk_stats(_tally_layers(layers, events), chunk, edges))
+        stats.append(recovery_chunk_stats(tally_events(layers, events), chunk, edges))
     exposure, counts, t_sum = np.sum(stats, axis=0)
 
     good = counts >= MIN_JUMPS

@@ -32,7 +32,7 @@ import numpy as np
 
 from .analysis import DwellHistogram, WindowedReport
 from .core import ScenarioConfig, serialize_config
-from .jumpsim import _BLOCK, IQRecord, run_starts
+from .jumpsim import _BLOCK, IQRecord, _merge, run_starts
 
 try:
     TOOL_VERSION = importlib.metadata.version("qpjumps")
@@ -218,27 +218,20 @@ def write_csv(path, header: str, blocks) -> None:
                 fh.write(("\n".join(map(",".join, rows)) + "\n").encode("utf-8"))
 
 
-def write_truth_csv(path, trajectory) -> None:
-    """One row per knot of a trajectory's consecutive segments, written a
-    segment at a time: time, qubit state and QP count."""
+def write_truth_csv(path, layers) -> None:
+    """One row per knot of a trajectory, from its consecutive
+    SegmentLayers, each merged into knots (jumpsim._merge) as it comes:
+    time, qubit state and QP count."""
     write_csv(path, "time_s,state,N",
-              ((s.times, _STATE_LABELS[s.states], s.counts) for s in trajectory))
+              ((s.times, _STATE_LABELS[s.states], s.counts)
+               for s in (_merge(*segment) for segment in layers)))
 
 
-def _qp_changes(trajectory):
-    """The knots of a trajectory where N changes, the first included, as
-    blocks of (time, N) columns, one per segment."""
-    last = None  # N before the segment
-    for segment in trajectory:
-        first = run_starts(segment.counts, last)
-        last = segment.counts[-1]
-        yield segment.times[first], segment.counts[first]
-
-
-def write_qp_trace_csv(path, trajectory) -> None:
-    """QP-count marginal of a trajectory's consecutive segments: the
-    initial count at t=0, then a row per change of N."""
-    write_csv(path, "time_s,N", _qp_changes(trajectory))
+def write_qp_trace_csv(path, layers) -> None:
+    """QP-count marginal of a trajectory, from its consecutive
+    SegmentLayers: a row per QP knot, the initial count at t=0 and then
+    each change of N."""
+    write_csv(path, "time_s,N", ((s.knot_t, s.knot_n) for s in layers))
 
 
 def write_ode_csv(path, times, densities) -> None:

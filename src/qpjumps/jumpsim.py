@@ -12,16 +12,19 @@ piecewise-constant relaxation rate, sampled by uniformization in vectorized
 blocks: candidate times at the relaxation rate, each one relaxing an excited
 qubit and exciting a ground one with the Boltzmann factor of the moment.
 
-The sampler yields the trajectory in time segments, and the record
-pipeline reads them as it goes, so no whole-record trajectory need exist.
-The dispersive measurement record is synthesized per integration bin from
-the exact fraction of the bin spent in each state, at the separation set by
-the readout parameters.
+The sampler yields the trajectory in time segments, each as its two
+layers, the QP knots and the qubit's flips (SegmentLayers), and every
+reader takes them as it goes, so no whole-record trajectory need exist.
+Only the truth file, which holds one row per knot, merges a segment's
+layers into knots.  The dispersive measurement record is synthesized per
+integration bin from the exact fraction of the bin spent in each state,
+read from the flips, at the separation set by the readout parameters.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -106,15 +109,6 @@ def thermal_decay_constant(
 # joint trajectory
 # ---------------------------------------------------------------------------
 
-def _run_start_mask(values, before=None) -> np.ndarray:
-    """run_starts as a mask over values: True where a run starts."""
-    values = np.asarray(values)
-    starts = np.empty(len(values), dtype=bool)
-    starts[:1] = before is None or values[:1] != before
-    np.not_equal(values[1:], values[:-1], out=starts[1:])
-    return starts
-
-
 def run_starts(values, before=None) -> np.ndarray:
     """Index of every element that starts a maximal run of equal values:
     each one that differs from the one before it, and the first unless it
@@ -122,7 +116,11 @@ def run_starts(values, before=None) -> np.ndarray:
     stands there, so the first always starts a run).  A piece read with
     the last value of the piece before as before gives the starts of the
     runs that the whole, read at once, starts inside that piece."""
-    return np.flatnonzero(_run_start_mask(values, before))
+    values = np.asarray(values)
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = before is None or values[:1] != before
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
 
 
 @dataclass(frozen=True)
@@ -136,15 +134,9 @@ class TruthTrace:
     counts events, one fewer than the knots.  The trace holds these three
     arrays and nothing derived from them, 17 B per knot.
 
-    The readers of a trajectory's knots (occupancy_blocks, tally_events
-    and the io truth writers) read it in one pass, as an iterable of
-    consecutive segments, each a TruthTrace whose knots follow the
-    segment before's: its times[0] is where it starts, and its duration
-    is where the next one starts (the record's duration for the last).
-    simulate_segments yields a trajectory so, and a whole trace is the one
-    segment [trace], so a record need never hold it whole.
-    experiments.recovery_chunk_stats, which needs only the qubit's flips,
-    reads the sampler's SegmentLayers instead.
+    _merge makes one segment's SegmentLayers a TruthTrace, for the truth
+    file's rows (io.write_truth_csv), and simulate_joint joins every
+    segment's into the whole trace; no other reader takes knots.
     """
 
     duration: float
@@ -156,67 +148,66 @@ class TruthTrace:
         return len(self.times) - 1
 
 
-def tally_events(trajectory, counts: dict):
-    """Yield the segments of a trajectory as they come, adding their events
-    into counts: "events", and of them "qp_events" (changes of N) and
-    "qubit_flips" (changes of the state), counted across segment edges
-    too: each counts knots, or run starts, less the first, so it starts
-    at -1.  Once the last segment has passed, counts holds the whole
-    trajectory's."""
-    counts.update(events=-1, qp_events=-1, qubit_flips=-1)
-    state = count = None  # the last knot before the segment
-    for segment in trajectory:
-        counts["events"] += len(segment.times)
-        counts["qp_events"] += int(np.count_nonzero(_run_start_mask(segment.counts, count)))
-        counts["qubit_flips"] += int(np.count_nonzero(_run_start_mask(segment.states, state)))
-        state, count = segment.states[-1], segment.counts[-1]
+def tally_events(layers, counts: Counter):
+    """Yield the SegmentLayers of a trajectory as they come, adding its
+    events into counts: "events", and of them "qp_events" (changes of N)
+    and "qubit_flips" (changes of the state).  Every QP knot after the
+    trajectory's first and every flip is an event, so these are the
+    layers' lengths, less the first QP knot.  Once the last segment has
+    passed, counts holds the trajectory's, added to what it held."""
+    counts.update(events=-1, qp_events=-1)
+    for segment in layers:
+        counts.update(events=len(segment.knot_t) + len(segment.flips),
+                      qp_events=len(segment.knot_t), qubit_flips=len(segment.flips))
         yield segment
 
 
-def occupancy_blocks(trajectory, t_meas: float, bounds):
+def occupancy_blocks(layers, t_meas: float, bounds):
     """Fraction of each readout bin spent excited, in consecutive blocks.
 
-    trajectory is an iterable of consecutive segments.  Bin k spans the
-    edges float(k) * t_meas and float(k + 1) * t_meas.  bounds are the
+    layers is an iterable of a trajectory's consecutive SegmentLayers, of
+    which only the flips and the first before state are read.  Bin k spans
+    the edges float(k) * t_meas and float(k + 1) * t_meas.  bounds are the
     bounds of consecutive ranges of bins, from any bin; the blocks cover
     them in order, at most _BLOCK bins each, and each range starts a new
     block.  Each yielded array is scratch: the caller may overwrite it,
     and the next block does.  A bin without a flip is x0, the state at its
-    first edge, exactly.  A bin of width w whose flips are the knots j
-    after that edge and at or before the next, e, with a state x_j unlike
-    the knot before's, is (x0 * w + c_1 + c_2 + ...) / w, each c_j =
-    (x_j - x_(j-1)) * (e - t_j) added in knot order, so no value depends on
-    the bounds or the segments.  A flip's e is from ceil(t_j / t_meas),
-    corrected by one step against the edges' own products.  Segments are
-    pulled as the edges reach them; after a pass's first block, only the
-    knots from the one under the block's first edge on are held.
+    first edge, exactly: the first before state plus the parity of the
+    flips at or before that edge.  A bin of width w whose flips are those
+    after that edge and at or before the next, e, each to a state x_j, is
+    (x0 * w + c_1 + c_2 + ...) / w, each c_j = (x_j - x_(j-1)) * (e - t_j)
+    added in flip order, so no value depends on the bounds or the
+    segments.  A flip's e is from ceil(t_j / t_meas), corrected by one
+    step against the edges' own products.  Segments are pulled as the
+    edges reach them, and only the flips past the last block's last edge
+    are held.
     """
-    segments = iter(trajectory)
+    segments = iter(layers)
     out = np.empty(min(_BLOCK, bounds[-1] - bounds[0]))
-    # the knots from the one under the block's first edge, and the end of
-    # the last segment pulled
-    times, states = np.empty(0), np.empty(0, dtype=np.uint8)
+    # the flips past the last block's last edge, the state before them (the
+    # first segment's before state until one is pulled), and the end of the
+    # last segment pulled
+    flips, state = np.empty(0), None
     end = -math.inf
     for start, stop in zip(bounds[:-1], bounds[1:]):
         for lo in range(start, stop, _BLOCK):
             m = min(_BLOCK, stop - lo)
             first, last = lo * t_meas, (lo + m) * t_meas
             if end <= last:
-                pulled = [(times, states)]
+                pulled = [flips]
                 for segment in segments:
-                    pulled.append((segment.times, segment.states))
-                    end = segment.duration
+                    if state is None:
+                        state = int(segment.before[1])
+                    pulled.append(segment.flips)
+                    end = segment.end
                     if end > last:
                         break
-                times = np.concatenate([t for t, _ in pulled])
-                states = np.concatenate([s for _, s in pulled])
+                flips = np.concatenate(pulled)
                 del pulled
-            # of the knots from the one under the first edge to the last
-            # edge: the first, x0, and each flip, in bin k - 1
-            j0 = int(np.searchsorted(times, first, side="right")) - 1
-            j1 = int(np.searchsorted(times, last, side="right"))
-            run = _run_start_mask(states[j0:j1])
-            x, t = states[j0:j1][run], times[j0:j1][run][1:]
+            # x0, then the state after each flip of the block, in bin k - 1
+            i0, i1 = np.searchsorted(flips, (first, last), side="right").tolist()
+            t = flips[i0:i1]
+            x = np.arange(state + i0, state + i1 + 1) & 1
             k = np.ceil(t / t_meas)
             k -= (k - 1.0) * t_meas >= t
             k += k * t_meas < t
@@ -230,7 +221,7 @@ def occupancy_blocks(trajectory, t_meas: float, bounds):
             f[b] *= w
             np.add.at(f, b, c)
             f[b] /= w
-            times, states = times[j1 - 1:], states[j1 - 1:]
+            flips, state = flips[i1:], (state + i1) & 1
             yield f
 
 
@@ -371,13 +362,16 @@ def _flip_times(t: np.ndarray, accept: np.ndarray, state: int) -> tuple[np.ndarr
 
 
 class SegmentLayers(NamedTuple):
-    """One segment of a trajectory as the sampler's two layers, before
-    _merge makes them a TruthTrace: the QP knots (knot_t, knot_n), the
-    qubit flips, before, the (count, state) in force before the
-    segment's first knot, and end, where the next segment starts (the
+    """One segment of a trajectory as the sampler's two layers, the form
+    in which every reader takes a trajectory: the QP knots (knot_t,
+    knot_n), the qubit flips, before, the (count, state) in force before
+    the segment's first knot, and end, where the next segment starts (the
     duration for the last).  Every QP knot after the trajectory's first
     changes N and every flip changes the state, so the layers' lengths
-    count the events."""
+    count the events, and the state at t is the first segment's before
+    state plus the parity of the flips at or before t.  _merge makes a
+    segment's layers a TruthTrace, only for the truth file's rows and
+    simulate_joint's whole trace."""
 
     knot_t: np.ndarray
     knot_n: np.ndarray
@@ -531,23 +525,13 @@ def simulate_layers(config: ScenarioConfig, qp_rng: np.random.Generator,
         knot_t, knot_n = knot_t[-1:], knot_n[-1:]
 
 
-def simulate_segments(config: ScenarioConfig, qp_rng: np.random.Generator,
-                      candidate_rng: np.random.Generator,
-                      uniform_rng: np.random.Generator):
-    """simulate_layers' trajectory as consecutive TruthTrace segments:
-    each segment's layers, merged by _merge.  The readers of knots
-    (occupancy_blocks, tally_events, the io truth writers and
-    simulate_joint) read these; experiments.recovery_chunk_stats, which
-    needs only the flips, reads the layers."""
-    for layers in simulate_layers(config, qp_rng, candidate_rng, uniform_rng):
-        yield _merge(*layers)
-
-
 def simulate_joint(config: ScenarioConfig, qp_rng: np.random.Generator,
                    candidate_rng: np.random.Generator,
                    uniform_rng: np.random.Generator) -> TruthTrace:
-    """The whole trace of simulate_segments: its segments joined."""
-    segments = list(simulate_segments(config, qp_rng, candidate_rng, uniform_rng))
+    """The whole trace of simulate_layers: each segment's layers merged by
+    _merge, and the segments joined."""
+    segments = [_merge(*layers)
+                for layers in simulate_layers(config, qp_rng, candidate_rng, uniform_rng)]
     return TruthTrace(duration=config.duration,
                       times=np.concatenate([s.times for s in segments]),
                       states=np.concatenate([s.states for s in segments]),

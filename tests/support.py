@@ -3,10 +3,10 @@ record, whole-array oracles for the blocked record pipeline, for the
 presets that stream their record and for the recovery statistics that
 read a chunk's layers, an RK4 integrator for the QP density rate
 equation, a scalar loop over the sampler's qubit candidates, the qubit
-intervals and event counts of a trace, a trace cut into segments or
-into the sampler's layers, a child process under an address-space
-limit, and an exact oracle for the joint (modulator, qubit, QP number)
-Markov chain sampled by jumpsim.simulate_joint.
+intervals and event counts of a trace, a trace cut into the sampler's
+layers, a child process under an address-space limit, and an exact
+oracle for the joint (modulator, qubit, QP number) Markov chain sampled
+by jumpsim.simulate_joint.
 
 The oracle is built from the model's rate definitions (the scalar rate
 functions below and the kinetics coefficients), not from the sampler's
@@ -112,9 +112,9 @@ def telegraph_series(
 
 
 def event_counts(truth: TruthTrace) -> dict[str, int]:
-    """The events of a whole trace, as jumpsim.tally_events counts them:
-    knots after the first, and of them the changes of N and of the qubit
-    state."""
+    """The events of a whole trace, counted on its knots: knots after the
+    first, and of them the changes of N and of the qubit state, as
+    jumpsim.tally_events counts them on the layers."""
     return {"events": len(truth),
             "qp_events": int(np.count_nonzero(np.diff(truth.counts))),
             "qubit_flips": int(np.count_nonzero(np.diff(truth.states)))}
@@ -173,32 +173,23 @@ def qubit_intervals(truth: TruthTrace) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return starts, np.append(starts[1:], truth.duration) - starts, truth.states[first]
 
 
-def split_trace(truth: TruthTrace, cuts) -> list[TruthTrace]:
-    """truth as consecutive segments, cut before each knot index in cuts
-    (0 and repeats are dropped): each runs to the next one's first knot
-    time, the last to the duration."""
-    first = sorted({0, *(k for k in cuts if 0 < k < len(truth.times))})
-    last = first[1:] + [len(truth.times)]
-    return [TruthTrace(duration=float(truth.times[hi]) if hi < len(truth.times)
-                       else truth.duration, times=truth.times[lo:hi],
-                       states=truth.states[lo:hi], counts=truth.counts[lo:hi])
-            for lo, hi in zip(first, last)]
-
-
 def trace_layers(truth: TruthTrace, cuts=()) -> list[SegmentLayers]:
-    """truth cut as split_trace cuts it, each segment as the sampler's
-    layers: a knot whose state differs from the one before is a flip, and
-    every other knot, the first included, is a QP knot.  Each before holds
-    the count and state at the knot before the segment, the first knot's
-    own for the first."""
+    """truth as the sampler's layers of consecutive segments, cut before
+    each knot index in cuts (0 and repeats are dropped): each runs to the
+    next one's first knot time, the last to the duration.  A knot whose
+    state differs from the one before is a flip, and every other knot, the
+    first included, is a QP knot.  Each before holds the count and state
+    at the knot before the segment, the first knot's own for the first."""
+    n = len(truth.times)
+    first = sorted({0, *(k for k in cuts if 0 < k < n)})
+    flip = np.zeros(n, dtype=bool)
+    flip[run_starts(truth.states)[1:]] = True
     layers = []
-    before = truth.counts[0], truth.states[0]
-    for segment in split_trace(truth, cuts):
-        flip = np.zeros(len(segment.times), dtype=bool)
-        flip[run_starts(segment.states, before[1])] = True
-        layers.append(SegmentLayers(segment.times[~flip], segment.counts[~flip],
-                                    segment.times[flip], before, segment.duration))
-        before = segment.counts[-1], segment.states[-1]
+    for lo, hi in zip(first, first[1:] + [n]):
+        times, counts, at = truth.times[lo:hi], truth.counts[lo:hi], flip[lo:hi]
+        before = truth.counts[max(lo - 1, 0)], truth.states[max(lo - 1, 0)]
+        end = float(truth.times[hi]) if hi < n else truth.duration
+        layers.append(SegmentLayers(times[~at], counts[~at], times[at], before, end))
     return layers
 
 
@@ -208,7 +199,7 @@ def noiseless_iq(truth: TruthTrace, meas: MeasurementParams) -> IQRecord:
     n = sample_count(truth.duration, meas.t_meas)
     f_e = np.empty(n)
     lo = 0
-    for block in occupancy_blocks([truth], meas.t_meas, [0, n]):
+    for block in occupancy_blocks(trace_layers(truth), meas.t_meas, [0, n]):
         f_e[lo:lo + len(block)] = block
         lo += len(block)
     return IQRecord(t_meas=meas.t_meas, i=(1.0 - 2.0 * f_e) * snr_separation(meas),

@@ -608,7 +608,7 @@ class TestSynthesizedRecord:
     @pytest.mark.parametrize("duration, last", [("4.5", "longer"), ("5.5", "shorter")])
     def test_run_stats_last_block_against_the_range_drawn_ahead(self, duration, last):
         config = preset_config("quiet-noisy", {"duration": duration})
-        truth, whole = run_simulation(config)
+        _, whole = run_simulation(config)
         n = len(whole)
         window = 0.56
         per = round(window / config.meas.t_meas)
@@ -623,7 +623,8 @@ class TestSynthesizedRecord:
                     yield block
 
         record = simulate_record(config, with_q=False)
-        got = run_stats(Recorded([truth], config.duration, record.meas, record.i_rng),
+        got = run_stats(Recorded(record.trajectory, config.duration, record.meas,
+                                 record.i_rng),
                         snr_separation(config.meas), window)
         want = run_stats(IQRecord(t_meas=whole.t_meas, i=whole.i, q=None),
                          snr_separation(config.meas), window)
@@ -700,12 +701,12 @@ class TestSynthesizedRecord:
         # 0.3 of a range of I) is not counted as a range
         size = 10**6
         config = preset_config("quiet-noisy", {"duration": "16"})
-        truth = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         monkeypatch.setattr(io, "_BLOCK", size)
         monkeypatch.setattr(experiments, "STATS_BLOCK", size)
         for with_q, read in ((True, lambda r: io.write_iq(tmp_path / "r.iq", r)),
                              (False, lambda r: run_stats(r, 5.0))):
-            record = replace(simulate_record(config, with_q), trajectory=[truth])
+            record = simulate_record(config, with_q)
+            record = replace(record, trajectory=list(record.trajectory))
             tracemalloc.start()
             try:
                 read(record)

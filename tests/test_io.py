@@ -15,9 +15,9 @@ from qpjumps.analysis import (
 )
 from qpjumps.core import MeasurementParams, validate_config
 from qpjumps.experiments import SynthesizedRecord
-from qpjumps.jumpsim import _BLOCK, IQRecord, TruthTrace
+from qpjumps.jumpsim import _BLOCK, IQRecord, SegmentLayers, TruthTrace
 
-from support import split_trace
+from support import trace_layers
 
 
 def make_record(n=100, seed=0, t_meas=5e-6):
@@ -129,11 +129,10 @@ class TestIqFormat:
         # for a synthesized record without a Q stream as for an IQRecord
         meas = MeasurementParams()
         for n in (0, 10):
-            truth = TruthTrace(duration=n * meas.t_meas, times=np.array([0.0]),
-                               states=np.zeros(1, dtype=np.uint8),
-                               counts=np.zeros(1, dtype=np.int64))
+            layers = [SegmentLayers(np.zeros(1), np.zeros(1, dtype=np.int64), np.empty(0),
+                                    (0, 0), n * meas.t_meas)]
             for record in (IQRecord(t_meas=meas.t_meas, i=np.zeros(n), q=None),
-                           SynthesizedRecord([truth], truth.duration, meas,
+                           SynthesizedRecord(layers, n * meas.t_meas, meas,
                                              np.random.default_rng(0))):
                 assert len(record) == n
                 path = tmp_path / "r.iq"
@@ -192,14 +191,11 @@ class TestIqFormat:
 
 class TestCsvWriters:
     def test_truth_csv(self, tmp_path):
-        truth = TruthTrace(
-            duration=1.0,
-            times=np.array([0.0, 0.25, 0.5]),
-            states=np.array([0, 1, 1], dtype=np.uint8),
-            counts=np.array([2, 2, 3], dtype=np.int64),
-        )
+        # a flip at 0.25 and a QP knot at 0.5, merged into knots
+        layers = SegmentLayers(knot_t=np.array([0.0, 0.5]), knot_n=np.array([2, 3]),
+                               flips=np.array([0.25]), before=(2, 0), end=1.0)
         path = tmp_path / "t.csv"
-        io.write_truth_csv(path, [truth])
+        io.write_truth_csv(path, [layers])
         lines = path.read_text().splitlines()
         assert lines[0] == "time_s,state,N"
         assert lines[1] == "0,g,2"
@@ -207,44 +203,55 @@ class TestCsvWriters:
         assert lines[3] == "0.5,e,3"
 
     def test_truth_csv_longer_than_a_block_is_pinned(self, tmp_path):
-        # 2 _BLOCK + 5 knots: two whole blocks of rows and a short one.  The
-        # digest was taken when the writer built every row as one string
+        # 2 _BLOCK + 5 rows of the truth file: two whole blocks of rows and
+        # a short one.  The digest was taken when the writer built every
+        # row as one string.  Its rows change the state and N at once, as
+        # no trajectory's knot does, so they go to the truth file's row
+        # writer as columns
         rng = np.random.default_rng(3)
         n = 2 * _BLOCK + 5
         times = np.concatenate(([0.0], np.cumsum(rng.exponential(1e-4, n - 1))))
-        truth = TruthTrace(duration=float(times[-1]) + 1e-4, times=times,
-                           states=rng.integers(0, 2, n).astype(np.uint8),
-                           counts=rng.integers(0, 5000, n))
+        states = rng.integers(0, 2, n).astype(np.uint8)
+        counts = rng.integers(0, 5000, n)
         path = tmp_path / "t.csv"
-        io.write_truth_csv(path, [truth])
+        io.write_csv(path, "time_s,state,N", [(times, io._STATE_LABELS[states], counts)])
         blob = path.read_bytes()
         assert blob.count(b"\n") == n + 1
         assert hashlib.sha256(blob).hexdigest() == (
             "80fc6b433dcf8845cbe0ca92d36fff83d4612b8901b22bf878595dd554686d94")
+        # a trajectory of such rows, each a flip or a change of N, cut
+        # into segments across the blocks: the truth writer gives the same
+        # bytes from its layers
+        flip = np.diff(states, prepend=states[0]) != 0
+        counts = counts[np.maximum.accumulate(np.where(flip, 0, np.arange(n)))]
+        truth = TruthTrace(duration=float(times[-1]) + 1e-4, times=times, states=states,
+                           counts=counts)
+        io.write_truth_csv(path, trace_layers(truth, [3, _BLOCK, _BLOCK + 1, n - 2]))
+        want = tmp_path / "want.csv"
+        io.write_csv(want, "time_s,state,N", [(times, io._STATE_LABELS[states], counts)])
+        assert path.read_bytes() == want.read_bytes()
 
     def test_qp_trace_csv(self, tmp_path):
-        # qubit flips (0.1, 0.3) leave N alone and are dropped
-        truth = TruthTrace(
-            duration=1.0,
-            times=np.array([0.0, 0.1, 0.2, 0.3, 0.4]),
-            states=np.array([0, 1, 1, 0, 0], dtype=np.uint8),
-            counts=np.array([3, 3, 5, 5, 4], dtype=np.int64),
-        )
+        # qubit flips (0.1, 0.3) leave N alone and are not written
+        layers = SegmentLayers(knot_t=np.array([0.0, 0.2, 0.4]), knot_n=np.array([3, 5, 4]),
+                               flips=np.array([0.1, 0.3]), before=(3, 0), end=1.0)
         path = tmp_path / "qp.csv"
-        io.write_qp_trace_csv(path, [truth])
+        io.write_qp_trace_csv(path, [layers])
         assert path.read_text().splitlines() == ["time_s,N", "0,3", "0.2,5", "0.4,4"]
 
-    # cut before a knot whose N equals the one before (1, 3), before a
-    # change of N (2, 4), and into one-knot segments
+    # cut before a flip (1, 3), before a change of N (2, 4), and into
+    # one-knot segments
     @pytest.mark.parametrize("cuts", [[1, 3], [2, 4], [1, 2, 3, 4, 5]])
     def test_trajectory_writers_read_segments(self, tmp_path, cuts):
         truth = TruthTrace(duration=1.0, times=np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
                            states=np.array([0, 1, 1, 0, 0, 1], dtype=np.uint8),
-                           counts=np.array([3, 3, 5, 5, 4, 7], dtype=np.int64))
+                           counts=np.array([3, 3, 5, 5, 4, 4], dtype=np.int64))
         for write in (io.write_truth_csv, io.write_qp_trace_csv):
-            write(tmp_path / "whole.csv", [truth])
-            write(tmp_path / "cut.csv", split_trace(truth, cuts))
+            write(tmp_path / "whole.csv", trace_layers(truth))
+            write(tmp_path / "cut.csv", trace_layers(truth, cuts))
             assert (tmp_path / "cut.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert (tmp_path / "whole.csv").read_text().splitlines() == [
+            "time_s,N", "0,3", "0.2,5", "0.4,4"]
 
     def test_ode_csv(self, tmp_path):
         path = tmp_path / "ode.csv"
@@ -327,10 +334,9 @@ BIG = 1_234_567_891  # over 1e9: str writes 1234567891, the float format 1.23456
 
 
 def _pinned_qp_trace(path):
-    io.write_qp_trace_csv(path, [TruthTrace(
-        duration=1.0, times=np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
-        states=np.array([0, 1, 1, 0, 0, 1], dtype=np.uint8),
-        counts=np.array([3, 3, BIG, BIG, 4, 7], dtype=np.int64))])
+    io.write_qp_trace_csv(path, [SegmentLayers(
+        knot_t=np.array([0.0, 0.2, 0.4, 0.5]), knot_n=np.array([3, BIG, 4, 7]),
+        flips=np.array([0.1, 0.3, 0.5]), before=(3, 0), end=1.0)])
 
 
 def _pinned_histogram(path):

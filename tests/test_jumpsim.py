@@ -39,7 +39,7 @@ from qpjumps.jumpsim import (
     run_starts,
     sample_count,
     simulate_joint,
-    simulate_segments,
+    simulate_layers,
     snr_separation,
     synthesize_iq,
     thermal_decay_constant,
@@ -54,9 +54,9 @@ from support import (
     qubit_intervals,
     relaxation_jump_times,
     scalar_qubit_layer,
-    split_trace,
     stationary_qn,
     thermal_excitation_rate,
+    trace_layers,
     transition_rate_chi2,
     whole_record_iq,
 )
@@ -196,7 +196,7 @@ class TestSimulateJoint:
         assert trace.counts[0] == 0
         assert trace.states[0] in (STATE_GROUND, STATE_EXCITED)
         # occupancy helpers still work on an event-free trace
-        assert next(occupancy_blocks([trace], 1.0, [0, 1]))[0] in (0.0, 1.0)
+        assert next(occupancy_blocks(trace_layers(trace), 1.0, [0, 1]))[0] in (0.0, 1.0)
 
     def test_frozen_population_dwells_are_exponential(self):
         config = frozen_config(2, duration=4.0, seed=21)
@@ -645,14 +645,17 @@ def test_trace_does_not_depend_on_segment_size(case, segment, candidates, monkey
     if candidates is not None:
         monkeypatch.setattr(jumpsim, "_CANDIDATES", candidates)
     config = DETERMINISM_CASES[case]
-    segments = list(simulate_segments(config, *np.random.default_rng(config.rng_seed).spawn(3)))
-    # each segment runs to the next one's first knot, the last to the duration
-    assert all(len(s.times) > 0 for s in segments)
-    assert [s.duration for s in segments] == [s.times[0] for s in segments[1:]] + [
-        config.duration]
-    joined = TruthTrace(config.duration, *(np.concatenate([getattr(s, field) for s in segments])
-                                           for field in ("times", "states", "counts")))
-    assert _trace_digests(joined) == DETERMINISM_DIGESTS[case]
+    layers = list(simulate_layers(config, *np.random.default_rng(config.rng_seed).spawn(3)))
+    # each segment holds a knot, starts from the (count, state) that the one
+    # before left, and runs to the next one's first knot, the last to the
+    # duration
+    assert all(len(s.knot_t) + len(s.flips) > 0 for s in layers)
+    assert [s.before for s in layers[1:]] == [s.after() for s in layers[:-1]]
+    assert [s.end for s in layers] == [min([*s.knot_t[:1], *s.flips[:1]])
+                                       for s in layers[1:]] + [config.duration]
+    # and their merged knots, joined, are the pinned trace
+    truth = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
+    assert _trace_digests(truth) == DETERMINISM_DIGESTS[case]
 
 
 class TestSynthesizeIq:
@@ -761,7 +764,7 @@ class TestBlockedRecordOracle:
         truth, meas = case
         n = sample_count(truth.duration, meas.t_meas)
         i_rng, q_rng = np.random.default_rng(seed).spawn(2)
-        got = synthesize_iq(occupancy_blocks([truth], meas.t_meas, [0, n]), meas,
+        got = synthesize_iq(occupancy_blocks(trace_layers(truth), meas.t_meas, [0, n]), meas,
                             i_rng.standard_normal(n), q_rng.standard_normal(n))
         want = whole_record_iq(truth, meas, *np.random.default_rng(seed).spawn(2))
         assert got.i.tobytes() == want.i.tobytes()
@@ -797,10 +800,11 @@ class TestRecordRanges:
         bounds = sorted({0, n, *(int(c * n) for c in cuts)})
         ranges = list(zip(bounds[:-1], bounds[1:]))
         # the trace as segments cut at knots, on bin edges among them
-        segments = split_trace(truth, [int(c * len(truth.times)) for c in knot_cuts])
+        segments = trace_layers(truth, [int(c * len(truth.times)) for c in knot_cuts])
         # each yielded block is scratch that the next one overwrites
-        whole = [block.copy() for block in occupancy_blocks([truth], meas.t_meas, [0, n])]
-        pieces = [block.copy() for block in occupancy_blocks([truth], meas.t_meas, bounds)]
+        layers = trace_layers(truth)
+        whole = [block.copy() for block in occupancy_blocks(layers, meas.t_meas, [0, n])]
+        pieces = [block.copy() for block in occupancy_blocks(layers, meas.t_meas, bounds)]
         assert np.concatenate(pieces).tobytes() == np.concatenate(whole).tobytes()
         streamed = [block.copy() for block in occupancy_blocks(segments, meas.t_meas, bounds)]
         assert np.concatenate(streamed).tobytes() == np.concatenate(whole).tobytes()
@@ -825,9 +829,9 @@ class TestRecordRanges:
         n = sample_count(truth.duration, meas.t_meas)
         lo = int(start * n)
         bounds = sorted({lo, n, *(lo + int(c * (n - lo)) for c in cuts)})
-        segments = split_trace(truth, [int(c * len(truth.times)) for c in knot_cuts])
+        segments = trace_layers(truth, [int(c * len(truth.times)) for c in knot_cuts])
         whole = np.concatenate([block.copy() for block in
-                                occupancy_blocks([truth], meas.t_meas, [0, n])])
+                                occupancy_blocks(trace_layers(truth), meas.t_meas, [0, n])])
         part = [block.copy() for block in occupancy_blocks(segments, meas.t_meas, bounds)]
         assert np.concatenate(part + [np.empty(0)]).tobytes() == whole[lo:].tobytes()
 
@@ -864,7 +868,8 @@ class TestOccupancy:
             states = rng.integers(0, 2, size=len(times)).astype(np.uint8)
             truth = TruthTrace(duration=n * t_meas, times=times, states=states,
                                counts=np.zeros(len(times), dtype=np.int64))
-            got = np.concatenate([b.copy() for b in occupancy_blocks([truth], t_meas, [0, n])])
+            got = np.concatenate([b.copy() for b in
+                                  occupancy_blocks(trace_layers(truth), t_meas, [0, n])])
             knots = [Fraction(t) for t in times] + [Fraction(n * t_meas)]
             for b in range(n):
                 e0, e1 = Fraction(float(b) * t_meas), Fraction(float(b + 1) * t_meas)
@@ -883,13 +888,13 @@ class TestOccupancy:
 
     def test_simulated_bins_without_a_flip_are_exactly_0_or_1(self):
         # two blocks of a quiet-noisy record, its trajectory as the
-        # sampler's segments
+        # sampler's layers
         config = preset_config("quiet-noisy", {"duration": "0.5"})
         n = sample_count(config.duration, config.meas.t_meas)
         truth = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
-        segments = simulate_segments(config, *np.random.default_rng(config.rng_seed).spawn(3))
+        layers = simulate_layers(config, *np.random.default_rng(config.rng_seed).spawn(3))
         f_e = np.concatenate([b.copy() for b in
-                              occupancy_blocks(segments, config.meas.t_meas, [0, n])])
+                              occupancy_blocks(layers, config.meas.t_meas, [0, n])])
         edges = np.arange(n + 1, dtype=float) * config.meas.t_meas
         flips = run_starts(truth.states)[1:]
         with_flips = np.zeros(n, dtype=bool)
