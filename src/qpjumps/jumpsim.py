@@ -15,10 +15,11 @@ qubit and exciting a ground one with the Boltzmann factor of the moment.
 The sampler yields the trajectory in time segments, each as its two
 layers, the QP knots and the qubit's flips (SegmentLayers), and every
 reader takes them as it goes, so no whole-record trajectory need exist.
-Only the truth file, which holds one row per knot, merges a segment's
-layers into knots.  The dispersive measurement record is synthesized per
-integration bin from the exact fraction of the bin spent in each state,
-read from the flips, at the separation set by the readout parameters.
+Only the truth file, one row per knot, and simulate_joint's whole trace
+merge a segment's layers into knots.  The dispersive measurement record
+is synthesized per integration bin from the exact fraction of the bin
+spent in each state, read from the flips, at the separation set by the
+readout parameters.
 """
 
 from __future__ import annotations
