@@ -305,6 +305,10 @@ _GROUPS = {
     "thermal": ThermalParams,
 }
 _SCHEDULE = "pulse_schedule"
+# the most qubit flips per readout sample a config may expect at its steady
+# QP density: no readout resolves more, and the record holds a block of
+# samples' flips at a time
+MAX_FLIPS_PER_SAMPLE = 1000.0
 
 
 @dataclass(frozen=True)
@@ -451,9 +455,11 @@ def validate_config(text: str) -> ScenarioConfig:
     """Parse and validate flat key-value configuration text.
 
     Unknown keys, bad numbers, invariant violations, a group key given
-    without a required partner and a duration / t_meas that is not finite
-    or does not fit an int64 sample count raise ConfigError naming the
-    keys; keys left out take their parameter type's default.
+    without a required partner, a duration / t_meas that is not finite
+    or does not fit an int64 sample count, and a steady relaxation rate
+    (jumpsim.steady_relaxation_rate) over MAX_FLIPS_PER_SAMPLE / t_meas
+    raise ConfigError naming the keys; keys left out take their parameter
+    type's default.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -504,6 +510,18 @@ def validate_config(text: str) -> ScenarioConfig:
     if not config.duration / config.meas.t_meas * (1.0 + 1e-12) < 2.0**63:
         raise ConfigError(f"duration = {config.duration:g} s over t_meas = "
                           f"{config.meas.t_meas:g} s gives no sample count that fits an int64")
+    from .jumpsim import steady_relaxation_rate  # jumpsim imports this module
+
+    try:
+        rate = steady_relaxation_rate(config)
+    except ValueError as exc:  # the quiet generation has no steady state
+        raise ConfigError(f"invalid value among [mod_quiet_generation, qp_trapping, "
+                          f"qp_recombination]: {exc}") from None
+    if not rate * config.meas.t_meas <= MAX_FLIPS_PER_SAMPLE:
+        raise ConfigError(
+            f"the qubit's steady relaxation rate {rate:g} 1/s gives "
+            f"{rate * config.meas.t_meas:g} flips per t_meas = {config.meas.t_meas:g} s "
+            f"sample, past the {MAX_FLIPS_PER_SAMPLE:g} a record may expect")
     return config
 
 
@@ -560,6 +578,14 @@ def config_reference() -> str:
         "Flat `key = value` text, one pair per line, `#` starts a comment.",
         "Values may carry the unit suffixes listed for their kind; bare",
         "numbers are read in SI base units.",
+        "",
+        "A config is refused when `duration / t_meas` gives no sample count",
+        "that fits an int64, or when the qubit would flip more than",
+        f"{MAX_FLIPS_PER_SAMPLE:g} times per `t_meas` sample on average: its",
+        "relaxation rate `gamma_scale * (x * coefficient + gamma_background)`",
+        "at the steady-state QP density x of either modulator state, times",
+        "`t_meas`, may be at most that.  No readout resolves more flips, and",
+        "the record holds a block of samples' flips at a time.",
         "",
         "| key | kind | default | description |",
         "|-----|------|---------|-------------|",

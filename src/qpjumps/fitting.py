@@ -3,10 +3,11 @@
 Three models are fitted here: a power-law-plus-floor spectrum
 A / (B + (2 pi f)^alpha) + C for the slow lifetime fluctuations, an
 exponential recovery of the QP density after an injection pulse, and an
-exponential temperature decay.  The spectrum is fitted by Whittle
-likelihood, the periodogram's own noise model, with errors from the
-observed information; the exponential models use Levenberg-Marquardt
-least squares with their exact Jacobian from a small grid of
+exponential temperature decay.  Every fit runs the one damped
+Gauss-Newton solver of qpjumps.optimize.  The spectrum is fitted by
+Whittle likelihood, the periodogram's own noise model, by Fisher scoring
+inside a box, with errors from the Fisher information; the exponential
+models are least squares with their exact Jacobian from a small grid of
 time-constant seeds, with seeded residual-bootstrap errors of at most
 N_BOOTSTRAP_MAX refits.
 """
@@ -17,8 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
+from . import optimize
 from .core import QubitParams
 from .jumpsim import qp_rate_coefficient
 from .kinetics import exponential_relaxation
@@ -120,32 +121,35 @@ def _whittle_terms(theta, log_w, power):
     return np.log(s), jac, power / s
 
 
+def _fisher_information(jac) -> np.ndarray:
+    """J J^T over the rows of d(log S)/d(theta), summed row by row."""
+    return np.einsum("in,jn->ij", jac, jac)
+
+
 def _whittle_cost(theta, log_w, power):
+    """The Whittle cost sum(log S + P/S), its gradient J (1 - P/S) and the
+    Fisher information J J^T, the curvature of Fisher scoring."""
     log_s, jac, ratio = _whittle_terms(theta, log_w, power)
-    return float(np.sum(log_s + ratio)), jac @ (1.0 - ratio)
-
-
-def _whittle_fit(theta0, log_w, power, bounds):
-    return optimize.minimize(_whittle_cost, theta0, args=(log_w, power), jac=True,
-                             method="L-BFGS-B", bounds=bounds,
-                             options={"ftol": 1e-15, "gtol": 1e-10})
+    return (float(np.sum(log_s + ratio)), np.einsum("in,n->i", jac, 1.0 - ratio),
+            _fisher_information(jac))
 
 
 def fit_power_law(freqs, power) -> PsdFit:
     """Fit the power-law-plus-floor spectrum by Whittle likelihood.
 
     Minimises sum(log S + P/S) over (ln a, ln b, alpha, ln c), power
-    divided by its median, by bounded L-BFGS-B from a grid of starts over
-    alpha (0.5 to 3.0 in steps of 0.25).  Errors come from the observed
-    information, phi * (J^T J)^-1 with J = d(log S)/d(theta) and dispersion
-    phi = mean((P/S - 1)^2), about 1/K for K averaged segments.  If a
+    divided by its median, by Fisher scoring inside a box (qpjumps.optimize)
+    from a grid of starts over alpha (0.5 to 3.0 in steps of 0.25).  Errors
+    come from the Fisher information, phi * (J^T J)^-1 with
+    J = d(log S)/d(theta) and dispersion phi = mean((P/S - 1)^2), about 1/K
+    for K averaged segments.  If a
     dispersion-scaled likelihood ratio against a bare floor (c = mean
     power) is below the 1% point of chi-square(3), the floor alone is
     reported (a = 0; a, b, alpha errors NaN).
 
     Requires at least 8 positive-power points spanning 1.5 decades of
     frequency.  Raises FitConvergenceError (best attached) if every start
-    stops at L-BFGS-B's iteration cap.
+    stops at the solver's evaluation cap.
     """
     freqs = np.asarray(freqs, dtype=float)
     power = np.asarray(power, dtype=float)
@@ -183,7 +187,8 @@ def fit_power_law(freqs, power) -> PsdFit:
     bounds = [(lo + lp_lo, hi + lp_hi + 20.0), (lo, hi), (ALPHA_MIN, ALPHA_MAX),
               (lp_lo - 20.0, lp_hi + 20.0)]
 
-    fits = [_whittle_fit(start, log_w, p, bounds) for start in starts]
+    fits = [optimize.minimize(_whittle_cost, start, args=(log_w, p), bounds=bounds)
+            for start in starts]
     best = min(fits, key=lambda res: res.fun)
     theta = best.x
     log_s, jac, ratio = _whittle_terms(theta, log_w, p)
@@ -200,13 +205,13 @@ def fit_power_law(freqs, power) -> PsdFit:
         # correlation form: the columns of J differ by many orders of
         # magnitude, and scaling them to unit norm makes the matrix well
         # conditioned before it is inverted
-        info = jac @ jac.T
+        info = _fisher_information(jac)
         d = np.sqrt(np.diag(info))
         cov = np.linalg.inv(info / np.outer(d, d)) / np.outer(d, d)
         errs = np.sqrt(phi * np.diag(cov)) * [a, b, 1.0, c]
 
-    # L-BFGS-B status 1 is the iteration cap; a line search that cannot
-    # improve further (status 2) ends at an optimum as far as it can tell
+    # status 1 is the evaluation cap; any other stop ends at an optimum as
+    # far as the solver can tell
     converged = any(res.status != 1 for res in fits)
     fit = PsdFit(
         a=a, b=b, alpha=alpha, c=c,
@@ -267,8 +272,8 @@ LOG_TAU_CLIP = 500.0
 
 
 def _decay_time(log_tau: float) -> float:
-    """exp(log_tau), clipped to e^+-500 s, far outside any real fit: Levenberg-
-    Marquardt is unbounded, and near-flat data drive tau up until exp overflows."""
+    """exp(log_tau), clipped to e^+-500 s, far outside any real fit: the least-
+    squares fit is unbounded, and near-flat data drive tau up until exp overflows."""
     return math.exp(min(max(log_tau, -LOG_TAU_CLIP), LOG_TAU_CLIP))
 
 
@@ -306,7 +311,7 @@ def _check_series(times, values) -> None:
 def _exp_fit(t, y, n_boot, seed):
     """Shared least-squares fit of y = base + amp*exp(-t/tau).
 
-    Levenberg-Marquardt (MINPACK's, through least_squares) from 6 seeds of
+    Damped Gauss-Newton (qpjumps.optimize.least_squares) from 6 seeds of
     tau over the time span, in (base, amp, ln tau), with the exact
     Jacobian, _exp_jacobian, so no evaluation is spent on finite
     differences.  The errors are the spread of n_boot residual-bootstrap
@@ -331,7 +336,7 @@ def _exp_fit(t, y, n_boot, seed):
     for tau0 in np.geomspace(span / 50.0, 2.0 * span, 6):
         res = optimize.least_squares(
             _exp_residual, np.array([base0, amp0, math.log(tau0)]), jac=_exp_jacobian,
-            args=(t, y), method="lm", max_nfev=2000,
+            args=(t, y), max_nfev=2000,
         )
         if best is None or res.cost < best.cost:
             best = res
@@ -352,7 +357,7 @@ def _exp_fit(t, y, n_boot, seed):
     for i in range(n_boot):
         sample = model + rng.choice(r, size=len(r), replace=True)
         rb = optimize.least_squares(_exp_residual, theta, jac=_exp_jacobian,
-                                    args=(t, sample), method="lm", max_nfev=500)
+                                    args=(t, sample), max_nfev=500)
         boot[i] = rb.x
     errs = boot.std(axis=0)
     tau = _decay_time(theta[2])

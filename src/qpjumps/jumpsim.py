@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +41,7 @@ from .core import (
     ThermalParams,
     temperature_to_polarization,
 )
-from .kinetics import QpKineticsParams
+from .kinetics import QpKineticsParams, steady_state
 
 STATE_GROUND = 0
 STATE_EXCITED = 1
@@ -79,6 +79,19 @@ def relaxation_rate(n, kinetics: QpKineticsParams, qubit: QubitParams):
     fitting.invert_relaxation inverts it."""
     per_qp = qubit.gamma_scale * qp_rate_coefficient(qubit) / kinetics.n_pairs
     return n * per_qp + qubit.gamma_scale * qubit.gamma_background
+
+
+def steady_relaxation_rate(config: ScenarioConfig) -> float:
+    """relaxation_rate at the steady-state QP number of each modulator
+    state, the larger of the two (1/s).  Once the QP number has settled the
+    qubit flips at most this often on average: an excited qubit relaxes at
+    this rate, and a ground one is excited more slowly."""
+    kin = config.kinetics
+    generations = [kin.generation]
+    if config.modulation is not None:
+        generations.append(config.modulation.quiet_generation)
+    return max(relaxation_rate(steady_state(replace(kin, generation=g)) * kin.n_pairs,
+                               kin, config.qubit) for g in generations)
 
 
 # ---------------------------------------------------------------------------

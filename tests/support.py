@@ -420,12 +420,12 @@ def run_with_address_limit(fn, *args, limit: int = 1 << 30):
     return pickle.loads(data)
 
 
-def iteration_capped(optimize_module, maxiter: int):
-    """Stand-in for a fitter's `optimize` module whose minimize() stops
-    after maxiter iterations."""
+def iteration_capped(optimize_module, max_iter: int):
+    """Stand-in for a fitter's `optimize` module (qpjumps.optimize) whose
+    minimize() stops after max_iter evaluations."""
 
     def minimize(*args, **kwargs):
-        kwargs["options"] = {**kwargs.get("options", {}), "maxiter": maxiter}
+        kwargs["max_iter"] = max_iter
         return optimize_module.minimize(*args, **kwargs)
 
     return SimpleNamespace(minimize=minimize)

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import optimize
 
-from qpjumps import analysis, cli, experiments, fitting, io
+from qpjumps import analysis, cli, experiments, fitting, io, optimize
 from qpjumps.analysis import two_point_filter
 from qpjumps.cli import build_parser, main
 from qpjumps.core import QubitParams, load_config, serialize_config, validate_config
@@ -159,6 +158,27 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: duration = ") and err.count("\n") == 1
         assert "fits an int64" in err
+        assert not out.exists()
+
+    # a steady relaxation rate of 1e12 1/s (or inf) made the sampler draw
+    # about 1e12 flips, and a quiet state that generates QPs with nothing to
+    # remove them made N grow without bound: either took memory until a
+    # MemoryError traceback (exit 1), so the child runs under a limit
+    @pytest.mark.parametrize("keys", [
+        ["gamma_background=1e12"],
+        ["gamma_background=1e308", "gamma_scale=10"],
+        ["qp_generation=0", "qp_trapping=0", "mod_quiet_generation=1"],
+    ])
+    def test_config_past_the_flip_ceiling_exits_2(self, tmp_path, keys):
+        out = tmp_path / "o"
+        argv = ["experiment", "quiet-noisy", "--out", str(out), "--set", "duration=1"]
+        for key in keys:
+            argv += ["--set", key]
+        status, result = run_with_address_limit(_main_with_stderr, argv)
+        assert status == "returned", result
+        code, err = result
+        assert code == 2 and err.count("\n") == 1, err
+        assert err.startswith("configuration error: ") and "Traceback" not in err
         assert not out.exists()
 
     def test_seed_flag_overrides(self, tmp_path, config_file):

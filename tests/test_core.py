@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qpjumps.core import (
     BOLTZMANN,
     CONFIG_SCHEMA,
+    MAX_FLIPS_PER_SAMPLE,
     PLANCK,
     TWO_PI,
     ConfigError,
@@ -27,6 +28,8 @@ from qpjumps.core import (
     temperature_to_polarization,
     validate_config,
 )
+from qpjumps.experiments import experiment_names, preset_config
+from qpjumps.jumpsim import steady_relaxation_rate
 from qpjumps.kinetics import QpKineticsParams
 
 MINIMAL = "rng_seed = 7\nduration = 1\n"
@@ -311,6 +314,32 @@ def test_direct_construction_validates():
         MeasurementParams(efficiency=0.0)
     with pytest.raises(ValueError):
         ScenarioConfig(duration=1.0, rng_seed=-1)
+
+
+class TestFlipCeiling:
+    """validate_config refuses a steady relaxation rate past
+    MAX_FLIPS_PER_SAMPLE flips per t_meas sample, and no preset is near it."""
+
+    def test_ceiling_is_inclusive(self):
+        # no QPs: the steady rate is gamma_background alone
+        base = MINIMAL + "qp_generation = 0\nt_meas = 4 us\n"
+        at = MAX_FLIPS_PER_SAMPLE / 4e-6
+        assert validate_config(base + f"gamma_background = {at!r}\n").qubit.gamma_background == at
+        with pytest.raises(ConfigError, match="flips per t_meas"):
+            validate_config(base + f"gamma_background = {at * (1 + 1e-12)!r}\n")
+
+    def test_modulated_quiet_state_counts(self):
+        # the quiet state generates more than the noisy one here
+        text = (MINIMAL + "qp_generation = 0\nmod_quiet_generation = 2e7\n"
+                "mod_mean_quiet = 1\nmod_mean_noisy = 1\n")
+        with pytest.raises(ConfigError, match="flips per t_meas"):
+            validate_config(text)
+        assert steady_relaxation_rate(validate_config(text.replace("2e7", "3e-4"))) > 0
+
+    @pytest.mark.parametrize("name", experiment_names())
+    def test_presets_are_far_below(self, name):
+        config = preset_config(name)
+        assert steady_relaxation_rate(config) * config.meas.t_meas < 1e-3 * MAX_FLIPS_PER_SAMPLE
 
 
 def test_config_reference_doc_is_current():

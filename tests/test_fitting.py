@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import optimize, stats
+from scipy import stats
 
-from qpjumps import fitting
+from qpjumps import fitting, optimize
 from qpjumps.core import QubitParams
 from qpjumps.fitting import (
     CHI2_3_Q99,
@@ -178,7 +178,7 @@ class TestFitPowerLaw:
     def test_line_search_stop_is_not_a_failure(self, monkeypatch):
         def minimize(*args, **kwargs):
             res = optimize.minimize(*args, **kwargs)
-            res.status, res.success = 2, False  # L-BFGS-B line-search stop
+            res.status, res.success = 2, False  # a stop that is not the cap
             return res
 
         f, spec, _ = self._clean_spectrum()
