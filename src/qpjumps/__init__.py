@@ -1,6 +1,10 @@
 """Stochastic simulator and statistics pipeline for quasiparticle-driven
 quantum jumps of a dispersively read-out two-level qubit."""
 
+# pyproject.toml's [project] version; set before the submodules, as
+# io.TOOL_VERSION reads it on import
+__version__ = "0.1.0"
+
 from .core import (
     ConfigError,
     MeasurementParams,

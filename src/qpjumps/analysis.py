@@ -83,30 +83,32 @@ def two_point_filter(iq: IQRecord, separation: float,
     if len(i) == 0:
         raise ValueError("empty record")
 
-    # forward fill of the last decided sample, one block at a time, with the
-    # state carried in from the previous block standing at position 0
+    # forward fill of the last decided sample, one block at a time, as a
+    # running maximum of int32 keys: a decided sample's key is 2 * position
+    # + its state, and the state carried in from the previous block stands
+    # at position 0, as the key of sample 0 at least; the maximum's parity
+    # is the state (STATE_GROUND / STATE_EXCITED are 0 / 1)
     states = np.empty(len(i), dtype=np.uint8)
     carry = initial
     if carry is None:
         carry = STATE_GROUND if i[0] >= 0 else STATE_EXCITED
-    position = np.arange(1, _BLOCK + 1)
-    excited = np.empty(_BLOCK + 1, dtype=bool)  # [carry, decided excited...]
+    position = np.arange(2, 2 * _BLOCK + 1, 2, dtype=np.int32)
+    excited = np.empty(_BLOCK, dtype=bool)
     decided = np.empty(_BLOCK, dtype=bool)
-    last = np.empty(_BLOCK, dtype=np.int64)
+    key = np.empty(_BLOCK, dtype=np.int32)
     for lo in range(0, len(i), _BLOCK):
         x = i[lo:lo + _BLOCK]
         m = len(x)
-        e, d, k = excited[1:m + 1], decided[:m], last[:m]
-        excited[0] = carry == STATE_EXCITED
+        e, d, k = excited[:m], decided[:m], key[:m]
         np.less(x, to_excited, out=e)
         np.greater(x, to_ground, out=d)
         d |= e
         np.multiply(d, position[:m], out=k)
+        k += e
+        k[0] = max(k[0], carry)
         np.maximum.accumulate(k, out=k)
-        # STATE_GROUND / STATE_EXCITED are 0 / 1, so the bool is the state;
-        # k is in range, and mode="clip" only spares take() a buffered copy
-        np.take(excited, k, out=states[lo:lo + m].view(bool), mode="clip")
-        carry = states[lo + m - 1]
+        np.bitwise_and(k, 1, out=states[lo:lo + m], casting="unsafe")
+        carry = int(states[lo + m - 1])
     return StateEstimate(t_meas=iq.t_meas, states=states)
 
 

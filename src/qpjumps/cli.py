@@ -34,6 +34,7 @@ from .fitting import (
     fit_power_law,
     fit_recovery,
     fit_thermal,
+    median,
     periodogram,
 )
 from .jumpsim import snr_separation
@@ -164,7 +165,7 @@ def cmd_fit_psd(args) -> int:
         raise ValueError(f"{args.input}: one row has no sample spacing")
     if not np.isfinite(times).all():  # NaN values mark missing windows; times have none
         raise FitInputError(f"{args.input}: times must be finite")
-    dt = float(np.median(np.diff(times)))
+    dt = median(np.diff(times))
     freqs, power = periodogram(values, dt, n_segments=args.segments)
     fit = fit_power_law(freqs, power)
     psd_path = os.path.join(args.out, "psd.csv")

@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cached_property
+
+import numpy as np
 
 from .kinetics import QpKineticsParams, steady_state
 
@@ -124,29 +125,35 @@ class ThermalParams:
                 raise ValueError(f"{name} must be positive")
 
 
+def _check_pulse(start, length, inject) -> None:
+    """Refuse a pulse that starts before 0, has no length or injects a
+    negative count, or more than an int64 holds."""
+    if start < 0 or length <= 0:
+        raise ValueError("pulse start must be >= 0 and length > 0")
+    if inject < 0:
+        raise ValueError("pulse injection count must be non-negative")
+    if inject >= 2**63:
+        raise ValueError("pulse injection count must fit an int64")
+
+
 @dataclass(frozen=True)
 class Pulse:
-    """One generation pulse: starts at `start`, lasts `length`, injects
-    `inject` QPs into the array when it ends."""
+    """One generation pulse of a pulse_schedule: starts at `start`, lasts
+    `length`, injects `inject` QPs into the array when it ends."""
 
     start: float
     length: float
     inject: int
 
     def __post_init__(self):
-        if self.start < 0 or self.length <= 0:
-            raise ValueError("pulse start must be >= 0 and length > 0")
-        if self.inject < 0:
-            raise ValueError("pulse injection count must be non-negative")
-
-    @property
-    def end(self) -> float:
-        return self.start + self.length
+        _check_pulse(self.start, self.length, self.inject)
 
 
 @dataclass(frozen=True)
 class PeriodicPulses:
-    """Compact description of an evenly spaced pulse train."""
+    """Compact description of an evenly spaced pulse train: count pulses
+    of the given length, each injecting inject QPs, pulse i starting at
+    first + i * period.  Each pulse is checked as a Pulse is."""
 
     period: float
     length: float
@@ -159,12 +166,7 @@ class PeriodicPulses:
             raise ValueError("periodic pulse train needs period, length > 0 and count >= 1")
         if self.length >= self.period:
             raise ValueError("pulse length must be shorter than the period")
-
-    def expand(self) -> tuple[Pulse, ...]:
-        return tuple(
-            Pulse(self.first + i * self.period, self.length, self.inject)
-            for i in range(self.count)
-        )
+        _check_pulse(self.first, self.length, self.inject)
 
 
 @dataclass(frozen=True)
@@ -189,9 +191,17 @@ class Modulation:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete description of one simulated run.  Pulses are given as a
-    pulse_schedule or a pulse_periodic train, not both, and read through
-    the pulses view."""
+    """Complete description of one simulated run.
+
+    Pulses are given as a pulse_schedule or a pulse_periodic train, not
+    both, and read as three read-only arrays in start order, set on
+    construction: pulse_start, pulse_length and pulse_inject (int64).  A
+    pulse ends at start + length.  A train's starts are first +
+    np.arange(count) * period, and its lengths and injections broadcast
+    views of its one value each; a schedule's come from its pulses sorted
+    by start.  Construction refuses the first pulse, in that order, that
+    starts before the one before it ends or ends past the duration.
+    """
 
     duration: float
     rng_seed: int
@@ -216,20 +226,33 @@ class ScenarioConfig:
             raise ValueError("n_initial must be -1 (auto) or a non-negative count")
         if self.pulse_schedule and self.pulse_periodic is not None:
             raise ValueError(_BOTH_PULSE_FORMS)
-        prev_end = -math.inf
-        for p in self.pulses:
-            if p.start < prev_end:
-                raise ValueError("pulses must not overlap")
-            if p.end > self.duration:
-                raise ValueError("pulses must end within duration")
-            prev_end = p.end
-
-    @cached_property
-    def pulses(self) -> tuple[Pulse, ...]:
-        """Every pulse of the run, sorted by start."""
-        if self.pulse_periodic is not None:
-            return self.pulse_periodic.expand()
-        return tuple(sorted(self.pulse_schedule, key=lambda p: p.start))
+        train = self.pulse_periodic
+        if train is not None:
+            # first + i * period in place; a train's lengths and injections
+            # are one value each, broadcast without a copy
+            start = np.arange(train.count, dtype=float)
+            start *= train.period
+            start += train.first
+            length = np.broadcast_to(np.float64(train.length), start.shape)
+            inject = np.broadcast_to(np.int64(train.inject), start.shape)
+        else:
+            pulses = sorted(self.pulse_schedule, key=lambda p: p.start)
+            start = np.array([p.start for p in pulses], dtype=float)
+            length = np.array([p.length for p in pulses], dtype=float)
+            inject = np.array([p.inject for p in pulses], dtype=np.int64)
+        end = start + length
+        # a pulse that starts before the one before it ends, or ends past
+        # the duration; the first one names the fault
+        overlap = np.zeros(len(end), dtype=bool)
+        np.less(start[1:], end[:-1], out=overlap[1:])
+        bad = np.flatnonzero(overlap | (end > self.duration))
+        if len(bad):
+            raise ValueError("pulses must not overlap" if overlap[bad[0]]
+                             else "pulses must end within duration")
+        for name, values in (("pulse_start", start), ("pulse_length", length),
+                             ("pulse_inject", inject)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     def initial_count(self) -> int:
         """Starting QP number: explicit n_initial, else rounded steady mean."""
@@ -456,8 +479,9 @@ def validate_config(text: str) -> ScenarioConfig:
 
     Unknown keys, bad numbers, invariant violations, a group key given
     without a required partner, a duration / t_meas that is not finite
-    or does not fit an int64 sample count, and a steady relaxation rate
-    (jumpsim.steady_relaxation_rate) over MAX_FLIPS_PER_SAMPLE / t_meas
+    or does not fit an int64 sample count, and a relaxation rate
+    (jumpsim.steady_relaxation_rate) over MAX_FLIPS_PER_SAMPLE / t_meas,
+    at the steady QP number or at it plus the largest pulse injection,
     raise ConfigError naming the keys; keys left out take their parameter
     type's default.
     """
@@ -517,11 +541,22 @@ def validate_config(text: str) -> ScenarioConfig:
     except ValueError as exc:  # the quiet generation has no steady state
         raise ConfigError(f"invalid value among [mod_quiet_generation, qp_trapping, "
                           f"qp_recombination]: {exc}") from None
-    if not rate * config.meas.t_meas <= MAX_FLIPS_PER_SAMPLE:
-        raise ConfigError(
-            f"the qubit's steady relaxation rate {rate:g} 1/s gives "
-            f"{rate * config.meas.t_meas:g} flips per t_meas = {config.meas.t_meas:g} s "
-            f"sample, past the {MAX_FLIPS_PER_SAMPLE:g} a record may expect")
+    # a pulse adds its QPs to the steady number, so the largest one raises
+    # the rate furthest
+    added = int(config.pulse_inject.max(initial=0))
+    pulse_key = "pulse_inject" if config.pulse_periodic is not None else _SCHEDULE
+    peak = steady_relaxation_rate(config, added)
+    for value, what in (
+        (rate, f"steady relaxation rate {rate:g} 1/s"),
+        (peak, f"relaxation rate {peak:g} 1/s at the steady QP number plus the "
+               f"largest pulse injection, {added} QPs ({pulse_key}),"),
+    ):
+        flips = value * config.meas.t_meas
+        if not flips <= MAX_FLIPS_PER_SAMPLE:
+            raise ConfigError(
+                f"the qubit's {what} gives {flips:g} flips per t_meas = "
+                f"{config.meas.t_meas:g} s sample, past the {MAX_FLIPS_PER_SAMPLE:g} "
+                f"a record may expect")
     return config
 
 
@@ -583,7 +618,8 @@ def config_reference() -> str:
         "that fits an int64, or when the qubit would flip more than",
         f"{MAX_FLIPS_PER_SAMPLE:g} times per `t_meas` sample on average: its",
         "relaxation rate `gamma_scale * (x * coefficient + gamma_background)`",
-        "at the steady-state QP density x of either modulator state, times",
+        "at the steady-state QP density x of either modulator state, and at",
+        "x plus the largest pulse injection over `n_cooper_pairs`, times",
         "`t_meas`, may be at most that.  No readout resolves more flips, and",
         "the record holds a block of samples' flips at a time.",
         "",

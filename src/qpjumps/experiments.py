@@ -49,6 +49,7 @@ from .fitting import (
     fit_power_law,
     fit_recovery,
     invert_relaxation,
+    median,
     periodogram,
 )
 from .jumpsim import (
@@ -414,11 +415,11 @@ def _alternation_summary(report: WindowedReport) -> dict[str, float]:
     tau = report.tau_ground
     valid = np.isfinite(tau)
     if valid.any():
-        summary["median_tau_g_s"] = float(np.nanmedian(tau))
+        summary["median_tau_g_s"] = median(tau[~np.isnan(tau)])
         summary["quiet_window_fraction"] = float(np.mean(tau[valid] > 4e-4))
     omf = report.one_minus_fidelity
     if np.isfinite(omf).any():
-        summary["median_one_minus_f"] = float(np.nanmedian(omf))
+        summary["median_one_minus_f"] = median(omf[~np.isnan(omf)])
     try:
         summary["tau_fidelity_correlation"] = tau_fidelity_correlation(report)
     except ValueError:
@@ -508,7 +509,9 @@ def recovery_chunk_stats(
     layers, config: ScenarioConfig, rel_edges: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(excited exposure, jump count, jump-time sum) per post-injection bin
-    of the config's periodic train, from the qubit's flips alone.
+    of the config's periodic train, from the qubit's flips alone.  The
+    train is read from the config's pulse arrays: its first pulse's end,
+    pulse_start[0] + pulse_length[0], its pulse count and its period.
 
     layers is an iterable of consecutive jumpsim.SegmentLayers, as
     simulate_layers yields them, read in one pass for their flips; the
@@ -528,7 +531,8 @@ def recovery_chunk_stats(
     in bin 0, not before the edge.  The jumps are the flips to ground,
     and their time is r.
     """
-    first, n = config.pulses[0].end, len(config.pulses)
+    first = float(config.pulse_start[0] + config.pulse_length[0])
+    n = len(config.pulse_start)
     segments = iter(layers)
     first_segment = next(segments)
     times = [np.zeros(int(first_segment.before[1] == STATE_EXCITED)), first_segment.flips]

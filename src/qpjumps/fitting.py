@@ -44,6 +44,16 @@ class FitConvergenceError(RuntimeError):
         self.best = best
 
 
+def median(values) -> float:
+    """np.median of values that hold no NaN, bit for bit: the mean of the
+    middle one or two order statistics.  It skips np.median's check for a
+    NaN, whose first call imports numpy.ma."""
+    values = np.asarray(values, dtype=float)
+    half, odd = divmod(len(values), 2)
+    part = np.partition(values, [half] if odd else [half - 1, half])
+    return float(np.mean(part[half - 1 + odd:half + 1]))
+
+
 # ---------------------------------------------------------------------------
 # periodogram
 # ---------------------------------------------------------------------------
@@ -160,16 +170,16 @@ def fit_power_law(freqs, power) -> PsdFit:
     if math.log10(freqs.max() / freqs.min()) < 1.5:
         raise FitInputError("frequency axis must span at least 1.5 decades")
 
-    scale = float(np.median(power))
+    scale = median(power)
     p = power / scale
     n = len(p)
     log_w = np.log(2.0 * math.pi * freqs)
     order = np.argsort(log_w)
-    low = float(np.median(p[order[:5]]))
-    high = float(np.median(p[order[-5:]]))
-    mid = float(np.median(p))
+    low = median(p[order[:5]])
+    high = median(p[order[-5:]])
+    mid = median(p)
     w_min = float(np.exp(log_w.min()))
-    w_mid = float(np.exp(np.median(log_w)))
+    w_mid = float(np.exp(median(log_w)))
     c0 = min(high, low) * 0.5
     starts = []
     for alpha0 in np.arange(ALPHA_MIN, ALPHA_MAX + 1e-9, 0.25):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib.metadata
 import json
 import os
 import struct
@@ -30,14 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__ as TOOL_VERSION
 from .analysis import DwellHistogram, WindowedReport
 from .core import ScenarioConfig, serialize_config
 from .jumpsim import _BLOCK, IQRecord, _merge, run_starts
-
-try:
-    TOOL_VERSION = importlib.metadata.version("qpjumps")
-except importlib.metadata.PackageNotFoundError:  # running from a source tree
-    TOOL_VERSION = "0.0.0+local"
 
 IQ_MAGIC = b"QJIQ"
 IQ_VERSION = 1

@@ -81,17 +81,19 @@ def relaxation_rate(n, kinetics: QpKineticsParams, qubit: QubitParams):
     return n * per_qp + qubit.gamma_scale * qubit.gamma_background
 
 
-def steady_relaxation_rate(config: ScenarioConfig) -> float:
+def steady_relaxation_rate(config: ScenarioConfig, added: int = 0) -> float:
     """relaxation_rate at the steady-state QP number of each modulator
-    state, the larger of the two (1/s).  Once the QP number has settled the
-    qubit flips at most this often on average: an excited qubit relaxes at
-    this rate, and a ground one is excited more slowly."""
+    state plus added QPs, the larger of the two (1/s).  At added = 0, once
+    the QP number has settled, the qubit flips at most this often on
+    average: an excited qubit relaxes at this rate, and a ground one is
+    excited more slowly.  At added = a pulse's injection it is the rate
+    just after that pulse from the steady number."""
     kin = config.kinetics
     generations = [kin.generation]
     if config.modulation is not None:
         generations.append(config.modulation.quiet_generation)
-    return max(relaxation_rate(steady_state(replace(kin, generation=g)) * kin.n_pairs,
-                               kin, config.qubit) for g in generations)
+    return max(relaxation_rate(steady_state(replace(kin, generation=g)) * kin.n_pairs
+                               + added, kin, config.qubit) for g in generations)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +246,10 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator):
     of array chunks.
 
     Exact-jump sampling of generation, trapping, recombination and modulator
-    switches; each pulse end before the duration injects its QPs.  Every
+    switches; each pulse end before the duration, pulse_start +
+    pulse_length from the config's arrays, injects its pulse_inject QPs.
+    An end and its count become Python numbers as the chain reaches them,
+    so each step compares Python floats and no per-pulse list is made.  Every
     step takes one unit exponential and one uniform from buffers drawn
     _RNG_BUF at a time, the exponentials first; a step that would cross the
     next pulse end (or the duration) stops there and its draws are
@@ -273,8 +278,11 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator):
         props = ((0.5 * kin.generation * ncp, 0.0),) * 2
         m_state = 1
     # a pulse that ends at the duration has no time left to act on
-    edges = [(p.end, p.inject) for p in config.pulses if p.end < config.duration]
-    edges.append((config.duration, 0))
+    ends = config.pulse_start + config.pulse_length
+    acts = ends < config.duration
+    edge_t = np.append(ends[acts], config.duration)
+    edge_n = np.append(config.pulse_inject[acts], 0)
+    n_edges = len(edge_t)
 
     n = config.initial_count()
     # the knots of the slice in hand
@@ -286,8 +294,8 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator):
     a_gen, a_switch = props[m_state]
     t = 0.0
     k = 0
-    t_edge, inject = edges[0]
-    while k < len(edges):
+    t_edge, inject = edge_t[0].item(), edge_n[0].item()
+    while k < n_edges:
         exponentials = rng.standard_exponential(_RNG_BUF)
         uniforms = rng.random(_RNG_BUF)
         for lo in range(0, _RNG_BUF, _SEGMENT):
@@ -308,9 +316,9 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator):
                         times.append(t)
                         counts.append(n)
                     k += 1
-                    if k == len(edges):
+                    if k == n_edges:
                         break
-                    t_edge, inject = edges[k]
+                    t_edge, inject = edge_t[k].item(), edge_n[k].item()
                     continue
                 t = t_next
                 u *= total
@@ -331,7 +339,7 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator):
                 yield np.array(times, dtype=float), np.array(counts, dtype=np.int64)
                 times.clear()
                 counts.clear()
-            if k == len(edges):
+            if k == n_edges:
                 break
 
 
@@ -341,17 +349,17 @@ def _boltzmann_factor(config: ScenarioConfig):
     transients of the pulses that ended at or before t."""
     hf_over_kb = PLANCK * config.qubit.f_ge / BOLTZMANN
     t_base = config.qubit.temperature
-    if config.thermal is None or not config.pulses:
+    if config.thermal is None or not len(config.pulse_start):
         boltz = math.exp(-hf_over_kb / t_base)
         return lambda t: boltz
     tau = config.thermal.tau_thermal
     # amp[k]: summed transient amplitude (K) just after ends[k], the k-th
     # pulse end; ends[0] = 0 with no amplitude covers the time before them
-    ends = np.array([0.0] + [p.end for p in config.pulses])
+    ends = np.concatenate(([0.0], config.pulse_start + config.pulse_length))
     amp = np.zeros(len(ends))
-    for k, p in enumerate(config.pulses, start=1):
+    for k, length in enumerate(config.pulse_length.tolist(), start=1):
         amp[k] = (amp[k - 1] * math.exp(-(ends[k] - ends[k - 1]) / tau)
-                  + thermal_transient(config.thermal, p.length))
+                  + thermal_transient(config.thermal, length))
 
     def boltz(t: np.ndarray) -> np.ndarray:
         k = np.searchsorted(ends, t, side="right") - 1

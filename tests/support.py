@@ -1,7 +1,8 @@
 """Test-only helpers: synthetic spectral series, the noiseless readout
 record, whole-array oracles for the blocked record pipeline, for the
 presets that stream their record and for the recovery statistics that
-read a chunk's layers, an RK4 integrator for the QP density rate
+read a chunk's layers, the per-pulse arithmetic and check for the
+config's pulse arrays, an RK4 integrator for the QP density rate
 equation, a scalar loop over the sampler's qubit candidates, the qubit
 intervals and event counts of a trace, a trace cut into the sampler's
 layers, a child process under an address-space limit, and an exact
@@ -126,6 +127,31 @@ def relaxation_jump_times(truth: TruthTrace) -> np.ndarray:
     return truth.times[flips[truth.states[flips] == STATE_GROUND]]
 
 
+def reference_pulses(schedule=(), train=None) -> list[tuple[float, float, int]]:
+    """Every pulse of a pulse_schedule or a PeriodicPulses train as
+    (start, length, inject), in start order, by per-pulse arithmetic: pulse
+    i of a train starts at first + i * period, and a schedule's pulses are
+    sorted by start."""
+    if train is not None:
+        return [(train.first + i * train.period, train.length, train.inject)
+                for i in range(train.count)]
+    return [(p.start, p.length, p.inject) for p in sorted(schedule, key=lambda p: p.start)]
+
+
+def reference_pulse_fault(pulses, duration: float) -> str | None:
+    """The per-pulse check of (start, length, inject) pulses in start
+    order: the fault of the first pulse that starts before the one before
+    it ends or ends past duration, or None when every pulse passes."""
+    prev_end = -math.inf
+    for start, length, _ in pulses:
+        if start < prev_end:
+            return "pulses must not overlap"
+        if start + length > duration:
+            return "pulses must end within duration"
+        prev_end = start + length
+    return None
+
+
 def whole_trace_chunk_stats(truth: TruthTrace, config: ScenarioConfig,
                             rel_edges: np.ndarray):
     """experiments.recovery_chunk_stats over the whole trace at once, bin
@@ -138,8 +164,9 @@ def whole_trace_chunk_stats(truth: TruthTrace, config: ScenarioConfig,
     time order, and its net flips move X on to the next bin."""
     flips = run_starts(truth.states, STATE_GROUND)
     x = truth.states[flips].astype(int)
-    n = len(config.pulses)
-    cycle, rel = np.divmod(truth.times[flips] - config.pulses[0].end,
+    pulses = reference_pulses(train=config.pulse_periodic)
+    n = len(pulses)
+    cycle, rel = np.divmod(truth.times[flips] - (pulses[0][0] + pulses[0][1]),
                            config.pulse_periodic.period)
     idx = np.searchsorted(rel_edges, rel, side="right") - 1
     state = 0
@@ -312,7 +339,9 @@ def scalar_qubit_layer(config: ScenarioConfig, truth: TruthTrace,
         hazard.append(hazard[-1] + r * (knot_t[j + 1] - knot_t[j]))
 
     hf_over_kb = PLANCK * qubit.f_ge / BOLTZMANN
-    pulses = sorted(config.pulses, key=lambda p: p.end) if config.thermal else []
+    # (end, length) of each pulse, in end order
+    pulses = sorted((start + length, length) for start, length, _ in reference_pulses(
+        config.pulse_schedule, config.pulse_periodic)) if config.thermal else []
     k, amp, amp_end = 0, 0.0, 0.0  # pulses ended so far, their summed transient
 
     state = (STATE_EXCITED if uniform_rng.random()
@@ -328,10 +357,11 @@ def scalar_qubit_layer(config: ScenarioConfig, truth: TruthTrace,
         while hazard[j + 1] <= h:
             j += 1
         t = knot_t[j] + (h - hazard[j]) / rate[j]
-        while k < len(pulses) and pulses[k].end <= t:
-            amp = (amp * math.exp(-(pulses[k].end - amp_end) / config.thermal.tau_thermal)
-                   + thermal_transient(config.thermal, pulses[k].length))
-            amp_end = pulses[k].end
+        while k < len(pulses) and pulses[k][0] <= t:
+            end, length = pulses[k]
+            amp = (amp * math.exp(-(end - amp_end) / config.thermal.tau_thermal)
+                   + thermal_transient(config.thermal, length))
+            amp_end = end
             k += 1
         offset = amp * math.exp(-(t - amp_end) / config.thermal.tau_thermal) if k else 0.0
         accept = u < math.exp(-hf_over_kb / (qubit.temperature + offset))
@@ -470,7 +500,7 @@ def modulator_states(config: ScenarioConfig) -> tuple[int, ...]:
 
 def joint_rates(config: ScenarioConfig, m: int, q: int, n: int) -> list:
     """Outgoing transitions [((m', q', n'), rate), ...] of state (m, q, n)."""
-    if config.pulses or config.thermal is not None:
+    if len(config.pulse_start) or config.thermal is not None:
         raise ValueError("the stationary oracle covers pulse-free, unheated configs")
     kin, qubit, mod = config.kinetics, config.qubit, config.modulation
     if mod is not None and m == 0:

@@ -3,6 +3,7 @@ import pathlib
 from collections import Counter
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -31,6 +32,7 @@ from qpjumps.core import (
 from qpjumps.experiments import experiment_names, preset_config
 from qpjumps.jumpsim import steady_relaxation_rate
 from qpjumps.kinetics import QpKineticsParams
+from support import reference_pulse_fault, reference_pulses
 
 MINIMAL = "rng_seed = 7\nduration = 1\n"
 
@@ -118,7 +120,8 @@ class TestConfigParsing:
         assert config.kinetics.trapping == 8000.0
         assert config.thermal is None
         assert config.modulation is None
-        assert config.pulses == ()
+        assert [len(config.pulse_start), len(config.pulse_length),
+                len(config.pulse_inject)] == [0, 0, 0]
 
     def test_paper_default_values_accepted(self):
         text = MINIMAL + (
@@ -173,10 +176,10 @@ class TestConfigParsing:
         config = validate_config(
             MINIMAL + "pulse_schedule = 0:100us:10, 0.5:100us:10\n"
         )
-        assert len(config.pulses) == 2
-        assert config.pulses[0].start == 0.0
-        assert config.pulses[0].length == pytest.approx(100e-6)
-        assert config.pulses[0].inject == 10
+        assert config.pulse_start.tolist() == [0.0, 0.5]
+        assert config.pulse_length.tolist() == pytest.approx([100e-6, 100e-6])
+        assert config.pulse_inject.tolist() == [10, 10]
+        assert config.pulse_inject.dtype == np.int64
 
     def test_pulses_must_not_overlap(self):
         with pytest.raises(ConfigError, match="overlap"):
@@ -211,7 +214,8 @@ class TestConfigParsing:
         text = MINIMAL + "pulse_schedule = 0.5:1ms:2, 0:1ms:1\n"
         config = validate_config(text)
         assert [p.start for p in config.pulse_schedule] == [0.5, 0.0]
-        assert [p.start for p in config.pulses] == [0.0, 0.5]
+        assert config.pulse_start.tolist() == [0.0, 0.5]
+        assert config.pulse_inject.tolist() == [1, 2]
         assert "pulse_schedule = 0.5:0.001:2, 0.0:0.001:1\n" in serialize_config(config)
 
     def test_periodic_expansion(self):
@@ -220,8 +224,25 @@ class TestConfigParsing:
             + "pulse_period = 10.105 ms\npulse_length = 100 us\n"
             + "pulse_inject = 10\npulse_count = 5\n"
         )
-        assert len(config.pulses) == 5
-        assert config.pulses[1].start == pytest.approx(10.105e-3)
+        assert len(config.pulse_start) == 5
+        assert config.pulse_start[1] == pytest.approx(10.105e-3)
+
+    @pytest.mark.parametrize("key, problem", [
+        ("pulse_first = -1e-3", "pulse start must be >= 0 and length > 0"),
+        ("pulse_inject = -1", "pulse injection count must be non-negative"),
+        ("pulse_inject = 1e19", "pulse injection count must fit an int64"),
+    ])
+    def test_periodic_pulse_faults_name_the_pulse_keys(self, key, problem):
+        keys = {"pulse_period": "10 ms", "pulse_length": "100 us", "pulse_inject": "1",
+                "pulse_count": "5"}
+        name, _, value = key.partition(" = ")
+        keys[name] = value
+        text = MINIMAL + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        with pytest.raises(ConfigError) as err:
+            validate_config(text)
+        assert str(err.value) == (
+            "invalid value among [pulse_first, pulse_period, pulse_length, pulse_inject, "
+            f"pulse_count]: {problem}")
 
     def test_thermal_enabled_by_any_thermal_key(self):
         config = validate_config(MINIMAL + "thermal_mass = 0.1\n")
@@ -316,6 +337,88 @@ def test_direct_construction_validates():
         ScenarioConfig(duration=1.0, rng_seed=-1)
 
 
+def _pulse_form(schedule=(), train=None):
+    return {"pulse_schedule": tuple(Pulse(*p) for p in schedule), "pulse_periodic": train}
+
+
+def _pulse_forms():
+    """Schedules of a few pulses, whose starts and lengths repeat and sum
+    to each other's values so that they touch and overlap, and trains
+    whose lengths come within one ULP of the period."""
+    values = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.30000000000000004, 0.5, 1e-3, 1.0])
+    lengths = st.sampled_from([0.1, 0.2, 0.25, 1e-3, 0.7])
+    schedules = st.lists(st.tuples(values, lengths, st.integers(0, 3)), min_size=1,
+                         max_size=6).map(lambda schedule: _pulse_form(schedule=schedule))
+    trains = st.builds(
+        lambda period, shorter, count, first: _pulse_form(train=PeriodicPulses(
+            period=period, length=float(np.nextafter(period, 0.0)) if shorter else period / 2,
+            inject=1, count=count, first=first)),
+        st.sampled_from([0.01, 0.1, 10.105e-3, 0.3]), st.booleans(), st.integers(1, 40),
+        st.sampled_from([0.0, 1e-3, 0.2]))
+    return st.one_of(schedules, trains)
+
+
+class TestPulseArrays:
+    """The config's pulse arrays against the per-pulse arithmetic and
+    check they replace (tests/support.py): equal bit for bit, refusing
+    what the check refuses, with the first fault's message."""
+
+    @staticmethod
+    def _check(form, duration):
+        pulses = reference_pulses(form["pulse_schedule"], form["pulse_periodic"])
+        fault = reference_pulse_fault(pulses, duration)
+        if fault is not None:
+            with pytest.raises(ValueError) as err:
+                ScenarioConfig(duration=duration, rng_seed=0, **form)
+            assert str(err.value) == fault
+            return
+        config = ScenarioConfig(duration=duration, rng_seed=0, **form)
+        starts, lengths, injects = zip(*pulses)
+        assert config.pulse_start.tobytes() == np.array(starts, dtype=float).tobytes()
+        assert config.pulse_length.tobytes() == np.array(lengths, dtype=float).tobytes()
+        assert config.pulse_inject.dtype == np.int64
+        assert config.pulse_inject.tolist() == list(injects)
+
+    @pytest.mark.parametrize("name", ["qp-pulses", "recovery"])
+    def test_preset_trains(self, name):
+        config = preset_config(name)
+        self._check(_pulse_form(train=config.pulse_periodic), config.duration)
+
+    @given(form=_pulse_forms(), duration=st.sampled_from([0.3, 0.4, 0.5, 1.0, 1.5]))
+    def test_arrays_and_faults_equal_the_per_pulse_loop(self, form, duration):
+        self._check(form, duration)
+
+    @pytest.mark.parametrize("schedule, train, duration, fault", [
+        # 0.1 + 0.2 rounds past 0.3: the pulses overlap by rounding alone
+        ([(0.1, 0.2, 1), (0.3, 0.1, 1)], None, 1.0, "pulses must not overlap"),
+        # a train whose pulse 14 ends one ULP past pulse 15's start
+        ((), PeriodicPulses(period=0.01, length=float(np.nextafter(0.01, 0.0)), inject=1,
+                            count=16, first=1e-3), 1.0, "pulses must not overlap"),
+        ((), PeriodicPulses(period=0.01, length=float(np.nextafter(0.01, 0.0)), inject=1,
+                            count=15, first=1e-3), 1.0, None),
+        # the last end on the duration is accepted, one ULP past it is not
+        ((), PeriodicPulses(period=0.01, length=1e-3, inject=1, count=3), 0.02 + 1e-3, None),
+        ((), PeriodicPulses(period=0.01, length=1e-3, inject=1, count=3),
+         float(np.nextafter(0.02 + 1e-3, 0.0)), "pulses must end within duration"),
+        # an unsorted schedule is checked in start order
+        ([(0.5, 1e-3, 2), (0.0, 1e-3, 1)], None, 1.0, None),
+        ([(0.5, 0.1, 2), (0.45, 0.1, 1)], None, 1.0, "pulses must not overlap"),
+        # the first fault in start order names the error
+        ([(0.5, 0.6, 1), (0.9, 0.05, 1)], None, 1.0, "pulses must end within duration"),
+        ([(0.9, 0.2, 1), (0.5, 0.6, 1), (0.1, 0.5, 1)], None, 1.0, "pulses must not overlap"),
+    ])
+    def test_named_cases(self, schedule, train, duration, fault):
+        form = _pulse_form(schedule, train)
+        assert reference_pulse_fault(
+            reference_pulses(form["pulse_schedule"], train), duration) == fault
+        self._check(form, duration)
+
+    def test_arrays_are_read_only(self):
+        config = preset_config("recovery")
+        with pytest.raises(ValueError):
+            config.pulse_start[0] = 1.0
+
+
 class TestFlipCeiling:
     """validate_config refuses a steady relaxation rate past
     MAX_FLIPS_PER_SAMPLE flips per t_meas sample, and no preset is near it."""
@@ -335,6 +438,30 @@ class TestFlipCeiling:
         with pytest.raises(ConfigError, match="flips per t_meas"):
             validate_config(text)
         assert steady_relaxation_rate(validate_config(text.replace("2e7", "3e-4"))) > 0
+
+    # never run: a billion QPs give about 3e7 flips per sample after the
+    # first injection, and 1e9 trapping steps for the QP layer
+    @pytest.mark.parametrize("name, key, value", [
+        ("qp-pulses", "pulse_inject", "1000000000"),
+        ("recovery", "pulse_inject", "1000000000"),
+        ("quiet-noisy", "pulse_schedule", "1:100us:5, 2:100us:1000000000, 3:100us:5"),
+    ])
+    def test_the_largest_injection_counts(self, name, key, value):
+        with pytest.raises(ConfigError) as err:
+            preset_config(name, {key: value})
+        assert "flips per t_meas" in str(err.value)
+        assert "largest pulse injection, 1000000000 QPs (" + key + ")" in str(err.value)
+
+    def test_injection_ceiling_is_at_the_largest_pulse(self):
+        # no QPs at the steady state, so the rate is the injection's alone
+        base = MINIMAL + "qp_generation = 0\n"
+        per_qp = steady_relaxation_rate(validate_config(base), 1)
+        below = int(0.999 * MAX_FLIPS_PER_SAMPLE / 5e-6 / per_qp)
+        above = int(1.001 * MAX_FLIPS_PER_SAMPLE / 5e-6 / per_qp)
+        schedule = "pulse_schedule = 0.1:1ms:{}, 0.2:1ms:{}\n"
+        assert validate_config(base + schedule.format(below, below)).pulse_inject.max() == below
+        with pytest.raises(ConfigError, match="flips per t_meas"):
+            validate_config(base + schedule.format(below, above))
 
     @pytest.mark.parametrize("name", experiment_names())
     def test_presets_are_far_below(self, name):

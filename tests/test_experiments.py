@@ -71,7 +71,7 @@ class TestPresetConfigs:
         config = preset_config("recovery")
         assert config.pulse_periodic is not None
         assert config.pulse_periodic.count == 10_000
-        assert len(config.pulses) == 10_000
+        assert len(config.pulse_start) == 10_000
         assert config.qubit.gamma_background == 0.0
 
 
@@ -93,7 +93,7 @@ class TestRecoveryMachinery:
         t_rel = 1e-3
         truth = TruthTrace(
             duration=config.duration,
-            times=np.array([0.0, config.pulses[1].end + t_rel]),
+            times=np.array([0.0, config.pulse_start[1] + config.pulse_length[1] + t_rel]),
             states=np.array([STATE_EXCITED, STATE_GROUND], dtype=np.uint8),
             counts=np.zeros(2, dtype=np.int64),
         )
@@ -116,10 +116,9 @@ class TestRecoveryMachinery:
         config = ScenarioConfig(duration=2 * train.period, rng_seed=0,
                                 pulse_periodic=train)
         edges = recovery_bin_edges(config)
-        pulse = config.pulses[1]
         truth = TruthTrace(
             duration=config.duration,
-            times=np.array([0.0, pulse.start + pulse.length / 2]),
+            times=np.array([0.0, config.pulse_start[1] + config.pulse_length[1] / 2]),
             states=np.array([STATE_EXCITED, STATE_GROUND], dtype=np.uint8),
             counts=np.zeros(2, dtype=np.int64),
         )
@@ -220,7 +219,7 @@ class TestRecoveryChunkStats:
         config = preset_config("recovery", {"pulse_count": "40", "duration": "0.4042"})
         truth = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         rel_edges = recovery_bin_edges(config)
-        edge = config.pulses[3].end + rel_edges[5]
+        edge = config.pulse_start[3] + config.pulse_length[3] + rel_edges[5]
         j = int(np.searchsorted(truth.times, edge))
         assert truth.times[j - 1] < edge < truth.times[j]
         truth = TruthTrace(duration=truth.duration,
@@ -289,7 +288,7 @@ class TestRecoveryChunkStats:
             config = ScenarioConfig(duration=first + n * period, rng_seed=0,
                                     pulse_periodic=train, pulse_wait=wait)
             rel_edges = recovery_bin_edges(config)
-            ends = np.array([p.end for p in config.pulses])
+            ends = config.pulse_start + config.pulse_length
             on_edges = np.concatenate((
                 rng.choice(ends + rel_edges[0], size=int(rng.integers(0, 4))),
                 rng.choice((ends[:, None] + rel_edges[None, :]).ravel(),

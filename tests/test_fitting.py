@@ -375,3 +375,10 @@ def test_parseval_property(seed):
     x = rng.standard_normal(n) * rng.uniform(0.1, 10)
     freqs, power = periodogram(x, dt=float(rng.uniform(0.01, 10)))
     assert power.sum() * freqs[0] == pytest.approx(np.var(x), rel=1e-9)
+
+
+@given(values=st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1,
+                       max_size=40))
+def test_median_equals_numpy_bit_for_bit(values):
+    assert (np.float64(fitting.median(values)).tobytes()
+            == np.float64(np.median(np.array(values))).tobytes())

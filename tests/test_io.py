@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -411,6 +412,19 @@ class TestManifest:
         assert data["config_hash"] == "ab"
         assert data["record_counts"] == {"events": 7}
         assert data["tool_version"] == io.TOOL_VERSION
+
+    def test_tool_version_is_the_project_version(self):
+        # read by hand: tomllib is not in Python 3.10
+        pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+        section, version = None, None
+        for line in pyproject.read_text(encoding="utf-8").splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("["):
+                section = line
+            elif section == "[project]" and line.partition("=")[0].strip() == "version":
+                version = line.partition("=")[2].strip().strip('"')
+        assert version is not None
+        assert io.TOOL_VERSION == version
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         io.atomic_write_text(tmp_path / "out.txt", "hello")

@@ -52,6 +52,7 @@ from support import (
     occupancy_chi2,
     qp_relaxation_rate,
     qubit_intervals,
+    reference_pulses,
     relaxation_jump_times,
     scalar_qubit_layer,
     stationary_qn,
@@ -240,7 +241,7 @@ class TestSimulateJoint:
             ).pulse_schedule),
         )
         trace = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
-        end = config.pulses[0].end
+        end = config.pulse_start[0] + config.pulse_length[0]
         k = np.searchsorted(trace.times, end)
         assert trace.times[k] == end
         before = trace.counts[k - 1]
@@ -256,7 +257,8 @@ class TestSimulateJoint:
         )
         trace = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         dn = np.diff(trace.counts)
-        assert list(trace.times[1:][dn > 0]) == [p.end for p in train.expand()]
+        assert list(trace.times[1:][dn > 0]) == [
+            start + length for start, length, _ in reference_pulses(train=train)]
         assert np.all(dn[dn > 0] == train.inject)
 
     def test_pulse_ending_at_the_duration_adds_no_knot(self):
@@ -265,7 +267,7 @@ class TestSimulateJoint:
             kinetics=QpKineticsParams(generation=0.0),
             pulse_schedule=(Pulse(0.0075, 0.0025, 5),),
         )
-        assert config.pulses[0].end == config.duration
+        assert config.pulse_start[0] + config.pulse_length[0] == config.duration
         trace = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         assert trace.times.tolist() == [0.0]
         assert event_counts(trace)["events"] == 0
@@ -280,8 +282,9 @@ class TestSimulateJoint:
         quiet = replace(config, pulse_periodic=replace(config.pulse_periodic, inject=0))
         reread = validate_config(serialize_config(quiet))
         assert reread == quiet
-        assert reread.pulses == quiet.pulses
-        assert len(quiet.pulses) == 9 and all(p.inject == 0 for p in quiet.pulses)
+        for name in ("pulse_start", "pulse_length", "pulse_inject"):
+            assert getattr(reread, name).tobytes() == getattr(quiet, name).tobytes()
+        assert quiet.pulse_inject.tolist() == [0] * 9
         a = simulate_joint(quiet, *np.random.default_rng(quiet.rng_seed).spawn(3))
         b = simulate_joint(reread, *np.random.default_rng(reread.rng_seed).spawn(3))
         for field in ("times", "states", "counts"):
@@ -319,8 +322,8 @@ class TestSimulateJoint:
 
         jumps = 0
         exposure = 0.0
-        for p in config.pulses:
-            lo, hi = p.end, p.end + window
+        for end in (config.pulse_start + config.pulse_length).tolist():
+            lo, hi = end, end + window
             # ground-state exposure inside [lo, hi)
             overlap = np.clip(np.minimum(seg_end, hi) - np.maximum(seg_start, lo), 0, None)
             exposure += float(overlap[seg_state == STATE_GROUND].sum())
@@ -386,7 +389,8 @@ class TestSimulateJoint:
         # a qubit flip never changes N
         assert np.all(dn[flips] == 0)
         # N moves by +inject at pulse ends and by a kinetic step elsewhere
-        ends = {p.end: p.inject for p in config.pulses}
+        ends = dict(zip((config.pulse_start + config.pulse_length).tolist(),
+                        config.pulse_inject.tolist()))
         at_end = np.isin(t[1:], list(ends))
         assert [float(x) for x in t[1:][at_end]] == sorted(ends)
         assert list(dn[at_end]) == [ends[e] for e in sorted(ends)]
@@ -403,7 +407,7 @@ class TestSimulateJoint:
                                 kinetics=kin, n_initial=0, pulse_periodic=train)
         trace = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         t, n = trace.times, trace.counts
-        ends = np.array([p.end for p in config.pulses])
+        ends = config.pulse_start + config.pulse_length
         dn = np.diff(n)
         assert np.array_equal(t[1:][dn == 1], ends)
         deaths = t[1:][dn == -1]
@@ -428,7 +432,7 @@ class TestSimulateJoint:
         trace = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
         t, n = trace.times, trace.counts
         checkpoints = np.array([0.5, 1.0, 2.0, 4.0, 8.0]) * tau
-        ends = np.array([p.end for p in config.pulses])
+        ends = config.pulse_start + config.pulse_length
         idx = np.searchsorted(t, ends[:, None] + checkpoints, side="right") - 1
         samples = n[idx] / KIN.n_pairs
         mean = samples.mean(axis=0)

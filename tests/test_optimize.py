@@ -173,6 +173,8 @@ with tempfile.TemporaryDirectory() as tmp:
     run("psd", ["experiment", "psd", "--set", "duration=32"])
     run("recovery", ["experiment", "recovery", "--set", "duration=2.021",
                      "--set", "pulse_count=200"])
+    run("quiet-noisy", ["experiment", "quiet-noisy", "--set", "duration=2"])
+    unused = [name for name in ("importlib.metadata", "numpy.ma") if name in sys.modules]
     run("fit-psd", ["fit-psd", "--input", os.path.join(tmp, "psd", "series.csv")])
     run("fit-recovery", ["fit-recovery", "--input",
                          os.path.join(tmp, "recovery", "tau_e.csv"), "--bootstrap", "20"])
@@ -181,15 +183,18 @@ with tempfile.TemporaryDirectory() as tmp:
     io.write_series_csv(temps, t, 0.045 + 0.01 * np.exp(-t / 2e-3), "temperature_K")
     run("fit-thermal", ["fit-thermal", "--input", temps, "--bootstrap", "20"])
 print(json.dumps({"after_import": after_import, "at_end": "scipy" in sys.modules,
-                  "codes": codes}))
+                  "unused": unused, "codes": codes}))
 """
 
 
 def test_no_command_imports_scipy():
-    # a fresh interpreter, as this one has imported scipy for the oracles
+    # a fresh interpreter, as this one has imported scipy for the oracles;
+    # the experiments also import neither importlib.metadata (the tool
+    # version is the package's own string) nor numpy.ma (np.median and
+    # np.nanmedian load it)
     done = subprocess.run([sys.executable, "-c", _NO_SCIPY], capture_output=True,
                           text=True, check=True, timeout=120)
     report = json.loads(done.stdout.splitlines()[-1])
-    assert report == {"after_import": False, "at_end": False,
-                      "codes": dict.fromkeys(
-                          ["psd", "recovery", "fit-psd", "fit-recovery", "fit-thermal"], 0)}
+    assert report == {"after_import": False, "at_end": False, "unused": [],
+                      "codes": dict.fromkeys(["psd", "recovery", "quiet-noisy", "fit-psd",
+                                              "fit-recovery", "fit-thermal"], 0)}
