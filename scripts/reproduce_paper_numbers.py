@@ -10,7 +10,7 @@ import pathlib
 
 import numpy as np
 
-from qpjumps import io
+from qpjumps import experiments, io
 from qpjumps.core import (
     MeasurementParams,
     ScenarioConfig,
@@ -20,7 +20,6 @@ from qpjumps.core import (
 )
 from qpjumps.jumpsim import (
     qp_generation_rate,
-    simulate_layers,
     snr_separation,
     thermal_decay_constant,
     thermal_transient,
@@ -63,8 +62,7 @@ def main():
         io.write_ode_csv(out / "recovery_ode.csv", grid,
                          evolve_ode(10 * x_bar, kin, grid))
         config = ScenarioConfig(duration=5e-3, rng_seed=7, kinetics=kin, n_initial=15)
-        layers = simulate_layers(config, *np.random.default_rng(config.rng_seed).spawn(3))
-        io.write_qp_trace_csv(out / "qp_events.csv", layers)
+        io.write_qp_trace_csv(out / "qp_events.csv", experiments.trajectory(config))
         print(f"wrote {out / 'recovery_ode.csv'} and {out / 'qp_events.csv'}")
 
 

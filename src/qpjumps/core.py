@@ -438,7 +438,7 @@ def _parse_number(key: str, kind: str, text: str) -> float:
     if kind == "int":
         if suffix:
             raise ConfigError(f"{key}: integer keys take no unit suffix")
-        if value != int(value):
+        if not math.isfinite(value) or value != int(value):
             raise ConfigError(f"{key}: expected an integer, got {text!r}")
         return int(value)
     table = _UNIT_TABLES[kind]
@@ -480,10 +480,10 @@ def validate_config(text: str) -> ScenarioConfig:
     Unknown keys, bad numbers, invariant violations, a group key given
     without a required partner, a duration / t_meas that is not finite
     or does not fit an int64 sample count, and a relaxation rate
-    (jumpsim.steady_relaxation_rate) over MAX_FLIPS_PER_SAMPLE / t_meas,
-    at the steady QP number or at it plus the largest pulse injection,
-    raise ConfigError naming the keys; keys left out take their parameter
-    type's default.
+    (jumpsim.relaxation_rate) over MAX_FLIPS_PER_SAMPLE / t_meas, at the
+    steady QP number, or at it or at an explicit n_initial plus the
+    largest pulse injection, raise ConfigError naming the keys; keys left
+    out take their parameter type's default.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -534,7 +534,8 @@ def validate_config(text: str) -> ScenarioConfig:
     if not config.duration / config.meas.t_meas * (1.0 + 1e-12) < 2.0**63:
         raise ConfigError(f"duration = {config.duration:g} s over t_meas = "
                           f"{config.meas.t_meas:g} s gives no sample count that fits an int64")
-    from .jumpsim import steady_relaxation_rate  # jumpsim imports this module
+    # jumpsim imports this module
+    from .jumpsim import relaxation_rate, steady_relaxation_rate
 
     try:
         rate = steady_relaxation_rate(config)
@@ -546,11 +547,17 @@ def validate_config(text: str) -> ScenarioConfig:
     added = int(config.pulse_inject.max(initial=0))
     pulse_key = "pulse_inject" if config.pulse_periodic is not None else _SCHEDULE
     peak = steady_relaxation_rate(config, added)
-    for value, what in (
+    checks = [
         (rate, f"steady relaxation rate {rate:g} 1/s"),
         (peak, f"relaxation rate {peak:g} 1/s at the steady QP number plus the "
                f"largest pulse injection, {added} QPs ({pulse_key}),"),
-    ):
+    ]
+    if config.n_initial >= 0:  # the QP number starts there, not at the steady one
+        start = relaxation_rate(config.n_initial + added, config.kinetics, config.qubit)
+        checks.append((start, f"relaxation rate {start:g} 1/s at n_initial = "
+                              f"{config.n_initial} plus the largest pulse injection, "
+                              f"{added} QPs,"))
+    for value, what in checks:
         flips = value * config.meas.t_meas
         if not flips <= MAX_FLIPS_PER_SAMPLE:
             raise ConfigError(
@@ -619,7 +626,9 @@ def config_reference() -> str:
         f"{MAX_FLIPS_PER_SAMPLE:g} times per `t_meas` sample on average: its",
         "relaxation rate `gamma_scale * (x * coefficient + gamma_background)`",
         "at the steady-state QP density x of either modulator state, and at",
-        "x plus the largest pulse injection over `n_cooper_pairs`, times",
+        "x plus the largest pulse injection over `n_cooper_pairs`, and at",
+        "(`n_initial` + that injection) / `n_cooper_pairs` when `n_initial` is",
+        "given, times",
         "`t_meas`, may be at most that.  No readout resolves more flips, and",
         "the record holds a block of samples' flips at a time.",
         "",

@@ -12,8 +12,7 @@ segments, each as its SegmentLayers, and both readers here need only the
 qubit's flips.  A SynthesizedRecord synthesizes each range as it is read,
 from the flips, while one worker thread draws the next range's noise.
 Q, which no preset reads, is not drawn for a preset.  The recovery
-preset keeps each chunk's flips, from which every post-injection bin's
-exposure and jumps come.
+preset bins the flips of simulate's trajectory, segment by segment.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ from .jumpsim import (
 
 DEFAULT_WINDOW = 1.0
 DEFAULT_BINS_PER_DECADE = 10
-RECOVERY_CHUNK_CYCLES = 500
 RECOVERY_BINS_PER_DECADE = 8
 # post-injection bins with fewer relaxation jumps are left out of the fit
 MIN_JUMPS = 25
@@ -494,13 +492,19 @@ def write_recovery_fit(fit_path, resid_path, fit: RecoveryFit, times, tau_e,
 def recovery_bin_edges(config: ScenarioConfig) -> np.ndarray:
     """Log-spaced bins after each injection; the last ends at the next pulse.
 
-    A pulse_wait that reaches the next pulse leaves no bin: ValueError.
+    A pulse_wait that reaches the next pulse leaves no bin, and a last
+    readout window past the duration (with sample_count's relative slack)
+    would bin time that is not simulated: ValueError for either.
     """
     lo = max(config.pulse_wait, 1e-7)
     hi = config.pulse_periodic.period - config.pulse_periodic.length
     if lo >= hi:
         raise ValueError(f"pulse_wait = {config.pulse_wait:g} s must be shorter than "
                          f"the {hi:g} s readout window from a pulse's end to the next")
+    end = float(config.pulse_start[-1] + config.pulse_length[-1]) + hi
+    if end > config.duration * (1.0 + 1e-12):
+        raise ValueError(f"the train's last readout window ends at {end:.12g} s, past "
+                         f"duration = {config.duration:.12g} s")
     n = int(math.ceil(math.log10(hi / lo) * RECOVERY_BINS_PER_DECADE))
     return np.minimum(lo * 10.0 ** (np.arange(n + 1) / RECOVERY_BINS_PER_DECADE), hi)
 
@@ -511,80 +515,75 @@ def recovery_chunk_stats(
     """(excited exposure, jump count, jump-time sum) per post-injection bin
     of the config's periodic train, from the qubit's flips alone.  The
     train is read from the config's pulse arrays: its first pulse's end,
-    pulse_start[0] + pulse_length[0], its pulse count and its period.
+    pulse_start[0] + pulse_length[0], its pulse count and its period.  It
+    reads a whole trajectory; the name, which the benchmark's tracer
+    hooks, is from when it read chunks, and ROADMAP item 2 may rename it.
 
     layers is an iterable of consecutive jumpsim.SegmentLayers, as
     simulate_layers yields them, read in one pass for their flips; the
-    QP knots are not read.  The state alternates at the flips from the
-    first segment's before state, and an excited start counts as a flip
-    at t = 0, so the flips go ground to excited first.  The flips are
-    collected over the pass and binned at once, so nothing depends on
-    the segments.  A flip at t is in cycle q and at r after its pulse's
-    end, (q, r) = divmod(t - first pulse end, period), and in the bin
-    [e_k, e_(k+1)) of rel_edges that holds r, if q is one of the train's
-    pulses.  Bin k's exposure is w_k * X_k plus, for each of its flips in
-    time order, +-(e_(k+1) - r), + for a flip to excited, as
-    occupancy_blocks adds a readout bin's.  X_k, the pulses excited at
-    edge k, is X_0 plus the net flips in the bins before k.  X_0, the
-    pulses excited just before their first edge, sums each flip's sign
-    times the number of first edges after it; a flip on a first edge is
-    in bin 0, not before the edge.  The jumps are the flips to ground,
-    and their time is r.
+    QP knots are not read.  A segment's flips alternate from its before
+    state, and the first segment's excited start counts as a flip at
+    t = 0.  Each segment is binned as it arrives, into sums that do not
+    depend on where the segments are cut.  A flip at t is in cycle q and
+    at r after its pulse's end, (q, r) = divmod(t - first pulse end,
+    period), and in the bin [e_k, e_(k+1)) of rel_edges that holds r, if
+    q is one of the train's pulses.  Bin k's exposure is w_k * X_k plus
+    its flips' shares, +-(e_(k+1) - r), + for a flip to excited, as
+    occupancy_blocks adds a readout bin's; the shares are summed from 0
+    in time order (np.add.at).  X_k, the pulses excited at edge k, is X_0
+    plus the net flips in the bins before k, whole numbers and so exact.
+    X_0, the pulses excited just before their first edge, sums each flip's
+    sign times the number of first edges after it; a flip on a first edge
+    is in bin 0, not before the edge.  The jumps are the flips to ground,
+    and their time is r, also summed in time order.
     """
     first = float(config.pulse_start[0] + config.pulse_length[0])
+    period = config.pulse_periodic.period
     n = len(config.pulse_start)
-    segments = iter(layers)
-    first_segment = next(segments)
-    times = [np.zeros(int(first_segment.before[1] == STATE_EXCITED)), first_segment.flips]
-    times += [segment.flips for segment in segments]
-    cycle, rel = np.divmod(np.concatenate(times) - first, config.pulse_periodic.period)
-    sign = np.ones(len(rel))
-    sign[1::2] = -1.0
-    idx = np.searchsorted(rel_edges, rel, side="right") - 1
-    x0 = np.sum(sign * (n - np.clip(cycle + (idx >= 0), 0, n)))
-
     nbins = len(rel_edges) - 1
-    ok = (idx >= 0) & (idx < nbins) & (cycle >= 0) & (cycle < n)
-    idx, rel, sign = idx[ok], rel[ok], sign[ok]
-    net = np.bincount(idx, weights=sign, minlength=nbins)
-    exposure = np.diff(rel_edges) * (x0 + np.cumsum(net) - net)
-    np.add.at(exposure, idx, sign * (rel_edges[idx + 1] - rel))
-    jump = sign < 0
-    counts = np.bincount(idx[jump], minlength=nbins).astype(float)
-    t_sum = np.bincount(idx[jump], weights=rel[jump], minlength=nbins)
+    x0 = 0.0
+    net, shares, counts, t_sum = (np.zeros(nbins) for _ in range(4))
+    for k, segment in enumerate(layers):
+        flips, state = segment.flips, segment.before[1]
+        if k == 0 and state == STATE_EXCITED:
+            flips, state = np.concatenate(([0.0], flips)), STATE_GROUND
+        cycle, rel = np.divmod(flips - first, period)
+        sign = np.ones(len(rel))
+        sign[int(state == STATE_GROUND)::2] = -1.0  # the flips to ground
+        idx = np.searchsorted(rel_edges, rel, side="right") - 1
+        x0 += np.sum(sign * (n - np.clip(cycle + (idx >= 0), 0, n)))
+
+        ok = (idx >= 0) & (idx < nbins) & (cycle >= 0) & (cycle < n)
+        idx, rel, sign = idx[ok], rel[ok], sign[ok]
+        net += np.bincount(idx, weights=sign, minlength=nbins)
+        np.add.at(shares, idx, sign * (rel_edges[idx + 1] - rel))
+        jump = sign < 0
+        counts += np.bincount(idx[jump], minlength=nbins)
+        np.add.at(t_sum, idx[jump], rel[jump])
+    exposure = np.diff(rel_edges) * (x0 + np.cumsum(net) - net) + shares
     return exposure, counts, t_sum
 
 
 def run_recovery(config: ScenarioConfig):
     """Post-injection lifetime profile and its exponential-recovery fit.
 
-    The pulse train is split into chunks of RECOVERY_CHUNK_CYCLES cycles,
-    simulated one after another, each from its own seed spawned from the
-    config's, so memory stays bounded at any pulse count.  Each chunk keeps
-    the train's first pulse start and ends with its last readout window.
-    A chunk's trajectory is read as simulate_layers yields its layers:
-    tally_events counts their lengths as events and recovery_chunk_stats
-    keeps their flips, so no chunk's trace is held whole.  The mean
-    excited dwell per log-spaced time bin is estimated as exposure / jump
-    count (bins with fewer than MIN_JUMPS jumps are dropped), and the
-    density recovery is fitted through the relaxation-rate inversion.  A
-    pulse_wait that leaves no readout window raises ValueError before any
-    chunk is simulated.  Returns (times, tau_e, jump counts, fit, event
-    counts summed over the chunks).
+    The config's one trajectory, trajectory(config), runs to the duration
+    as simulate's does and is read once, as the sampler yields its
+    segments: tally_events counts their lengths as events, and
+    recovery_chunk_stats bins each one's flips as it arrives, so no trace
+    is held whole.  The mean excited dwell per log-spaced time bin is
+    estimated as exposure / jump count (bins with fewer than MIN_JUMPS
+    jumps are dropped), and the density recovery is fitted through the
+    relaxation-rate inversion.  A config without a periodic train, or
+    one that recovery_bin_edges refuses, raises ValueError before anything
+    is simulated.  Returns (times, tau_e, jump counts, fit, event counts).
     """
-    train = config.pulse_periodic
-    if train is None:
+    if config.pulse_periodic is None:
         raise ValueError("recovery needs a periodic pulse train")
     edges = recovery_bin_edges(config)
-    n_chunks = max(1, math.ceil(train.count / RECOVERY_CHUNK_CYCLES))
-    stats, events = [], Counter()
-    for k, seed in enumerate(np.random.SeedSequence(config.rng_seed).spawn(n_chunks)):
-        cycles = min(RECOVERY_CHUNK_CYCLES, train.count - k * RECOVERY_CHUNK_CYCLES)
-        chunk = replace(config, duration=train.first + cycles * train.period,
-                        pulse_periodic=replace(train, count=cycles))
-        layers = simulate_layers(chunk, *np.random.default_rng(seed).spawn(3))
-        stats.append(recovery_chunk_stats(tally_events(layers, events), chunk, edges))
-    exposure, counts, t_sum = np.sum(stats, axis=0)
+    events = Counter()
+    exposure, counts, t_sum = recovery_chunk_stats(
+        tally_events(trajectory(config), events), config, edges)
 
     good = counts >= MIN_JUMPS
     times = t_sum[good] / counts[good]

@@ -11,7 +11,9 @@ synthesized record draws the next range while the writer works on one,
 so two ranges of I and Q and the pairs buffer, 3 MB, are in flight.
 Traced peaks at 20 s of quiet-noisy, whatever the duration: `simulate
 --emit-truth` 5.7 MiB (with the sampler's working set and the occupancy's
-block buffer), `stats` 4.9 MiB and `filter` 2.4 MiB.  Every file is written
+block buffer) and `filter` 2.4 MiB.  `stats` keeps every window's dwells,
+so its peak grows by about 0.18 B per sample: 4.4, 6.5 and 14.8 MiB at
+20, 80 and 320 s.  Every file is written
 atomically (temp file + rename) so partially written outputs never appear
 under their final name, and the file's directory is made as the file is:
 a command that fails before its first file leaves no output directory.

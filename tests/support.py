@@ -1,7 +1,7 @@
 """Test-only helpers: synthetic spectral series, the noiseless readout
 record, whole-array oracles for the blocked record pipeline, for the
 presets that stream their record and for the recovery statistics that
-read a chunk's layers, the per-pulse arithmetic and check for the
+read a trajectory's layers, the per-pulse arithmetic and check for the
 config's pulse arrays, an RK4 integrator for the QP density rate
 equation, a scalar loop over the sampler's qubit candidates, the qubit
 intervals and event counts of a trace, a trace cut into the sampler's
@@ -160,8 +160,8 @@ def whole_trace_chunk_stats(truth: TruthTrace, config: ScenarioConfig,
     period), and is in the bin of r if q is a pulse of the train.  X, the
     pulses excited at a bin's first edge, starts as the states of the last
     flips before each pulse's first edge, (q, r) < (pulse, e_0).  A bin's
-    exposure is w * X, then +-(e_(k+1) - r) added for each of its flips in
-    time order, and its net flips move X on to the next bin."""
+    exposure is w * X plus its flips' shares, +-(e_(k+1) - r), summed from
+    0 in time order, and its net flips move X on to the next bin."""
     flips = run_starts(truth.states, STATE_GROUND)
     x = truth.states[flips].astype(int)
     pulses = reference_pulses(train=config.pulse_periodic)
@@ -177,12 +177,13 @@ def whole_trace_chunk_stats(truth: TruthTrace, config: ScenarioConfig,
     ok = (idx >= 0) & (idx < nbins) & (cycle >= 0) & (cycle < n)
     exposure = np.empty(nbins)
     for k in range(nbins):
-        acc = (rel_edges[k + 1] - rel_edges[k]) * state
+        covered = (rel_edges[k + 1] - rel_edges[k]) * state
+        shares = 0.0
         for j in np.flatnonzero(ok & (idx == k)):
             sign = 1 if x[j] else -1
-            acc += sign * (rel_edges[k + 1] - rel[j])
+            shares += sign * (rel_edges[k + 1] - rel[j])
             state += sign
-        exposure[k] = acc
+        exposure[k] = covered + shares
     jumps = ok & (x == 0)
     counts = np.bincount(idx[jumps], minlength=nbins).astype(float)
     t_sum = np.bincount(idx[jumps], weights=rel[jumps], minlength=nbins)

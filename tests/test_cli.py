@@ -803,7 +803,7 @@ class TestExperiment:
     def test_recovery_wait_past_the_readout_window_exits_2(self, tmp_path, capsys,
                                                            monkeypatch):
         def no_simulation(*args):
-            raise AssertionError("a chunk was simulated")
+            raise AssertionError("a trajectory was simulated")
 
         monkeypatch.setattr(experiments, "simulate_layers", no_simulation)
         out = tmp_path / "exp"
@@ -811,6 +811,21 @@ class TestExperiment:
                      "--set", "pulse_wait=0.02", "--set", "pulse_count=600",
                      "--set", "duration=6.063"]) == 2
         assert "pulse_wait" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_recovery_train_past_the_duration_exits_2(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # the last readout window ends at 6.063 s: its bins past 6.058 s
+        # would take exposure with no trajectory simulated there
+        def no_simulation(*args):
+            raise AssertionError("a trajectory was simulated")
+
+        monkeypatch.setattr(experiments, "simulate_layers", no_simulation)
+        out = tmp_path / "exp"
+        assert main(["experiment", "recovery", "--out", str(out),
+                     "--set", "pulse_count=600", "--set", "duration=6.058"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "past duration = 6.058 s" in err, err
         assert not out.exists()
 
     # bootstrap errors need two refits: one gave zero errors, none NaN

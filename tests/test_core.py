@@ -155,6 +155,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="t_meas"):
             validate_config(MINIMAL + "t_meas = fast\n")
 
+    # float("1e999") is inf, and int() of it raised OverflowError out of
+    # validate_config as a traceback
+    @pytest.mark.parametrize("key, text", [
+        ("rng_seed", "rng_seed = 1e999\nduration = 1\n"),
+        ("n_initial", MINIMAL + "n_initial = 1e999\n"),
+        ("pulse_count", MINIMAL + "pulse_count = -1e999\n")])
+    def test_integer_key_past_a_float_names_the_key(self, key, text):
+        with pytest.raises(ConfigError, match=f"{key}: expected an integer"):
+            validate_config(text)
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             validate_config(MINIMAL + "t_meas = 5 us\nt_meas = 6 us\n")
@@ -462,6 +472,27 @@ class TestFlipCeiling:
         assert validate_config(base + schedule.format(below, below)).pulse_inject.max() == below
         with pytest.raises(ConfigError, match="flips per t_meas"):
             validate_config(base + schedule.format(below, above))
+
+    # never run: a billion QPs give about 3e7 flips per sample from t = 0
+    @pytest.mark.parametrize("name", ["quiet-noisy", "recovery"])
+    def test_an_explicit_n_initial_counts(self, name):
+        with pytest.raises(ConfigError) as err:
+            preset_config(name, {"n_initial": "1000000000"})
+        assert "flips per t_meas" in str(err.value)
+        assert "at n_initial = 1000000000 plus the largest pulse injection" in str(err.value)
+
+    def test_n_initial_ceiling_adds_the_largest_injection(self):
+        # no QPs at the steady state, so the rate is n_initial's and the
+        # injection's alone
+        base = MINIMAL + "qp_generation = 0\n"
+        per_qp = steady_relaxation_rate(validate_config(base), 1)
+        below = int(0.999 * MAX_FLIPS_PER_SAMPLE / 5e-6 / per_qp)
+        above = int(1.001 * MAX_FLIPS_PER_SAMPLE / 5e-6 / per_qp)
+        assert validate_config(base + f"n_initial = {below}\n").n_initial == below
+        for text in (f"n_initial = {above}\n",
+                     f"n_initial = {below}\npulse_schedule = 0.1:1ms:{above - below}\n"):
+            with pytest.raises(ConfigError, match="at n_initial = "):
+                validate_config(base + text)
 
     @pytest.mark.parametrize("name", experiment_names())
     def test_presets_are_far_below(self, name):

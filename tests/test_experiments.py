@@ -140,63 +140,112 @@ class TestRecoveryMachinery:
         # loose bounds at 600 cycles; the acceptance suite runs 1e4
         assert fit.tau == pytest.approx(125e-6, rel=0.35)
 
-    def test_chunked_output_is_pinned(self, monkeypatch):
-        # 600 cycles are two chunks; the pins hold each chunk's spawned
-        # seed and the order in which the chunks are summed.  They were
-        # taken when each chunk's trace was joined whole: read as segments,
-        # the chunks must give the same bytes
+    def test_one_trajectory_output_is_pinned(self, monkeypatch):
+        # the pins hold the one trajectory of the config's streams, read
+        # segment by segment; support.whole_trace_chunk_stats on that
+        # trajectory joined whole gave the same bytes when they were taken
         monkeypatch.setattr(experiments, "simulate_joint", joined_trace)
         config = preset_config("recovery", {"pulse_count": "600",
                                             "duration": "6.063"})
         times, tau_e, n_jumps, fit, events = run_recovery(config)
         digests = [hashlib.sha256(a.tobytes()).hexdigest() for a in (times, tau_e, n_jumps)]
         assert digests == [
-            "0b56e553f7f219a47aee0f75e278bc009045def369467bfc9357af6854b24f3d",
-            "4c1019f172f48966b9d3dfc6f4939abe089278b3f2feb5a35c70a4056dccff94",
-            "6dc528d9c87f8dc29f80cb7a34055b71cf677f55909c46f42ea03d59b5ec7904",
+            "17a7e79a2652f676cdb9b82d67b550635084a3d2ab01fb5ede3393e0e0e9c395",
+            "c4f4d103b0cf7182791d5cd66b5da825a701ceec7cf5c2a410291b9fab22f3b8",
+            "3f668f451b775312c80c744f71f980323c66648e84b5984da5b3d787d88a2f10",
         ]
-        assert events == {"events": 156183, "qp_events": 115589, "qubit_flips": 40594}
+        assert events == {"events": 157152, "qp_events": 115998, "qubit_flips": 41154}
 
     def test_tau_e_csv_is_pinned(self, tmp_path, monkeypatch):
-        # the digest was taken when the recovery driver joined the rows of
-        # tau_e.csv itself; the fit's files are left out, as they rest on
-        # the optimizer's last bits
+        # the fit's files are left out, as they rest on the optimizer's
+        # last bits
         monkeypatch.setattr(experiments, "simulate_joint", joined_trace)
         config = preset_config("recovery", {"pulse_count": "600",
                                             "duration": "6.063"})
         run_experiment("recovery", config, tmp_path)
         assert hashlib.sha256((tmp_path / "tau_e.csv").read_bytes()).hexdigest() == (
-            "128bf576a6a78440c45944eb6a9c9670bc088908d22099920e9ef53fc56df8e9")
+            "35e707cdbdd8b9d490790d73585019c93b6e3e0cdb639d15f6b6ed8dac334c72")
 
-    def test_events_equal_those_of_the_merged_chunks(self, monkeypatch):
-        # two chunks: the events counted as layer lengths equal those of
-        # each chunk's trace, merged and joined whole from the same streams
+    def test_events_equal_those_of_the_merged_trajectory(self, monkeypatch):
+        # the events counted as layer lengths equal those of the one
+        # trajectory, merged and joined whole from the same streams
         calls = []
 
-        def recorded(chunk, *rngs):
-            calls.append((chunk, copy.deepcopy(rngs)))
-            return simulate_layers(chunk, *rngs)
+        def recorded(config, *rngs):
+            calls.append((config, copy.deepcopy(rngs)))
+            return simulate_layers(config, *rngs)
 
         monkeypatch.setattr(experiments, "simulate_layers", recorded)
         config = preset_config("recovery", {"pulse_count": "600",
                                             "duration": "6.063"})
         events = run_recovery(config)[4]
-        assert len(calls) == 2
-        want = {}
-        for chunk, rngs in calls:
-            for key, value in event_counts(simulate_joint(chunk, *rngs)).items():
-                want[key] = want.get(key, 0) + value
-        assert events == want
+        assert len(calls) == 1 and calls[0][0] is config
+        assert events == event_counts(simulate_joint(config, *calls[0][1]))
 
-    def test_wait_past_the_readout_window_fails_before_any_chunk(self, monkeypatch):
+    def test_events_equal_those_of_simulate(self, tmp_path):
+        # the preset samples the trajectory that simulate samples for the
+        # same config, so "presets = simulate + stats by hand" holds for
+        # its events too
+        config = preset_config("recovery", {"pulse_count": "600",
+                                            "duration": "6.063"})
+        events = run_recovery(config)[4]
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(serialize_config(config))
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
+        assert {key: manifest["record_counts"][key] for key in events} == events
+
+    def test_wait_past_the_readout_window_fails_before_any_simulation(self, monkeypatch):
         def no_simulation(*args):
-            raise AssertionError("a chunk was simulated")
+            raise AssertionError("a trajectory was simulated")
 
         monkeypatch.setattr(experiments, "simulate_layers", no_simulation)
         config = preset_config("recovery", {"pulse_wait": "0.02", "pulse_count": "600",
                                             "duration": "6.063"})
         with pytest.raises(ValueError, match="pulse_wait"):
             run_recovery(config)
+
+    # the train's last window ends at 6.063 s: a duration short of it by
+    # more than sample_count's slack is refused before anything is
+    # simulated, one within it is not
+    @pytest.mark.parametrize("duration, refused", [
+        ("6.058", True), ("6.0629999", True), ("6.063", False),
+        (repr(6.063 * (1 - 1e-13)), False)])
+    def test_train_past_the_duration_fails_before_any_simulation(
+            self, monkeypatch, duration, refused):
+        def no_simulation(*args):
+            raise AssertionError("a trajectory was simulated")
+
+        monkeypatch.setattr(experiments, "simulate_layers", no_simulation)
+        config = preset_config("recovery", {"pulse_count": "600", "duration": duration})
+        if refused:
+            with pytest.raises(ValueError, match="past duration"):
+                run_recovery(config)
+        else:
+            assert len(recovery_bin_edges(config)) > 1
+
+    def test_memory_is_flat_in_the_pulse_count(self):
+        # numpy reports its buffers to tracemalloc.  Each segment's flips
+        # are binned as it arrives, so the traced peak at 4,000 cycles is
+        # within 0.5 MiB of that at 1,000 (2.53 and 2.60 MiB when measured);
+        # collecting the whole train's flips would add at least 8 B for
+        # each of the 3,000 more cycles' 200,000 flips.  An untraced run
+        # first, so that neither peak holds what the first run allocates
+        # once (about 0.7 MiB)
+        def run(cycles):
+            run_recovery(preset_config("recovery", {
+                "pulse_count": str(cycles), "duration": repr(cycles * 10.105e-3)}))
+
+        run(100)
+        peaks = {}
+        for cycles in (1000, 4000):
+            tracemalloc.start()
+            try:
+                run(cycles)
+                peaks[cycles] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4000] - peaks[1000] < 0.5 * 2**20
 
     def test_experiments_take_one_worker_only(self, tmp_path):
         config = preset_config("recovery", {"pulse_count": "600",
