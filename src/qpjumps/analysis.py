@@ -62,6 +62,20 @@ class DwellHistogram:
         return np.sqrt(self.edges[:-1] * self.edges[1:])
 
 
+def _threshold(value: float, dtype: np.dtype, up: bool):
+    """value rounded outward to dtype: up for a `<` test, down for a `>`
+    test.  For every sample x of dtype, x < t (x > t) then decides as the
+    exact comparison of x with the float64 value does, whatever numpy's
+    casting rules.  A value past dtype's range is clamped to it before the
+    cast, so nothing overflows; one step outward from there is infinite."""
+    big = float(np.finfo(dtype).max)
+    t = dtype.type(min(max(value, -big), big))
+    if float(t) != value and (float(t) < value) == up:
+        with np.errstate(over="ignore"):
+            t = np.nextafter(t, dtype.type(math.inf if up else -math.inf))
+    return t
+
+
 def two_point_filter(iq: IQRecord, separation: float,
                      initial: int | None = None) -> StateEstimate:
     """Hysteresis state estimate from the I quadrature.
@@ -73,15 +87,18 @@ def two_point_filter(iq: IQRecord, separation: float,
     first sample: the last state of the block before, when a record is
     filtered in blocks, so that the blocks' estimates join into the
     whole record's.  By default it is the sign of the first sample.
+    The samples are compared in their own float dtype (float32 in a
+    synthesized or read record), against thresholds rounded outward to
+    it, so no block is cast.
     """
     if not 1.0 < separation < math.inf:  # NaN fails it too
         raise ValueError(f"separation must be finite and exceed 1 for distinct "
                          f"thresholds, got {separation}")
-    to_excited = -separation + 0.5
-    to_ground = separation - 0.5
-    i = np.asarray(iq.i, dtype=float)
+    i = np.asarray(iq.i)
     if len(i) == 0:
         raise ValueError("empty record")
+    to_excited = _threshold(-separation + 0.5, i.dtype, up=True)
+    to_ground = _threshold(separation - 0.5, i.dtype, up=False)
 
     # forward fill of the last decided sample, one block at a time, as a
     # running maximum of int32 keys: a decided sample's key is 2 * position

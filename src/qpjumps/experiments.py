@@ -177,8 +177,9 @@ class SynthesizedRecord:
     record reads once, as its ranges reach them; duration is the
     trajectory's.
     blocks(bounds) yields samples bounds[k] to bounds[k + 1] - 1 as an
-    IQRecord for each k: I, and Q when q_rng is given.  Each quadrature's
-    noise comes from one stream drawn in order, so bounds start at 0, and
+    IQRecord for each k: I, and Q when q_rng is given, float32 (4 B a
+    sample, the record file's dtype).  Each quadrature's noise comes from
+    one stream of float32 normals drawn in order, so bounds start at 0, and
     the ranges hold the whole record bit for bit.  The trajectory's
     segments and the streams are used up by one read, so the record is
     read once: a second blocks(...) loop raises ValueError before it
@@ -224,11 +225,12 @@ class SynthesizedRecord:
 
         def fill(noise):
             for rng, out in zip(streams, noise):
-                rng.standard_normal(out=out)
+                rng.standard_normal(out=out, dtype=np.float32)
             return noise
 
         def empty(k):  # on the caller's thread: the worker only fills them
-            return [np.empty(bounds[k + 1] - bounds[k]) for _ in streams]
+            return [np.empty(bounds[k + 1] - bounds[k], dtype=np.float32)
+                    for _ in streams]
 
         ahead = None
         with ThreadPoolExecutor(max_workers=1) as worker:

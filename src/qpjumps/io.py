@@ -2,21 +2,23 @@
 
 Every CSV goes through one row writer, write_csv: floats with 9
 significant digits (_fmt), ints and strings as they are, _BLOCK rows at a
-time.  The binary record format is little-endian with a fixed 24-byte
-header.  Records stream through this module: write_iq reads its record as
-consecutive ranges of _BLOCK samples through blocks(bounds), read_iq
+time.  The binary record format (version 2) is little-endian: a fixed
+24-byte header, then float32 (I, Q) pairs, 8 B a sample.  Records stream
+through this module: write_iq reads its record as consecutive ranges of
+_BLOCK samples through blocks(bounds), read_iq
 checks a file's header and size and returns an IQFile that reads ranges
 on demand, and write_states_csv writes its runs block by block.  A
 synthesized record draws the next range while the writer works on one,
-so two ranges of I and Q and the pairs buffer, 3 MB, are in flight.
-Traced peaks at 20 s of quiet-noisy, whatever the duration: `simulate
---emit-truth` 5.7 MiB (with the sampler's working set and the occupancy's
-block buffer) and `filter` 2.4 MiB.  `stats` keeps every window's dwells,
-so its peak grows by about 0.18 B per sample: 4.4, 6.5 and 14.8 MiB at
-20, 80 and 320 s.  Every file is written
-atomically (temp file + rename) so partially written outputs never appear
-under their final name, and the file's directory is made as the file is:
-a command that fails before its first file leaves no output directory.
+so two ranges of I and Q and the pairs buffer, 1.5 MB, are in flight.
+Traced peaks at 20 and 320 s of quiet-noisy, after a 2 s run in the same
+process: `simulate --emit-truth` 4.2 and 4.8 MiB (with the sampler's
+working set and the occupancy's block buffer) and `filter` 1.4 and
+1.7 MiB.  `stats` keeps every window's dwells, so its peak grows by about
+0.18 B per sample: 2.9, 5.0 and 13.3 MiB at 20, 80 and 320 s.  Every
+file is written atomically (temp file + rename) so partially written
+outputs never appear under their final name, and the file's directory is
+made as the file is: a command that fails before its first file leaves
+no output directory.
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ from .core import ScenarioConfig, serialize_config
 from .jumpsim import _BLOCK, IQRecord, _merge, run_starts
 
 IQ_MAGIC = b"QJIQ"
-IQ_VERSION = 1
+IQ_VERSION = 2
 _HEADER = struct.Struct("<4sIdQ")  # magic, version, t_meas, sample count
+_PAIR = np.dtype("<f4")  # the dtype of I and Q in a record file
+_PAIR_BYTES = 2 * _PAIR.itemsize  # one sample: its I and its Q
 
 STATE_CHARS = ("g", "e")
 _STATE_LABELS = np.array(STATE_CHARS)  # a state column's labels, indexed by state
@@ -95,20 +99,22 @@ def atomic_write_text(path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def write_iq(path, record) -> None:
-    """Header, then (I, Q) pairs.
+    """Header, then (I, Q) pairs of little-endian float32 (version 2).
 
     record has t_meas, len() and blocks(bounds), which yields consecutive
     ranges of it as IQRecords: an IQRecord itself, a synthesized record
     with Q or a record file.  It is read in ranges of _BLOCK samples, and
     each range is interleaved into one pairs buffer of that size and
     written, so the writer holds that buffer and one range (a synthesized
-    record also draws the next).  The first range is read before any file
-    is made, and a record without Q is refused there.
+    record also draws the next).  A record of float32 samples, as
+    synthesized or read, is written as it is; other floats are rounded
+    to float32.  The first range is read before any file is made, and a
+    record without Q is refused there.
     """
     n = len(record)
     # an empty record gives one empty range, whose Q shows all the same
     bounds = [*range(0, max(n, 1), _BLOCK), n]
-    pairs = np.empty(2 * min(max(n, 1), _BLOCK), dtype="<f8")
+    pairs = np.empty(2 * min(max(n, 1), _BLOCK), dtype=_PAIR)
     with contextlib.closing(record.blocks(bounds)) as blocks:
         block = next(blocks)
         if block.q is None:
@@ -127,7 +133,8 @@ def write_iq(path, record) -> None:
 @dataclass(frozen=True)
 class IQFile:
     """A record file whose header read_iq has checked; its samples stay in
-    the file until read(lo, hi) or blocks(bounds) reads a range of them."""
+    the file until read(lo, hi) or blocks(bounds) reads a range of them,
+    as float32, 8 B a sample of I and Q."""
 
     path: str
     t_meas: float
@@ -143,12 +150,12 @@ class IQFile:
         The file is opened for each range, so one that has shrunk since
         read_iq raises DataFormatError naming the offset where it now ends.
         """
-        pairs = np.empty(2 * (hi - lo), dtype="<f8")
+        pairs = np.empty(2 * (hi - lo), dtype=_PAIR)
         with open(self.path, "rb") as fh:
-            fh.seek(_HEADER.size + 16 * lo)
+            fh.seek(_HEADER.size + _PAIR_BYTES * lo)
             got = fh.readinto(pairs)
         if got != pairs.nbytes:
-            end = _HEADER.size + 16 * lo + got
+            end = _HEADER.size + _PAIR_BYTES * lo + got
             raise DataFormatError(f"{self.path}: payload ended early at offset {end}")
         return IQRecord(t_meas=self.t_meas, i=pairs[0::2], q=pairs[1::2])
 
@@ -161,7 +168,9 @@ class IQFile:
 
 def read_iq(path) -> IQFile:
     """The record file at path, its header and payload size checked; no
-    sample is read until the returned record reads a range."""
+    sample is read until the returned record reads a range.  A file of
+    another version, such as a version-1 file of float64 pairs, is
+    refused: re-running simulate writes the record again."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -173,11 +182,14 @@ def read_iq(path) -> IQFile:
         if magic != IQ_MAGIC:
             raise DataFormatError(f"{path}: bad magic at offset 0: {magic!r}")
         if version != IQ_VERSION:
-            raise DataFormatError(f"{path}: unsupported version {version} at offset 4")
+            raise DataFormatError(
+                f"{path}: unsupported version {version} at offset 4; this reader "
+                f"reads version {IQ_VERSION} (float32 pairs): re-run simulate "
+                f"to write the record again")
         if t_meas <= 0:
             raise DataFormatError(f"{path}: non-positive sample period at offset 8")
         payload = os.fstat(fh.fileno()).st_size - _HEADER.size
-    expected = 16 * count
+    expected = _PAIR_BYTES * count
     if payload != expected:
         raise DataFormatError(
             f"{path}: payload at offset {_HEADER.size} has {payload} bytes, "

@@ -568,6 +568,8 @@ def simulate_joint(config: ScenarioConfig, qp_rng: np.random.Generator,
 class IQRecord:
     """Quadrature samples in sigma units (unit-variance noise per sample).
 
+    A synthesized or read record holds float32 samples, the dtype of the
+    record file: 24 bits of mantissa are far finer than the unit noise.
     q is None for a record synthesized for analysis alone, which reads
     only I; such a record cannot be written to a file.
     """
@@ -615,12 +617,14 @@ def synthesize_iq(
     (ground maps to +I), as occupancy_blocks gives them: a bin without a
     flip is in one state exactly.  occupancy is at the range's first bin
     and its bounds hold the range, so consecutive ranges share one pass.
-    i holds the bins' I noise, and the levels are added to it in place,
-    block by block: it becomes the record's I.  q, Q's noise, is the
-    record's Q as it is; None gives a record without Q.  Drawing the noise
-    is left to the caller, so a range's draws can be made ahead of its
-    occupancy; normal draws do not depend on how a stream is split, so
-    consecutive ranges of one stream give the whole record bit for bit.
+    i holds the bins' I noise, and the float64 levels are added to it in
+    place, block by block, each sum taken in float64 and rounded to i's
+    dtype (float32 in a synthesized record): it becomes the record's I.
+    q, Q's noise, is the record's Q as it is; None gives a record without
+    Q.  Drawing the noise is left to the caller, so a range's draws can be
+    made ahead of its occupancy; normal draws do not depend on how a
+    stream is split, so consecutive ranges of one stream give the whole
+    record bit for bit.
     """
     sep = snr_separation(meas)
     lo = 0

@@ -223,15 +223,16 @@ def trace_layers(truth: TruthTrace, cuts=()) -> list[SegmentLayers]:
 
 def noiseless_iq(truth: TruthTrace, meas: MeasurementParams) -> IQRecord:
     """The mean of jumpsim.synthesize_iq's record: I = (f_g - f_e) *
-    separation per bin and Q = 0, with no noise drawn."""
+    separation per bin and Q = 0, with no noise drawn, in the record's
+    float32."""
     n = sample_count(truth.duration, meas.t_meas)
     f_e = np.empty(n)
     lo = 0
     for block in occupancy_blocks(trace_layers(truth), meas.t_meas, [0, n]):
         f_e[lo:lo + len(block)] = block
         lo += len(block)
-    return IQRecord(t_meas=meas.t_meas, i=(1.0 - 2.0 * f_e) * snr_separation(meas),
-                    q=np.zeros(len(f_e)))
+    i = ((1.0 - 2.0 * f_e) * snr_separation(meas)).astype(np.float32)
+    return IQRecord(t_meas=meas.t_meas, i=i, q=np.zeros(len(f_e), dtype=np.float32))
 
 
 def bin_occupancy(truth: TruthTrace, t_meas: float, n: int) -> np.ndarray:
@@ -262,18 +263,23 @@ def bin_occupancy(truth: TruthTrace, t_meas: float, n: int) -> np.ndarray:
 def whole_record_iq(truth: TruthTrace, meas: MeasurementParams,
                     i_rng: np.random.Generator, q_rng: np.random.Generator) -> IQRecord:
     """synthesize_iq's record computed over the whole array at once: the
-    occupancy from bin_occupancy, and all I noise in one draw."""
+    occupancy from bin_occupancy, and all noise in one float32 draw per
+    quadrature; each I is its level plus its noise in float64, rounded to
+    float32."""
     n = sample_count(truth.duration, meas.t_meas)
     f_e = bin_occupancy(truth, meas.t_meas, n)
-    i = (1.0 - 2.0 * f_e) * snr_separation(meas) + i_rng.standard_normal(n)
-    return IQRecord(t_meas=meas.t_meas, i=i, q=q_rng.standard_normal(n))
+    noise = i_rng.standard_normal(n, dtype=np.float32)
+    i = ((1.0 - 2.0 * f_e) * snr_separation(meas) + noise).astype(np.float32)
+    return IQRecord(t_meas=meas.t_meas, i=i, q=q_rng.standard_normal(n, dtype=np.float32))
 
 
 def whole_record_filter(iq: IQRecord, separation: float) -> StateEstimate:
-    """analysis.two_point_filter as one forward fill over the whole record."""
+    """analysis.two_point_filter as one forward fill over the whole record,
+    each sample compared exactly with the float64 thresholds: float32
+    samples are cast to float64, which holds them exactly."""
     to_excited = -separation + 0.5
     to_ground = separation - 0.5
-    i = np.asarray(iq.i, dtype=float)
+    i = np.asarray(iq.i, dtype=np.float64)
 
     decided_e = i < to_excited
     decided_g = i > to_ground

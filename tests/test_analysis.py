@@ -35,7 +35,11 @@ TM = 5e-6
 
 
 def record(i_values, t_meas=TM):
-    i = np.asarray(i_values, dtype=float)
+    """A record of I values; a float32 array stays float32, the rest are
+    float64."""
+    i = np.asarray(i_values)
+    if i.dtype != np.float32:
+        i = i.astype(np.float64)
     return IQRecord(t_meas=t_meas, i=i, q=np.zeros_like(i))
 
 
@@ -69,6 +73,38 @@ class TestTwoPointFilter:
             record([2.5, -2.09 + eps, -2.09 - eps, 2.09 - eps, 2.09 + eps]), separation=2.59)
         assert list(est.states) == [STATE_GROUND, STATE_GROUND, STATE_EXCITED,
                                     STATE_EXCITED, STATE_GROUND]
+
+    # samples on the float32 rounding of each threshold and one float32
+    # step either side (and, in float64, one float64 step either side of
+    # the threshold itself), each after a sample decided either way: every
+    # decision is the exact comparison with the float64 threshold.  The
+    # nearest float32 takes 2.59's thresholds towards 0 and 1.7's away
+    # from it, so rounding to nearest misdecides at 1.7; 2.0's are float32
+    # exactly.  At 3.5e38 and 1e308 they are past float32's range, where a
+    # cast of them overflowed
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("separation", [2.59, 1.7, 2.0, 1.0 + 2**-40, 3.5e38, 1e308])
+    def test_decisions_at_the_float32_neighbours_of_the_thresholds(self, dtype,
+                                                                   separation):
+        to_excited, to_ground = -separation + 0.5, separation - 0.5
+        big = float(np.finfo(np.float32).max)
+        xs = []
+        with np.errstate(over="ignore"):  # one step past float32's largest
+            for t in (to_excited, to_ground):
+                near = np.float32(min(max(t, -big), big))
+                xs += [np.nextafter(near, np.float32(-math.inf)), near,
+                       np.nextafter(near, np.float32(math.inf))]
+                if dtype == np.float64:
+                    xs += [np.nextafter(t, -math.inf), t, np.nextafter(t, math.inf)]
+        i = np.array([v for x in xs for v in (math.inf, x, -math.inf, x)], dtype=dtype)
+        est = two_point_filter(record(i), separation)
+        assert np.array_equal(est.states, whole_record_filter(record(i), separation).states)
+        after_ground, after_excited = est.states.reshape(-1, 4)[:, [1, 3]].T
+        x = i[1::4].astype(np.float64)
+        assert after_ground.tolist() == np.where(x < to_excited, STATE_EXCITED,
+                                                 STATE_GROUND).tolist()
+        assert after_excited.tolist() == np.where(x > to_ground, STATE_GROUND,
+                                                  STATE_EXCITED).tolist()
 
     def test_requires_separated_thresholds(self):
         with pytest.raises(ValueError):

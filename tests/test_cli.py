@@ -109,11 +109,12 @@ class TestSimulate:
         assert manifest["config_hash"] == io.config_hash(config)
 
     # sha256 of the files of simulate --emit-truth and filter on 2 s of
-    # quiet-noisy at seed 101: the record, its trajectory and its runs
+    # quiet-noisy at seed 101: the record (version 2, float32 pairs), its
+    # trajectory and its runs
     PINNED = {
-        "record.iq": "6b3b4e0621b0166242517b93090dc36cd84e00134514d3b8a18bb0b6424a3e63",
+        "record.iq": "655fd8a03546c9bba1c1c527abd7df01ca8bdc5f5cdce83b094aa95389c2a7c9",
         "record.truth": "cfcca1a270db429b3c1a089fc9a4ad560ef31827cef9ca8676c7ed039a24f068",
-        "states.csv": "c5dc3306a29d6dc44275b273389dcb5f60d704edd9b0e0d3bff60ba45f468793",
+        "states.csv": "1eef333505a920c5cfe9656256a5f549f764bccaf10855e9e9b7945d51602409",
     }
 
     def test_record_truth_and_states_bytes_are_pinned(self, tmp_path):
@@ -207,7 +208,7 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         _, iq = run_simulation(load_config(cfg))
         assert len(iq) > 2 * _BLOCK
-        pairs = np.empty(2 * len(iq), dtype="<f8")
+        pairs = np.empty(2 * len(iq), dtype="<f4")
         pairs[0::2], pairs[1::2] = iq.i, iq.q
         header = io._HEADER.pack(io.IQ_MAGIC, io.IQ_VERSION, iq.t_meas, len(iq))
         assert (out / "record.iq").read_bytes() == header + pairs.tobytes()
@@ -305,7 +306,9 @@ class TestFilterAndStats:
             i = sep * (1.0 - 2.0 * states) + rng.standard_normal(n)
         else:
             i = np.full(n, sep)
-        whole = IQRecord(t_meas=5e-6, i=i, q=rng.standard_normal(n))
+        # float32, as the file holds them
+        whole = IQRecord(t_meas=5e-6, i=i.astype(np.float32),
+                         q=rng.standard_normal(n, dtype=np.float32))
         path = tmp_path / "r.iq"
         io.write_iq(path, whole)
         est = two_point_filter(whole, sep)
@@ -343,7 +346,7 @@ class TestFilterAndStats:
         def shrinking(path):
             record = read_iq(path)
             with open(path, "r+b") as fh:
-                fh.truncate(24 + 16 * 1000)
+                fh.truncate(24 + 8 * 1000)
             return record
 
         monkeypatch.setattr(io, "read_iq", shrinking)
@@ -351,7 +354,25 @@ class TestFilterAndStats:
         window = ["--window", "0.05"] if command == "stats" else []
         assert main([command, "--record", str(sim / "record.iq"), *window,
                      "--config", str(config_file), "--out", str(out)]) == 3
-        assert "payload ended early at offset 16024" in capsys.readouterr().err
+        assert "payload ended early at offset 8024" in capsys.readouterr().err
+        assert not out.exists()
+
+    # a record written before the float32 format: header version 1 and
+    # float64 pairs, 16 B a sample, its size matching its count
+    @pytest.mark.parametrize("command", ["stats", "filter"])
+    def test_version_1_record_exits_3_with_one_line(self, tmp_path, command, capsys):
+        path = tmp_path / "old.iq"
+        n = 1000
+        path.write_bytes(io._HEADER.pack(io.IQ_MAGIC, 1, 5e-6, n)
+                         + np.zeros(2 * n, dtype="<f8").tobytes())
+        out = tmp_path / "out"
+        window = ["--window", "0.001"] if command == "stats" else []
+        assert main([command, "--record", str(path), *window, "--separation", "2.5",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert err.startswith(f"data format error: {path}: unsupported version 1 ")
+        assert "re-run simulate" in err
         assert not out.exists()
 
     def test_corrupt_record_exit_code(self, tmp_path, config_file):

@@ -23,11 +23,13 @@ from qpjumps.experiments import (
     run_stats,
     simulate_record,
     tau_fidelity_correlation,
+    trajectory,
 )
 from qpjumps.jumpsim import (
     STATE_EXCITED,
     STATE_GROUND,
     IQRecord,
+    SegmentLayers,
     TruthTrace,
     run_starts,
     sample_count,
@@ -224,28 +226,37 @@ class TestRecoveryMachinery:
         else:
             assert len(recovery_bin_edges(config)) > 1
 
-    def test_memory_is_flat_in_the_pulse_count(self):
+    def test_memory_is_flat_in_the_pulse_count(self, monkeypatch):
         # numpy reports its buffers to tracemalloc.  Each segment's flips
         # are binned as it arrives, so the traced peak at 4,000 cycles is
-        # within 0.5 MiB of that at 1,000 (2.53 and 2.60 MiB when measured);
-        # collecting the whole train's flips would add at least 8 B for
-        # each of the 3,000 more cycles' 200,000 flips.  An untraced run
+        # within 0.5 MiB of that at 1,000 (0.366 and 0.373 MiB when
+        # measured); collecting the whole train's flips would add at least
+        # 8 B for each of the 3,000 more cycles' 200,000 flips (0.78 and
+        # 2.40 MiB with every segment's flips kept).  Tracing the
+        # sampler's per-event Python objects took 12 to 18 s, so each
+        # trajectory is sampled untraced beforehand and its segments are
+        # replayed as copies made as the run reaches them: a run that kept
+        # its segments' flips would keep the copies.  An untraced run
         # first, so that neither peak holds what the first run allocates
-        # once (about 0.7 MiB)
+        # once
         def run(cycles):
-            run_recovery(preset_config("recovery", {
-                "pulse_count": str(cycles), "duration": repr(cycles * 10.105e-3)}))
-
-        run(100)
-        peaks = {}
-        for cycles in (1000, 4000):
-            tracemalloc.start()
+            config = preset_config("recovery", {
+                "pulse_count": str(cycles), "duration": repr(cycles * 10.105e-3)})
+            segments = list(trajectory(config))
+            monkeypatch.setattr(experiments, "trajectory", lambda _: (
+                SegmentLayers(s.knot_t.copy(), s.knot_n.copy(), s.flips.copy(),
+                              s.before, s.end) for s in segments))
             try:
-                run(cycles)
-                peaks[cycles] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.start()
+                run_recovery(config)
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[4000] - peaks[1000] < 0.5 * 2**20
+                monkeypatch.undo()
+
+        run(100)
+        peaks = {cycles: run(cycles) for cycles in (1000, 4000)}
+        assert peaks[4000] - peaks[1000] < 0.5 * 2**20, peaks
 
     def test_experiments_take_one_worker_only(self, tmp_path):
         config = preset_config("recovery", {"pulse_count": "600",
@@ -739,16 +750,20 @@ class TestSynthesizedRecord:
 
     def test_two_ranges_in_flight(self, tmp_path, monkeypatch):
         # the range in hand and the one the worker fills, with their
-        # scratch: 2.2 and 2.7 ranges' bytes.  A loop that held on to the
-        # range before would add a third (3.2 and 3.7).  16 s: 3.2 M
+        # scratch: 2.14 and 2.83 ranges' bytes, with Q and without.  A loop
+        # that held on to the range before measured 3.14 and 4.04.  16 s: 3.2 M
         # samples in four ranges of 10^6 (five windows), write_iq's and
         # run_stats' blocks both patched to that size.  write_iq's pairs
         # buffer, one range of I and Q interleaved, is not a range in
         # flight and is not counted.  The trajectory is sampled
         # beforehand, so that the sampler's working set (about 2.4 MB,
-        # 0.3 of a range of I) is not counted as a range
+        # 0.6 of a range of float32 I) is not counted as a range.  A
+        # range's bytes are taken from the record's own samples, 4 B each
         size = 10**6
         config = preset_config("quiet-noisy", {"duration": "16"})
+        [probe] = simulate_record(config, with_q=False).blocks([0, 1])
+        itemsize = probe.i.itemsize
+        assert itemsize == 4
         monkeypatch.setattr(io, "_BLOCK", size)
         monkeypatch.setattr(experiments, "STATS_BLOCK", size)
         for with_q, read in ((True, lambda r: io.write_iq(tmp_path / "r.iq", r)),
@@ -761,7 +776,7 @@ class TestSynthesizedRecord:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            range_bytes = 8 * size * (2 if with_q else 1)
+            range_bytes = itemsize * size * (2 if with_q else 1)
             pairs = range_bytes if with_q else 0
             ranges = (peak - pairs) / range_bytes
             assert ranges < 3, (with_q, ranges)

@@ -22,8 +22,10 @@ from support import trace_layers
 
 
 def make_record(n=100, seed=0, t_meas=5e-6):
+    """A record of n float32 samples, the dtype that a record file holds."""
     rng = np.random.default_rng(seed)
-    return IQRecord(t_meas=t_meas, i=rng.standard_normal(n), q=rng.standard_normal(n))
+    return IQRecord(t_meas=t_meas, i=rng.standard_normal(n, dtype=np.float32),
+                    q=rng.standard_normal(n, dtype=np.float32))
 
 
 class TestIqFormat:
@@ -51,17 +53,19 @@ class TestIqFormat:
         io.write_iq(path, record)
         blob = path.read_bytes()
         assert blob[:4] == b"QJIQ"
-        assert int.from_bytes(blob[4:8], "little") == 1
+        assert int.from_bytes(blob[4:8], "little") == 2
         assert np.frombuffer(blob[8:16], dtype="<f8")[0] == 1e-5
         assert int.from_bytes(blob[16:24], "little") == 3
-        assert len(blob) == 24 + 3 * 16
+        assert len(blob) == 24 + 3 * 8
+        pairs = np.frombuffer(blob[24:], dtype="<f4")
+        assert pairs.tobytes() == np.column_stack((record.i, record.q)).tobytes()
 
     @pytest.mark.parametrize("n", [0, 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 17])
     def test_streamed_blocks_equal_whole_record_bytes(self, tmp_path, n):
         record = make_record(n, seed=n)
         path = tmp_path / "r.iq"
         io.write_iq(path, record)
-        interleaved = np.empty(2 * n, dtype="<f8")
+        interleaved = np.empty(2 * n, dtype="<f4")
         interleaved[0::2] = record.i
         interleaved[1::2] = record.q
         header = io._HEADER.pack(io.IQ_MAGIC, io.IQ_VERSION, record.t_meas, n)
@@ -147,9 +151,9 @@ class TestIqFormat:
         written = make_record(_BLOCK + 8)
         io.write_iq(path, written)
         record = io.read_iq(path)
-        path.write_bytes(path.read_bytes()[:24 + 16 * (_BLOCK + 3)])
+        path.write_bytes(path.read_bytes()[:24 + 8 * (_BLOCK + 3)])
         assert record.read(0, _BLOCK).i.tobytes() == written.i[:_BLOCK].tobytes()
-        end = f"{path}: payload ended early at offset {24 + 16 * (_BLOCK + 3)}"
+        end = f"{path}: payload ended early at offset {24 + 8 * (_BLOCK + 3)}"
         with pytest.raises(io.DataFormatError, match=end):
             record.read(0, _BLOCK + 8)
         with pytest.raises(io.DataFormatError, match=end):
@@ -177,8 +181,20 @@ class TestIqFormat:
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
         with pytest.raises(io.DataFormatError,
-                           match="offset 24 has 112 bytes, expected 128 for 8 samples"):
+                           match="offset 24 has 48 bytes, expected 64 for 8 samples"):
             io.read_iq(path)
+
+    def test_version_1_is_refused(self, tmp_path):
+        # a version-1 file of float64 pairs, 16 B a sample, with a payload
+        # that matches its count: refused by its version, not read as pairs
+        path = tmp_path / "r.iq"
+        header = io._HEADER.pack(io.IQ_MAGIC, 1, 5e-6, 4)
+        path.write_bytes(header + np.zeros(8, dtype="<f8").tobytes())
+        with pytest.raises(io.DataFormatError) as refused:
+            io.read_iq(path)
+        assert str(refused.value) == (
+            f"{path}: unsupported version 1 at offset 4; this reader reads version 2 "
+            "(float32 pairs): re-run simulate to write the record again")
 
     def test_wrong_version(self, tmp_path):
         path = tmp_path / "r.iq"

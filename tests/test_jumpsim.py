@@ -769,7 +769,8 @@ class TestBlockedRecordOracle:
         n = sample_count(truth.duration, meas.t_meas)
         i_rng, q_rng = np.random.default_rng(seed).spawn(2)
         got = synthesize_iq(occupancy_blocks(trace_layers(truth), meas.t_meas, [0, n]), meas,
-                            i_rng.standard_normal(n), q_rng.standard_normal(n))
+                            i_rng.standard_normal(n, dtype=np.float32),
+                            q_rng.standard_normal(n, dtype=np.float32))
         want = whole_record_iq(truth, meas, *np.random.default_rng(seed).spawn(2))
         assert got.i.tobytes() == want.i.tobytes()
         assert got.q.tobytes() == want.q.tobytes()
@@ -818,7 +819,7 @@ class TestRecordRanges:
         want = whole_record_iq(truth, meas, *np.random.default_rng(seed).spawn(2))
         i_rng = np.random.default_rng(seed).spawn(2)[0]
         occupancy = occupancy_blocks(iter(segments), meas.t_meas, bounds)
-        got = [synthesize_iq(occupancy, meas, i_rng.standard_normal(hi - lo))
+        got = [synthesize_iq(occupancy, meas, i_rng.standard_normal(hi - lo, dtype=np.float32))
                for lo, hi in ranges]
         assert all(block.q is None for block in got)
         assert [len(block) for block in got] == [hi - lo for lo, hi in ranges]

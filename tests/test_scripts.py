@@ -30,43 +30,43 @@ def test_reproduce_paper_numbers_writes_csvs(tmp_path, monkeypatch, capsys):
 # numpy versions that pyproject.toml allows.
 QUICK_DIGESTS = {
     "field-cool/example_noisy_e.csv":
-        "61239b05240bda291817bd0a628582cc3f10d5b5a9d5180b4244b2947c5b4c13",
+        "ab43092dac8000f7b28a3682913a87cf4cfb42f68e957adfdb8ad6bb8bb77208",
     "field-cool/example_noisy_g.csv":
-        "0c4b0249cd5313990710595ea325c6d6e2b4d89657e997a944f804e18b0d85d0",
+        "982f3dd6ed3f9ad814ef0d3f446faab59039e38facc3ee0260241078db5939d0",
     "field-cool/example_quiet_e.csv":
-        "cdd2610db5f41df38000e139a71b1211a26118ddb2741dc01d41f5b18edbac46",
+        "a699a99822e39f7cdf122b69c534dd1af589ec38aa2ede265703180fb0b4a0ef",
     "field-cool/example_quiet_g.csv":
-        "4a5bc83642285945580b1d52395bd0cc5e150c6b9e98c82894b2cd423f45fffd",
+        "977557e933c29ea813ad93b2d3d686730b37dddf3ec7d2c92f09499c8afed646",
     "field-cool/report.csv":
-        "7c3e13f7eae2a668d223cb60b6c745aec5fd47e5a50c2296b41b4db61303048d",
+        "f10395b8534886a2460ae64ba2762f7787dcff618773076275c6733f1a34ce99",
     "field-cool/summary.csv":
-        "d94e9fedd1f3b2477b507988f0a6ed71aa0d4ec16625051644a375f1b49ece40",
+        "6896c1d9c3401680cd2c733d790a050d9d3b43f1b2919839b7e9b063a5298768",
     "psd/series.csv":
-        "33c2bab2869077025c768eb696c102825c8df3a7f38cf0931d82aece6e5bc9d6",
+        "cca500df869621af3af1fd0ab708efe08ce7ef88ffe5f5c26ee12eea2b3e32f9",
     "qp-pulses/example_noisy_e.csv":
-        "37f087ffe1582114bc1a2fb271522439c6b3c2623fec51471019e922fbbb861f",
+        "021731184a1fb874e30ed78d63a288307a68f22523e46948007c1aed50718b8e",
     "qp-pulses/example_noisy_g.csv":
-        "077a23f8daba98ea49c64ca73a6cbf439ac4ff4ed053a0248cb89841c11b78e1",
+        "9648bcd0fde62033a3eaed2aaccdd6e8f85af22d82c093cea8449334a7c02562",
     "qp-pulses/example_quiet_e.csv":
-        "ecb2235db911e5066d439df9aa3683c46b15738b192989fc46684e5f231695f9",
+        "649feae73198c099e2141c3d99ab496250e04ce9055cb46fbe3105b868d7429b",
     "qp-pulses/example_quiet_g.csv":
-        "a047fcd6d0d305a5c6721fadd5feb4f40cb0462ab0255345f4c70b3507d844cb",
+        "81eb3db24445bd9fcb22a1fd47c76de74f40c9b995cdea3518a231704bb082c4",
     "qp-pulses/report.csv":
-        "ad32dd4211a2bac3b63a93998dffd29029e7d240b56199e720cf6e365ee13dcb",
+        "5714bb57720f4d82aced786c4996c83e600413faa81e1a615de1988031cc1e87",
     "qp-pulses/summary.csv":
-        "5d0d4d7542ca527fdca4d2574bc280a10cdc4c427f20ef0142bbc479b9f016d9",
+        "05ee451faae654381e1bb08013680e6a5e95983a45d9321799a4ca751b372075",
     "quiet-noisy/example_noisy_e.csv":
-        "f17769d26d0bdf6a13183e83c0269b2def3b8363436461aa6579bba944938e1c",
+        "31608a2ec3d391913d4cf54ac270697fc786a75791b0d8e61710f24787c6539d",
     "quiet-noisy/example_noisy_g.csv":
-        "3a684810f55fbee27e963ef2bbc7650ba5e76c81d8d3cb805e1c4d5c1275f22f",
+        "d6e1336ee6c33da636d9aee0a749eb52d838040d5179576662cc4748ce549329",
     "quiet-noisy/example_quiet_e.csv":
-        "b970fa0d7a9f8b4c1b7560c7cdd194584e435d128897b81d95af9a9f8c97e24d",
+        "e48259b83f3811b267f58954d15114c4439c1079fe043aa954b1d6f5b1c1771d",
     "quiet-noisy/example_quiet_g.csv":
-        "316473f81a4c7407740c6cf38905006a0f2b4843bc942a7c5a44d43708790d43",
+        "46678072e1c342e75fe59b5cac6c32429d55326fd1c87b1a1bbd226cf26c02fc",
     "quiet-noisy/report.csv":
-        "72a1f7fe131c272a17c330f4888c673f7680b7349e527620a880a9d17fbc7250",
+        "ecbf92584a4dd2fde8171d0126ca81424be4ee28268c1849f1fe673d194aa06a",
     "quiet-noisy/summary.csv":
-        "ad36aa8daf487f4583a020ebc8005ec8e0587f96472447f6855efef8d1b83c9a",
+        "e014522e7897d86f3223d9995c2a94a110debca5a759e8465b0504b44d890e0c",
     "recovery/tau_e.csv":
         "fbcf9c698689a0be218896a8c32e58319a27fd8a2956a70c528c9f347541baa0",
 }
