@@ -231,8 +231,10 @@ class ScenarioConfig:
             # first + i * period in place; a train's lengths and injections
             # are one value each, broadcast without a copy
             start = np.arange(train.count, dtype=float)
-            start *= train.period
-            start += train.first
+            # a start past the float range is inf, and ends past duration
+            with np.errstate(over="ignore"):
+                start *= train.period
+                start += train.first
             length = np.broadcast_to(np.float64(train.length), start.shape)
             inject = np.broadcast_to(np.int64(train.inject), start.shape)
         else:
@@ -280,7 +282,10 @@ def temperature_to_polarization(temperature: float, f_ge: float) -> float:
     """Excited-state occupation of a two-level system at the given temperature."""
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    boltzmann_ratio = math.exp(-PLANCK * f_ge / (BOLTZMANN * temperature))
+    # k_B T rounds to 0 below about 4e-301 K, where nothing is excited
+    thermal_energy = BOLTZMANN * temperature
+    boltzmann_ratio = (math.exp(-PLANCK * f_ge / thermal_energy) if thermal_energy > 0.0
+                       else 0.0)
     return boltzmann_ratio / (1.0 + boltzmann_ratio)
 
 
@@ -482,8 +487,9 @@ def validate_config(text: str) -> ScenarioConfig:
     or does not fit an int64 sample count, and a relaxation rate
     (jumpsim.relaxation_rate) over MAX_FLIPS_PER_SAMPLE / t_meas, at the
     steady QP number, or at it or at an explicit n_initial plus the
-    largest pulse injection, raise ConfigError naming the keys; keys left
-    out take their parameter type's default.
+    largest pulse injection, and a starting QP number plus that injection
+    past an int64, raise ConfigError naming the keys; keys left out take
+    their parameter type's default.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -564,6 +570,12 @@ def validate_config(text: str) -> ScenarioConfig:
                 f"the qubit's {what} gives {flips:g} flips per t_meas = "
                 f"{config.meas.t_meas:g} s sample, past the {MAX_FLIPS_PER_SAMPLE:g} "
                 f"a record may expect")
+    # the sampler holds the QP number as an int64
+    start = config.initial_count()
+    if not start + added < 2**63:
+        raise ConfigError(f"the starting QP number {start:.3g} plus the largest pulse injection, "
+                          f"{added} QPs, does not fit an int64 (n_cooper_pairs, n_initial, "
+                          f"{pulse_key})")
     return config
 
 
@@ -630,7 +642,11 @@ def config_reference() -> str:
         "(`n_initial` + that injection) / `n_cooper_pairs` when `n_initial` is",
         "given, times",
         "`t_meas`, may be at most that.  No readout resolves more flips, and",
-        "the record holds a block of samples' flips at a time.",
+        "the record holds a block of samples' flips at a time.  It is also",
+        "refused when the starting QP number (`n_initial`, or the steady one",
+        "of `n_cooper_pairs`) plus the largest pulse injection does not fit",
+        "an int64, the sampler's count.  A run stops with exit code 2 when",
+        "the QP rates at a count it reaches sum past the float range.",
         "",
         "| key | kind | default | description |",
         "|-----|------|---------|-------------|",

@@ -108,8 +108,11 @@ def write_iq(path, record) -> None:
     written, so the writer holds that buffer and one range (a synthesized
     record also draws the next).  A record of float32 samples, as
     synthesized or read, is written as it is; other floats are rounded
-    to float32.  The first range is read before any file is made, and a
-    record without Q is refused there.
+    to float32.  A finite sample that float32 cannot hold, one that would
+    round to ±inf, raises ValueError naming the first such sample of the
+    first range that has one, and no file is left; NaN and ±inf samples
+    are written as float32 NaN and ±inf.  The first range is read before
+    any file is made, and a record without Q is refused there.
     """
     n = len(record)
     # an empty record gives one empty range, whose Q shows all the same
@@ -121,13 +124,33 @@ def write_iq(path, record) -> None:
             raise ValueError(f"{path}: the record has no Q to write")
         with _atomic_file(path) as fh:
             fh.write(_HEADER.pack(IQ_MAGIC, IQ_VERSION, record.t_meas, n))
+            lo = 0
             while block is not None:
                 out = pairs[:2 * len(block)]
-                out[0::2] = block.i
-                out[1::2] = block.q
+                with np.errstate(over="ignore"):
+                    out[0::2] = block.i
+                    out[1::2] = block.q
+                _check_float32_range(path, lo, block, out)
                 fh.write(out)
+                lo += len(block)
                 del block  # freed before the range after the next is allocated
                 block = next(blocks, None)
+
+
+def _check_float32_range(path, lo: int, block, pairs) -> None:
+    """Raise ValueError if a finite sample of block, the record's samples
+    from lo on, became ±inf in pairs, its float32 (I, Q) pairs; a block
+    whose dtypes cast to float32 exactly is not scanned."""
+    past = []
+    for name, values, cast in (("I", block.i, pairs[0::2]), ("Q", block.q, pairs[1::2])):
+        if not np.can_cast(values.dtype, _PAIR):
+            where = np.flatnonzero(np.isinf(cast) & np.isfinite(values))
+            if len(where):
+                past.append((int(where[0]), name, values[where[0]]))
+    if past:
+        k, name, value = min(past)
+        raise ValueError(f"{path}: sample {lo + k} of {name}, {float(value)!r}, "
+                         "is past float32's range")
 
 
 @dataclass(frozen=True)

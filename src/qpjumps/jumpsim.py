@@ -25,8 +25,11 @@ readout parameters.
 from __future__ import annotations
 
 import math
+import operator
+import struct
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -248,20 +251,23 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator):
     Exact-jump sampling of generation, trapping, recombination and modulator
     switches; each pulse end before the duration, pulse_start +
     pulse_length from the config's arrays, injects its pulse_inject QPs.
-    An end and its count become Python numbers as the chain reaches them,
-    so each step compares Python floats and no per-pulse list is made.  Every
-    step takes one unit exponential and one uniform from buffers drawn
-    _RNG_BUF at a time, the exponentials first; a step that would cross the
-    next pulse end (or the duration) stops there and its draws are
-    dropped.  Knots are t = 0 and every change of N.  The cumulative
-    propensities of a count are computed the first time the chain reaches
-    it in a modulator state and are looked up after that, one cache per
-    state, so the caches hold no more entries than the counts reached.
-    The buffers are walked in slices of _SEGMENT steps, each slice's draws
-    made Python floats as it starts, and the knots of each slice, collected
-    in lists, are yielded as a chunk (a slice of modulator switches alone
-    yields none), so the draws do not depend on _SEGMENT and the lists hold
-    one slice's draws and knots.
+    The arrays are read through memoryviews as the chain reaches each end,
+    summed and compared with the duration as Python floats, so no
+    per-pulse array or list is made.  Every step takes one unit
+    exponential and one uniform: the exponentials are drawn _RNG_BUF at a
+    time, then the uniforms one slice of _SEGMENT steps at a time, the
+    stream order of _RNG_BUF of each.  A step that would cross the next
+    pulse end (or the duration) stops there and its draws are dropped.  No
+    step tests for a zero total propensity: there the step's division by
+    zero raises, and the chain waits for that end.  Knots are t = 0 and
+    every change of N.  The cumulative propensities of a count are
+    computed the first time the chain reaches it in a modulator state and
+    are looked up after that, one cache per state, so the caches hold no
+    more entries than the counts reached.  Each slice's draws are iterated
+    as Python floats through memoryviews, with no list of them, and its
+    knots, collected in lists, are yielded as a chunk that struct packs
+    (a slice of modulator switches alone yields none), so the draws do
+    not depend on _SEGMENT and the lists hold one slice's knots.
     """
     kin = config.kinetics
     ncp = kin.n_pairs
@@ -277,12 +283,12 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator):
     else:
         props = ((0.5 * kin.generation * ncp, 0.0),) * 2
         m_state = 1
-    # a pulse that ends at the duration has no time left to act on
-    ends = config.pulse_start + config.pulse_length
-    acts = ends < config.duration
-    edge_t = np.append(ends[acts], config.duration)
-    edge_n = np.append(config.pulse_inject[acts], 0)
-    n_edges = len(edge_t)
+    # the (end, inject) of each pulse that acts, then the duration: a pulse
+    # that ends at the duration has no time left to act on
+    duration = config.duration
+    ends = map(operator.add, memoryview(config.pulse_start), memoryview(config.pulse_length))
+    edges = chain(((end, inject) for end, inject in zip(ends, memoryview(config.pulse_inject))
+                   if end < duration), ((duration, 0),))
 
     n = config.initial_count()
     # the knots of the slice in hand
@@ -293,34 +299,38 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator):
     cache = caches[m_state]
     a_gen, a_switch = props[m_state]
     t = 0.0
-    k = 0
-    t_edge, inject = edge_t[0].item(), edge_n[0].item()
-    while k < n_edges:
-        exponentials = rng.standard_exponential(_RNG_BUF)
-        uniforms = rng.random(_RNG_BUF)
+    edge = next(edges)
+    t_edge, inject = edge
+    while edge is not None:
+        exponentials = memoryview(rng.standard_exponential(_RNG_BUF))
         for lo in range(0, _RNG_BUF, _SEGMENT):
-            for e, u in zip(exponentials[lo:lo + _SEGMENT].tolist(),
-                            uniforms[lo:lo + _SEGMENT].tolist()):
+            draws = exponentials[lo:lo + _SEGMENT]
+            for e, u in zip(draws, memoryview(rng.random(len(draws)))):
                 try:
                     c_loss, c_rec, total = cache[n]
                 except KeyError:
                     c_loss = a_gen + trapping * n
                     c_rec = c_loss + pair_rate * n * (n - 1)
+                    if c_rec == math.inf:  # no event could be told from another
+                        raise ValueError(f"the QP rates at N = {n} overflow: qp_generation, "
+                                         "qp_trapping or qp_recombination is too large")
                     total = c_rec + a_switch
                     cache[n] = c_loss, c_rec, total
-                t_next = t + e / total if total > 0.0 else math.inf
-                if t_next >= t_edge:
+                try:
+                    t += e / total
+                except ZeroDivisionError:
+                    t = t_edge
+                if t >= t_edge:
                     t = t_edge
                     if inject > 0:
                         n += inject
                         times.append(t)
                         counts.append(n)
-                    k += 1
-                    if k == n_edges:
+                    edge = next(edges, None)
+                    if edge is None:
                         break
-                    t_edge, inject = edge_t[k].item(), edge_n[k].item()
+                    t_edge, inject = edge
                     continue
-                t = t_next
                 u *= total
                 if u < a_gen:
                     n += 2
@@ -336,10 +346,14 @@ def _qp_layer(config: ScenarioConfig, rng: np.random.Generator):
                 times.append(t)
                 counts.append(n)
             if times:
-                yield np.array(times, dtype=float), np.array(counts, dtype=np.int64)
+                # struct packs a list of Python numbers in about half the
+                # time np.fromiter takes to read it
+                m = len(times)
+                yield (np.frombuffer(struct.pack(f"{m}d", *times)),
+                       np.frombuffer(struct.pack(f"{m}q", *counts), np.int64))
                 times.clear()
                 counts.clear()
-            if k == n_edges:
+            if edge is None:
                 break
 
 

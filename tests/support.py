@@ -3,11 +3,12 @@ record, whole-array oracles for the blocked record pipeline, for the
 presets that stream their record and for the recovery statistics that
 read a trajectory's layers, the per-pulse arithmetic and check for the
 config's pulse arrays, an RK4 integrator for the QP density rate
-equation, a scalar loop over the sampler's qubit candidates, the qubit
-intervals and event counts of a trace, a trace cut into the sampler's
-layers, a child process under an address-space limit, and an exact
-oracle for the joint (modulator, qubit, QP number) Markov chain sampled
-by jumpsim.simulate_joint.
+equation, the QP layer's loop as it was before it was tuned, a scalar
+loop over the sampler's qubit candidates, the qubit intervals and event
+counts of a trace, a trace cut into the sampler's layers, a child
+process under address-space and CPU limits, and an exact oracle for the
+joint (modulator, qubit, QP number) Markov chain sampled by
+jumpsim.simulate_joint.
 
 The oracle is built from the model's rate definitions (the scalar rate
 functions below and the kinetics coefficients), not from the sampler's
@@ -45,6 +46,8 @@ from qpjumps.core import (
 )
 from qpjumps.kinetics import QpKineticsParams, steady_state
 from qpjumps.jumpsim import (
+    _RNG_BUF,
+    _SEGMENT,
     STATE_EXCITED,
     STATE_GROUND,
     IQRecord,
@@ -325,6 +328,93 @@ def whole_record_experiment(name: str, config: ScenarioConfig, out_dir) -> None:
                                        hist, poisson_prediction(hist))
 
 
+def reference_qp_layer(config: ScenarioConfig, rng: np.random.Generator):
+    """jumpsim._qp_layer as it was before its loop was tuned, kept verbatim
+    as the oracle of the tuned loop: the whole train copied into edge
+    arrays first, both buffers drawn _RNG_BUF at a time, each slice's draws
+    made Python lists by tolist(), a zero total propensity tested on every
+    step and each slice's knot lists made arrays by np.array.  Its chunks,
+    joined, must equal _qp_layer's bit for bit."""
+    kin = config.kinetics
+    ncp = kin.n_pairs
+    trapping = kin.trapping
+    pair_rate = kin.recombination / (2.0 * ncp)
+    mod = config.modulation
+    # (generation, switch) propensity per modulator state, 0 quiet, 1 noisy
+    if mod is not None:
+        props = ((0.5 * mod.quiet_generation * ncp, 1.0 / mod.mean_quiet),
+                 (0.5 * kin.generation * ncp, 1.0 / mod.mean_noisy))
+        p_quiet = mod.mean_quiet / (mod.mean_quiet + mod.mean_noisy)
+        m_state = 0 if rng.random() < p_quiet else 1
+    else:
+        props = ((0.5 * kin.generation * ncp, 0.0),) * 2
+        m_state = 1
+    # a pulse that ends at the duration has no time left to act on
+    ends = config.pulse_start + config.pulse_length
+    acts = ends < config.duration
+    edge_t = np.append(ends[acts], config.duration)
+    edge_n = np.append(config.pulse_inject[acts], 0)
+    n_edges = len(edge_t)
+
+    n = config.initial_count()
+    # the knots of the slice in hand
+    times = [0.0]
+    counts = [n]
+    # (c_loss, c_rec, total) by count, one dict per modulator state
+    caches = ({}, {})
+    cache = caches[m_state]
+    a_gen, a_switch = props[m_state]
+    t = 0.0
+    k = 0
+    t_edge, inject = edge_t[0].item(), edge_n[0].item()
+    while k < n_edges:
+        exponentials = rng.standard_exponential(_RNG_BUF)
+        uniforms = rng.random(_RNG_BUF)
+        for lo in range(0, _RNG_BUF, _SEGMENT):
+            for e, u in zip(exponentials[lo:lo + _SEGMENT].tolist(),
+                            uniforms[lo:lo + _SEGMENT].tolist()):
+                try:
+                    c_loss, c_rec, total = cache[n]
+                except KeyError:
+                    c_loss = a_gen + trapping * n
+                    c_rec = c_loss + pair_rate * n * (n - 1)
+                    total = c_rec + a_switch
+                    cache[n] = c_loss, c_rec, total
+                t_next = t + e / total if total > 0.0 else math.inf
+                if t_next >= t_edge:
+                    t = t_edge
+                    if inject > 0:
+                        n += inject
+                        times.append(t)
+                        counts.append(n)
+                    k += 1
+                    if k == n_edges:
+                        break
+                    t_edge, inject = edge_t[k].item(), edge_n[k].item()
+                    continue
+                t = t_next
+                u *= total
+                if u < a_gen:
+                    n += 2
+                elif u < c_loss:
+                    n -= 1
+                elif u < c_rec:
+                    n -= 2
+                else:
+                    m_state = 1 - m_state
+                    cache = caches[m_state]
+                    a_gen, a_switch = props[m_state]
+                    continue
+                times.append(t)
+                counts.append(n)
+            if times:
+                yield np.array(times, dtype=float), np.array(counts, dtype=np.int64)
+                times.clear()
+                counts.clear()
+            if k == n_edges:
+                break
+
+
 def scalar_qubit_layer(config: ScenarioConfig, truth: TruthTrace,
                        candidate_rng: np.random.Generator,
                        uniform_rng: np.random.Generator):
@@ -429,12 +519,20 @@ def rk4_evolve_ode(x0: float, params: QpKineticsParams, t_grid) -> np.ndarray:
     return out
 
 
+# CPU seconds a run_with_address_limit child may take: every one in the
+# tests takes a few at most
+_CHILD_CPU_SECONDS = 60
+
+
 def run_with_address_limit(fn, *args, limit: int = 1 << 30):
     """fn(*args) in one forked child whose address space may grow by at
     most limit bytes (RLIMIT_AS over its size at the fork), so a runaway
     allocation raises a fast MemoryError there instead of taking the
     machine's memory.  Returns ("returned", value), or (exception type
-    name, message) for what fn raised."""
+    name, message) for what fn raised.  A child that runs for
+    _CHILD_CPU_SECONDS is ended by the kernel (RLIMIT_CPU, with no core
+    file), and ("killed", its wait status) is returned, so a run that
+    would never end fails instead of hanging the caller."""
     size = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
     read, write = os.pipe()
     pid = os.fork()
@@ -442,6 +540,8 @@ def run_with_address_limit(fn, *args, limit: int = 1 << 30):
         try:
             os.close(read)
             resource.setrlimit(resource.RLIMIT_AS, (size + limit, size + limit))
+            resource.setrlimit(resource.RLIMIT_CORE, (0, 0))
+            resource.setrlimit(resource.RLIMIT_CPU, (_CHILD_CPU_SECONDS, _CHILD_CPU_SECONDS + 1))
             try:
                 result = ("returned", fn(*args))
             except BaseException as exc:
@@ -453,7 +553,9 @@ def run_with_address_limit(fn, *args, limit: int = 1 << 30):
     os.close(write)
     with os.fdopen(read, "rb") as fh:
         data = fh.read()
-    os.waitpid(pid, 0)
+    _, status = os.waitpid(pid, 0)
+    if not data:
+        return "killed", f"wait status {status}"
     return pickle.loads(data)
 
 

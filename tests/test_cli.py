@@ -12,13 +12,19 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpjumps import analysis, cli, experiments, fitting, io, optimize
 from qpjumps.analysis import two_point_filter
 from qpjumps.cli import build_parser, main
-from qpjumps.core import QubitParams, load_config, serialize_config, validate_config
+from qpjumps.core import (
+    CONFIG_SCHEMA,
+    QubitParams,
+    load_config,
+    serialize_config,
+    validate_config,
+)
 from qpjumps.experiments import preset_config, run_simulation, run_stats
 from qpjumps.jumpsim import (
     _BLOCK,
@@ -766,6 +772,73 @@ def _main_with_stderr(argv):
     with contextlib.redirect_stderr(err):
         code = main(argv)
     return code, err.getvalue()
+
+
+# experiment runs small: quiet-noisy at 2 s, recovery at 20 cycles
+EXPERIMENT_BASE = {"quiet-noisy": ["duration=2"],
+                   "recovery": ["pulse_count=20", "duration=0.2021"]}
+# a config key's values, as text: 0, negative, subnormal, 1e308 and not
+# finite; and --seed's, as integers (argparse refuses a non-integer
+# --seed, with its usage line, before any command runs)
+_KEY_VALUES = st.one_of(
+    st.sampled_from(["0", "0.0", "-0", "-1", "-1e308", "-5e-324", "1e308",
+                     "1.7976931348623157e308", "nan", "inf", "-inf", "NaN", "Infinity"]),
+    st.floats(max_value=-5e-324).map(repr),
+    st.floats(min_value=5e-324, max_value=2.2e-308).map(repr))
+_SEEDS = st.one_of(st.none(), st.just(0), st.integers(max_value=-1),
+                   st.integers(min_value=2**64), st.just(10**308))
+# the first words of the one stderr line of each failing exit code
+_EXIT_PREFIXES = {2: ("configuration error: ", "invalid input: "),
+                  3: ("data format error: ",), 4: ("fit error: ",)}
+
+
+# experiment --seed and one config key through --set, each at 0, a
+# negative, a subnormal, 1e308, nan or inf.  A run exits with a
+# documented code: 0 with its --out directory and nothing on stderr, or
+# 2, 3 or 4 with one stderr line of that code's kind, no traceback and no
+# --out directory.  Values that are not finite, negative values and a
+# --seed outside the unsigned 64-bit range are always refused, but for
+# n_initial = -1, the steady mean, and a negative chi_over_2pi, a sign
+# convention: the record's analysis refuses the negative separation it
+# gives, and recovery reads no record.  The only valid sizes are the small ones
+# above.  Each case runs in a child under an address-space limit, so a
+# value that allocates without bound fails fast there, and under a CPU
+# limit, so one that would never end fails too.  The examples once
+# raised a traceback (a subnormal temperature, a steady QP number past an
+# int64, a train's starts past the float range) or never ended (trapping
+# whose rate overflowed)
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(EXPERIMENT_BASE)), key=st.sampled_from(sorted(CONFIG_SCHEMA)),
+       value=_KEY_VALUES, seed=_SEEDS)
+@example(name="quiet-noisy", key="temperature", value="5e-324", seed=None)
+@example(name="quiet-noisy", key="n_cooper_pairs", value="1e308", seed=None)
+@example(name="recovery", key="pulse_period", value="1e308", seed=None)
+@example(name="quiet-noisy", key="qp_trapping", value="1e308", seed=None)
+def test_experiment_seed_and_keys_exit_with_a_documented_code(name, key, value, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "out"
+        argv = ["experiment", name, "--out", str(out)]
+        for item in [*EXPERIMENT_BASE[name], f"{key}={value}"]:
+            argv += ["--set", item]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        status, result = run_with_address_limit(_main_with_stderr, argv)
+        assert status == "returned", (argv, result)
+        code, err = result
+        if code == 0:
+            assert err == "" and out.is_dir(), argv
+        else:
+            assert code in _EXIT_PREFIXES and err.count("\n") == 1, (argv, code, err)
+            assert err.startswith(_EXIT_PREFIXES[code]), (argv, err)
+            assert "Traceback" not in err
+            assert not out.exists(), argv
+        number = float(value)
+        negative = number < 0 and key != "chi_over_2pi" and (key, value) != ("n_initial", "-1")
+        # --seed takes the place of rng_seed
+        refused_value = (not math.isfinite(number) or negative) and not (
+            key == "rng_seed" and seed is not None)
+        if refused_value or not (seed is None or 0 <= seed < 2**64):
+            assert code == 2, (argv, code, err)
 
 
 class TestManifestProvenance:

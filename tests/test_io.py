@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,35 @@ class TestIqFormat:
                 with pytest.raises(ValueError, match=str(path)):
                     io.write_iq(path, record)
                 assert list(tmp_path.iterdir()) == []
+
+    # a float64 sample past float32's range was written as inf, with
+    # numpy's overflow warning.  2^128 - 2^103 is the least value that
+    # rounds to inf; the one in the second range comes after the first
+    # range's write, and the file's directory is made by the write
+    @pytest.mark.parametrize("value", [1e300, -1e300, 2.0**128 - 2.0**103])
+    @pytest.mark.parametrize("quadrature", ["i", "q"])
+    @pytest.mark.parametrize("index", [3, _BLOCK + 5])
+    def test_sample_past_float32_is_refused_and_no_file_is_left(self, tmp_path, value,
+                                                                 quadrature, index):
+        samples = {"i": np.zeros(_BLOCK + 10), "q": np.ones(_BLOCK + 10)}
+        samples[quadrature][index] = value
+        path = tmp_path / "run" / "r.iq"
+        with pytest.raises(ValueError, match=re.escape(f"sample {index} of {quadrature.upper()}, "
+                                                       f"{value!r}, is past float32's range")):
+            io.write_iq(path, IQRecord(t_meas=5e-6, **samples))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nan_inf_and_the_float32_range_are_written_as_they_round(self, tmp_path):
+        big = float(np.finfo(np.float32).max)
+        # the largest float64 below 2^128 - 2^103 rounds down to big
+        below = np.nextafter(2.0**128 - 2.0**103, 0.0)
+        i = np.array([np.nan, np.inf, -np.inf, big, -big, below, -below, 1e-50])
+        path = tmp_path / "r.iq"
+        io.write_iq(path, IQRecord(t_meas=5e-6, i=i, q=i[::-1].copy()))
+        back = io.read_iq(path).read(0, len(i))
+        want = np.array([np.nan, np.inf, -np.inf, big, -big, big, -big, 0.0], dtype=np.float32)
+        assert back.i.tobytes() == want.tobytes()
+        assert back.q.tobytes() == want[::-1].tobytes()
 
     def test_record_that_shrinks_after_read_iq_names_the_offset(self, tmp_path):
         # read_iq checked the size; a later read finds the payload cut short

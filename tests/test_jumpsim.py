@@ -1,6 +1,8 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,6 +55,7 @@ from support import (
     qp_relaxation_rate,
     qubit_intervals,
     reference_pulses,
+    reference_qp_layer,
     relaxation_jump_times,
     scalar_qubit_layer,
     stationary_qn,
@@ -660,6 +663,111 @@ def test_trace_does_not_depend_on_segment_size(case, segment, candidates, monkey
     # and their merged knots, joined, are the pinned trace
     truth = simulate_joint(config, *np.random.default_rng(config.rng_seed).spawn(3))
     assert _trace_digests(truth) == DETERMINISM_DIGESTS[case]
+
+
+def _joined_knots(chunks):
+    """The times and counts bytes of a QP layer's chunks, joined."""
+    chunks = list(chunks)
+    assert all(t.dtype == np.float64 and n.dtype == np.int64 for t, n in chunks)
+    return (np.concatenate([t for t, _ in chunks]).tobytes(),
+            np.concatenate([n for _, n in chunks]).tobytes())
+
+
+@st.composite
+def qp_chain_configs(draw):
+    """Small configs for the QP layer: generation, trapping and
+    recombination each 0 or not, with or without a modulator, n_initial
+    0, small, large or steady, and no pulses, a periodic train or a
+    schedule, whose last end is the duration or before it."""
+    generation = draw(st.sampled_from([0.0, 3.2e-4, 3.2e-3]))
+    recombination = draw(st.sampled_from([0.0, 1e10]))
+    # generation needs a way out: trapping or recombination
+    trapping = draw(st.sampled_from([0.0, 8000.0] if generation == 0.0 or recombination
+                                    else [8000.0]))
+    modulation = draw(st.none() | st.builds(
+        Modulation, quiet_generation=st.sampled_from([0.0, 3.2e-5]),
+        mean_quiet=st.sampled_from([1e-3, 5e-3]), mean_noisy=st.sampled_from([1e-3, 5e-3])))
+    n_initial = draw(st.sampled_from([-1, 0, 1, 3000]))
+    pulses = {}
+    last_end = 0.0
+    kind = draw(st.sampled_from(["none", "train", "schedule"]))
+    if kind == "train":
+        pulses["pulse_periodic"] = PeriodicPulses(
+            first=draw(st.sampled_from([0.0, 1e-4])), period=1e-3,
+            length=draw(st.sampled_from([1e-6, 1e-5, 1e-4])),
+            inject=draw(st.sampled_from([0, 3, 200])), count=draw(st.integers(1, 12)))
+    elif kind == "schedule":
+        starts = sorted(draw(st.sets(st.integers(0, 15), min_size=1, max_size=5)))
+        pulses["pulse_schedule"] = tuple(
+            Pulse(k * 1e-3, draw(st.sampled_from([1e-6, 1e-5, 5e-4])),
+                  draw(st.sampled_from([0, 3, 200]))) for k in starts)
+    config = ScenarioConfig(
+        duration=0.02, rng_seed=draw(st.integers(0, 2**32)), n_initial=n_initial,
+        kinetics=QpKineticsParams(generation=generation, trapping=trapping,
+                                  recombination=recombination),
+        modulation=modulation, **pulses)
+    if len(config.pulse_start):
+        last_end = config.pulse_start[-1] + config.pulse_length[-1]
+    # the last pulse ends at the duration, or the duration runs past it
+    extra = draw(st.sampled_from([0.0, 1e-4, 3e-3]) if last_end > 0.0
+                 else st.sampled_from([1e-4, 3e-3]))
+    return replace(config, duration=float(last_end) + extra)
+
+
+# 100,000 QPs trapped one by one with nothing else to happen: 100,000
+# steps cross a refill of the draws, at a slice size that leaves a short
+# last slice in each buffer (65,536 = 13 * 5,000 + 536)
+BUFFER_REFILL_CASE = ScenarioConfig(
+    duration=1.0, rng_seed=11, n_initial=100_000,
+    kinetics=QpKineticsParams(generation=0.0, trapping=8000.0))
+
+
+# the QP layer's chunks, joined, equal those of its loop before tuning bit
+# for bit, whatever the slice size (_SEGMENT): one step per slice, 7
+# steps, which leave a short last slice in each buffer, or the default
+@settings(max_examples=150, deadline=None)
+@given(config=qp_chain_configs(), segment=st.sampled_from([None, 1, 7]))
+@example(config=BUFFER_REFILL_CASE, segment=5000)
+def test_qp_layer_equals_the_reference_loop_bit_for_bit(config, segment):
+    with mock.patch.object(jumpsim, "_SEGMENT", segment or jumpsim._SEGMENT):
+        got = _joined_knots(jumpsim._qp_layer(config, np.random.default_rng(config.rng_seed)))
+    want = _joined_knots(reference_qp_layer(config, np.random.default_rng(config.rng_seed)))
+    assert got == want
+
+
+def test_no_propensity_gives_one_knot_at_t_0():
+    # no generation, no modulator, no pulses and no QPs: every total
+    # propensity is 0, so the first step divides by zero and the chain
+    # waits for the duration
+    config = ScenarioConfig(duration=1.0, rng_seed=0, n_initial=0,
+                            kinetics=QpKineticsParams(generation=0.0))
+    chunks = list(jumpsim._qp_layer(config, np.random.default_rng(0)))
+    assert [(t.tolist(), n.tolist()) for t, n in chunks] == [([0.0], [0])]
+    assert _joined_knots(chunks) == _joined_knots(
+        reference_qp_layer(config, np.random.default_rng(0)))
+
+
+def test_qp_layer_memory_is_flat_in_the_pulse_count():
+    # numpy reports its buffers to tracemalloc.  The chain reads each pulse
+    # end from the config's arrays as it reaches it, so the traced peak of
+    # the first chunk is the same at 10^3 and 10^5 pulses (1.006 MiB at
+    # both when measured, the draws and one slice's knots); copying the
+    # train into edge arrays, as the loop once did, took 25 B a pulse
+    # (1.84 and 4.20 MiB).  Each config is made before the trace starts
+    def first_chunk_peak(cycles):
+        config = preset_config("recovery", {"pulse_count": str(cycles),
+                                            "duration": repr(cycles * 10.105e-3)})
+        chunks = jumpsim._qp_layer(config, np.random.default_rng(config.rng_seed))
+        tracemalloc.start()
+        try:
+            next(chunks)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    first_chunk_peak(100)  # what the first run allocates once
+    peaks = {cycles: first_chunk_peak(cycles) for cycles in (1000, 100_000)}
+    assert abs(peaks[100_000] - peaks[1000]) < 16 * 2**10, peaks
 
 
 class TestSynthesizeIq:
